@@ -415,12 +415,13 @@ class ForgeInformSetReader(protocol.ProcessMachine):
             WitnessEntry(value, 1000 + self.cycle, q)
             for q in list(self.cfg.reader_indices())[: self.cfg.quorum]
         )
-        members = frozenset(
+        members = [
             WitnessSet(entries, signer=q, signature=b"not-a-signature-%d" % q)
             for q in list(self.cfg.reader_indices())[: self.cfg.quorum]
-        )
-        wset_bytes = encode_value(Family.INFORM, next(iter(members)))
-        iset_bytes = encode_value(Family.FINAL, InformSet(members))
+        ]
+        # the lowest signer's set, so the bytes do not depend on set order
+        wset_bytes = encode_value(Family.INFORM, members[0])
+        iset_bytes = encode_value(Family.FINAL, InformSet(frozenset(members)))
         return wset_bytes, iset_bytes
 
     def enabled(self, bank):

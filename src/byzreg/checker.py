@@ -184,11 +184,7 @@ def _scan_finals(
 
     # validation is a pure function of the cell bytes given one ring and
     # config, so the memo lives on the ring and survives across runs
-    cache_attr = "_final_validation_cache"
-    validated = getattr(ring, cache_attr, None)
-    if validated is None:
-        validated = {}
-        object.__setattr__(ring, cache_attr, validated)
+    validated = ring._final_validation_cache
 
     def validate(data: bytes):
         key = (data, cfg)

@@ -104,6 +104,13 @@ class KeyRing:
     _scheme: object = field(repr=False)
     _private: dict[ProcessId, object] = field(repr=False)
     _public: dict[ProcessId, object] = field(repr=False)
+    # memos of pure functions of these keys, so they live as long as the
+    # ring: the initial inform set per (cfg, u0), and the checker's
+    # validation of final-register bytes per (bytes, cfg)
+    initial_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _final_validation_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def has(self, pid: ProcessId) -> bool:
         return pid in self._private
@@ -113,29 +120,32 @@ class KeyRing:
         return self
 
 
-_RING_CACHE: dict[tuple, KeyRing] = {}
+RING_CACHE_SIZE = 32
+_RING_CACHE: dict[tuple, KeyRing] = {}  # least recently used first
 
 
 def make_keyring(cfg: Config, scheme: str = "keyed", seed: int = 0) -> KeyRing:
     """Build a key ring covering the writer and every reader (Byzantine
-    included).  Rings are memoized: they are read-only, and sharing one
-    object lets verification caches keyed on it persist across runs."""
+    included).  The RING_CACHE_SIZE most recently used rings are
+    memoized: they are read-only, and sharing one object lets the memos
+    it carries serve every run with the same keys.  An evicted ring is
+    rebuilt from its seed with identical keys."""
     key = (cfg, scheme, seed)
-    cached = _RING_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown signature scheme {scheme!r}")
-    impl = _SCHEMES[scheme]()
-    private: dict[ProcessId, object] = {}
-    public: dict[ProcessId, object] = {}
-    for pid in [WRITER] + [ProcessId.reader(i) for i in cfg.reader_indices()]:
-        priv, pub = impl.keypair(seed, pid)
-        private[pid] = priv
-        public[pid] = pub
-    ring = KeyRing(scheme_name=scheme, _scheme=impl, _private=private, _public=public)
-    if len(_RING_CACHE) < 4096:
-        _RING_CACHE[key] = ring
+    ring = _RING_CACHE.pop(key, None)
+    if ring is None:
+        if scheme not in _SCHEMES:
+            raise ValueError(f"unknown signature scheme {scheme!r}")
+        impl = _SCHEMES[scheme]()
+        private: dict[ProcessId, object] = {}
+        public: dict[ProcessId, object] = {}
+        for pid in [WRITER] + [ProcessId.reader(i) for i in cfg.reader_indices()]:
+            priv, pub = impl.keypair(seed, pid)
+            private[pid] = priv
+            public[pid] = pub
+        ring = KeyRing(scheme_name=scheme, _scheme=impl, _private=private, _public=public)
+    _RING_CACHE[key] = ring
+    if len(_RING_CACHE) > RING_CACHE_SIZE:
+        del _RING_CACHE[next(iter(_RING_CACHE))]
     return ring
 
 

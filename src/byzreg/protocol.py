@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from . import crypto
@@ -120,15 +119,17 @@ class ReaderState:
 
 
 def initial_reader_state(cfg: Config, u0: bytes, ring: crypto.KeyRing, p: int) -> ReaderState:
-    from .registers import initial_entry, initial_inform_set, initial_witness_set
+    from .registers import initial_entry, initial_inform_set
 
+    inform_set = initial_inform_set(cfg, u0, ring)
+    signed = {m.signer: m for m in inform_set.members}
     return ReaderState(
         s=0,
         last_init=TaggedValue(0, u0),
         t_witness={i: initial_entry(cfg, u0, i) for i in cfg.reader_indices()},
-        t_inform={i: initial_witness_set(cfg, u0, ring, i) for i in cfg.reader_indices()},
-        witness_set=initial_witness_set(cfg, u0, ring, p),
-        inform_set=initial_inform_set(cfg, u0, ring),
+        t_inform={i: signed[i] for i in cfg.reader_indices()},
+        witness_set=signed[p],
+        inform_set=inform_set,
         last_ack=TaggedValue(0, u0),
     )
 
@@ -322,10 +323,24 @@ def form_inform_set(
     """Assemble an inform set from collected witness sets, if a quorum of
     them shares a quorum of identical entries.
 
-    Tries every quorum-sized member subset, keeps those whose common core
-    validates, and greedily grows the member set while it stays valid.
-    Deterministic: the largest member set wins, then the largest core,
-    then the value.
+    With members in signer order, every quorum-sized member subset whose
+    common core passes ``ws_of`` is grown greedily, in signer order, by
+    each member that keeps the core valid.  The largest grown set wins,
+    then the largest core, then the value; the first subset wins a tie.
+
+    The search visits quorum subsets in ``itertools.combinations`` order
+    but never enumerates them all.  Each member's entries are a bitmask
+    over the distinct entries of this formation, so a subset's core is
+    the AND of its members' masks, and ``ws_of``'s rules become tests on
+    that mask, memoized per core.  A depth-first search drops a branch
+    once its running AND holds fewer than n-t entries or it repeats a
+    signer: adding members only shrinks a core and never removes a
+    signer, so no subset below it is valid.  Mixed values and duplicate
+    witness indices do not prune, since a smaller core can shed them.
+    Search stops once a grown set holds every member: a later subset can
+    grow to at most the same set, with the same key, and loses the tie.
+    The result is therefore the one the exhaustive search over
+    ``combinations`` gives; the winner is validated by ``ws_of`` itself.
     """
     return _form_inform_cached(frozenset(members), cfg)
 
@@ -335,34 +350,86 @@ def _form_inform_cached(
     member_set: frozenset[WitnessSet], cfg: Config
 ) -> tuple[InformSet, TaggedValue] | None:
     members = sorted(member_set, key=lambda m: m.signer)
-    if len(members) < cfg.quorum:
+    quorum = cfg.quorum
+    if len(members) < quorum:
         return None
+    bit: dict[WitnessEntry, int] = {}
+    masks = []
+    for m in members:
+        mask = 0
+        for e in m.entries:
+            mask |= 1 << bit.setdefault(e, len(bit))
+        masks.append(mask)
+    entries = list(bit)
+    valid = _core_test(entries, cfg)
+
+    def subsets(start: int, chosen: list[int], signers: set[int], core: int):
+        """(indices, core) of every valid quorum subset extending chosen."""
+        need = quorum - len(chosen)
+        if need == 0:
+            if valid(core):
+                yield chosen, core
+            return
+        for i in range(start, len(members) - need + 1):
+            signer = members[i].signer
+            narrowed = core & masks[i]
+            if signer in signers or narrowed.bit_count() < quorum:
+                continue
+            yield from subsets(i + 1, chosen + [i], signers | {signer}, narrowed)
+
     best = None
-    for subset in combinations(members, cfg.quorum):
-        try:
-            ws_of(InformSet(frozenset(subset)), cfg)
-        except InvalidInformSet:
-            continue
-        chosen = list(subset)
-        chosen_signers = {m.signer for m in chosen}
-        for m in members:
-            if m.signer in chosen_signers:
+    for chosen, core in subsets(0, [], set(), (1 << len(entries)) - 1):
+        grown = list(chosen)
+        signers = {members[i].signer for i in chosen}
+        for i, m in enumerate(members):
+            if m.signer in signers:
                 continue
-            try:
-                ws_of(InformSet(frozenset(chosen + [m])), cfg)
-            except InvalidInformSet:
-                continue
-            chosen.append(m)
-            chosen_signers.add(m.signer)
-        iset = InformSet(frozenset(chosen))
-        core = ws_of(iset, cfg)
-        v = common_value(core)
-        key = (len(chosen), len(core), v.k, v.u)
+            narrowed = core & masks[i]
+            if valid(narrowed):
+                grown.append(i)
+                signers.add(m.signer)
+                core = narrowed
+        v = entries[core.bit_length() - 1].value
+        key = (len(grown), core.bit_count(), v.k, v.u)
         if best is None or key > best[0]:
-            best = (key, iset, v)
+            best = (key, grown)
+        if len(grown) == len(members):
+            break
     if best is None:
         return None
-    return best[1], best[2]
+    iset = InformSet(frozenset(members[i] for i in best[1]))
+    return iset, common_value(ws_of(iset, cfg))
+
+
+def _core_test(entries: list[WitnessEntry], cfg: Config):
+    """Memoized test of a core mask over ``entries`` against ``ws_of``'s
+    rules on the core: at least n-t entries, one tagged value, witness
+    indices in 1..n and distinct, stamps non-negative."""
+    by_value: dict[TaggedValue, int] = {}
+    by_index: dict[int, int] = {}
+    well_formed = 0
+    for b, e in enumerate(entries):
+        by_value[e.value] = by_value.get(e.value, 0) | 1 << b
+        by_index[e.p] = by_index.get(e.p, 0) | 1 << b
+        if 1 <= e.p <= cfg.n and e.s >= 0:
+            well_formed |= 1 << b
+    shared_index = [m for m in by_index.values() if m & (m - 1)]
+    memo: dict[int, bool] = {}
+
+    def valid(core: int) -> bool:
+        ok = memo.get(core)
+        if ok is None:
+            ok = (
+                core != 0
+                and core.bit_count() >= cfg.quorum
+                and core & ~by_value[entries[core.bit_length() - 1].value] == 0
+                and core & ~well_formed == 0
+                and all((core & m).bit_count() <= 1 for m in shared_index)
+            )
+            memo[core] = ok
+        return ok
+
+    return valid
 
 
 class ReaderMachine(ProcessMachine):

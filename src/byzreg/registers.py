@@ -266,15 +266,22 @@ def initial_entries(cfg: Config, u0: bytes) -> frozenset[WitnessEntry]:
     return frozenset(initial_entry(cfg, u0, k) for k in cfg.reader_indices())
 
 
-def initial_witness_set(cfg: Config, u0: bytes, ring: crypto.KeyRing, i: int) -> WitnessSet:
-    return crypto.sign_entries(ring, i, initial_entries(cfg, u0))
-
-
 def initial_inform_set(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> InformSet:
-    members = frozenset(
-        initial_witness_set(cfg, u0, ring, l) for l in cfg.reader_indices()
-    )
-    return InformSet(members=members)
+    """Every reader's signed initial witness set, as one inform set.
+
+    Signed once per (ring, cfg, u0) and memoized on the ring; signatures
+    are deterministic, so the memo changes no bytes.  Reader i's initial
+    witness set is its member signed by i.
+    """
+    key = (cfg, u0)
+    iset = ring.initial_sets.get(key)
+    if iset is None:
+        entries = initial_entries(cfg, u0)
+        iset = InformSet(
+            frozenset(crypto.sign_entries(ring, l, entries) for l in cfg.reader_indices())
+        )
+        ring.initial_sets[key] = iset
+    return iset
 
 
 class RegisterBank:
@@ -388,9 +395,10 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
         cells[ack_reg(i)] = init_tagged
     iset = initial_inform_set(cfg, u0, ring)
     iset_bytes = encode_value(Family.FINAL, iset)
+    signed = {m.signer: m for m in iset.members}
     for i in cfg.reader_indices():
         entry_bytes = encode_value(Family.WITNESS, initial_entry(cfg, u0, i))
-        wset_bytes = encode_value(Family.INFORM, initial_witness_set(cfg, u0, ring, i))
+        wset_bytes = encode_value(Family.INFORM, signed[i])
         for j in cfg.reader_indices():
             cells[witness_reg(i, j)] = entry_bytes
             cells[inform_reg(i, j)] = wset_bytes

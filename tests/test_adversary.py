@@ -4,6 +4,11 @@ scripted attack scenarios."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from byzreg import checker
@@ -218,6 +223,26 @@ class TestReaderStrategies:
         report = checker.run_all_checks(history, strategies.byzantine_readers())
         assert not report.violations()
         assert all(s.value.u != b"forged-0" for s in report.stabilizations)
+
+    def test_forged_run_digest_independent_of_hash_seed(self):
+        script = (
+            "from byzreg.adversary import ForgeInformSet, StrategyAssignment\n"
+            "from byzreg.core import Config\n"
+            "from byzreg.engine import SeededRandom, Workload, run\n"
+            "wl = Workload.make(writes=[b'a'], reads={1: 2}, read_gap=1)\n"
+            "strategies = StrategyAssignment(readers={4: ForgeInformSet()})\n"
+            "history = run(Config(4, 1), strategies, wl, SeededRandom(seed=3), 40000,\n"
+            "              key_seed=3, settle_steps=300, raise_on_limit=False)\n"
+            "print(history.digest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
     def test_collaborator_completes_partial_write(self):
         # the value goes to two correct readers only; the collaborator's

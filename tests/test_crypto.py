@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from byzreg import crypto
 from byzreg.core import Config, ProcessId, TaggedValue, WitnessEntry, WRITER
 from byzreg.crypto import (
+    RING_CACHE_SIZE,
     UnknownProcess,
     canonical_entries_payload,
     make_keyring,
@@ -61,6 +63,20 @@ def test_same_seed_same_keys():
     r2 = make_keyring(CFG, "keyed", seed=3)
     p = ProcessId.reader(2)
     assert sign(r1, p, b"x") == sign(r2, p, b"x")
+
+
+def test_ring_cache_keeps_recent_rings_only():
+    p = ProcessId.reader(2)
+    first = make_keyring(CFG, "keyed", seed=10_000)
+    kept = make_keyring(CFG, "keyed", seed=10_001)
+    signature = sign(first, p, b"x")
+    for seed in range(10_002, 10_002 + RING_CACHE_SIZE):
+        assert make_keyring(CFG, "keyed", seed=10_001) is kept  # recently used
+        make_keyring(CFG, "keyed", seed=seed)
+        assert len(crypto._RING_CACHE) <= RING_CACHE_SIZE
+    rebuilt = make_keyring(CFG, "keyed", seed=10_000)
+    assert rebuilt is not first
+    assert sign(rebuilt, p, b"x") == signature
 
 
 def test_different_seed_different_signature():

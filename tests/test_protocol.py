@@ -3,15 +3,22 @@ find_latest behavior."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from byzreg.core import (
     Config,
     InformSet,
+    InvalidInformSet,
     ProcessId,
     TaggedValue,
     WitnessEntry,
+    WitnessSet,
     WRITER,
+    common_value,
+    ws_of,
 )
 from byzreg.crypto import make_keyring, sign_entries
 from byzreg.engine import HistoryRecorder
@@ -19,6 +26,7 @@ from byzreg.protocol import (
     ConcurrentFinalSets,
     ReaderMachine,
     WriterMachine,
+    _form_inform_cached,
     find_latest,
     form_inform_set,
     latest_quorum_group,
@@ -264,6 +272,109 @@ class TestFormation:
         members = [sign_entries(ring, i, entries) for i in (1, 2, 3, 4)]
         formed = form_inform_set(members, CFG)
         assert formed is not None and len(formed[0].members) == 4
+
+    def test_fault_free_n13_returns_every_member(self):
+        cfg = Config(13, 4)
+        ring = make_keyring(cfg, "keyed", 0)
+        v = TaggedValue(1, b"a")
+        entries = [WitnessEntry(v, 1, p) for p in cfg.reader_indices()]
+        members = [sign_entries(ring, i, entries) for i in cfg.reader_indices()]
+        formed = form_inform_set(members, cfg)
+        assert formed == formed_by_combinations(members, cfg)
+        assert formed[0].members == frozenset(members) and formed[1] == v
+
+    def test_conflicting_member_left_out(self):
+        cfg = Config(13, 4)
+        ring = make_keyring(cfg, "keyed", 0)
+        v, w = TaggedValue(1, b"a"), TaggedValue(2, b"b")
+        entries = [WitnessEntry(v, 1, p) for p in range(1, 10)]
+        members = [sign_entries(ring, i, entries) for i in range(1, 10) if i != 5]
+        members.append(sign_entries(ring, 5, [WitnessEntry(w, 2, p) for p in range(1, 10)]))
+        members.append(sign_entries(ring, 10, entries))
+        with pytest.raises(InvalidInformSet):
+            ws_of(InformSet(frozenset(members)), cfg)
+        formed = form_inform_set(members, cfg)
+        assert formed == formed_by_combinations(members, cfg)
+        iset, value = formed
+        assert value == v and len(iset.members) == 9
+        assert {m.signer for m in iset.members} == set(range(1, 11)) - {5}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_exhaustive_search(self, data):
+        cfg, members = data.draw(member_sets())
+        # a cached result may come from an equal member set whose members
+        # with one signer iterated in another order; compute afresh
+        _form_inform_cached.cache_clear()
+        assert form_inform_set(members, cfg) == formed_by_combinations(members, cfg)
+
+
+def formed_by_combinations(members, cfg):
+    """The exhaustive search form_inform_set must agree with: every
+    quorum-sized subset in combinations() order, each valid one grown
+    greedily in signer order, the first largest key winning."""
+    members = sorted(frozenset(members), key=lambda m: m.signer)
+    if len(members) < cfg.quorum:
+        return None
+    best = None
+    for subset in combinations(members, cfg.quorum):
+        try:
+            ws_of(InformSet(frozenset(subset)), cfg)
+        except InvalidInformSet:
+            continue
+        chosen = list(subset)
+        chosen_signers = {m.signer for m in chosen}
+        for m in members:
+            if m.signer in chosen_signers:
+                continue
+            try:
+                ws_of(InformSet(frozenset(chosen + [m])), cfg)
+            except InvalidInformSet:
+                continue
+            chosen.append(m)
+            chosen_signers.add(m.signer)
+        iset = InformSet(frozenset(chosen))
+        core = ws_of(iset, cfg)
+        v = common_value(core)
+        key = (len(chosen), len(core), v.k, v.u)
+        if best is None or key > best[0]:
+            best = (key, iset, v)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+@st.composite
+def member_sets(draw):
+    """Witness sets over a core of n entries, a few of them with another
+    value or stamp (negative too).  Each member drops a few core entries
+    and adds stray entries (any value and stamp, witness indices repeated
+    or outside 1..n), some of them shared by every member.  Signers may
+    repeat.  Signatures are not checked by formation."""
+    n = draw(st.integers(1, 13))
+    cfg = Config(n, draw(st.integers(0, n - 1)))
+    values = [TaggedValue(1, b"a"), TaggedValue(2, b"b")]
+    odd = draw(st.dictionaries(
+        st.integers(1, n), st.tuples(st.sampled_from(values), st.integers(-1, 2)), max_size=2
+    ))
+    core = [WitnessEntry(*odd.get(p, (values[0], 1)), p) for p in range(1, n + 1)]
+    strays = draw(st.lists(
+        st.builds(
+            WitnessEntry, st.sampled_from(values), st.integers(-1, 2), st.integers(0, n + 1)
+        ),
+        max_size=3,
+    ))
+    shared = draw(st.sets(st.sampled_from(strays))) if strays else set()
+    members = []
+    for _ in range(draw(st.integers(0, n + 2))):
+        dropped = draw(st.sets(st.integers(0, n - 1), max_size=2))
+        entries = {e for p, e in enumerate(core) if p not in dropped} | shared
+        if strays:
+            entries |= draw(st.sets(st.sampled_from(strays), max_size=1))
+        signer = draw(st.integers(1, n))
+        signature = draw(st.sampled_from([b"x", b"y"]))
+        members.append(WitnessSet(frozenset(entries), signer, signature))
+    return cfg, members
 
 
 class TestFindLatest:
