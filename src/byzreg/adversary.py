@@ -604,28 +604,6 @@ def build_machines(
     return machines
 
 
-def byz_writer_step(machine, bank, recorder) -> None:
-    """Drive one strategy-dictated writer step outside the engine."""
-    _drive_one(machine, bank, recorder)
-
-
-def byz_reader_step(machine, bank, recorder) -> None:
-    """Drive one strategy-dictated reader step outside the engine."""
-    _drive_one(machine, bank, recorder)
-
-
-def _drive_one(machine, bank, recorder) -> None:
-    op = machine.next_op(bank)
-    if isinstance(op, ReadOp):
-        result = bank.read(op.reg, machine.pid)
-    elif isinstance(op, WriteOp):
-        bank.write(op.reg, op.value, machine.pid)
-        result = None
-    else:
-        result = None
-    machine.apply(bank, op, result, recorder)
-
-
 # --- scripted scenarios --------------------------------------------------------
 
 @dataclass

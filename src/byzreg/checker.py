@@ -6,6 +6,14 @@ every written value, reconstructs the stabilization order and the full
 timestamp chain, and verifies each correctness property.  Violations
 carry a minimal witnessing description.
 
+run_all_checks derives each view of a run once and every check reads
+that view: the operations are paired once (ExecutionHistory.ops), the
+final registers are scanned once (_scan_finals gives the stabilizations
+and each reader's attribution log), and the stabilizations are sorted
+once and turned into one full-timestamp chain; then the checks run.  The
+public check functions take these views, so a test can run any one of
+them on hand-built inputs.
+
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
 """
@@ -35,7 +43,7 @@ from .core import (
     vec_compare,
     ws_of,
 )
-from .engine import ExecutionHistory, HliEvent
+from .engine import ExecutionHistory, HliOp
 from .registers import DecodeError, Family, TraceEvent, decode_value, final_reg
 
 
@@ -99,71 +107,16 @@ class Verdict:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class HliOp:
-    process: ProcessId
-    op: str  # "read" | "write"
-    invoke_step: int
-    response_step: int | None
-    invoke_value: TaggedValue | None
-    response_value: TaggedValue | None
-    index: int  # position among this process's ops
-
-
-def hli_ops(history: ExecutionHistory) -> list[HliOp]:
-    """Pair invoke/response events into operations, per process."""
-    open_ops: dict[ProcessId, HliEvent] = {}
-    counters: dict[ProcessId, int] = {}
-    ops: list[HliOp] = []
-    for ev in history.hli_events:
-        if ev.kind == "invoke":
-            if ev.process in open_ops:
-                raise ValueError(f"nested invoke at {ev.process}")
-            open_ops[ev.process] = ev
-        else:
-            start = open_ops.pop(ev.process, None)
-            if start is None:
-                raise ValueError(f"response without invoke at {ev.process}")
-            idx = counters.get(ev.process, 0)
-            counters[ev.process] = idx + 1
-            ops.append(
-                HliOp(
-                    process=ev.process,
-                    op=ev.op,
-                    invoke_step=start.step,
-                    response_step=ev.step,
-                    invoke_value=start.value,
-                    response_value=ev.value,
-                    index=idx,
-                )
-            )
-    for pid, start in sorted(open_ops.items(), key=lambda kv: kv[0].sort_key()):
-        idx = counters.get(pid, 0)
-        counters[pid] = idx + 1
-        ops.append(
-            HliOp(
-                process=pid,
-                op=start.op,
-                invoke_step=start.step,
-                response_step=None,
-                invoke_value=start.value,
-                response_value=None,
-                index=idx,
-            )
-        )
-    return ops
-
-
 def completed_reads(history: ExecutionHistory) -> list[HliOp]:
     return [
         o
-        for o in hli_ops(history)
+        for o in history.ops
         if o.op == "read" and not o.process.is_writer and o.response_step is not None
     ]
 
 
 def writer_writes(history: ExecutionHistory) -> list[HliOp]:
-    return [o for o in hli_ops(history) if o.op == "write" and o.process.is_writer]
+    return [o for o in history.ops if o.op == "write" and o.process.is_writer]
 
 
 # --- stabilization detection -------------------------------------------------
@@ -441,9 +394,10 @@ def sort_stabilizations(
 
 
 def build_full_timestamps(
-    stabs: list[StabilizationEvent], cfg: Config
+    ordered: list[StabilizationEvent], cfg: Config
 ) -> tuple[list[FullTimestamp], list[StabilizationEvent]]:
-    """Reconstruct the full n-vector chain from the ordered partial stamps.
+    """Reconstruct the full n-vector chain from partial stamps already in
+    stabilization order (see sort_stabilizations).
 
     Present components are copied, absent ones inherited from the previous
     vector.  Events that add no new information (their merged vector
@@ -451,8 +405,8 @@ def build_full_timestamps(
     is not transitive across coverage patterns, so re-stabilizations of
     one value collapse here instead.  The strict-increase invariant is
     asserted at every retained link; a failure raises InvariantBroken.
+    Returns the chain and the event behind each of its vectors.
     """
-    ordered = sort_stabilizations(stabs, cfg)
     chain: list[FullTimestamp] = []
     contributing: list[StabilizationEvent] = []
     current: list[int] | None = None
@@ -479,13 +433,9 @@ def build_full_timestamps(
     return chain, contributing
 
 
-def check_timestamp_isomorphism(stabs: list[StabilizationEvent], cfg: Config) -> Verdict:
+def check_timestamp_isomorphism(chain: list[FullTimestamp]) -> Verdict:
     """The full-vector chain must be strictly increasing and mirror the
     stabilization order exactly."""
-    try:
-        chain, _ = build_full_timestamps(stabs, cfg)
-    except InvariantBroken as exc:
-        return Verdict("violation", str(exc))
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             if vec_compare(chain[i], chain[j]) is not OrderVerdict.BEFORE:
@@ -496,23 +446,23 @@ def check_timestamp_isomorphism(stabs: list[StabilizationEvent], cfg: Config) ->
 
 
 def check_genuine_advance(
-    stabs: list[StabilizationEvent], byz_readers: frozenset[int], cfg: Config
+    chain: list[FullTimestamp],
+    contributing: list[StabilizationEvent],
+    byz_readers: frozenset[int],
+    cfg: Config,
 ) -> Verdict:
     """Every step between stabilized writes of distinct values must raise
     some correct reader's component of the full timestamp.
 
+    Takes build_full_timestamps' chain and contributing events.
     Consecutive chain entries carrying one value are a single write's
     evidence refreshing, not a new write, so only value changes are
     links.
     """
-    try:
-        chain, events = build_full_timestamps(stabs, cfg)
-    except InvariantBroken as exc:
-        return Verdict("violation", f"no chain: {exc}")
     correct = set(cfg.reader_indices()) - set(byz_readers)
     prev_vec = None
     prev_value = None
-    for vec, ev in zip(chain, events):
+    for vec, ev in zip(chain, contributing):
         if prev_vec is not None and ev.value != prev_value:
             advancing = {i + 1 for i in range(cfg.n) if prev_vec.vec[i] < vec.vec[i]}
             if not advancing & correct:
@@ -529,15 +479,14 @@ def check_genuine_advance(
 
 
 def _read_attribution(
-    history: ExecutionHistory, cfg: Config, ring: crypto.KeyRing
+    reads: list[HliOp], by_owner: dict[int, list[tuple[int, StabilizationEvent]]]
 ) -> dict[tuple[ProcessId, int], StabilizationEvent]:
     """Map each completed correct read to the stabilization event behind the
-    value it returned (the reader's latest validated final-row write)."""
-    _, by_owner = _scan_finals(history.trace, cfg, ring, history.u0)
+    value it returned (the reader's latest validated final-row write, from
+    _scan_finals' per-owner log)."""
     out: dict[tuple[ProcessId, int], StabilizationEvent] = {}
-    for read in completed_reads(history):
-        owner = read.process.index
-        log = by_owner.get(owner, [])
+    for read in reads:
+        log = by_owner.get(read.process.index, [])
         chosen = None
         for step, stab in log:
             if step <= read.response_step:
@@ -558,10 +507,20 @@ def check_register_linearizability(
 ) -> Verdict:
     """Reading-a-current-value plus no new-old inversions over completed
     correct reads, judged on high-level steps and stabilization steps."""
-    u0 = history.u0
-    v0 = TaggedValue(0, u0)
+    _, by_owner = _scan_finals(history.trace, cfg, ring, history.u0)
+    return _register_linearizability(history, stabs, by_owner, classification, cfg)
+
+
+def _register_linearizability(
+    history: ExecutionHistory,
+    stabs: list[StabilizationEvent],
+    by_owner: dict[int, list[tuple[int, StabilizationEvent]]],
+    classification: WriteClassification,
+    cfg: Config,
+) -> Verdict:
+    v0 = TaggedValue(0, history.u0)
     reads = completed_reads(history)
-    attribution = _read_attribution(history, cfg, ring)
+    attribution = _read_attribution(reads, by_owner)
 
     correct_write_ops = [
         op
@@ -742,20 +701,15 @@ class SeqOp:
 
 
 def build_byzantine_linearization(
-    history: ExecutionHistory,
-    stabs: list[StabilizationEvent],
-    classification: WriteClassification,
-    cfg: Config,
-    ring: crypto.KeyRing,
+    history: ExecutionHistory, ordered: list[StabilizationEvent], cfg: Config
 ) -> list[SeqOp]:
     """A sequential history: correct reads ordered by returned-value rank
-    with per-reader order preserved, writes placed immediately before
-    their first reader (real writes for a correct writer, inserted
-    Byzantine writes otherwise), verified against the register's
-    sequential specification and the run's real-time order."""
-    u0 = history.u0
-    v0 = TaggedValue(0, u0)
-    ordered = sort_stabilizations(stabs, cfg)
+    (the rank of the value in the stabilization order, see
+    sort_stabilizations) with per-reader order preserved, writes placed
+    immediately before their first reader (real writes for a correct
+    writer, inserted Byzantine writes otherwise), verified against the
+    register's sequential specification and the run's real-time order."""
+    v0 = TaggedValue(0, history.u0)
     # ranks are value-level: re-stabilizations of one value are the same
     # write and may be adopted in either order among equal-comparing sets
     value_rank: dict[TaggedValue, int] = {}
@@ -833,14 +787,10 @@ def build_byzantine_linearization(
 
 
 def check_byzantine_linearization(
-    history: ExecutionHistory,
-    stabs: list[StabilizationEvent],
-    classification: WriteClassification,
-    cfg: Config,
-    ring: crypto.KeyRing,
+    history: ExecutionHistory, ordered: list[StabilizationEvent], cfg: Config
 ) -> Verdict:
     try:
-        ops = build_byzantine_linearization(history, stabs, classification, cfg, ring)
+        ops = build_byzantine_linearization(history, ordered, cfg)
     except NoLinearization as exc:
         return Verdict("violation", str(exc))
     return Verdict("pass", f"linearization of {len(ops)} operations")
@@ -857,11 +807,7 @@ def brute_force_linearizable(history: ExecutionHistory) -> bool:
     specification.  Micro instances only.
     """
     v0 = TaggedValue(0, history.u0)
-    ops = [
-        o
-        for o in hli_ops(history)
-        if o.response_step is not None
-    ]
+    ops = [o for o in history.ops if o.response_step is not None]
     n = len(ops)
     if n == 0:
         return True
@@ -993,15 +939,18 @@ class CheckReport:
 
 
 def run_all_checks(
-    history: ExecutionHistory,
-    byz_readers: frozenset[int] = frozenset(),
-    ring: crypto.KeyRing | None = None,
+    history: ExecutionHistory, byz_readers: frozenset[int] = frozenset()
 ) -> CheckReport:
-    """Run every property check over one recorded run."""
+    """Run every property check over one recorded run.
+
+    Each view of the run is derived once and shared: the operations
+    (history.ops), one _scan_finals pass for the stabilizations and the
+    per-owner read attribution log, then, if the stabilizations are
+    totally ordered, one sort and one full-timestamp chain.
+    """
     cfg = history.cfg
     u0 = history.u0
-    if ring is None:
-        ring = history.keyring()
+    ring = history.keyring()
     verdicts: dict[str, Verdict] = {}
 
     bad_reads = registers.atomicity_violations(cfg, u0, ring, history.trace)
@@ -1011,16 +960,26 @@ def run_all_checks(
         else Verdict("violation", f"{len(bad_reads)} stale reads, first at step {bad_reads[0].step}")
     )
 
-    stabs = detect_stabilizations(history.trace, cfg, ring, u0)
+    stabs, by_owner = _scan_finals(history.trace, cfg, ring, u0)
     classification = classify_writes(history, stabs, cfg, byz_readers)
 
+    chain: list[FullTimestamp] = []
     total_order = check_total_order(stabs, cfg)
     verdicts["total_order"] = total_order
     if total_order.passed:
-        verdicts["timestamp_isomorphism"] = check_timestamp_isomorphism(stabs, cfg)
-        verdicts["genuine_advance"] = check_genuine_advance(stabs, byz_readers, cfg)
-        verdicts["register_linearizability"] = check_register_linearizability(
-            history, stabs, classification, cfg, ring
+        try:
+            ordered = sort_stabilizations(stabs, cfg)
+            chain, contributing = build_full_timestamps(ordered, cfg)
+        except InvariantBroken as exc:
+            verdicts["timestamp_isomorphism"] = Verdict("violation", str(exc))
+            verdicts["genuine_advance"] = Verdict("violation", f"no chain: {exc}")
+        else:
+            verdicts["timestamp_isomorphism"] = check_timestamp_isomorphism(chain)
+            verdicts["genuine_advance"] = check_genuine_advance(
+                chain, contributing, byz_readers, cfg
+            )
+        verdicts["register_linearizability"] = _register_linearizability(
+            history, stabs, by_owner, classification, cfg
         )
     else:
         skipped = Verdict("skipped", "total order violated")
@@ -1035,6 +994,8 @@ def run_all_checks(
         stabs, classification
     )
 
+    # a pass on every prior check includes timestamp_isomorphism, so the
+    # sort above ran and succeeded
     prior_ok = all(
         verdicts[name].status == "pass"
         for name in PROPERTIES
@@ -1042,21 +1003,17 @@ def run_all_checks(
     )
     if prior_ok:
         verdicts["byzantine_linearization"] = check_byzantine_linearization(
-            history, stabs, classification, cfg, ring
+            history, ordered, cfg
         )
     else:
         verdicts["byzantine_linearization"] = Verdict("skipped", "prior checks failed")
-
-    chain: list[FullTimestamp] = []
-    if total_order.passed and verdicts["timestamp_isomorphism"].passed:
-        chain, _ = build_full_timestamps(stabs, cfg)
 
     returned = frozenset(r.response_value for r in completed_reads(history))
     return CheckReport(
         cfg=cfg,
         verdicts=verdicts,
         stabilizations=stabs,
-        chain=chain,
+        chain=chain if verdicts["timestamp_isomorphism"].passed else [],
         classification=classification,
         status=history.status,
         violation=history.violation,

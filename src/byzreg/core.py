@@ -268,6 +268,8 @@ def ws_of(inform_set: InformSet, cfg: Config) -> frozenset[WitnessEntry]:
         raise InvalidInformSet(
             f"{len(members)} members, need at least {cfg.quorum}"
         )
+    if not members:  # possible at quorum 0 (t = n)
+        raise InvalidInformSet("no members, so no common core")
     signers = {m.signer for m in members}
     if len(signers) != len(members):
         raise InvalidInformSet("duplicate signer among inform-set members")

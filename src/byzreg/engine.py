@@ -9,6 +9,7 @@ bound, pruning convergent states.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -52,6 +53,17 @@ class HliEvent:
     op: str  # "read" | "write"
     value: TaggedValue | None
     step: int
+
+
+@dataclass(frozen=True)
+class HliOp:
+    process: ProcessId
+    op: str  # "read" | "write"
+    invoke_step: int
+    response_step: int | None
+    invoke_value: TaggedValue | None
+    response_value: TaggedValue | None
+    index: int  # position among this process's ops
 
 
 class HistoryRecorder:
@@ -101,6 +113,33 @@ class ExecutionHistory:
         """The key ring this run signed with (derivable, so checkers never
         need it passed alongside)."""
         return crypto.make_keyring(self.cfg, self.scheme, self.key_seed)
+
+    @functools.cached_property
+    def ops(self) -> list[HliOp]:
+        """Invoke/response events paired into operations, per process;
+        pending operations follow the completed ones in process order."""
+        open_ops: dict[ProcessId, HliEvent] = {}
+        counters: dict[ProcessId, int] = {}
+        ops: list[HliOp] = []
+        for ev in self.hli_events:
+            if ev.kind == "invoke":
+                if ev.process in open_ops:
+                    raise ValueError(f"nested invoke at {ev.process}")
+                open_ops[ev.process] = ev
+            else:
+                start = open_ops.pop(ev.process, None)
+                if start is None:
+                    raise ValueError(f"response without invoke at {ev.process}")
+                idx = counters.get(ev.process, 0)
+                counters[ev.process] = idx + 1
+                ops.append(
+                    HliOp(ev.process, ev.op, start.step, ev.step, start.value, ev.value, idx)
+                )
+        for pid, start in sorted(open_ops.items(), key=lambda kv: kv[0].sort_key()):
+            idx = counters.get(pid, 0)
+            counters[pid] = idx + 1
+            ops.append(HliOp(pid, start.op, start.step, None, start.value, None, idx))
+        return ops
 
     def export_records(self) -> Iterator[str]:
         meta = {

@@ -360,25 +360,20 @@ class RegisterBank:
         twin.write_counts = dict(self.write_counts)
         twin._trace_node = self._trace_node
         twin.current_step = self.current_step
-        if hasattr(self, "_reg_order"):
-            twin._reg_order = self._reg_order
         return twin
 
     def cells_key(self) -> tuple:
-        """Stable snapshot of cell contents, for state hashing.
+        """Snapshot of cell contents, for state hashing.
+
+        Cells are listed in the bank's key order.  Every bank of a run or
+        enumeration is cloned from one bank_init bank and writes only
+        replace existing keys, so all of them share that order.
 
         Write counts are deliberately excluded: rewrites of identical
         bytes change no future behavior (the writer's freshness check is
         relative to its own baseline and enters the key as a flag).
         """
-        return tuple(self._cells[r] for r in self._ordered_regs())
-
-    def _ordered_regs(self) -> list[RegisterId]:
-        cached = getattr(self, "_reg_order", None)
-        if cached is None:
-            cached = self.register_ids()
-            self._reg_order = cached
-        return cached
+        return tuple(self._cells.values())
 
 
 def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
@@ -404,14 +399,6 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
             cells[inform_reg(i, j)] = wset_bytes
             cells[final_reg(i, j)] = iset_bytes
     return RegisterBank(cfg, u0, cells)
-
-
-def swsr_read(bank: RegisterBank, reg: RegisterId, caller: ProcessId) -> bytes:
-    return bank.read(reg, caller)
-
-
-def swsr_write(bank: RegisterBank, reg: RegisterId, value: bytes, caller: ProcessId) -> None:
-    bank.write(reg, value, caller)
 
 
 def replay_trace(

@@ -31,19 +31,19 @@ from byzreg.adversary import (
     SplitValue,
     StaleCounter,
     StrategyAssignment,
-    byz_writer_step,
     scenario_alternation,
     scenario_forged_quorum,
     scenario_pseudo_correct,
     scenario_pseudo_correct_overwrite,
 )
 from byzreg.checker import Kind, classify_writes, detect_stabilizations
-from byzreg.core import Config, TaggedValue
+from byzreg.core import WRITER, Config, TaggedValue
 from byzreg.crypto import make_keyring
 from byzreg.engine import (
     HistoryRecorder,
     RoundRobin,
     SeededRandom,
+    Simulation,
     Workload,
     run,
 )
@@ -188,8 +188,9 @@ class TestWriterStrategies:
         bank = bank_init(cfg, b"init", ring)
         machine = ByzWriterMachine(cfg, ring, PartialQuorum.make({1, 2, 3}), [b"x"])
         rec = HistoryRecorder()
+        sim = Simulation(cfg, {WRITER: machine}, bank, rec)
         while not machine.done():
-            byz_writer_step(machine, bank, rec)
+            sim.step_process(WRITER)
         kinds = [e.kind for e in rec.events]
         assert kinds == ["invoke", "response"]
         from byzreg.registers import Family, decode_value, init_reg

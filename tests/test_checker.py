@@ -8,6 +8,8 @@ produce.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from byzreg import checker
@@ -27,6 +29,7 @@ from byzreg.checker import (
     classify_writes,
     detect_stabilizations,
     run_all_checks,
+    sort_stabilizations,
 )
 from byzreg.core import (
     Config,
@@ -112,6 +115,18 @@ class TestDetectStabilizations:
         data = encode_value(Family.FINAL, iset)
         trace = [
             TraceEvent(step, "write", final_reg(2, j), ProcessId.reader(2), data)
+            for step, j in enumerate(cfg.reader_indices(), start=1)
+        ]
+        stabs = detect_stabilizations(trace, cfg, ring, U0)
+        assert [s.value for s in stabs] == [TaggedValue(0, U0)]
+
+    def test_memberless_inform_set_row_at_quorum_zero(self):
+        # at t = n the quorum is 0, so an inform set with no members passes
+        # the size check; it has no common core and must not stabilize
+        cfg = Config(2, 2)
+        ring = make_keyring(cfg, "keyed", 0)
+        trace = [
+            TraceEvent(step, "write", final_reg(1, j), ProcessId.reader(1), b'{"m":[]}')
             for step, j in enumerate(cfg.reader_indices(), start=1)
         ]
         stabs = detect_stabilizations(trace, cfg, ring, U0)
@@ -206,13 +221,18 @@ class TestFullTimestamps:
             build_full_timestamps(stabs, CFG)
 
 
+def genuine_advance(stabs, byz_readers, cfg):
+    chain, contributing = build_full_timestamps(sort_stabilizations(stabs, cfg), cfg)
+    return check_genuine_advance(chain, contributing, byz_readers, cfg)
+
+
 class TestGenuineAdvance:
     def test_correct_advance_passes(self):
         stabs = [
             make_stab(TaggedValue(1, b"a"), {1: 1, 2: 1, 3: 1}, 10),
             make_stab(TaggedValue(2, b"b"), {1: 2, 2: 2, 3: 2}, 20),
         ]
-        assert check_genuine_advance(stabs, frozenset({4}), CFG).passed
+        assert genuine_advance(stabs, frozenset({4}), CFG).passed
 
     def test_byzantine_only_advance_flagged(self):
         cfg31 = Config(3, 1)
@@ -221,7 +241,7 @@ class TestGenuineAdvance:
             make_stab(TaggedValue(2, b"b"), {2: 1, 3: 2}, 20, n=3),
             make_stab(TaggedValue(1, b"a"), {1: 1, 3: 3}, 30, n=3),
         ]
-        verdict = check_genuine_advance(stabs, frozenset({3}), cfg31)
+        verdict = genuine_advance(stabs, frozenset({3}), cfg31)
         assert verdict.status == "violation"
         assert "Byzantine" in verdict.detail
 
@@ -230,11 +250,11 @@ class TestGenuineAdvance:
             make_stab(TaggedValue(1, b"a"), {1: 1, 2: 1, 3: 1}, 10),
             make_stab(TaggedValue(1, b"a"), {1: 1, 2: 1, 3: 1, 4: 9}, 20),
         ]
-        assert check_genuine_advance(stabs, frozenset({4}), CFG).passed
+        assert genuine_advance(stabs, frozenset({4}), CFG).passed
 
     def test_vacuous_single(self):
         stabs = [make_stab(TaggedValue(0, U0), {1: 0, 2: 0, 3: 0, 4: 0}, 0)]
-        assert check_genuine_advance(stabs, frozenset(), CFG).passed
+        assert genuine_advance(stabs, frozenset(), CFG).passed
 
 
 def synthetic_history(cfg, events, trace, u0=U0, seed=0):
@@ -375,9 +395,8 @@ class TestByzantineLinearization:
         stabs = detect_stabilizations(
             history.trace, history.cfg, history.keyring(), history.u0
         )
-        classification = classify_writes(history, stabs, history.cfg)
         ops = build_byzantine_linearization(
-            history, stabs, classification, history.cfg, history.keyring()
+            history, sort_stabilizations(stabs, history.cfg), history.cfg
         )
         writes = [o for o in ops if o.kind == "write"]
         assert [o.value.k for o in writes] == sorted(o.value.k for o in writes)
@@ -390,9 +409,8 @@ class TestByzantineLinearization:
         stabs = detect_stabilizations(
             history.trace, history.cfg, history.keyring(), history.u0
         )
-        classification = classify_writes(history, stabs, history.cfg)
         ops = build_byzantine_linearization(
-            history, stabs, classification, history.cfg, history.keyring()
+            history, sort_stabilizations(stabs, history.cfg), history.cfg
         )
         assert ops == []
 
@@ -447,3 +465,31 @@ class TestReportShape:
         history = fault_free_history(seed=12)
         report = run_all_checks(history)
         assert set(report.verdicts) == set(checker.PROPERTIES)
+
+
+def test_each_view_derived_once_per_report(monkeypatch):
+    history = fault_free_history(seed=3)
+    counts = {}
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_scan_finals", "sort_stabilizations", "build_full_timestamps"):
+        monkeypatch.setattr(checker, name, counted(name, getattr(checker, name)))
+    ops = functools.cached_property(counted("ops", ExecutionHistory.ops.func))
+    ops.__set_name__(ExecutionHistory, "ops")
+    monkeypatch.setattr(ExecutionHistory, "ops", ops)
+
+    report = run_all_checks(history)
+    assert report.all_pass
+    assert counts == {
+        "ops": 1,
+        "_scan_finals": 1,
+        "sort_stabilizations": 1,
+        "build_full_timestamps": 1,
+    }

@@ -126,6 +126,12 @@ class TestWsOf:
         with pytest.raises(InvalidInformSet):
             ws_of(s, CFG41)
 
+    def test_no_members_rejected_at_quorum_zero(self):
+        # t = n makes the quorum 0: the size check passes, yet an inform
+        # set without members has no common core
+        with pytest.raises(InvalidInformSet):
+            ws_of(InformSet(frozenset()), Config(2, 2))
+
 
 class TestPartialTimestamp:
     def test_reads_off_ws(self):

@@ -23,8 +23,6 @@ from byzreg.registers import (
     initial_entry,
     initial_inform_set,
     replay_trace,
-    swsr_read,
-    swsr_write,
     witness_reg,
 )
 
@@ -90,7 +88,7 @@ class TestInitializers:
 
     def test_read_before_write_returns_initializer(self):
         cfg, _, bank = make_bank(2, 0)
-        raw = swsr_read(bank, init_reg(1), ProcessId.reader(1))
+        raw = bank.read(init_reg(1), ProcessId.reader(1))
         assert decode_value(Family.INIT, raw) == TaggedValue(0, b"init")
 
 
@@ -98,7 +96,7 @@ class TestAccessControl:
     def test_writer_writes_init(self):
         cfg, _, bank = make_bank(4, 1)
         data = encode_value(Family.INIT, TaggedValue(1, b"a"))
-        swsr_write(bank, init_reg(3), data, WRITER)
+        bank.write(init_reg(3), data, WRITER)
         assert bank.peek(init_reg(3)) == data
         assert bank.trace[-1].op == "write"
 
@@ -106,29 +104,29 @@ class TestAccessControl:
         cfg, _, bank = make_bank(4, 1)
         data = encode_value(Family.INIT, TaggedValue(1, b"a"))
         with pytest.raises(AccessViolation):
-            swsr_write(bank, init_reg(3), data, ProcessId.reader(2))
+            bank.write(init_reg(3), data, ProcessId.reader(2))
 
     def test_wrong_reader_cannot_read(self):
         cfg, _, bank = make_bank(4, 1)
         with pytest.raises(AccessViolation):
-            swsr_read(bank, init_reg(3), ProcessId.reader(2))
+            bank.read(init_reg(3), ProcessId.reader(2))
         with pytest.raises(AccessViolation):
-            swsr_read(bank, witness_reg(1, 2), ProcessId.reader(3))
+            bank.read(witness_reg(1, 2), ProcessId.reader(3))
 
     def test_overwrite_keeps_second_value(self):
         cfg, _, bank = make_bank(4, 1)
         v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
         v2 = encode_value(Family.INIT, TaggedValue(2, b"b"))
-        swsr_write(bank, init_reg(1), v1, WRITER)
-        swsr_write(bank, init_reg(1), v2, WRITER)
+        bank.write(init_reg(1), v1, WRITER)
+        bank.write(init_reg(1), v2, WRITER)
         assert bank.peek(init_reg(1)) == v2
         assert bank.write_count(init_reg(1)) == 2
 
     def test_read_after_write_returns_written(self):
         cfg, _, bank = make_bank(4, 1)
         v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
-        swsr_write(bank, init_reg(1), v1, WRITER)
-        assert swsr_read(bank, init_reg(1), ProcessId.reader(1)) == v1
+        bank.write(init_reg(1), v1, WRITER)
+        assert bank.read(init_reg(1), ProcessId.reader(1)) == v1
 
 
 class TestCodecs:
@@ -168,9 +166,9 @@ class TestTrace:
         cfg, ring, bank = make_bank(2, 0)
         v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
         bank.current_step = 5
-        swsr_write(bank, init_reg(1), v1, WRITER)
+        bank.write(init_reg(1), v1, WRITER)
         bank.current_step = 6
-        swsr_read(bank, init_reg(1), ProcessId.reader(1))
+        bank.read(init_reg(1), ProcessId.reader(1))
         trace = bank.trace
         assert [e.step for e in trace] == [5, 6]
         final_cells = replay_trace(cfg, b"init", ring, trace)
@@ -179,13 +177,13 @@ class TestTrace:
     def test_atomicity_violations_empty_for_honest_trace(self):
         cfg, ring, bank = make_bank(2, 0)
         v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
-        swsr_write(bank, init_reg(1), v1, WRITER)
-        swsr_read(bank, init_reg(1), ProcessId.reader(1))
+        bank.write(init_reg(1), v1, WRITER)
+        bank.read(init_reg(1), ProcessId.reader(1))
         assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
 
     def test_export_has_digests_not_values(self):
         cfg, ring, bank = make_bank(2, 0)
-        swsr_read(bank, init_reg(1), ProcessId.reader(1))
+        bank.read(init_reg(1), ProcessId.reader(1))
         lines = list(export_trace(bank.trace))
         assert len(lines) == 1
         assert "value_digest" in lines[0]
