@@ -259,7 +259,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
         self.hli_value = hli
         self.started = False
 
-    def enabled(self, bank) -> bool:
+    def enabled(self) -> bool:
         return bool(self.script) or self.widx < len(self.writes)
 
     def done(self) -> bool:
@@ -306,7 +306,7 @@ class SilentReader(protocol.ProcessMachine):
     def __init__(self, index: int):
         self.pid = ProcessId.reader(index)
 
-    def enabled(self, bank):
+    def enabled(self):
         return True
 
     def done(self):
@@ -424,7 +424,7 @@ class ForgeInformSetReader(protocol.ProcessMachine):
         iset_bytes = encode_value(Family.FINAL, InformSet(frozenset(members)))
         return wset_bytes, iset_bytes
 
-    def enabled(self, bank):
+    def enabled(self):
         return True
 
     def done(self):
@@ -463,7 +463,7 @@ class AlternationReader(protocol.ProcessMachine):
         self.wait = spec.initial_delay
         self.queue: list = []
 
-    def enabled(self, bank):
+    def enabled(self):
         return True
 
     def done(self):
@@ -517,7 +517,7 @@ class QuorumForgerReader(protocol.ProcessMachine):
         self.fi = 1
         self.partner_member: WitnessSet | None = None
 
-    def enabled(self, bank):
+    def enabled(self):
         return True
 
     def done(self):

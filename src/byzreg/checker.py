@@ -179,10 +179,10 @@ def _scan_finals(
     events_by_key = {key0: initial_event}
 
     for ev in trace:
-        if ev.op != "write" or ev.reg.family is not Family.FINAL:
+        if ev.op != "write" or registers.FAMILY[ev.reg] is not Family.FINAL:
             continue
         out = validate(ev.value)
-        owner = ev.reg.writer_end.index
+        owner = registers.WRITER_END[ev.reg].index
         if out is None:
             cells[ev.reg] = None
             continue
@@ -256,13 +256,13 @@ def classify_writes(
     for ev in trace:
         if ev.op != "write":
             continue
-        fam = ev.reg.family
+        fam = registers.FAMILY[ev.reg]
         if fam is Family.INIT:
             try:
                 v = decode_value(Family.INIT, ev.value)
             except DecodeError:
                 continue
-            reader = ev.reg.reader_end.index
+            reader = registers.READER_END[ev.reg].index
             e = evidence.setdefault(v, ValueEvidence())
             e.init_registers.setdefault(reader, []).append(ev.step)
             idx = interval_of(ev.step)
@@ -607,7 +607,7 @@ def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     u0 = history.u0
     last_value = TaggedValue(0, u0)
     for ev in history.trace:
-        if ev.op == "write" and ev.reg.family is Family.INIT:
+        if ev.op == "write" and registers.FAMILY[ev.reg] is Family.INIT:
             try:
                 last_value = decode_value(Family.INIT, ev.value)
             except DecodeError:
@@ -633,7 +633,7 @@ def check_total_ordering_reads(history: ExecutionHistory) -> Verdict:
     per_reader: dict[ProcessId, list[TaggedValue]] = {}
     for r in completed_reads(history):
         per_reader.setdefault(r.process, []).append(r.response_value)
-    for pid, seq in sorted(per_reader.items(), key=lambda kv: kv[0].sort_key()):
+    for pid, seq in sorted(per_reader.items()):
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
                 a, b = seq[i], seq[j]

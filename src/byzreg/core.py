@@ -68,56 +68,48 @@ class Config:
         return range(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class ProcessId:
-    """The writer, or one of the readers 1..n."""
+class ProcessId(int):
+    """A process as a plain int: 0 is the writer and i is reader i.
 
-    role: str  # "w" or "r"
-    index: int = 0  # reader index, 0 for the writer
+    Hashing, equality and order are the int's own, so the writer sorts
+    before every reader and readers sort by index; ``str`` gives the
+    export names ``w`` and ``r1``..``rn``.
+    """
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.role, self.index))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role == "w":
-            if self.index != 0:
-                raise ValueError("writer has no index")
-        elif self.role == "r":
-            if self.index < 1:
-                raise ValueError(f"reader index must be >= 1, got {self.index}")
-        else:
-            raise ValueError(f"unknown role {self.role!r}")
+    def __new__(cls, index: int) -> "ProcessId":
+        if index < 0:
+            raise ValueError(f"process index must be >= 0, got {index}")
+        return super().__new__(cls, index)
 
     @classmethod
     def writer(cls) -> "ProcessId":
-        return cls("w", 0)
+        return WRITER
 
     @classmethod
     def reader(cls, index: int) -> "ProcessId":
-        pid = _READER_IDS.get(index)
-        if pid is None:
-            pid = cls("r", index)
-            _READER_IDS[index] = pid
-        return pid
+        if index < 1:
+            raise ValueError(f"reader index must be >= 1, got {index}")
+        return cls(index)
+
+    @property
+    def index(self) -> int:
+        """Reader index, 0 for the writer."""
+        return int(self)
 
     @property
     def is_writer(self) -> bool:
-        return self.role == "w"
-
-    def sort_key(self) -> tuple[int, int]:
-        return (0, 0) if self.role == "w" else (1, self.index)
+        return self == 0
 
     def __str__(self) -> str:
-        return "w" if self.role == "w" else f"r{self.index}"
+        return "w" if self == 0 else f"r{int(self)}"
+
+    def __repr__(self) -> str:
+        return f"ProcessId({int(self)})"
 
 
-_READER_IDS: dict[int, "ProcessId"] = {}
-
-WRITER = ProcessId.writer()
+WRITER = ProcessId(0)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ class ExecutionHistory:
                 ops.append(
                     HliOp(ev.process, ev.op, start.step, ev.step, start.value, ev.value, idx)
                 )
-        for pid, start in sorted(open_ops.items(), key=lambda kv: kv[0].sort_key()):
+        for pid, start in sorted(open_ops.items()):
             idx = counters.get(pid, 0)
             counters[pid] = idx + 1
             ops.append(HliOp(pid, start.op, start.step, None, start.value, None, idx))
@@ -249,11 +249,11 @@ class _RoundRobinChooser(_Chooser):
 
     def choose(self, enabled):
         if not self.order:
-            self.order = sorted(set(enabled), key=ProcessId.sort_key)
+            self.order = sorted(set(enabled))
         else:
             for pid in enabled:
                 if pid not in self.order:
-                    self.order = sorted(set(self.order) | set(enabled), key=ProcessId.sort_key)
+                    self.order = sorted(set(self.order) | set(enabled))
                     break
         for _ in range(len(self.order)):
             pid = self.order[self.cursor % len(self.order)]
@@ -306,7 +306,12 @@ class Simulation:
         self.machines = machines
         self.bank = bank
         self.recorder = recorder or HistoryRecorder()
-        self.order = sorted(machines, key=ProcessId.sort_key)
+        self.order = sorted(machines)
+        # enabled() and done() depend only on a machine's own state, so
+        # both views change only for the process that steps; they are
+        # replaced, never mutated, and clones share them
+        self._enabled = [pid for pid in self.order if machines[pid].enabled()]
+        self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -325,10 +330,11 @@ class Simulation:
         return out
 
     def enabled_pids(self) -> list[ProcessId]:
-        return [pid for pid in self.order if self.machines[pid].enabled(self.bank)]
+        """Enabled processes in pid order (shared: do not mutate)."""
+        return self._enabled
 
     def workload_complete(self) -> bool:
-        return all(m.done() for m in self.machines.values())
+        return not self._unfinished
 
     def step_process(self, pid: ProcessId) -> None:
         machine = self.machines[pid]
@@ -354,6 +360,10 @@ class Simulation:
             self.status = "protocol_violation"
             self.violation = f"equal_stamps_different_value at {pid}: {exc}"
         self.steps += 1
+        if machine.enabled() != (pid in self._enabled):
+            self._enabled = sorted(set(self._enabled) ^ {pid})
+        if machine.done() == (pid in self._unfinished):
+            self._unfinished = self._unfinished ^ {pid}
 
     def history(self, status: str) -> ExecutionHistory:
         return ExecutionHistory(
@@ -376,6 +386,8 @@ class Simulation:
         twin.bank = self.bank.clone()
         twin.recorder = self.recorder.clone()
         twin.order = self.order
+        twin._enabled = self._enabled
+        twin._unfinished = self._unfinished
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation

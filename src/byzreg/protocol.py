@@ -135,11 +135,18 @@ def initial_reader_state(cfg: Config, u0: bytes, ring: crypto.KeyRing, p: int) -
 
 
 class ProcessMachine:
-    """One process driven by the engine, one atomic step at a time."""
+    """One process driven by the engine, one atomic step at a time.
+
+    ``enabled`` and ``done`` depend only on the machine's own state, never
+    on the bank or another machine, so they change only when this machine
+    steps.  The engine relies on that: it re-evaluates them for the
+    stepped process alone.
+    """
 
     pid: ProcessId
 
-    def enabled(self, bank: RegisterBank) -> bool:
+    def enabled(self) -> bool:
+        """True when this process can take a step."""
         raise NotImplementedError
 
     def done(self) -> bool:
@@ -182,7 +189,7 @@ class WriterMachine(ProcessMachine):
         self.poll_from = 1
         self.baseline: dict[int, int] = {}
 
-    def enabled(self, bank):
+    def enabled(self):
         return self.phase != W_IDLE or self.widx < len(self.writes)
 
     def done(self):
@@ -487,7 +494,7 @@ class ReaderMachine(ProcessMachine):
 
     # -------------------------------------------------------------------
 
-    def enabled(self, bank):
+    def enabled(self):
         return True  # the helper thread takes infinitely many steps
 
     def done(self):

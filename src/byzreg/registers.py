@@ -52,57 +52,111 @@ class Family(Enum):
     FINAL = "final"
 
 
-@dataclass(frozen=True)
-class RegisterId:
-    family: Family
-    writer_end: ProcessId
-    reader_end: ProcessId
+class RegisterId(int):
+    """A register's slot: its index in every bank's cell list.
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.family, self.writer_end, self.reader_end))
-        )
+    Slots are numbered in shells, one per reader m: reader m's Init and
+    Ack registers and every Witness/Inform/Final register between m and a
+    reader <= m follow all registers of readers below m.  A system of n
+    readers therefore uses exactly slots 0 .. 3n^2+2n-1, and a register
+    keeps its slot at every n.  The layout tables below give each slot's
+    family, writer end, reader end and export name; they grow, on first
+    use, to the largest n seen.  The bank's access checks and the
+    checker's trace scans index the tables directly, because a property
+    call per event made a checker report about a tenth slower; other
+    code goes through the properties.
+    """
 
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
+
+    @property
+    def family(self) -> Family:
+        return FAMILY[self]
+
+    @property
+    def writer_end(self) -> ProcessId:
+        return WRITER_END[self]
+
+    @property
+    def reader_end(self) -> ProcessId:
+        return READER_END[self]
 
     def __str__(self) -> str:
-        return f"{self.family.value}[{self.writer_end}->{self.reader_end}]"
+        return NAME[self]
 
-    def sort_key(self):
-        return (self.family.value, self.writer_end.sort_key(), self.reader_end.sort_key())
-
-
-_REG_CACHE: dict[tuple, RegisterId] = {}
+    def __repr__(self) -> str:
+        return f"RegisterId({int(self)}: {NAME[self]})"
 
 
-def _interned(family: Family, w: ProcessId, r: ProcessId) -> RegisterId:
-    key = (family, w, r)
-    reg = _REG_CACHE.get(key)
-    if reg is None:
-        reg = RegisterId(family, w, r)
-        _REG_CACHE[key] = reg
+# the layout, indexed by slot
+FAMILY: list[Family] = []
+WRITER_END: list[ProcessId] = []
+READER_END: list[ProcessId] = []
+NAME: list[str] = []
+
+# slot lookup by reader indices; index 0 is unused
+_INIT: list = [None]
+_ACK: list = [None]
+_WITNESS: list[list] = [[]]
+_INFORM: list[list] = [[]]
+_FINAL: list[list] = [[]]
+_covered = 0  # readers whose shells are allocated
+
+
+def _allocate(family: Family, w: ProcessId, r: ProcessId) -> RegisterId:
+    reg = RegisterId(len(FAMILY))
+    FAMILY.append(family)
+    WRITER_END.append(w)
+    READER_END.append(r)
+    NAME.append(f"{family.value}[{w}->{r}]")
     return reg
 
 
+def _cover(i: int, j: int = 1) -> None:
+    """Allocate the shells of readers i and j and of every reader below."""
+    global _covered
+    if 0 < i <= _covered and 0 < j <= _covered:
+        return
+    if min(i, j) < 1:
+        raise ValueError(f"reader index must be >= 1, got {min(i, j)}")
+    for m in range(_covered + 1, max(i, j) + 1):
+        rm = ProcessId(m)
+        _INIT.append(_allocate(Family.INIT, WRITER, rm))
+        _ACK.append(_allocate(Family.ACK, rm, WRITER))
+        for family, table in (
+            (Family.WITNESS, _WITNESS),
+            (Family.INFORM, _INFORM),
+            (Family.FINAL, _FINAL),
+        ):
+            for k in range(1, m):
+                table[k].append(_allocate(family, ProcessId(k), rm))
+            table.append([None] + [_allocate(family, rm, ProcessId(k)) for k in range(1, m + 1)])
+        _covered = m
+
+
 def init_reg(i: int) -> RegisterId:
-    return _interned(Family.INIT, WRITER, ProcessId.reader(i))
+    _cover(i)
+    return _INIT[i]
 
 
 def ack_reg(i: int) -> RegisterId:
-    return _interned(Family.ACK, ProcessId.reader(i), WRITER)
+    _cover(i)
+    return _ACK[i]
 
 
 def witness_reg(i: int, j: int) -> RegisterId:
-    return _interned(Family.WITNESS, ProcessId.reader(i), ProcessId.reader(j))
+    _cover(i, j)
+    return _WITNESS[i][j]
 
 
 def inform_reg(i: int, j: int) -> RegisterId:
-    return _interned(Family.INFORM, ProcessId.reader(i), ProcessId.reader(j))
+    _cover(i, j)
+    return _INFORM[i][j]
 
 
 def final_reg(i: int, j: int) -> RegisterId:
-    return _interned(Family.FINAL, ProcessId.reader(i), ProcessId.reader(j))
+    _cover(i, j)
+    return _FINAL[i][j]
 
 
 # --- codecs -----------------------------------------------------------------
@@ -202,12 +256,14 @@ _DECODERS = {
 
 # Identical values get rewritten constantly in steady state, so both
 # directions are memoized; all encoded values are immutable.
-_encode_cache: dict[tuple[Family, object], bytes] = {}
-_decode_cache: dict[tuple[Family, bytes], object] = {}
+# Keys carry the family's value string, whose hash is cached; hashing the
+# Enum member itself would run Enum.__hash__ in Python on every call.
+_encode_cache: dict[tuple[str, object], bytes] = {}
+_decode_cache: dict[tuple[str, bytes], object] = {}
 
 
 def encode_value(family: Family, value) -> bytes:
-    key = (family, value)
+    key = (family._value_, value)
     hit = _encode_cache.get(key)
     if hit is None:
         obj = _ENCODERS[family](value)
@@ -217,7 +273,7 @@ def encode_value(family: Family, value) -> bytes:
 
 
 def decode_value(family: Family, data: bytes):
-    key = (family, data)
+    key = (family._value_, data)
     if key in _decode_cache:
         return _decode_cache[key]
     try:
@@ -287,15 +343,16 @@ def initial_inform_set(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> InformSe
 class RegisterBank:
     """All 3n^2 + 2n registers plus their operation trace.
 
-    The engine owns the bank during a run and sets ``current_step``
-    before each operation; protocol code only goes through read/write.
+    Cells and write counts are lists indexed by register slot.  The
+    engine owns the bank during a run and sets ``current_step`` before
+    each operation; protocol code only goes through read/write.
     """
 
-    def __init__(self, cfg: Config, u0: bytes, cells: dict[RegisterId, bytes]):
+    def __init__(self, cfg: Config, u0: bytes, cells: list[bytes]):
         self.cfg = cfg
         self.u0 = u0
         self._cells = cells
-        self.write_counts: dict[RegisterId, int] = {r: 0 for r in cells}
+        self.write_counts: list[int] = [0] * len(cells)
         # persistent cons-list so clones share their common prefix
         self._trace_node: tuple | None = None
         self.current_step = 0
@@ -311,16 +368,17 @@ class RegisterBank:
         return out
 
     def register_ids(self) -> list[RegisterId]:
-        return sorted(self._cells, key=RegisterId.sort_key)
+        """Every register of the bank, in slot order."""
+        return [RegisterId(slot) for slot in range(len(self._cells))]
 
     @property
     def register_count(self) -> int:
         return len(self._cells)
 
     def read(self, reg: RegisterId, caller: ProcessId) -> bytes:
-        if reg not in self._cells:
+        if not 0 <= reg < len(self._cells):
             raise UnknownRegister(str(reg))
-        if caller != reg.reader_end:
+        if caller != READER_END[reg]:
             raise AccessViolation(f"{caller} cannot read {reg}")
         value = self._cells[reg]
         self._trace_node = (
@@ -330,9 +388,9 @@ class RegisterBank:
         return value
 
     def write(self, reg: RegisterId, value: bytes, caller: ProcessId) -> None:
-        if reg not in self._cells:
+        if not 0 <= reg < len(self._cells):
             raise UnknownRegister(str(reg))
-        if caller != reg.writer_end:
+        if caller != WRITER_END[reg]:
             raise AccessViolation(f"{caller} cannot write {reg}")
         if not isinstance(value, bytes):
             raise TypeError("register cells hold bytes")
@@ -344,36 +402,34 @@ class RegisterBank:
         )
 
     def write_count(self, reg: RegisterId) -> int:
-        if reg not in self._cells:
+        if not 0 <= reg < len(self._cells):
             raise UnknownRegister(str(reg))
         return self.write_counts[reg]
 
     def peek(self, reg: RegisterId) -> bytes:
         """Untraced inspection for checkers and tests, never protocol code."""
+        if not 0 <= reg < len(self._cells):
+            raise UnknownRegister(str(reg))
         return self._cells[reg]
 
     def clone(self) -> "RegisterBank":
         twin = RegisterBank.__new__(RegisterBank)
         twin.cfg = self.cfg
         twin.u0 = self.u0
-        twin._cells = dict(self._cells)
-        twin.write_counts = dict(self.write_counts)
+        twin._cells = self._cells.copy()
+        twin.write_counts = self.write_counts.copy()
         twin._trace_node = self._trace_node
         twin.current_step = self.current_step
         return twin
 
     def cells_key(self) -> tuple:
-        """Snapshot of cell contents, for state hashing.
-
-        Cells are listed in the bank's key order.  Every bank of a run or
-        enumeration is cloned from one bank_init bank and writes only
-        replace existing keys, so all of them share that order.
+        """Snapshot of cell contents in slot order, for state hashing.
 
         Write counts are deliberately excluded: rewrites of identical
         bytes change no future behavior (the writer's freshness check is
         relative to its own baseline and enters the key as a flag).
         """
-        return tuple(self._cells.values())
+        return tuple(self._cells)
 
 
 def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
@@ -383,7 +439,7 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
     initial entry; Inform at the owner's signed initial witness set; and
     Final at the initial inform set over all n signers.
     """
-    cells: dict[RegisterId, bytes] = {}
+    cells: list[bytes] = [b""] * (3 * cfg.n * cfg.n + 2 * cfg.n)
     init_tagged = encode_value(Family.INIT, TaggedValue(0, u0))
     for i in cfg.reader_indices():
         cells[init_reg(i)] = init_tagged
@@ -401,17 +457,6 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
     return RegisterBank(cfg, u0, cells)
 
 
-def replay_trace(
-    cfg: Config, u0: bytes, ring: crypto.KeyRing, trace: Iterable[TraceEvent]
-) -> dict[RegisterId, bytes]:
-    """Rebuild every cell's final value by replaying the trace over a fresh bank."""
-    cells = dict(bank_init(cfg, u0, ring)._cells)
-    for ev in trace:
-        if ev.op == "write":
-            cells[ev.reg] = ev.value
-    return cells
-
-
 def atomicity_violations(
     cfg: Config, u0: bytes, ring: crypto.KeyRing, trace: Iterable[TraceEvent]
 ) -> list[TraceEvent]:
@@ -420,7 +465,7 @@ def atomicity_violations(
     Trivial by construction for this substrate; asserted after runs as a
     plumbing check.
     """
-    cells = dict(bank_init(cfg, u0, ring)._cells)
+    cells = bank_init(cfg, u0, ring)._cells
     bad = []
     for ev in trace:
         if ev.op == "write":

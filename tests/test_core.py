@@ -311,6 +311,6 @@ class TestConfig:
         w = ProcessId.writer()
         r = ProcessId.reader(3)
         assert str(w) == "w" and str(r) == "r3"
-        assert w.sort_key() < r.sort_key()
+        assert w < r
         with pytest.raises(ValueError):
             ProcessId.reader(0)

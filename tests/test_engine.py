@@ -5,20 +5,43 @@ from __future__ import annotations
 
 import pytest
 
-from byzreg.adversary import Silent, StrategyAssignment
-from byzreg.core import Config, TaggedValue
+import random
+
+from byzreg.adversary import (
+    CollaborateStabilize,
+    Equivocate,
+    FakeWitnessStamp,
+    ForgeInformSet,
+    MultiValueBurst,
+    OutOfOrderWitness,
+    OverwriteEarly,
+    PartialQuorum,
+    Silent,
+    SplitValue,
+    StaleCounter,
+    StrategyAssignment,
+    build_machines,
+    scenario_alternation,
+    scenario_forged_quorum,
+    scenario_pseudo_correct,
+)
+from byzreg.core import WRITER, Config, TaggedValue
+from byzreg.crypto import make_keyring
 from byzreg.engine import (
     BoundTooLarge,
     RoundRobin,
     Scripted,
     SeededRandom,
+    Simulation,
     StepLimitExhausted,
     Workload,
     enumerate_schedules,
     fairness_violations,
     run,
 )
-from byzreg.registers import Family, ack_reg, decode_value, replay_trace
+from byzreg.registers import Family, ack_reg, bank_init, decode_value
+
+from test_registers import replay_trace
 
 
 CFG40 = Config(4, 0)
@@ -206,3 +229,89 @@ class TestEnumeration:
         d1 = [h.digest() for h in enumerate_schedules(cfg, wl, depth_bound=150)]
         d2 = [h.digest() for h in enumerate_schedules(cfg, wl, depth_bound=150)]
         assert d1 == d2
+
+
+class TestSchedulerContract:
+    """The simulation tracks the enabled processes and the unfinished ones
+    incrementally, re-evaluating only the process that stepped.  At every
+    step both views must equal a full rescan, for every machine kind
+    build_machines makes, and a clone's views must not leak into its
+    origin."""
+
+    CASES = {
+        "correct": (CFG41, StrategyAssignment()),
+        "silent_fake_stamp": (
+            Config(7, 2),
+            StrategyAssignment(readers={1: Silent(), 2: FakeWitnessStamp(offset=3)}),
+        ),
+        "out_of_order_equivocate": (
+            Config(7, 2),
+            StrategyAssignment(readers={3: OutOfOrderWitness(), 4: Equivocate.make({1: b"zz"})}),
+        ),
+        "forge_collaborate": (
+            Config(7, 2),
+            StrategyAssignment(readers={5: ForgeInformSet(), 6: CollaborateStabilize()}),
+        ),
+        **{
+            f"writer_{type(w).__name__}": (
+                Config(4, 1, writer_byzantine=True),
+                StrategyAssignment(writer=w),
+            )
+            for w in (
+                SplitValue.make({1: b"a", 2: b"a", 3: b"b", 4: b"b"}),
+                PartialQuorum.make({1, 2}, {3}),
+                MultiValueBurst((b"p", b"q")),
+                OverwriteEarly(delay=2),
+                StaleCounter(k=1),
+            )
+        },
+    }
+
+    @staticmethod
+    def assert_views_match_rescan(sim):
+        assert sim.enabled_pids() == [p for p in sim.order if sim.machines[p].enabled()]
+        assert sim.workload_complete() == all(m.done() for m in sim.machines.values())
+
+    def drive(self, cfg, strategies, wl, steps, seed):
+        """Step uniformly chosen enabled processes, checking the views
+        before every step and, every 97 steps, on a clone stepped apart;
+        returns the simulation."""
+        ring = make_keyring(cfg, "keyed", seed)
+        machines = build_machines(cfg, strategies, wl, ring, b"init")
+        sim = Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+        rng = random.Random(seed)
+        for step in range(steps):
+            self.assert_views_match_rescan(sim)
+            enabled = sim.enabled_pids()
+            if not enabled or sim.status is not None:
+                break
+            if step % 97 == 0:
+                twin = sim.clone()
+                for _ in range(40):
+                    if twin.enabled_pids():
+                        twin.step_process(rng.choice(twin.enabled_pids()))
+                self.assert_views_match_rescan(twin)
+                self.assert_views_match_rescan(sim)
+            sim.step_process(rng.choice(enabled))
+        return sim
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_views_match_rescan(self, name):
+        cfg, strategies = self.CASES[name]
+        wl = Workload.make(writes=[b"a", b"b"], reads={cfg.n: 2}, read_gap=1)
+        sim = self.drive(cfg, strategies, wl, 3000, seed=3)
+        # the writer went idle and the reads finished, so both views moved
+        assert sim.workload_complete() and WRITER not in sim.enabled_pids()
+
+    @pytest.mark.parametrize(
+        "factory", [scenario_pseudo_correct, scenario_alternation, scenario_forged_quorum]
+    )
+    def test_views_match_rescan_scripted_scenarios(self, factory):
+        s = factory()
+        sim = self.drive(s.cfg, s.strategies, s.workload, 3000, seed=5)
+        assert sim.steps >= 50
+
+    def test_disabled_from_the_start(self):
+        sim = self.drive(CFG40, StrategyAssignment(), Workload.make(), 50, seed=1)
+        assert WRITER not in sim.enabled_pids()
+        assert sim.workload_complete()

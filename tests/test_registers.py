@@ -11,6 +11,7 @@ from byzreg.registers import (
     AccessViolation,
     DecodeError,
     Family,
+    UnknownRegister,
     atomicity_violations,
     ack_reg,
     bank_init,
@@ -22,9 +23,19 @@ from byzreg.registers import (
     inform_reg,
     initial_entry,
     initial_inform_set,
-    replay_trace,
     witness_reg,
 )
+
+
+def replay_trace(cfg, u0, ring, trace):
+    """Every register's final cell, by replaying the trace's writes over a
+    fresh bank."""
+    bank = bank_init(cfg, u0, ring)
+    cells = {reg: bank.peek(reg) for reg in bank.register_ids()}
+    for ev in trace:
+        if ev.op == "write":
+            cells[ev.reg] = ev.value
+    return cells
 
 
 def make_bank(n, t, u0=b"init", seed=0):
@@ -53,6 +64,33 @@ class TestAllocation:
         assert len(by_family[Family.WITNESS]) == 16
         assert len(by_family[Family.INFORM]) == 16
         assert len(by_family[Family.FINAL]) == 16
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_slots_are_dense_and_keep_their_place(self, n):
+        # a bank of n readers uses exactly slots 0..3n^2+2n-1, whatever
+        # larger n was laid out before, and each slot names its register
+        make_bank(9, 0)
+        regs = [init_reg(i) for i in range(1, n + 1)] + [ack_reg(i) for i in range(1, n + 1)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                regs += [witness_reg(i, j), inform_reg(i, j), final_reg(i, j)]
+        assert sorted(regs) == list(range(3 * n * n + 2 * n))
+        assert str(init_reg(2)) == "init[w->r2]" and str(ack_reg(2)) == "ack[r2->w]"
+        assert str(final_reg(3, 1)) == "final[r3->r1]"
+        assert (witness_reg(3, 1).writer_end, witness_reg(3, 1).reader_end) == (3, 1)
+
+    def test_reader_index_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            init_reg(0)
+        with pytest.raises(ValueError):
+            witness_reg(2, -1)
+
+    def test_register_outside_the_bank_unknown(self):
+        _, _, bank = make_bank(2, 0)
+        with pytest.raises(UnknownRegister):
+            bank.read(init_reg(3), ProcessId.reader(3))
+        with pytest.raises(UnknownRegister):
+            bank.write(final_reg(1, 5), b"x", ProcessId.reader(1))
 
 
 class TestInitializers:
