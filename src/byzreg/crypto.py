@@ -105,12 +105,14 @@ class KeyRing:
     _private: dict[ProcessId, object] = field(repr=False)
     _public: dict[ProcessId, object] = field(repr=False)
     # memos of pure functions of these keys, so they live as long as the
-    # ring: the initial inform set per (cfg, u0), and the checker's
-    # validation of final-register bytes per (bytes, cfg)
+    # ring: the initial inform set per (cfg, u0), the checker's validation
+    # of final-register bytes per (bytes, cfg), and the verdict of
+    # verify_witness_set per witness set
     initial_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _final_validation_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def has(self, pid: ProcessId) -> bool:
         return pid in self._private
@@ -169,12 +171,18 @@ def sign_entries(ring: KeyRing, signer: int, entries: Iterable[WitnessEntry]) ->
 
 
 def verify_witness_set(ring: KeyRing, wset: WitnessSet) -> bool:
-    """Check a witness set's signature against its claimed signer."""
-    if wset.signer < 1:
-        return False
-    return verify(
-        ring,
-        ProcessId.reader(wset.signer),
-        canonical_entries_payload(wset.entries),
-        wset.signature,
-    )
+    """Check a witness set's signature against its claimed signer.
+
+    The verdict depends only on the ring's keys and the whole set
+    (entries, signer and signature), so it is memoized on the ring.
+    """
+    ok = ring.verified.get(wset)
+    if ok is None:
+        ok = wset.signer >= 1 and verify(
+            ring,
+            ProcessId.reader(wset.signer),
+            canonical_entries_payload(wset.entries),
+            wset.signature,
+        )
+        ring.verified[wset] = ok
+    return ok

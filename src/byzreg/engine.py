@@ -27,6 +27,7 @@ from .registers import (
     WriteOp,
     bank_init,
     export_trace,
+    unwind,
 )
 
 
@@ -46,7 +47,8 @@ class BoundTooLarge(Exception):
     """Enumeration bound above the configured explosion threshold."""
 
 
-@dataclass(frozen=True)
+# slotted rather than frozen, as the register records are (see registers.py)
+@dataclass(slots=True, unsafe_hash=True)
 class HliEvent:
     process: ProcessId
     kind: str  # "invoke" | "response"
@@ -55,7 +57,7 @@ class HliEvent:
     step: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HliOp:
     process: ProcessId
     op: str  # "read" | "write"
@@ -73,13 +75,7 @@ class HistoryRecorder:
 
     @property
     def events(self) -> list[HliEvent]:
-        out = []
-        node = self._node
-        while node is not None:
-            out.append(node[1])
-            node = node[0]
-        out.reverse()
-        return out
+        return unwind(self._node)
 
     def invoke(self, pid: ProcessId, op: str, value=None):
         self._node = (self._node, HliEvent(pid, "invoke", op, value, self.step))
@@ -321,13 +317,7 @@ class Simulation:
 
     @property
     def sched_log(self) -> list[ProcessId]:
-        out = []
-        node = self._sched_node
-        while node is not None:
-            out.append(node[1])
-            node = node[0]
-        out.reverse()
-        return out
+        return unwind(self._sched_node)
 
     def enabled_pids(self) -> list[ProcessId]:
         """Enabled processes in pid order (shared: do not mutate)."""
@@ -369,12 +359,12 @@ class Simulation:
         return ExecutionHistory(
             cfg=self.cfg,
             u0=self.bank.u0,
-            hli_events=list(self.recorder.events),
-            trace=list(self.bank.trace),
+            hli_events=self.recorder.events,
+            trace=self.bank.trace,
             status=status,
             violation=self.violation,
             steps=self.steps,
-            sched_log=list(self.sched_log),
+            sched_log=self.sched_log,
             scheme=self.scheme,
             key_seed=self.key_seed,
         )

@@ -471,8 +471,7 @@ class ReaderMachine(ProcessMachine):
         self.read_gap = read_gap
         self.gap_left = 0
         self.read_active = False
-        # memoized validation of peer cells, keyed on raw bytes
-        self._inform_cache: dict[bytes, WitnessSet | None] = {}
+        # memoized validation of peer final cells, keyed on raw bytes
         self._final_cache: dict[bytes, InformSet | None] = {}
         self._sign_cache: dict[frozenset[WitnessEntry], WitnessSet] = {}
 
@@ -635,19 +634,13 @@ class ReaderMachine(ProcessMachine):
             self.idx = 1
 
     def _validated_inform(self, src: int, data: bytes) -> WitnessSet | None:
-        hit = self._inform_cache.get(data)
-        if hit is None and data not in self._inform_cache:
-            try:
-                wset = decode_value(Family.INFORM, data)
-            except DecodeError:
-                wset = None
-            if wset is not None and not crypto.verify_witness_set(self.ring, wset):
-                wset = None
-            self._inform_cache[data] = wset
-            hit = wset
-        if hit is not None and hit.signer != src:
+        try:
+            wset = decode_value(Family.INFORM, data)
+        except DecodeError:
             return None
-        return hit
+        if wset.signer != src or not crypto.verify_witness_set(self.ring, wset):
+            return None
+        return wset
 
     def _apply_rinf(self, bank, op, result, recorder):
         src = self.idx
@@ -783,5 +776,6 @@ class ReaderMachine(ProcessMachine):
             suspected=set(st.suspected),
         )
         d["z_list"] = list(self.z_list)
-        # validation caches are pure maps from immutable bytes; share them
+        # the final-cell and signing caches are pure maps over immutable
+        # values; share them
         return twin

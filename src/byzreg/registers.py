@@ -263,19 +263,36 @@ _decode_cache: dict[tuple[str, bytes], object] = {}
 
 
 def encode_value(family: Family, value) -> bytes:
-    key = (family._value_, value)
+    """Canonical bytes of ``value``.
+
+    On a cache miss the freshly built object also goes through the
+    family's decoder; when that accepts it and gives back an equal value,
+    the decode cache maps the bytes to ``value`` itself.  A reader that
+    decodes a peer's cell then holds the very object the peer wrote, so
+    later equality tests and cache lookups succeed on identity.  Values
+    the decoder rejects are not seeded: their bytes still raise
+    ``DecodeError`` on decode.
+    """
+    fam = family._value_
+    key = (fam, value)
     hit = _encode_cache.get(key)
     if hit is None:
         obj = _ENCODERS[family](value)
         hit = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
         _encode_cache[key] = hit
+        try:
+            if _DECODERS[family](obj) == value:
+                _decode_cache[(fam, hit)] = value
+        except DecodeError:
+            pass
     return hit
 
 
 def decode_value(family: Family, data: bytes):
     key = (family._value_, data)
-    if key in _decode_cache:
-        return _decode_cache[key]
+    hit = _decode_cache.get(key)
+    if hit is not None:
+        return hit
     try:
         obj = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -286,32 +303,48 @@ def decode_value(family: Family, data: bytes):
 
 
 # --- operations a process can request ---------------------------------------
+#
+# Built on every step, so these records are slotted, not frozen: a frozen
+# dataclass sets each field through object.__setattr__, which costs several
+# times a plain __init__.  They stay hashable (adversary machines put op
+# lists into their state keys), and nothing assigns to them once built.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadOp:
     reg: RegisterId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteOp:
     reg: RegisterId
     value: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocalOp:
     """A step that touches no register (idling or local-only transitions)."""
 
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceEvent:
     step: int
     op: str  # "read" | "write"
     reg: RegisterId
     caller: ProcessId
     value: bytes
+
+
+def unwind(node: tuple | None) -> list:
+    """The items of a persistent cons-list of ``(rest, item)`` pairs, oldest
+    first, as a fresh list."""
+    out = []
+    while node is not None:
+        node, item = node
+        out.append(item)
+    out.reverse()
+    return out
 
 
 def initial_entry(cfg: Config, u0: bytes, i: int) -> WitnessEntry:
@@ -359,13 +392,7 @@ class RegisterBank:
 
     @property
     def trace(self) -> list[TraceEvent]:
-        out = []
-        node = self._trace_node
-        while node is not None:
-            out.append(node[1])
-            node = node[0]
-        out.reverse()
-        return out
+        return unwind(self._trace_node)
 
     def register_ids(self) -> list[RegisterId]:
         """Every register of the bank, in slot order."""

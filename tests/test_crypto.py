@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from byzreg import crypto
-from byzreg.core import Config, ProcessId, TaggedValue, WitnessEntry, WRITER
+from byzreg import adversary, crypto, engine
+from byzreg.core import Config, ProcessId, TaggedValue, WitnessEntry, WitnessSet, WRITER
 from byzreg.crypto import (
     RING_CACHE_SIZE,
     UnknownProcess,
@@ -106,3 +106,41 @@ def test_witness_set_forged_signer_fails(ring):
     honest = sign_entries(ring, 2, entries)
     forged = type(honest)(entries=entries, signer=3, signature=honest.signature)
     assert not verify_witness_set(ring, forged)
+
+
+def test_verified_set_does_not_vouch_for_altered_copies(ring):
+    entries = frozenset(WitnessEntry(TaggedValue(9, b"memo"), 1, p) for p in (1, 2, 3))
+    genuine = sign_entries(ring, 2, entries)
+    assert verify_witness_set(ring, genuine)
+    sig = genuine.signature
+    flipped = WitnessSet(entries, 2, bytes([sig[0] ^ 1]) + sig[1:])
+    assert not verify_witness_set(ring, flipped)
+    assert not verify_witness_set(ring, WitnessSet(entries, 3, sig))
+    other_keys = make_keyring(CFG, ring.scheme_name, seed=8)
+    assert not verify_witness_set(other_keys, genuine)
+    assert verify_witness_set(ring, genuine)
+
+
+def test_rerun_on_one_key_seed_verifies_nothing_again(monkeypatch):
+    calls = []
+    scheme_verify = crypto.KeyedDigestScheme.verify
+
+    def counted(self, public, payload, signature):
+        calls.append(payload)
+        return scheme_verify(self, public, payload, signature)
+
+    monkeypatch.setattr(crypto.KeyedDigestScheme, "verify", counted)
+    wl = engine.Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+
+    def run():
+        return engine.run(
+            CFG, adversary.StrategyAssignment(), wl, engine.SeededRandom(seed=3),
+            100_000, key_seed=31_337,
+        )
+
+    first = run()
+    assert calls
+    calls.clear()
+    second = run()
+    assert calls == []
+    assert second.digest() == first.digest()

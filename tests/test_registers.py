@@ -5,8 +5,16 @@ from __future__ import annotations
 
 import pytest
 
-from byzreg.core import Config, ProcessId, TaggedValue, WitnessEntry, WRITER
-from byzreg.crypto import make_keyring
+from byzreg.core import (
+    Config,
+    InformSet,
+    ProcessId,
+    TaggedValue,
+    WitnessEntry,
+    WitnessSet,
+    WRITER,
+)
+from byzreg.crypto import make_keyring, sign_entries
 from byzreg.registers import (
     AccessViolation,
     DecodeError,
@@ -197,6 +205,42 @@ class TestCodecs:
     def test_encoding_canonical(self):
         v = TaggedValue(3, b"zz")
         assert encode_value(Family.INIT, v) == encode_value(Family.INIT, TaggedValue(3, b"zz"))
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_decode_returns_the_encoded_object(self, family):
+        # a payload no other test encodes, so this object is the first of
+        # its value the codec sees
+        tagged = TaggedValue(7, b"identity-" + family.value.encode())
+        entries = frozenset(WitnessEntry(tagged, 4, p) for p in (1, 2, 3))
+        ring = make_keyring(Config(4, 1), "keyed", 0)
+        value = {
+            Family.INIT: tagged,
+            Family.ACK: tagged,
+            Family.WITNESS: WitnessEntry(tagged, 4, 1),
+            Family.INFORM: sign_entries(ring, 1, entries),
+            Family.FINAL: InformSet(frozenset(sign_entries(ring, i, entries) for i in (1, 2, 3))),
+        }[family]
+        assert decode_value(family, encode_value(family, value)) is value
+
+    @pytest.mark.parametrize(
+        "family,value",
+        [
+            (Family.INIT, TaggedValue(-1, b"negative counter")),
+            (Family.WITNESS, WitnessEntry(TaggedValue(1, b"x"), 1, 0)),
+            (Family.WITNESS, WitnessEntry(TaggedValue(1, b"x"), -1, 1)),
+            (
+                Family.INFORM,
+                WitnessSet(frozenset({WitnessEntry(TaggedValue(1, b"x"), 1, 1)}), 0, b"s"),
+            ),
+            (Family.FINAL, InformSet(frozenset({WitnessSet(frozenset(), 0, b"s")}))),
+        ],
+        ids=["tagged_k_negative", "entry_p_zero", "entry_s_negative", "wset_signer_zero",
+             "iset_member_signer_zero"],
+    )
+    def test_undecodable_values_still_rejected_after_encoding(self, family, value):
+        data = encode_value(family, value)
+        with pytest.raises(DecodeError):
+            decode_value(family, data)
 
 
 class TestTrace:
