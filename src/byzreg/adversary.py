@@ -14,8 +14,8 @@ the two-forger concurrent-quorum attack.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import protocol
 from .core import Config, ProcessId, TaggedValue, WitnessEntry, WitnessSet, InformSet, WRITER
@@ -36,154 +36,6 @@ from .registers import (
 )
 
 
-# --- writer strategies -------------------------------------------------------
-
-@dataclass(frozen=True)
-class CorrectWriter:
-    pass
-
-
-@dataclass(frozen=True)
-class SplitValue:
-    """Write a different payload to different readers in one invocation."""
-
-    assignment: tuple[tuple[int, bytes], ...]
-
-    @classmethod
-    def make(cls, assignment: dict[int, bytes]) -> "SplitValue":
-        return cls(tuple(sorted(assignment.items())))
-
-
-@dataclass(frozen=True)
-class PartialQuorum:
-    """Write the pending value to a subset of init registers only.
-
-    ``targets`` holds one reader set per invocation (cycled); a repeated
-    payload keeps its original counter so the value accumulates across
-    invocations.
-    """
-
-    targets: tuple[frozenset[int], ...]
-
-    @classmethod
-    def make(cls, *target_sets) -> "PartialQuorum":
-        return cls(tuple(frozenset(s) for s in target_sets))
-
-
-@dataclass(frozen=True)
-class MultiValueBurst:
-    """Write several distinct values to every reader within one invocation."""
-
-    values: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class OverwriteEarly:
-    """Broadcast each value, idle briefly, and let the next invocation
-    overwrite it before inform sets can form."""
-
-    delay: int = 2
-
-
-@dataclass(frozen=True)
-class StaleCounter:
-    """Reuse one fixed counter value for every write."""
-
-    k: int = 1
-
-
-@dataclass(frozen=True)
-class ScriptedWriter:
-    """Literal per-invocation register scripts: each invocation is a tuple
-    of (reader index, TaggedValue) writes and integer idle-step counts."""
-
-    scripts: tuple[tuple, ...]
-
-
-# --- reader strategies -------------------------------------------------------
-
-@dataclass(frozen=True)
-class CorrectReader:
-    pass
-
-
-@dataclass(frozen=True)
-class Silent:
-    pass
-
-
-@dataclass(frozen=True)
-class FakeWitnessStamp:
-    offset: int = 10
-
-
-@dataclass(frozen=True)
-class OutOfOrderWitness:
-    pass
-
-
-@dataclass(frozen=True)
-class ForgeInformSet:
-    pass
-
-
-@dataclass(frozen=True)
-class Equivocate:
-    """Send per-peer payload variants in witness broadcasts."""
-
-    values: tuple[tuple[int, bytes], ...]
-
-    @classmethod
-    def make(cls, values: dict[int, bytes]) -> "Equivocate":
-        return cls(tuple(sorted(values.items())))
-
-
-@dataclass(frozen=True)
-class CollaborateStabilize:
-    pass
-
-
-@dataclass(frozen=True)
-class AlternationDriver:
-    """Alternate inflated witness stamps between two values (n <= 3t attack)."""
-
-    value_a: TaggedValue
-    value_b: TaggedValue
-    period: int = 150
-    cycles: int = 6
-    initial_delay: int = 60
-
-
-@dataclass(frozen=True)
-class QuorumForger:
-    """One half of a forged-concurrent-quorum pair (n <= 2t attack).
-
-    Signs witness sets for both values, swaps signatures with the partner
-    through its own inform register, then publishes its lead value's
-    inform set across its final row.
-    """
-
-    partner: int
-    lead_value: TaggedValue
-    lead_stamps: tuple[tuple[int, int], ...]
-    other_value: TaggedValue
-    other_stamps: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class StrategyAssignment:
-    writer: object = field(default_factory=CorrectWriter)
-    readers: dict[int, object] = field(default_factory=dict)
-
-    def reader_strategy(self, i: int):
-        return self.readers.get(i, CorrectReader())
-
-    def byzantine_readers(self) -> frozenset[int]:
-        return frozenset(
-            i for i, s in self.readers.items() if not isinstance(s, CorrectReader)
-        )
-
-
 # --- Byzantine writer machine -------------------------------------------------
 
 class ByzWriterMachine(protocol.ProcessMachine):
@@ -193,7 +45,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
     drains.
     """
 
-    def __init__(self, cfg: Config, ring: KeyRing, strategy, writes):
+    def __init__(self, cfg: Config, ring: KeyRing, strategy: WriterStrategy, writes):
         self.cfg = cfg
         self.ring = ring
         self.pid = WRITER
@@ -227,7 +79,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
         elif isinstance(s, PartialQuorum):
             if payload not in self.value_k:
                 self.c += 1
-                self.value_k[payload] = self.c
+                self.value_k = {**self.value_k, payload: self.c}
             kv = TaggedValue(self.value_k[payload], payload)
             hli = kv
             targets = s.targets[self.invocation % len(s.targets)]
@@ -272,7 +124,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
         if not self.started:
             recorder.invoke(self.pid, "write", self.hli_value)
             self.started = True
-        self.script.pop(0)
+        self.script = self.script[1:]
         if not self.script:
             recorder.response(self.pid, "write", self.hli_value)
             self.widx += 1
@@ -291,26 +143,30 @@ class ByzWriterMachine(protocol.ProcessMachine):
             self.started,
         )
 
-    def clone(self):
-        twin = copy.copy(self)
-        twin.value_k = dict(self.value_k)
-        twin.script = list(self.script)
-        return twin
-
 
 # --- reader strategy machines ---------------------------------------------
 
-class SilentReader(protocol.ProcessMachine):
-    """Takes steps forever but never touches a register."""
+class RogueReader(protocol.ProcessMachine):
+    """A Byzantine reader that runs its own program in place of the
+    protocol.  It steps forever and has no high-level reads, so it is
+    always enabled and always done."""
 
-    def __init__(self, index: int):
+    def __init__(self, cfg: Config, ring: KeyRing, u0: bytes, index: int, spec):
+        self.cfg = cfg
+        self.ring = ring
         self.pid = ProcessId.reader(index)
+        self.index = index
+        self.spec = spec
 
     def enabled(self):
         return True
 
     def done(self):
         return True
+
+
+class SilentReader(RogueReader):
+    """Takes steps forever but never touches a register."""
 
     def next_op(self, bank):
         return LocalOp("silent")
@@ -322,21 +178,26 @@ class SilentReader(protocol.ProcessMachine):
         return ("silent", self.pid.index)
 
 
-class FakeStampReader(protocol.ReaderMachine):
-    """Correct behavior, but every witness stamp jumps by 1 + offset."""
+class HookedReader(protocol.ReaderMachine):
+    """The correct reader with some of its hooks overridden.  It plays a
+    Byzantine reader, so it has no high-level reads of its own."""
 
-    def __init__(self, cfg, ring, u0, index, offset: int):
+    def __init__(self, cfg, ring, u0, index, spec):
         super().__init__(cfg, ring, u0, index)
-        self.offset = offset
-
-    def _stamp_bump(self):
-        return 1 + self.offset
+        self.spec = spec
 
     def state_key(self, bank=None):
-        return super().state_key(bank) + ("fake", self.offset)
+        return super().state_key(bank) + (self.spec,)
 
 
-class OutOfOrderReader(protocol.ReaderMachine):
+class FakeStampReader(HookedReader):
+    """Correct behavior, but every witness stamp jumps by 1 + offset."""
+
+    def _stamp_bump(self):
+        return 1 + self.spec.offset
+
+
+class OutOfOrderReader(HookedReader):
     """Publishes a regressed stamp on every other witnessing event."""
 
     def _entry_for_peer(self, peer, entry):
@@ -344,16 +205,13 @@ class OutOfOrderReader(protocol.ReaderMachine):
             return WitnessEntry(entry.value, max(0, entry.s - 2), entry.p)
         return entry
 
-    def state_key(self, bank=None):
-        return super().state_key(bank) + ("outoforder",)
 
-
-class EquivocateReader(protocol.ReaderMachine):
+class EquivocateReader(HookedReader):
     """Sends different payloads to different peers in witness broadcasts."""
 
-    def __init__(self, cfg, ring, u0, index, values: dict[int, bytes]):
-        super().__init__(cfg, ring, u0, index)
-        self.per_peer = dict(values)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.per_peer = dict(self.spec.values)
 
     def _entry_for_peer(self, peer, entry):
         payload = self.per_peer.get(peer)
@@ -361,11 +219,8 @@ class EquivocateReader(protocol.ReaderMachine):
             return entry
         return WitnessEntry(TaggedValue(entry.value.k, payload), entry.s, entry.p)
 
-    def state_key(self, bank=None):
-        return super().state_key(bank) + ("equivocate", tuple(sorted(self.per_peer.items())))
 
-
-class CollaborateReader(protocol.ReaderMachine):
+class CollaborateReader(HookedReader):
     """Adopts a peer-witnessed value as though it had been written to its
     own init register, then behaves correctly for it.
 
@@ -374,9 +229,7 @@ class CollaborateReader(protocol.ReaderMachine):
     realizations the attack allows).
     """
 
-    def __init__(self, cfg, ring, u0, index):
-        super().__init__(cfg, ring, u0, index)
-        self._candidate: TaggedValue | None = None
+    _candidate: TaggedValue | None = None  # the value to adopt next
 
     def _after_collect(self):
         if self._candidate is not None:
@@ -395,17 +248,15 @@ class CollaborateReader(protocol.ReaderMachine):
         return v
 
     def state_key(self, bank=None):
-        return super().state_key(bank) + ("collab", self._candidate)
+        return super().state_key(bank) + (self._candidate,)
 
 
-class ForgeInformSetReader(protocol.ProcessMachine):
+class ForgeInformSetReader(RogueReader):
     """Cycles forged witness sets and inform sets whose member signatures
     claim other identities and therefore never verify."""
 
-    def __init__(self, cfg: Config, index: int):
-        self.cfg = cfg
-        self.pid = ProcessId.reader(index)
-        self.index = index
+    def __init__(self, *args):
+        super().__init__(*args)
         self.cycle = 0
         self.queue: list = []
 
@@ -424,12 +275,6 @@ class ForgeInformSetReader(protocol.ProcessMachine):
         iset_bytes = encode_value(Family.FINAL, InformSet(frozenset(members)))
         return wset_bytes, iset_bytes
 
-    def enabled(self):
-        return True
-
-    def done(self):
-        return True
-
     def next_op(self, bank):
         if not self.queue:
             wset_bytes, iset_bytes = self._forged()
@@ -441,7 +286,7 @@ class ForgeInformSetReader(protocol.ProcessMachine):
         return self.queue[0]
 
     def apply(self, bank, op, result, recorder):
-        self.queue.pop(0)
+        self.queue = self.queue[1:]
         if not self.queue:
             self.cycle += 1
 
@@ -449,25 +294,16 @@ class ForgeInformSetReader(protocol.ProcessMachine):
         return ("forge", self.index, self.cycle, len(self.queue))
 
 
-class AlternationReader(protocol.ProcessMachine):
+class AlternationReader(RogueReader):
     """Drives the n <= 3t alternation: pushes strictly increasing witness
     stamps for two values in turn, with no register write ever reaching a
     correct reader's init register in between."""
 
-    def __init__(self, cfg: Config, index: int, spec: AlternationDriver):
-        self.cfg = cfg
-        self.pid = ProcessId.reader(index)
-        self.index = index
-        self.spec = spec
+    def __init__(self, *args):
+        super().__init__(*args)
         self.j = 0
-        self.wait = spec.initial_delay
+        self.wait = self.spec.initial_delay
         self.queue: list = []
-
-    def enabled(self):
-        return True
-
-    def done(self):
-        return True
 
     def next_op(self, bank):
         if self.queue:
@@ -476,7 +312,7 @@ class AlternationReader(protocol.ProcessMachine):
 
     def apply(self, bank, op, result, recorder):
         if self.queue:
-            self.queue.pop(0)
+            self.queue = self.queue[1:]
             return
         if self.j >= self.spec.cycles:
             return
@@ -496,32 +332,22 @@ class AlternationReader(protocol.ProcessMachine):
         return ("alternation", self.index, self.j, self.wait, len(self.queue))
 
 
-class QuorumForgerReader(protocol.ProcessMachine):
+class QuorumForgerReader(RogueReader):
     """One of two sub-threshold forgers fabricating concurrent quorums."""
 
     SEND, POLL, PUBLISH, IDLE = range(4)
 
-    def __init__(self, cfg: Config, ring: KeyRing, index: int, spec: QuorumForger):
-        self.cfg = cfg
-        self.ring = ring
-        self.pid = ProcessId.reader(index)
-        self.index = index
-        self.spec = spec
+    def __init__(self, *args):
+        super().__init__(*args)
         self.lead_entries = frozenset(
-            WitnessEntry(spec.lead_value, s, q) for q, s in spec.lead_stamps
+            WitnessEntry(self.spec.lead_value, s, q) for q, s in self.spec.lead_stamps
         )
         self.other_entries = frozenset(
-            WitnessEntry(spec.other_value, s, q) for q, s in spec.other_stamps
+            WitnessEntry(self.spec.other_value, s, q) for q, s in self.spec.other_stamps
         )
         self.phase = self.SEND
         self.fi = 1
         self.partner_member: WitnessSet | None = None
-
-    def enabled(self):
-        return True
-
-    def done(self):
-        return True
 
     def next_op(self, bank):
         if self.phase == self.SEND:
@@ -561,6 +387,235 @@ class QuorumForgerReader(protocol.ProcessMachine):
         return ("forger", self.index, self.phase, self.fi, self.partner_member)
 
 
+# --- strategy specs ------------------------------------------------------------
+
+class Strategy:
+    """A writer or reader behaviour.  ``name`` is its scenario-file name,
+    None for the specs only the scripted scenarios build; ``parse`` builds
+    the spec from its scenario-file block (``{"strategy": name, ...}``);
+    ``machine`` builds the process that plays it."""
+
+    name: ClassVar[str | None] = None
+
+    @classmethod
+    def parse(cls, block: dict) -> Strategy:
+        return cls()
+
+
+class WriterStrategy(Strategy):
+    def machine(self, cfg, ring, u0, i, workload):
+        return ByzWriterMachine(cfg, ring, self, workload.writes)
+
+
+class ReaderStrategy(Strategy):
+    machine_class: ClassVar[type]  # built as (cfg, ring, u0, index, spec)
+
+    def machine(self, cfg, ring, u0, i, workload):
+        return self.machine_class(cfg, ring, u0, i, self)
+
+
+# --- writer strategies -------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorrectWriter(WriterStrategy):
+    name = "correct"
+
+    def machine(self, cfg, ring, u0, i, workload):
+        return protocol.WriterMachine(cfg, ring, workload.writes)
+
+
+@dataclass(frozen=True)
+class SplitValue(WriterStrategy):
+    """Write a different payload to different readers in one invocation."""
+
+    name = "split_value"
+    assignment: tuple[tuple[int, bytes], ...]
+
+    @classmethod
+    def make(cls, assignment: dict[int, bytes]) -> "SplitValue":
+        return cls(tuple(sorted(assignment.items())))
+
+    @classmethod
+    def parse(cls, block):
+        return cls.make({int(k): v.encode() for k, v in block["assignment"].items()})
+
+
+@dataclass(frozen=True)
+class PartialQuorum(WriterStrategy):
+    """Write the pending value to a subset of init registers only.
+
+    ``targets`` holds one reader set per invocation (cycled); a repeated
+    payload keeps its original counter so the value accumulates across
+    invocations.
+    """
+
+    name = "partial_quorum"
+    targets: tuple[frozenset[int], ...]
+
+    @classmethod
+    def make(cls, *target_sets) -> "PartialQuorum":
+        return cls(tuple(frozenset(s) for s in target_sets))
+
+    @classmethod
+    def parse(cls, block):
+        return cls.make(*[set(map(int, s)) for s in block["targets"]])
+
+
+@dataclass(frozen=True)
+class MultiValueBurst(WriterStrategy):
+    """Write several distinct values to every reader within one invocation."""
+
+    name = "multi_value_burst"
+    values: tuple[bytes, ...]
+
+    @classmethod
+    def parse(cls, block):
+        return cls(tuple(v.encode() for v in block["values"]))
+
+
+@dataclass(frozen=True)
+class OverwriteEarly(WriterStrategy):
+    """Broadcast each value, idle briefly, and let the next invocation
+    overwrite it before inform sets can form."""
+
+    name = "overwrite_early"
+    delay: int = 2
+
+    @classmethod
+    def parse(cls, block):
+        return cls(int(block.get("delay", cls.delay)))
+
+
+@dataclass(frozen=True)
+class StaleCounter(WriterStrategy):
+    """Reuse one fixed counter value for every write."""
+
+    name = "stale_counter"
+    k: int = 1
+
+    @classmethod
+    def parse(cls, block):
+        return cls(int(block.get("k", cls.k)))
+
+
+@dataclass(frozen=True)
+class ScriptedWriter(WriterStrategy):
+    """Literal per-invocation register scripts: each invocation is a tuple
+    of (reader index, TaggedValue) writes and integer idle-step counts."""
+
+    scripts: tuple[tuple, ...]
+
+
+# --- reader strategies -------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorrectReader(ReaderStrategy):
+    name = "correct"
+
+    def machine(self, cfg, ring, u0, i, workload):
+        return protocol.ReaderMachine(cfg, ring, u0, i, workload.reads_for(i), workload.read_gap)
+
+
+@dataclass(frozen=True)
+class Silent(ReaderStrategy):
+    name = "silent"
+    machine_class = SilentReader
+
+
+@dataclass(frozen=True)
+class FakeWitnessStamp(ReaderStrategy):
+    name = "fake_witness_stamp"
+    machine_class = FakeStampReader
+    offset: int = 10
+
+    @classmethod
+    def parse(cls, block):
+        return cls(int(block.get("offset", cls.offset)))
+
+
+@dataclass(frozen=True)
+class OutOfOrderWitness(ReaderStrategy):
+    name = "out_of_order_witness"
+    machine_class = OutOfOrderReader
+
+
+@dataclass(frozen=True)
+class ForgeInformSet(ReaderStrategy):
+    name = "forge_inform_set"
+    machine_class = ForgeInformSetReader
+
+
+@dataclass(frozen=True)
+class Equivocate(ReaderStrategy):
+    """Send per-peer payload variants in witness broadcasts."""
+
+    name = "equivocate"
+    machine_class = EquivocateReader
+    values: tuple[tuple[int, bytes], ...]
+
+    @classmethod
+    def make(cls, values: dict[int, bytes]) -> "Equivocate":
+        return cls(tuple(sorted(values.items())))
+
+    @classmethod
+    def parse(cls, block):
+        return cls.make({int(k): v.encode() for k, v in block.get("values", {}).items()})
+
+
+@dataclass(frozen=True)
+class CollaborateStabilize(ReaderStrategy):
+    name = "collaborate_stabilize"
+    machine_class = CollaborateReader
+
+
+@dataclass(frozen=True)
+class AlternationDriver(ReaderStrategy):
+    """Alternate inflated witness stamps between two values (n <= 3t attack)."""
+
+    machine_class = AlternationReader
+    value_a: TaggedValue
+    value_b: TaggedValue
+    period: int = 150
+    cycles: int = 6
+    initial_delay: int = 60
+
+
+@dataclass(frozen=True)
+class QuorumForger(ReaderStrategy):
+    """One half of a forged-concurrent-quorum pair (n <= 2t attack).
+
+    Signs witness sets for both values, swaps signatures with the partner
+    through its own inform register, then publishes its lead value's
+    inform set across its final row.
+    """
+
+    machine_class = QuorumForgerReader
+    partner: int
+    lead_value: TaggedValue
+    lead_stamps: tuple[tuple[int, int], ...]
+    other_value: TaggedValue
+    other_stamps: tuple[tuple[int, int], ...]
+
+
+# every spec class above with a scenario-file name, by that name
+WRITER_STRATEGIES = {s.name: s for s in WriterStrategy.__subclasses__() if s.name}
+READER_STRATEGIES = {s.name: s for s in ReaderStrategy.__subclasses__() if s.name}
+
+
+@dataclass
+class StrategyAssignment:
+    writer: WriterStrategy = field(default_factory=CorrectWriter)
+    readers: dict[int, ReaderStrategy] = field(default_factory=dict)
+
+    def reader_strategy(self, i: int) -> ReaderStrategy:
+        return self.readers.get(i, CorrectReader())
+
+    def byzantine_readers(self) -> frozenset[int]:
+        return frozenset(
+            i for i, s in self.readers.items() if not isinstance(s, CorrectReader)
+        )
+
+
 # --- machine assembly --------------------------------------------------------
 
 def build_machines(
@@ -570,37 +625,10 @@ def build_machines(
     ring: KeyRing,
     u0: bytes,
 ) -> dict[ProcessId, protocol.ProcessMachine]:
-    machines: dict[ProcessId, protocol.ProcessMachine] = {}
-    ws = strategies.writer
-    if isinstance(ws, CorrectWriter):
-        machines[WRITER] = protocol.WriterMachine(cfg, ring, workload.writes)
-    else:
-        machines[WRITER] = ByzWriterMachine(cfg, ring, ws, workload.writes)
+    machines = {WRITER: strategies.writer.machine(cfg, ring, u0, WRITER.index, workload)}
     for i in cfg.reader_indices():
-        strat = strategies.reader_strategy(i)
-        reads = workload.reads_for(i)
-        gap = workload.read_gap
-        pid = ProcessId.reader(i)
-        if isinstance(strat, CorrectReader):
-            machines[pid] = protocol.ReaderMachine(cfg, ring, u0, i, reads, gap)
-        elif isinstance(strat, Silent):
-            machines[pid] = SilentReader(i)
-        elif isinstance(strat, FakeWitnessStamp):
-            machines[pid] = FakeStampReader(cfg, ring, u0, i, strat.offset)
-        elif isinstance(strat, OutOfOrderWitness):
-            machines[pid] = OutOfOrderReader(cfg, ring, u0, i)
-        elif isinstance(strat, Equivocate):
-            machines[pid] = EquivocateReader(cfg, ring, u0, i, dict(strat.values))
-        elif isinstance(strat, ForgeInformSet):
-            machines[pid] = ForgeInformSetReader(cfg, i)
-        elif isinstance(strat, CollaborateStabilize):
-            machines[pid] = CollaborateReader(cfg, ring, u0, i)
-        elif isinstance(strat, AlternationDriver):
-            machines[pid] = AlternationReader(cfg, i, strat)
-        elif isinstance(strat, QuorumForger):
-            machines[pid] = QuorumForgerReader(cfg, ring, i, strat)
-        else:
-            raise TypeError(f"unknown reader strategy {strat!r}")
+        strategy = strategies.reader_strategy(i)
+        machines[ProcessId.reader(i)] = strategy.machine(cfg, ring, u0, i, workload)
     return machines
 
 

@@ -812,9 +812,6 @@ def brute_force_linearizable(history: ExecutionHistory) -> bool:
     if n == 0:
         return True
 
-    def value_after(op: HliOp):
-        return op.invoke_value if op.op == "write" else None
-
     seen_fail: set = set()
 
     def search(taken: frozenset, current: TaggedValue) -> bool:

@@ -28,40 +28,13 @@ class ConfigError(Exception):
     pass
 
 
-_READER_STRATEGIES = {
-    "correct": lambda spec: adversary.CorrectReader(),
-    "silent": lambda spec: adversary.Silent(),
-    "fake_witness_stamp": lambda spec: adversary.FakeWitnessStamp(
-        offset=int(spec.get("offset", 10))
-    ),
-    "out_of_order_witness": lambda spec: adversary.OutOfOrderWitness(),
-    "forge_inform_set": lambda spec: adversary.ForgeInformSet(),
-    "equivocate": lambda spec: adversary.Equivocate.make(
-        {int(k): v.encode() for k, v in spec.get("values", {}).items()}
-    ),
-    "collaborate_stabilize": lambda spec: adversary.CollaborateStabilize(),
-}
-
-
-def _writer_strategy(spec: dict):
-    kind = spec.get("strategy", "correct")
-    if kind == "correct":
-        return adversary.CorrectWriter()
-    if kind == "split_value":
-        return adversary.SplitValue.make(
-            {int(k): v.encode() for k, v in spec["assignment"].items()}
-        )
-    if kind == "partial_quorum":
-        return adversary.PartialQuorum.make(
-            *[set(map(int, s)) for s in spec["targets"]]
-        )
-    if kind == "multi_value_burst":
-        return adversary.MultiValueBurst(tuple(v.encode() for v in spec["values"]))
-    if kind == "overwrite_early":
-        return adversary.OverwriteEarly(delay=int(spec.get("delay", 2)))
-    if kind == "stale_counter":
-        return adversary.StaleCounter(k=int(spec.get("k", 1)))
-    raise ConfigError(f"unknown writer strategy {kind!r}")
+def _strategy(block: dict, registry: dict, correct: type, role: str) -> adversary.Strategy:
+    """The spec a scenario-file strategy block names, parsed from it."""
+    kind = block.get("strategy", correct.name)
+    spec_class = registry.get(kind)
+    if spec_class is None:
+        raise ConfigError(f"unknown {role} strategy {kind!r}")
+    return spec_class.parse(block)
 
 
 @dataclass
@@ -142,19 +115,21 @@ def load_scenario(path: str | Path) -> Scenario:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config block: {exc}") from exc
 
-    readers: dict[int, object] = {}
-    for key, spec in raw.get("readers", {}).items():
-        i = int(key)
-        if not 1 <= i <= cfg.n:
-            raise ConfigError(f"reader index {i} outside 1..{cfg.n}")
-        kind = spec.get("strategy", "correct")
-        builder = _READER_STRATEGIES.get(kind)
-        if builder is None:
-            raise ConfigError(f"unknown reader strategy {kind!r}")
-        readers[i] = builder(spec)
-    strategies = adversary.StrategyAssignment(
-        writer=_writer_strategy(raw.get("writer", {})), readers=readers
-    )
+    readers: dict[int, adversary.ReaderStrategy] = {}
+    try:
+        for key, block in raw.get("readers", {}).items():
+            i = int(key)
+            if not 1 <= i <= cfg.n:
+                raise ConfigError(f"reader index {i} outside 1..{cfg.n}")
+            readers[i] = _strategy(
+                block, adversary.READER_STRATEGIES, adversary.CorrectReader, "reader"
+            )
+        writer = _strategy(
+            raw.get("writer", {}), adversary.WRITER_STRATEGIES, adversary.CorrectWriter, "writer"
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad strategy block: {exc}") from exc
+    strategies = adversary.StrategyAssignment(writer=writer, readers=readers)
 
     byz = strategies.byzantine_readers()
     if len(byz) > cfg.t:
@@ -169,12 +144,15 @@ def load_scenario(path: str | Path) -> Scenario:
     if cfg.n <= 2 * cfg.t:
         warnings.append(f"n={cfg.n} <= 2t={2 * cfg.t}: total order not guaranteed")
 
-    wl_raw = raw.get("workload", {})
-    workload = engine.Workload.make(
-        writes=[w.encode() for w in wl_raw.get("writes", [])],
-        reads={int(k): int(v) for k, v in wl_raw.get("reads", {}).items()},
-        read_gap=int(wl_raw.get("read_gap", 0)),
-    )
+    try:
+        wl_raw = raw.get("workload", {})
+        workload = engine.Workload.make(
+            writes=[w.encode() for w in wl_raw.get("writes", [])],
+            reads={int(k): int(v) for k, v in wl_raw.get("reads", {}).items()},
+            read_gap=int(wl_raw.get("read_gap", 0)),
+        )
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad workload block: {exc}") from exc
     for i in workload.reads:
         if i[0] in byz:
             warnings.append(f"reads assigned to Byzantine reader {i[0]} are dropped")

@@ -117,10 +117,6 @@ class KeyRing:
     def has(self, pid: ProcessId) -> bool:
         return pid in self._private
 
-    def __deepcopy__(self, memo):
-        # read-only after construction; safe to share across clones
-        return self
-
 
 RING_CACHE_SIZE = 32
 _RING_CACHE: dict[tuple, KeyRing] = {}  # least recently used first

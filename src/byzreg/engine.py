@@ -260,31 +260,32 @@ class _RoundRobinChooser(_Chooser):
 
 
 class _ScriptedChooser(_Chooser):
-    def __init__(self, spec: Scripted):
-        self.steps = list(spec.steps)
+    def __init__(self, spec: Scripted, pids: Sequence[ProcessId]):
+        # names that match no process of the run are skipped for good
+        by_name = {str(pid): pid for pid in pids}
+        self.steps = [by_name[name] for name in spec.steps if name in by_name]
         self.pos = 0
         self.fallback = _RoundRobinChooser() if spec.then == "round_robin" else None
 
     def choose(self, enabled):
-        by_name = {str(pid): pid for pid in enabled}
         while self.pos < len(self.steps):
-            name = self.steps[self.pos]
+            pid = self.steps[self.pos]
             self.pos += 1
-            if name in by_name:
-                return by_name[name]
+            if pid in enabled:
+                return pid
             # scripted process currently disabled: skip the entry
         if self.fallback is not None:
             return self.fallback.choose(enabled)
         return None
 
 
-def make_chooser(schedule: Schedule) -> _Chooser:
+def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]) -> _Chooser:
     if isinstance(schedule, SeededRandom):
         return _RandomChooser(schedule)
     if isinstance(schedule, RoundRobin):
         return _RoundRobinChooser()
     if isinstance(schedule, Scripted):
-        return _ScriptedChooser(schedule)
+        return _ScriptedChooser(schedule, pids)
     raise TypeError(f"unknown schedule {schedule!r}")
 
 
@@ -297,6 +298,8 @@ class Simulation:
         machines: dict[ProcessId, ProcessMachine],
         bank: RegisterBank,
         recorder: HistoryRecorder | None = None,
+        scheme: str = "keyed",
+        key_seed: int = 0,
     ):
         self.cfg = cfg
         self.machines = machines
@@ -312,8 +315,8 @@ class Simulation:
         self.status: str | None = None
         self.violation: str | None = None
         self._sched_node: tuple | None = None
-        self.scheme = "keyed"
-        self.key_seed = 0
+        self.scheme = scheme
+        self.key_seed = key_seed
 
     @property
     def sched_log(self) -> list[ProcessId]:
@@ -399,6 +402,18 @@ class Simulation:
         )
 
 
+def _root_simulation(cfg, strategies, workload, u0, scheme, key_seed) -> Simulation:
+    """A run's initial state; no strategies means every process is correct."""
+    from . import adversary  # machines are strategy-built; import cycle avoided
+
+    if strategies is None:
+        strategies = adversary.StrategyAssignment()
+    ring = crypto.make_keyring(cfg, scheme, key_seed)
+    bank = bank_init(cfg, u0, ring)
+    machines = adversary.build_machines(cfg, strategies, workload, ring, u0)
+    return Simulation(cfg, machines, bank, scheme=scheme, key_seed=key_seed)
+
+
 def run(
     cfg: Config,
     strategies,
@@ -418,17 +433,10 @@ def run(
     workload does not complete within step_limit; pass
     raise_on_limit=False to get the partial history back instead.
     """
-    from . import adversary  # machines are strategy-built; import cycle avoided
-
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    ring = crypto.make_keyring(cfg, scheme, key_seed)
-    bank = bank_init(cfg, u0, ring)
-    machines = adversary.build_machines(cfg, strategies, workload, ring, u0)
-    sim = Simulation(cfg, machines, bank)
-    sim.scheme = scheme
-    sim.key_seed = key_seed
-    chooser = make_chooser(schedule)
+    sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
+    chooser = make_chooser(schedule, sim.order)
     settle_left = settle_steps
     while sim.steps < step_limit:
         if sim.status is not None:
@@ -479,21 +487,11 @@ def enumerate_schedules(
     pruner on micro cases.  Intended for n <= 4 and one or two operations
     per process.
     """
-    from . import adversary
-
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
-    if strategies is None:
-        strategies = adversary.StrategyAssignment()
-    ring = crypto.make_keyring(cfg, scheme, key_seed)
-    bank = bank_init(cfg, u0, ring)
-    machines = adversary.build_machines(cfg, strategies, workload, ring, u0)
-    root = Simulation(cfg, machines, bank)
-    root.scheme = scheme
-    root.key_seed = key_seed
     seen: set = set()
     yielded: set = set()
-    stack = [root]
+    stack = [_root_simulation(cfg, strategies, workload, u0, scheme, key_seed)]
     visited = 0
     while stack:
         sim = stack.pop()

@@ -160,7 +160,8 @@ class ProcessMachine:
         raise NotImplementedError
 
     def clone(self) -> "ProcessMachine":
-        return copy.deepcopy(self)
+        """Shallow: a machine keeping it rebinds, never mutates, its containers."""
+        return copy.copy(self)
 
     def state_key(self, bank: RegisterBank):
         raise NotImplementedError
@@ -214,9 +215,10 @@ class WriterMachine(ProcessMachine):
     def apply(self, bank, op, result, recorder):
         if self.phase == W_IDLE:
             # the first init write of a fresh high-level write happened
-            # during this step
+            # during this step; pending is what the codec gives readers
+            # for those bytes, so the ack test below meets it by identity
             self.st.c += 1
-            self.st.pending = TaggedValue(self.st.c, self.writes[self.widx])
+            self.st.pending = decode_value(Family.INIT, op.value)
             self.st.acked = set()
             self.baseline = {
                 i: bank.write_count(ack_reg(i)) for i in self.cfg.reader_indices()

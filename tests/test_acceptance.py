@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 
+from byzreg import adversary
 from byzreg.adversary import (
     CollaborateStabilize,
     CorrectReader,
@@ -185,6 +186,17 @@ WRITER_STRATEGIES = {
     "overwrite_early": OverwriteEarly(delay=2),
     "stale_counter": StaleCounter(k=5),
 }
+
+
+def test_strategy_tables_cover_the_registry():
+    """Criteria 3 and 4 run every registered strategy, under its own name."""
+    for table, registry in (
+        (READER_STRATEGIES, adversary.READER_STRATEGIES),
+        (WRITER_STRATEGIES, adversary.WRITER_STRATEGIES),
+    ):
+        assert table.keys() == registry.keys()
+        for name, strat in table.items():
+            assert type(strat) is registry[name]
 
 
 def test_criterion_4_byzantine_writer_within_threshold():

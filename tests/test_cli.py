@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from byzreg.adversary import READER_STRATEGIES, WRITER_STRATEGIES
 from byzreg.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -139,6 +140,23 @@ class TestCampaigns:
         p.write_text("{}")
         assert main([str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {"writer": {"strategy": "split_value"}},
+            {"readers": {"4": {"strategy": "fake_witness_stamp", "offset": "abc"}}},
+            {"readers": {"x": {"strategy": "silent"}}},
+            {"workload": {"writes": [1]}},
+        ],
+        ids=["assignment_missing", "offset_not_int", "reader_key_not_int", "write_not_str"],
+    )
+    def test_malformed_block_exit_two(self, tmp_path, blocks):
+        obj = {**BASE, "config": {"n": 4, "t": 1, "writer_byzantine": True}, **blocks}
+        path = write_scenario(tmp_path, obj)
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+        assert main([str(path)]) == EXIT_CONFIG
+
     def test_seed_override(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         assert main([str(path), "--seeds", "1"]) == EXIT_OK
@@ -156,6 +174,17 @@ class TestScenarioLibrary:
     def test_library_file_loads(self, name):
         scenario = load_scenario(SCENARIOS / f"{name}.json")
         assert scenario.name
+
+    def test_library_uses_every_registered_strategy(self):
+        used = {"writer": set(), "reader": set()}
+        for path in SCENARIOS.glob("*.json"):
+            s = load_scenario(path)
+            used["writer"].add(s.strategies.writer.name)
+            used["reader"] |= {
+                s.strategies.reader_strategy(i).name for i in s.cfg.reader_indices()
+            }
+        assert set(WRITER_STRATEGIES) <= used["writer"]
+        assert set(READER_STRATEGIES) <= used["reader"]
 
     def test_library_covers_named_attacks(self):
         names = {p.stem for p in SCENARIOS.glob("*.json")}

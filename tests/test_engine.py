@@ -171,6 +171,19 @@ class TestScriptedSchedule:
         assert history.status == "completed"
         assert [str(p) for p in history.sched_log[:4]] == ["w", "w", "w", "w"]
 
+    def test_names_matching_no_process_are_skipped(self):
+        wl = Workload.make(writes=[b"a"], reads={1: 1, 2: 1})
+        steps = ("w", "r1", "w", "r2", "r1") * 12
+        junk = ("r03", "r0", "x", 3, "r9", "W", "r1 ", "")
+        noisy = tuple(
+            e for i, name in enumerate(steps) for e in (junk[i % len(junk)], name)
+        )
+        clean = run(CFG40, StrategyAssignment(), wl, Scripted(steps=steps), 5000)
+        mixed = run(CFG40, StrategyAssignment(), wl, Scripted(steps=noisy), 5000)
+        assert [str(p) for p in clean.sched_log[:5]] == ["w", "r1", "w", "r2", "r1"]
+        assert mixed.sched_log == clean.sched_log
+        assert mixed.digest() == clean.digest()
+
 
 class TestEnumeration:
     def test_micro_full_enumeration_n1(self):
@@ -286,12 +299,16 @@ class TestSchedulerContract:
             if not enabled or sim.status is not None:
                 break
             if step % 97 == 0:
+                before = sim.state_key()
                 twin = sim.clone()
                 for _ in range(40):
                     if twin.enabled_pids():
                         twin.step_process(rng.choice(twin.enabled_pids()))
                 self.assert_views_match_rescan(twin)
                 self.assert_views_match_rescan(sim)
+                # machines clone shallowly: stepping the twin must leave
+                # every container its origin holds untouched
+                assert sim.state_key() == before
             sim.step_process(rng.choice(enabled))
         return sim
 
