@@ -132,7 +132,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
             if self.widx < len(self.writes):
                 self._build_script()
 
-    def state_key(self, bank=None):
+    def state_key(self):
         return (
             "bw",
             self.widx,
@@ -174,7 +174,7 @@ class SilentReader(RogueReader):
     def apply(self, bank, op, result, recorder):
         pass
 
-    def state_key(self, bank=None):
+    def state_key(self):
         return ("silent", self.pid.index)
 
 
@@ -186,8 +186,8 @@ class HookedReader(protocol.ReaderMachine):
         super().__init__(cfg, ring, u0, index)
         self.spec = spec
 
-    def state_key(self, bank=None):
-        return super().state_key(bank) + (self.spec,)
+    def state_key(self):
+        return super().state_key() + (self.spec,)
 
 
 class FakeStampReader(HookedReader):
@@ -247,8 +247,8 @@ class CollaborateReader(HookedReader):
         self._candidate = None
         return v
 
-    def state_key(self, bank=None):
-        return super().state_key(bank) + (self._candidate,)
+    def state_key(self):
+        return super().state_key() + (self._candidate,)
 
 
 class ForgeInformSetReader(RogueReader):
@@ -290,7 +290,7 @@ class ForgeInformSetReader(RogueReader):
         if not self.queue:
             self.cycle += 1
 
-    def state_key(self, bank=None):
+    def state_key(self):
         return ("forge", self.index, self.cycle, len(self.queue))
 
 
@@ -328,7 +328,7 @@ class AlternationReader(RogueReader):
         self.j += 1
         self.wait = self.spec.period
 
-    def state_key(self, bank=None):
+    def state_key(self):
         return ("alternation", self.index, self.j, self.wait, len(self.queue))
 
 
@@ -383,7 +383,7 @@ class QuorumForgerReader(RogueReader):
             if self.fi > self.cfg.n:
                 self.phase = self.IDLE
 
-    def state_key(self, bank=None):
+    def state_key(self):
         return ("forger", self.index, self.phase, self.fi, self.partner_member)
 
 
@@ -393,6 +393,7 @@ class Strategy:
     """A writer or reader behaviour.  ``name`` is its scenario-file name,
     None for the specs only the scripted scenarios build; ``parse`` builds
     the spec from its scenario-file block (``{"strategy": name, ...}``);
+    ``check`` raises ValueError when the spec does not fit a config;
     ``machine`` builds the process that plays it."""
 
     name: ClassVar[str | None] = None
@@ -400,6 +401,18 @@ class Strategy:
     @classmethod
     def parse(cls, block: dict) -> Strategy:
         return cls()
+
+    def check(self, cfg: Config) -> None:
+        pass
+
+
+def _check_readers(name: str, readers, cfg: Config) -> None:
+    """A writer strategy's target readers: a non-empty set, all in 1..n."""
+    if not readers:
+        raise ValueError(f"{name} targets no reader")
+    bad = sorted(i for i in readers if not 1 <= i <= cfg.n)
+    if bad:
+        raise ValueError(f"{name} targets reader {bad[0]} outside 1..{cfg.n}")
 
 
 class WriterStrategy(Strategy):
@@ -439,6 +452,9 @@ class SplitValue(WriterStrategy):
     def parse(cls, block):
         return cls.make({int(k): v.encode() for k, v in block["assignment"].items()})
 
+    def check(self, cfg):
+        _check_readers(self.name, [i for i, _ in self.assignment], cfg)
+
 
 @dataclass(frozen=True)
 class PartialQuorum(WriterStrategy):
@@ -460,6 +476,12 @@ class PartialQuorum(WriterStrategy):
     def parse(cls, block):
         return cls.make(*[set(map(int, s)) for s in block["targets"]])
 
+    def check(self, cfg):
+        if not self.targets:
+            raise ValueError(f"{self.name} has no target sets")
+        for targets in self.targets:
+            _check_readers(self.name, targets, cfg)
+
 
 @dataclass(frozen=True)
 class MultiValueBurst(WriterStrategy):
@@ -471,6 +493,10 @@ class MultiValueBurst(WriterStrategy):
     @classmethod
     def parse(cls, block):
         return cls(tuple(v.encode() for v in block["values"]))
+
+    def check(self, cfg):
+        if not self.values:
+            raise ValueError(f"{self.name} has no values")
 
 
 @dataclass(frozen=True)

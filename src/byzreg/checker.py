@@ -20,11 +20,13 @@ checked online during a run.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from . import crypto, registers
 from .core import (
@@ -240,17 +242,23 @@ def classify_writes(
     u0 = history.u0
     initial_value = TaggedValue(0, u0)
     writes = writer_writes(history)
+    # the writer is sequential: its operations are disjoint step intervals
+    # in list order, and only the last can be pending
+    write_ends = [
+        op.response_step if op.response_step is not None else float("inf")
+        for op in writes
+    ]
 
     def interval_of(step: int) -> int | None:
-        for op in writes:
-            end = op.response_step if op.response_step is not None else float("inf")
-            if op.invoke_step <= step <= end:
-                return op.index
+        i = bisect.bisect_left(write_ends, step)
+        if i < len(writes) and writes[i].invoke_step <= step:
+            return writes[i].index
         return None
 
     evidence: dict[TaggedValue, ValueEvidence] = {}
     init_events: list[tuple[int, int, TaggedValue]] = []  # (step, reader, value)
-    ack_events: list[tuple[int, int, TaggedValue]] = []
+    # per acked value, the (step, reader) of each non-writer ack write
+    acks: dict[TaggedValue, list[tuple[int, int]]] = {}
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
     for ev in trace:
@@ -274,7 +282,7 @@ def classify_writes(
                 v = decode_value(Family.ACK, ev.value)
             except DecodeError:
                 continue
-            ack_events.append((ev.step, ev.caller.index, v))
+            acks.setdefault(v, []).append((ev.step, ev.caller.index))
         elif fam is Family.WITNESS:
             src = ev.caller.index if not ev.caller.is_writer else None
             if src is None:
@@ -294,14 +302,15 @@ def classify_writes(
 
     # a correct write puts one value on all n init registers within a single
     # high-level write and then awaits n-t fresh acks before responding
+    # trace order is step order, so each step window is a slice
+    init_steps = [step for step, _, _ in init_events]
     correct_values: set[TaggedValue] = {initial_value}
     for op in writes:
         if op.response_step is None:
             continue
-        ivs = [
-            (step, reader, v)
-            for step, reader, v in init_events
-            if op.invoke_step <= step <= op.response_step
+        ivs = init_events[
+            bisect.bisect_left(init_steps, op.invoke_step) :
+            bisect.bisect_right(init_steps, op.response_step)
         ]
         if not ivs:
             continue
@@ -312,11 +321,14 @@ def classify_writes(
         covered = {reader for _, reader, _ in ivs}
         if covered != set(cfg.reader_indices()):
             continue
-        first_step = min(step for step, _, _ in ivs)
+        first_step = ivs[0][0]
+        acked = acks.get(v, [])
         ackers = {
             reader
-            for step, reader, av in ack_events
-            if av == v and first_step < step <= op.response_step
+            for _, reader in acked[
+                bisect.bisect_right(acked, first_step, key=itemgetter(0)) :
+                bisect.bisect_right(acked, op.response_step, key=itemgetter(0))
+            ]
         }
         if len(ackers) >= cfg.quorum:
             correct_values.add(v)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import adversary, checker, engine
+from . import adversary, checker, crypto, engine
 from .core import Config
 
 EXIT_OK = 0
@@ -23,18 +23,23 @@ EXIT_SAFETY = 3
 EXIT_LIVENESS = 4
 EXIT_INTERNAL = 5
 
+RUN_STATUSES = ("completed", "step_limit", "protocol_violation")
+
 
 class ConfigError(Exception):
     pass
 
 
-def _strategy(block: dict, registry: dict, correct: type, role: str) -> adversary.Strategy:
-    """The spec a scenario-file strategy block names, parsed from it."""
+def _strategy(block: dict, registry: dict, correct: type, role: str, cfg: Config):
+    """The spec a scenario-file strategy block names, parsed from it and
+    checked against the config."""
     kind = block.get("strategy", correct.name)
     spec_class = registry.get(kind)
     if spec_class is None:
         raise ConfigError(f"unknown {role} strategy {kind!r}")
-    return spec_class.parse(block)
+    spec = spec_class.parse(block)
+    spec.check(cfg)
+    return spec
 
 
 @dataclass
@@ -62,10 +67,18 @@ def _schedule_for(spec: dict, seed: int) -> engine.Schedule:
     if kind == "round_robin":
         return engine.RoundRobin()
     if kind == "scripted":
-        return engine.Scripted(
-            steps=tuple(spec["steps"]), then=spec.get("then", "round_robin")
-        )
+        then = spec.get("then", "round_robin")
+        if then not in ("round_robin", "stop"):
+            raise ConfigError(f"unknown scripted schedule fallback {then!r}")
+        return engine.Scripted(steps=tuple(spec["steps"]), then=then)
     raise ConfigError(f"unknown schedule kind {kind!r}")
+
+
+def _seeds(raw) -> list[int]:
+    if isinstance(raw, dict):
+        start = int(raw.get("start", 0))
+        return list(range(start, start + int(raw.get("count", 1))))
+    return [int(x) for x in raw]
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -75,36 +88,66 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-
-    warnings: list[str] = []
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a scenario is a JSON object, not {type(raw).__name__}")
 
     scripted = raw.get("scripted")
     if scripted is not None:
-        factory = adversary.SCENARIO_SCRIPTS.get(scripted)
-        if factory is None:
+        factory = isinstance(scripted, str) and adversary.SCENARIO_SCRIPTS.get(scripted)
+        if not factory:
             raise ConfigError(f"unknown scripted scenario {scripted!r}")
         s = factory()
-        seeds = [int(x) for x in raw.get("seeds", [0])]
-        sched = raw.get("schedule")
-        return Scenario(
-            name=raw.get("name", s.name),
-            cfg=s.cfg,
-            u0=s.u0,
+        cfg, u0, strategies, workload = s.cfg, s.u0, s.strategies, s.workload
+        name, schedule = s.name, {"kind": "__scripted__", "obj": s.schedule}
+        step_limit, settle_steps = s.step_limit, s.settle_steps
+        status, violations = s.expected_status, s.expected_violations
+        warnings: list[str] = []
+    else:
+        cfg, strategies, workload, warnings = _system(raw)
+        try:
+            u0 = raw.get("u0", "init").encode()
+        except AttributeError as exc:
+            raise ConfigError(f"bad u0: {exc}") from exc
+        name, schedule = Path(path).stem, {"kind": "seeded"}
+        step_limit, settle_steps = 20000, 0
+        status, violations = "completed", ()
+
+    try:
+        expected = raw.get("expected", {})
+        scenario = Scenario(
+            name=raw.get("name", name),
+            cfg=cfg,
+            u0=u0,
             scheme=raw.get("crypto", "keyed"),
-            strategies=s.strategies,
-            workload=s.workload,
-            schedule_spec=sched if sched is not None else {"kind": "__scripted__", "obj": s.schedule},
-            seeds=seeds,
-            step_limit=int(raw.get("step_limit", s.step_limit)),
-            settle_steps=int(raw.get("settle_steps", s.settle_steps)),
-            expected_status=raw.get("expected", {}).get("status", s.expected_status),
-            expected_violations=tuple(
-                raw.get("expected", {}).get("violations", s.expected_violations)
-            ),
-            byz_readers=s.strategies.byzantine_readers(),
+            strategies=strategies,
+            workload=workload,
+            schedule_spec=schedule if raw.get("schedule") is None else raw["schedule"],
+            seeds=_seeds(raw.get("seeds", [0])),
+            step_limit=int(raw.get("step_limit", step_limit)),
+            settle_steps=int(raw.get("settle_steps", settle_steps)),
+            expected_status=expected.get("status", status),
+            expected_violations=tuple(expected.get("violations", violations)),
+            byz_readers=strategies.byzantine_readers(),
             warnings=warnings,
         )
+        if scenario.schedule_spec.get("kind") != "__scripted__":
+            _schedule_for(scenario.schedule_spec, 0)
+        if scenario.expected_status not in RUN_STATUSES:
+            raise ConfigError(f"unknown expected status {scenario.expected_status!r}")
+        unknown = set(scenario.expected_violations) - set(checker.PROPERTIES)
+        if unknown:
+            raise ConfigError(f"unknown expected violation {min(unknown)!r}")
+        if scenario.scheme not in crypto.SCHEMES:
+            raise ConfigError(f"unknown signature scheme {scenario.scheme!r}")
+        if scenario.step_limit <= 0:
+            raise ConfigError(f"step_limit must be positive, got {scenario.step_limit}")
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"bad scenario field: {type(exc).__name__}: {exc}") from exc
+    return scenario
 
+
+def _system(raw: dict):
+    """Config, strategies, workload and warnings of a non-scripted scenario."""
     try:
         cfg_raw = raw["config"]
         cfg = Config(
@@ -122,15 +165,20 @@ def load_scenario(path: str | Path) -> Scenario:
             if not 1 <= i <= cfg.n:
                 raise ConfigError(f"reader index {i} outside 1..{cfg.n}")
             readers[i] = _strategy(
-                block, adversary.READER_STRATEGIES, adversary.CorrectReader, "reader"
+                block, adversary.READER_STRATEGIES, adversary.CorrectReader, "reader", cfg
             )
         writer = _strategy(
-            raw.get("writer", {}), adversary.WRITER_STRATEGIES, adversary.CorrectWriter, "writer"
+            raw.get("writer", {}),
+            adversary.WRITER_STRATEGIES,
+            adversary.CorrectWriter,
+            "writer",
+            cfg,
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad strategy block: {exc}") from exc
     strategies = adversary.StrategyAssignment(writer=writer, readers=readers)
 
+    warnings: list[str] = []
     byz = strategies.byzantine_readers()
     if len(byz) > cfg.t:
         if not raw.get("allow_sub_threshold", False):
@@ -156,32 +204,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for i in workload.reads:
         if i[0] in byz:
             warnings.append(f"reads assigned to Byzantine reader {i[0]} are dropped")
-
-    seeds_raw = raw.get("seeds", [0])
-    if isinstance(seeds_raw, dict):
-        start = int(seeds_raw.get("start", 0))
-        count = int(seeds_raw.get("count", 1))
-        seeds = list(range(start, start + count))
-    else:
-        seeds = [int(x) for x in seeds_raw]
-
-    expected = raw.get("expected", {})
-    return Scenario(
-        name=raw.get("name", Path(path).stem),
-        cfg=cfg,
-        u0=raw.get("u0", "init").encode(),
-        scheme=raw.get("crypto", "keyed"),
-        strategies=strategies,
-        workload=workload,
-        schedule_spec=raw.get("schedule", {"kind": "seeded"}),
-        seeds=seeds,
-        step_limit=int(raw.get("step_limit", 20000)),
-        settle_steps=int(raw.get("settle_steps", 0)),
-        expected_status=expected.get("status", "completed"),
-        expected_violations=tuple(expected.get("violations", [])),
-        byz_readers=byz,
-        warnings=warnings,
-    )
+    return cfg, strategies, workload, warnings
 
 
 @dataclass
@@ -333,6 +356,8 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             scenario.seeds = list(range(args.seeds))
         if args.step_limit is not None:
+            if args.step_limit <= 0:
+                raise ConfigError(f"--step-limit must be positive, got {args.step_limit}")
             scenario.step_limit = args.step_limit
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -90,7 +90,7 @@ class Ed25519Scheme:
             return False
 
 
-_SCHEMES = {
+SCHEMES = {
     KeyedDigestScheme.name: KeyedDigestScheme,
     Ed25519Scheme.name: Ed25519Scheme,
 }
@@ -131,9 +131,9 @@ def make_keyring(cfg: Config, scheme: str = "keyed", seed: int = 0) -> KeyRing:
     key = (cfg, scheme, seed)
     ring = _RING_CACHE.pop(key, None)
     if ring is None:
-        if scheme not in _SCHEMES:
+        if scheme not in SCHEMES:
             raise ValueError(f"unknown signature scheme {scheme!r}")
-        impl = _SCHEMES[scheme]()
+        impl = SCHEMES[scheme]()
         private: dict[ProcessId, object] = {}
         public: dict[ProcessId, object] = {}
         for pid in [WRITER] + [ProcessId.reader(i) for i in cfg.reader_indices()]:

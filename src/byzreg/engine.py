@@ -71,6 +71,9 @@ class HliOp:
 class HistoryRecorder:
     def __init__(self):
         self._node: tuple | None = None  # persistent cons-list of events
+        # the events without their steps, as (prev, pid, kind, op, value)
+        # cons cells: the enumerator's state key, built as events happen
+        self.key_node: tuple | None = None
         self.step = 0
 
     @property
@@ -79,13 +82,16 @@ class HistoryRecorder:
 
     def invoke(self, pid: ProcessId, op: str, value=None):
         self._node = (self._node, HliEvent(pid, "invoke", op, value, self.step))
+        self.key_node = (self.key_node, pid, "invoke", op, value)
 
     def response(self, pid: ProcessId, op: str, value=None):
         self._node = (self._node, HliEvent(pid, "response", op, value, self.step))
+        self.key_node = (self.key_node, pid, "response", op, value)
 
     def clone(self) -> "HistoryRecorder":
-        twin = HistoryRecorder()
+        twin = HistoryRecorder.__new__(HistoryRecorder)
         twin._node = self._node
+        twin.key_node = self.key_node
         twin.step = self.step
         return twin
 
@@ -290,7 +296,13 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]) -> _Chooser:
 
 
 class Simulation:
-    """Sole owner of all mutable state during a run."""
+    """Sole owner of all mutable state during a run.
+
+    Clones are copy-on-write: a clone shares its origin's machine objects,
+    after which neither side owns any of them, and a simulation clones a
+    machine it does not own before stepping it.  A run that never clones
+    owns every machine from the start.
+    """
 
     def __init__(
         self,
@@ -303,6 +315,7 @@ class Simulation:
     ):
         self.cfg = cfg
         self.machines = machines
+        self._owned = set(machines)
         self.bank = bank
         self.recorder = recorder or HistoryRecorder()
         self.order = sorted(machines)
@@ -311,6 +324,11 @@ class Simulation:
         # replaced, never mutated, and clones share them
         self._enabled = [pid for pid in self.order if machines[pid].enabled()]
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
+        # so does a machine's state_key: pid -> its interned id, dropped
+        # when the pid steps; the intern table lives as long as this
+        # simulation and its clones
+        self._ids: dict[ProcessId, int] = {}
+        self._intern: dict = {}
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -330,7 +348,12 @@ class Simulation:
         return not self._unfinished
 
     def step_process(self, pid: ProcessId) -> None:
-        machine = self.machines[pid]
+        if pid in self._owned:
+            machine = self.machines[pid]
+        else:
+            machine = self.machines[pid] = self.machines[pid].clone()
+            self._owned.add(pid)
+        self._ids.pop(pid, None)
         self.bank.current_step = self.steps
         self.recorder.step = self.steps
         self._sched_node = (self._sched_node, pid)
@@ -375,12 +398,16 @@ class Simulation:
     def clone(self) -> "Simulation":
         twin = Simulation.__new__(Simulation)
         twin.cfg = self.cfg
-        twin.machines = {pid: m.clone() for pid, m in self.machines.items()}
+        twin.machines = dict(self.machines)
+        twin._owned = set()
+        self._owned = set()  # every machine is shared now
         twin.bank = self.bank.clone()
         twin.recorder = self.recorder.clone()
         twin.order = self.order
         twin._enabled = self._enabled
         twin._unfinished = self._unfinished
+        twin._ids = self._ids.copy()
+        twin._intern = self._intern
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
@@ -391,13 +418,22 @@ class Simulation:
 
     def state_key(self):
         # step indices are deliberately excluded: two prefixes reaching the
-        # same machine/bank/event state have identical futures
+        # same machine/bank/event state have identical futures.  Interning
+        # keeps equality exact: the table compares whole machine keys.
+        ids = self._ids
+        if len(ids) < len(self.order):
+            intern = self._intern
+            for pid in self.order:
+                if pid not in ids:
+                    ids[pid] = intern.setdefault(
+                        self.machines[pid].state_key(), len(intern)
+                    )
+        bank = self.bank
         return (
-            tuple(self.machines[pid].state_key(self.bank) for pid in self.order),
-            self.bank.cells_key(),
-            tuple(
-                (str(e.process), e.kind, e.op, e.value) for e in self.recorder.events
-            ),
+            tuple(map(ids.__getitem__, self.order)),
+            tuple([m.bank_key(bank) for m in self.machines.values()]),
+            bank.cells_key(),
+            self.recorder.key_node,
             self.status,
         )
 
@@ -496,10 +532,11 @@ def enumerate_schedules(
     while stack:
         sim = stack.pop()
         if prune:
-            key = sim.state_key()
-            if key in seen:
+            # one hash of the key: a set that does not grow held it already
+            size = len(seen)
+            seen.add(sim.state_key())
+            if len(seen) == size:
                 continue
-            seen.add(key)
         visited += 1
         if visited > node_cap:
             raise BoundTooLarge(f"explored more than {node_cap} states")

@@ -17,6 +17,7 @@ when the iteration wrote none).
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -137,10 +138,12 @@ def initial_reader_state(cfg: Config, u0: bytes, ring: crypto.KeyRing, p: int) -
 class ProcessMachine:
     """One process driven by the engine, one atomic step at a time.
 
-    ``enabled`` and ``done`` depend only on the machine's own state, never
-    on the bank or another machine, so they change only when this machine
-    steps.  The engine relies on that: it re-evaluates them for the
-    stepped process alone.
+    ``enabled``, ``done`` and ``state_key`` depend only on the machine's
+    own state, never on the bank or another machine, so they change only
+    when this machine steps.  The engine relies on that: it re-evaluates
+    them for the stepped process alone, and caches each machine's key
+    until it steps.  Anything of the state that reads the bank goes in
+    ``bank_key``, which the engine evaluates on every state.
     """
 
     pid: ProcessId
@@ -163,8 +166,15 @@ class ProcessMachine:
         """Shallow: a machine keeping it rebinds, never mutates, its containers."""
         return copy.copy(self)
 
-    def state_key(self, bank: RegisterBank):
+    def state_key(self):
+        """Hashable summary of the machine's own state: two machines with
+        equal keys behave alike from here on, given equal banks."""
         raise NotImplementedError
+
+    def bank_key(self, bank: RegisterBank):
+        """The part of the machine's future behaviour that reads the bank
+        beyond its cells (never cached)."""
+        return ()
 
 
 # Writer phases
@@ -188,7 +198,10 @@ class WriterMachine(ProcessMachine):
         self.phase = W_IDLE
         self.wi = 1
         self.poll_from = 1
-        self.baseline: dict[int, int] = {}
+        # reader i's ack register and its write count when the pending
+        # write began, at position i - 1
+        self.ack_regs = tuple(ack_reg(i) for i in cfg.reader_indices())
+        self.baseline: tuple[int, ...] = ()
 
     def enabled(self):
         return self.phase != W_IDLE or self.widx < len(self.writes)
@@ -210,7 +223,7 @@ class WriterMachine(ProcessMachine):
             return WriteOp(init_reg(1), encode_value(Family.INIT, kv))
         if self.phase == W_INIT:
             return WriteOp(init_reg(self.wi), encode_value(Family.INIT, self.st.pending))
-        return ReadOp(ack_reg(self._poll_target()))
+        return ReadOp(self.ack_regs[self._poll_target() - 1])
 
     def apply(self, bank, op, result, recorder):
         if self.phase == W_IDLE:
@@ -220,9 +233,7 @@ class WriterMachine(ProcessMachine):
             self.st.c += 1
             self.st.pending = decode_value(Family.INIT, op.value)
             self.st.acked = set()
-            self.baseline = {
-                i: bank.write_count(ack_reg(i)) for i in self.cfg.reader_indices()
-            }
+            self.baseline = tuple(map(bank.write_counts.__getitem__, self.ack_regs))
             recorder.invoke(self.pid, "write", self.st.pending)
             self.widx += 1
             self.wi = 2
@@ -246,7 +257,7 @@ class WriterMachine(ProcessMachine):
             value = None
         if (
             value == self.st.pending
-            and bank.write_count(ack_reg(i)) > self.baseline[i]
+            and bank.write_counts[self.ack_regs[i - 1]] > self.baseline[i - 1]
         ):
             self.st.acked.add(i)
         self._maybe_finish(recorder)
@@ -257,16 +268,7 @@ class WriterMachine(ProcessMachine):
             self.st.pending = None
             self.phase = W_IDLE
 
-    def state_key(self, bank):
-        # absolute ack write counts are behaviorally irrelevant; only the
-        # per-reader freshness deltas relative to the baseline matter
-        if self.phase == W_POLL:
-            fresh = tuple(
-                bank.write_count(ack_reg(i)) > self.baseline[i]
-                for i in self.cfg.reader_indices()
-            )
-        else:
-            fresh = ()
+    def state_key(self):
         return (
             "w",
             self.phase,
@@ -274,10 +276,18 @@ class WriterMachine(ProcessMachine):
             self.st.c,
             self.st.pending,
             frozenset(self.st.acked),
-            fresh,
             self.wi,
             self.poll_from,
         )
+
+    def bank_key(self, bank):
+        # absolute ack write counts are behaviorally irrelevant; only the
+        # per-reader freshness relative to the baseline matters, and only
+        # while polling
+        if self.phase != W_POLL:
+            return ()
+        counts = map(bank.write_counts.__getitem__, self.ack_regs)
+        return tuple(map(operator.gt, counts, self.baseline))
 
     def clone(self):
         twin = WriterMachine.__new__(type(self))
@@ -285,7 +295,6 @@ class WriterMachine(ProcessMachine):
         twin.st = WriterState(
             c=self.st.c, pending=self.st.pending, acked=set(self.st.acked)
         )
-        twin.baseline = dict(self.baseline)
         return twin
 
 
@@ -737,7 +746,7 @@ class ReaderMachine(ProcessMachine):
         R_ACK2: _apply_ack2,
     }
 
-    def state_key(self, bank):
+    def state_key(self):
         st = self.st
         idxs = self.cfg.reader_indices()
         return (

@@ -454,7 +454,8 @@ class RegisterBank:
 
         Write counts are deliberately excluded: rewrites of identical
         bytes change no future behavior (the writer's freshness check is
-        relative to its own baseline and enters the key as a flag).
+        relative to its own baseline and enters the key as a flag, through
+        ``WriterMachine.bank_key``).
         """
         return tuple(self._cells)
 

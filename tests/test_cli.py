@@ -147,12 +147,49 @@ class TestCampaigns:
             {"readers": {"4": {"strategy": "fake_witness_stamp", "offset": "abc"}}},
             {"readers": {"x": {"strategy": "silent"}}},
             {"workload": {"writes": [1]}},
+            {"writer": {"strategy": "partial_quorum", "targets": []}},
+            {"writer": {"strategy": "partial_quorum", "targets": [[1, 9]]}},
+            {"writer": {"strategy": "partial_quorum", "targets": [[0, 1]]}},
+            {"writer": {"strategy": "split_value", "assignment": {"9": "a"}}},
+            {"writer": {"strategy": "split_value", "assignment": {"0": "a"}}},
+            {"writer": {"strategy": "multi_value_burst", "values": []}},
+            {"seeds": ["a"]},
+            {"step_limit": "x"},
+            {"u0": 5},
+            {"schedule": {"kind": "scripted"}},
+            {"schedule": {"kind": "scripted", "steps": ["w"], "then": "round-robin"}},
+            {"expected": {"status": "complete"}},
+            {"expected": {"violations": ["total_ordr"]}},
         ],
-        ids=["assignment_missing", "offset_not_int", "reader_key_not_int", "write_not_str"],
+        ids=[
+            "assignment_missing",
+            "offset_not_int",
+            "reader_key_not_int",
+            "write_not_str",
+            "targets_empty",
+            "targets_reader_9",
+            "targets_reader_0",
+            "assignment_reader_9",
+            "assignment_reader_0",
+            "values_empty",
+            "seed_not_int",
+            "step_limit_not_int",
+            "u0_not_str",
+            "scripted_schedule_without_steps",
+            "scripted_fallback_unknown",
+            "expected_status_unknown",
+            "expected_violation_unknown",
+        ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):
         obj = {**BASE, "config": {"n": 4, "t": 1, "writer_byzantine": True}, **blocks}
         path = write_scenario(tmp_path, obj)
+        with pytest.raises(ConfigError):
+            load_scenario(path)
+        assert main([str(path)]) == EXIT_CONFIG
+
+    def test_top_level_array_exit_two(self, tmp_path):
+        path = write_scenario(tmp_path, [BASE])
         with pytest.raises(ConfigError):
             load_scenario(path)
         assert main([str(path)]) == EXIT_CONFIG

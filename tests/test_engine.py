@@ -207,28 +207,28 @@ class TestEnumeration:
         with pytest.raises(BoundTooLarge):
             list(enumerate_schedules(cfg, wl, depth_bound=300, node_cap=100))
 
+    @staticmethod
+    def outcome(h):
+        from byzreg import checker
+
+        report = checker.run_all_checks(h)
+        return (
+            tuple((str(e.process), e.kind, e.op, e.value) for e in h.hli_events),
+            tuple(sorted(report.violations())),
+            tuple(str(s.value) for s in report.stabilizations),
+        )
+
     def test_pruned_matches_unpruned_on_micro_case(self):
         # cross-validation of the pruner: identical high-level outcomes and
         # checker violation sets with and without convergent-prefix pruning
         # (raw traces may differ by redundant converged poll loops)
-        from byzreg import checker
-
         cfg = Config(1, 0)
         wl = Workload.make(writes=[b"a"])
-
-        def outcome(h):
-            report = checker.run_all_checks(h)
-            return (
-                tuple((str(e.process), e.kind, e.op, e.value) for e in h.hli_events),
-                tuple(sorted(report.violations())),
-                tuple(str(s.value) for s in report.stabilizations),
-            )
-
         pruned = {
-            outcome(h) for h in enumerate_schedules(cfg, wl, depth_bound=16)
+            self.outcome(h) for h in enumerate_schedules(cfg, wl, depth_bound=16)
         }
         unpruned = {
-            outcome(h)
+            self.outcome(h)
             for h in enumerate_schedules(
                 cfg, wl, depth_bound=16, prune=False, node_cap=500_000
             )
@@ -242,6 +242,111 @@ class TestEnumeration:
         d1 = [h.digest() for h in enumerate_schedules(cfg, wl, depth_bound=150)]
         d2 = [h.digest() for h in enumerate_schedules(cfg, wl, depth_bound=150)]
         assert d1 == d2
+
+    def test_pruned_matches_unpruned_with_acks_while_polling(self):
+        # the reader acks while the write waits in W_POLL, so states differ
+        # in the writer's ack freshness, which only bank_key sees
+        cfg = Config(1, 0)
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        pruned = list(enumerate_schedules(cfg, wl, depth_bound=15))
+        unpruned = list(
+            enumerate_schedules(cfg, wl, depth_bound=15, prune=False, node_cap=500_000)
+        )
+        assert {self.outcome(h) for h in pruned} == {self.outcome(h) for h in unpruned}
+
+        def acks_while_polling(h):
+            write = next(op for op in h.ops if op.process == WRITER)
+            return any(
+                ev.op == "write"
+                and ev.reg == ack_reg(1)
+                and write.invoke_step < ev.step < write.response_step
+                for ev in h.trace
+            )
+
+        assert any(acks_while_polling(h) for h in pruned)
+
+    def test_two_enumerations_share_no_intern_table(self, monkeypatch):
+        tables = []
+        state_key = Simulation.state_key
+
+        def recording(sim):
+            if not any(sim._intern is t for t in tables[-1]):
+                tables[-1].append(sim._intern)
+            return state_key(sim)
+
+        monkeypatch.setattr(Simulation, "state_key", recording)
+        cfg = Config(1, 0)
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        for _ in range(2):
+            tables.append([])
+            assert list(enumerate_schedules(cfg, wl, depth_bound=40))
+        # one table per enumeration, shared by all its clones
+        (first,), (second,) = tables
+        assert first is not second and first and second
+
+
+def reference_key(sim):
+    """Simulation.state_key's equality relation, recomputed in full with
+    no cache, interning or running event key."""
+    return (
+        tuple(sim.machines[pid].state_key() for pid in sim.order),
+        tuple(sim.machines[pid].bank_key(sim.bank) for pid in sim.order),
+        sim.bank.cells_key(),
+        tuple((e.process, e.kind, e.op, e.value) for e in sim.recorder.events),
+        sim.status,
+    )
+
+
+class TestIncrementalStateKey:
+    """The enumerator's state key is cached per machine, interned and
+    built incrementally; it must relate states exactly as a key rebuilt
+    in full does.  At n=4 no history completes within a depth small
+    enough to enumerate unpruned, so these compare the states reachable
+    within the depth: breadth first with pruning on the simulation's key,
+    and without pruning, over clones stepped apart."""
+
+    @staticmethod
+    def reachable(sim, depth, prune):
+        found = {reference_key(sim)}
+        refs = {sim.state_key(): reference_key(sim)}
+        frontier = [sim]
+        for _ in range(depth):
+            later = []
+            for parent in frontier:
+                for pid in parent.enabled_pids():
+                    child = parent.clone()
+                    child.step_process(pid)
+                    ref = reference_key(child)
+                    if prune:
+                        key = child.state_key()
+                        if key in refs:
+                            assert refs[key] == ref  # no false merge
+                            continue
+                        refs[key] = ref
+                    found.add(ref)
+                    later.append(child)
+            frontier = later
+        if prune:
+            assert len(found) == len(refs)  # no false split
+        return found
+
+    @pytest.mark.parametrize(
+        "reader", [Silent(), FakeWitnessStamp(offset=10)], ids=["silent", "fake_witness_stamp"]
+    )
+    def test_pruned_matches_unpruned_n4t1(self, reader):
+        cfg = CFG41
+        strategies = StrategyAssignment(readers={4: reader})
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        ring = make_keyring(cfg, "keyed", 0)
+
+        def root():
+            machines = build_machines(cfg, strategies, wl, ring, b"init")
+            return Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+
+        pruned = self.reachable(root(), 6, prune=True)
+        assert pruned == self.reachable(root(), 6, prune=False)
+        # the writer reached W_POLL, so bank_key took part
+        assert any(ref[1][0] for ref in pruned)
 
 
 class TestSchedulerContract:
@@ -300,14 +405,25 @@ class TestSchedulerContract:
                 break
             if step % 97 == 0:
                 before = sim.state_key()
+                origin = dict(sim.machines)
+                keys = {pid: m.state_key() for pid, m in origin.items()}
                 twin = sim.clone()
+                stepped = set()
                 for _ in range(40):
                     if twin.enabled_pids():
-                        twin.step_process(rng.choice(twin.enabled_pids()))
+                        pid = rng.choice(twin.enabled_pids())
+                        twin.step_process(pid)
+                        stepped.add(pid)
                 self.assert_views_match_rescan(twin)
                 self.assert_views_match_rescan(sim)
-                # machines clone shallowly: stepping the twin must leave
-                # every container its origin holds untouched
+                # clones are copy-on-write and machines clone shallowly:
+                # the twin still shares every machine it did not step, and
+                # stepping it left every machine and container its origin
+                # holds untouched
+                for pid, m in origin.items():
+                    assert sim.machines[pid] is m
+                    assert (twin.machines[pid] is m) == (pid not in stepped)
+                    assert m.state_key() == keys[pid]
                 assert sim.state_key() == before
             sim.step_process(rng.choice(enabled))
         return sim
