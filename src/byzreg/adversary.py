@@ -234,11 +234,11 @@ class CollaborateReader(HookedReader):
     def _after_collect(self):
         if self._candidate is not None:
             return
-        for src in sorted(self.st.t_witness):
+        for src in sorted(self.t_witness):
             if src == self.index:
                 continue
-            e = self.st.t_witness[src]
-            if e.s > 0 and e.value != self.st.last_init:
+            e = self.t_witness[src]
+            if e.s > 0 and e.value != self.last_init:
                 self._candidate = e.value
                 return
 
@@ -586,6 +586,10 @@ class Equivocate(ReaderStrategy):
     @classmethod
     def parse(cls, block):
         return cls.make({int(k): v.encode() for k, v in block.get("values", {}).items()})
+
+    def check(self, cfg):
+        if self.values:
+            _check_readers(self.name, [i for i, _ in self.values], cfg)
 
 
 @dataclass(frozen=True)

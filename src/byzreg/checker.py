@@ -35,7 +35,6 @@ from .core import (
     EqualStampsDifferentValue,
     FullTimestamp,
     InformSet,
-    InvalidInformSet,
     OrderVerdict,
     PartialTimestamp,
     ProcessId,
@@ -137,26 +136,6 @@ def _scan_finals(
     initial_ws = ws_of(initial, cfg)
     initial_value = TaggedValue(0, u0)
 
-    # validation is a pure function of the cell bytes given one ring and
-    # config, so the memo lives on the ring and survives across runs
-    validated = ring._final_validation_cache
-
-    def validate(data: bytes):
-        key = (data, cfg)
-        if key in validated:
-            return validated[key]
-        out = None
-        try:
-            iset = decode_value(Family.FINAL, data)
-            core = ws_of(iset, cfg)
-            if all(crypto.verify_witness_set(ring, m) for m in iset.members):
-                value = next(iter(core)).value
-                out = (value, core, iset)
-        except (DecodeError, InvalidInformSet):
-            out = None
-        validated[key] = out
-        return out
-
     initial_event = StabilizationEvent(
         value=initial_value,
         inform_set=initial,
@@ -174,7 +153,6 @@ def _scan_finals(
             cells[reg] = key0
 
     events: list[StabilizationEvent] = [initial_event]
-    seen = {key0}
     by_owner: dict[int, list[tuple[int, StabilizationEvent]]] = {
         q: [(-1, initial_event)] for q in cfg.reader_indices()
     }
@@ -183,7 +161,7 @@ def _scan_finals(
     for ev in trace:
         if ev.op != "write" or registers.FAMILY[ev.reg] is not Family.FINAL:
             continue
-        out = validate(ev.value)
+        out = registers.validated_final(ring, cfg, ev.value)
         owner = registers.WRITER_END[ev.reg].index
         if out is None:
             cells[ev.reg] = None
@@ -202,7 +180,6 @@ def _scan_finals(
                 row_owner=owner,
             )
             events.append(stab)
-            seen.add(key)
             events_by_key[key] = stab
         if stab is not None:
             log = by_owner[owner]
@@ -447,13 +424,12 @@ def build_full_timestamps(
 
 def check_timestamp_isomorphism(chain: list[FullTimestamp]) -> Verdict:
     """The full-vector chain must be strictly increasing and mirror the
-    stabilization order exactly."""
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            if vec_compare(chain[i], chain[j]) is not OrderVerdict.BEFORE:
-                return Verdict(
-                    "violation", f"chain positions {i},{j} not ordered: {chain[i]} vs {chain[j]}"
-                )
+    stabilization order exactly.  Componentwise order is transitive, so
+    checking each adjacent link orders every pair."""
+    for i in range(len(chain) - 1):
+        a, b = chain[i], chain[i + 1]
+        if vec_compare(a, b) is not OrderVerdict.BEFORE:
+            return Verdict("violation", f"chain positions {i},{i + 1} not ordered: {a} vs {b}")
     return Verdict("pass", f"chain of {len(chain)} strictly increasing vectors")
 
 

@@ -141,6 +141,8 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"unknown signature scheme {scenario.scheme!r}")
         if scenario.step_limit <= 0:
             raise ConfigError(f"step_limit must be positive, got {scenario.step_limit}")
+        if not scenario.seeds:
+            raise ConfigError("the seed list is empty")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad scenario field: {type(exc).__name__}: {exc}") from exc
     return scenario
@@ -201,9 +203,15 @@ def _system(raw: dict):
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad workload block: {exc}") from exc
-    for i in workload.reads:
-        if i[0] in byz:
-            warnings.append(f"reads assigned to Byzantine reader {i[0]} are dropped")
+    if workload.read_gap < 0:
+        raise ConfigError(f"read_gap must be at least 0, got {workload.read_gap}")
+    for i, count in workload.reads:
+        if not 1 <= i <= cfg.n:
+            raise ConfigError(f"reads for reader {i} outside 1..{cfg.n}")
+        if count < 0:
+            raise ConfigError(f"read count of reader {i} must be at least 0, got {count}")
+        if i in byz:
+            warnings.append(f"reads assigned to Byzantine reader {i} are dropped")
     return cfg, strategies, workload, warnings
 
 
@@ -354,6 +362,8 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.seeds is not None:
+            if args.seeds <= 0:
+                raise ConfigError(f"--seeds must be positive, got {args.seeds}")
             scenario.seeds = list(range(args.seeds))
         if args.step_limit is not None:
             if args.step_limit <= 0:

@@ -105,17 +105,16 @@ class KeyRing:
     _private: dict[ProcessId, object] = field(repr=False)
     _public: dict[ProcessId, object] = field(repr=False)
     # memos of pure functions of these keys, so they live as long as the
-    # ring: the initial inform set per (cfg, u0), the checker's validation
-    # of final-register bytes per (bytes, cfg), and the verdict of
-    # verify_witness_set per witness set
+    # ring: the initial inform set per (cfg, u0), the validation of
+    # final-register bytes per (bytes, cfg), the witness set sign_entries
+    # makes per (signer, entries), and the verdict of verify_witness_set
+    # per witness set
     initial_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _final_validation_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    signed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def has(self, pid: ProcessId) -> bool:
-        return pid in self._private
 
 
 RING_CACHE_SIZE = 32
@@ -160,10 +159,17 @@ def verify(ring: KeyRing, pid: ProcessId, payload: bytes, signature: bytes) -> b
 
 
 def sign_entries(ring: KeyRing, signer: int, entries: Iterable[WitnessEntry]) -> WitnessSet:
-    """Sign an entry set under a reader's identity, producing its witness set."""
-    frozen = frozenset(entries)
-    sig = sign(ring, ProcessId.reader(signer), canonical_entries_payload(frozen))
-    return WitnessSet(entries=frozen, signer=signer, signature=sig)
+    """Sign an entry set under a reader's identity, producing its witness set.
+
+    Signatures are deterministic, so the set is memoized on the ring per
+    (signer, entries).
+    """
+    key = (signer, frozenset(entries))
+    wset = ring.signed.get(key)
+    if wset is None:
+        sig = sign(ring, ProcessId.reader(signer), canonical_entries_payload(key[1]))
+        wset = ring.signed[key] = WitnessSet(entries=key[1], signer=signer, signature=sig)
+    return wset
 
 
 def verify_witness_set(ring: KeyRing, wset: WitnessSet) -> bool:

@@ -9,6 +9,7 @@ bound, pruning convergent states.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -351,7 +352,7 @@ class Simulation:
         if pid in self._owned:
             machine = self.machines[pid]
         else:
-            machine = self.machines[pid] = self.machines[pid].clone()
+            machine = self.machines[pid] = copy.copy(self.machines[pid])
             self._owned.add(pid)
         self._ids.pop(pid, None)
         self.bank.current_step = self.steps

@@ -16,9 +16,7 @@ when the iteration wrote none).
 
 from __future__ import annotations
 
-import copy
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,7 +24,6 @@ from . import crypto
 from .core import (
     Config,
     InformSet,
-    InvalidInformSet,
     OrderVerdict,
     ProcessId,
     TaggedValue,
@@ -49,6 +46,9 @@ from .registers import (
     final_reg,
     init_reg,
     inform_reg,
+    initial_entry,
+    initial_inform_set,
+    validated_final,
     witness_reg,
 )
 
@@ -92,49 +92,6 @@ def find_latest(sets: Sequence[InformSet], cfg: Config) -> InformSet:
     return survivor
 
 
-@dataclass
-class WriterState:
-    """Counter, pending value and ack progress of the writer."""
-
-    c: int = 0
-    pending: TaggedValue | None = None
-    acked: set[int] = field(default_factory=set)
-
-    @property
-    def d(self) -> int:
-        return len(self.acked)
-
-
-@dataclass
-class ReaderState:
-    """Algorithm-local variables of one reader."""
-
-    s: int
-    last_init: TaggedValue
-    t_witness: dict[int, WitnessEntry]
-    t_inform: dict[int, WitnessSet | None]
-    witness_set: WitnessSet
-    inform_set: InformSet
-    last_ack: TaggedValue
-    suspected: set[int] = field(default_factory=set)
-
-
-def initial_reader_state(cfg: Config, u0: bytes, ring: crypto.KeyRing, p: int) -> ReaderState:
-    from .registers import initial_entry, initial_inform_set
-
-    inform_set = initial_inform_set(cfg, u0, ring)
-    signed = {m.signer: m for m in inform_set.members}
-    return ReaderState(
-        s=0,
-        last_init=TaggedValue(0, u0),
-        t_witness={i: initial_entry(cfg, u0, i) for i in cfg.reader_indices()},
-        t_inform={i: signed[i] for i in cfg.reader_indices()},
-        witness_set=signed[p],
-        inform_set=inform_set,
-        last_ack=TaggedValue(0, u0),
-    )
-
-
 class ProcessMachine:
     """One process driven by the engine, one atomic step at a time.
 
@@ -144,6 +101,12 @@ class ProcessMachine:
     them for the stepped process alone, and caches each machine's key
     until it steps.  Anything of the state that reads the bank goes in
     ``bank_key``, which the engine evaluates on every state.
+
+    A machine's state is its attributes, and each of them holds a value:
+    a container in it is replaced when it changes, never changed in
+    place.  So ``copy.copy`` clones any machine, and a clone stepped
+    apart leaves its origin as it was.  Memos of pure functions of the
+    keys live on the key ring, not on a machine.
     """
 
     pid: ProcessId
@@ -161,10 +124,6 @@ class ProcessMachine:
 
     def apply(self, bank: RegisterBank, op, result, recorder) -> None:
         raise NotImplementedError
-
-    def clone(self) -> "ProcessMachine":
-        """Shallow: a machine keeping it rebinds, never mutates, its containers."""
-        return copy.copy(self)
 
     def state_key(self):
         """Hashable summary of the machine's own state: two machines with
@@ -194,7 +153,10 @@ class WriterMachine(ProcessMachine):
         self.pid = WRITER
         self.writes = [bytes(w) for w in writes]
         self.widx = 0
-        self.st = WriterState()
+        # the counter, the pending value and the readers that acked it
+        self.c = 0
+        self.pending: TaggedValue | None = None
+        self.acked: frozenset[int] = frozenset()
         self.phase = W_IDLE
         self.wi = 1
         self.poll_from = 1
@@ -213,16 +175,16 @@ class WriterMachine(ProcessMachine):
         n = self.cfg.n
         for off in range(n):
             i = (self.poll_from - 1 + off) % n + 1
-            if i not in self.st.acked:
+            if i not in self.acked:
                 return i
         return self.poll_from  # all acked; unreachable while polling
 
     def next_op(self, bank):
         if self.phase == W_IDLE:
-            kv = TaggedValue(self.st.c + 1, self.writes[self.widx])
+            kv = TaggedValue(self.c + 1, self.writes[self.widx])
             return WriteOp(init_reg(1), encode_value(Family.INIT, kv))
         if self.phase == W_INIT:
-            return WriteOp(init_reg(self.wi), encode_value(Family.INIT, self.st.pending))
+            return WriteOp(init_reg(self.wi), encode_value(Family.INIT, self.pending))
         return ReadOp(self.ack_regs[self._poll_target() - 1])
 
     def apply(self, bank, op, result, recorder):
@@ -230,11 +192,11 @@ class WriterMachine(ProcessMachine):
             # the first init write of a fresh high-level write happened
             # during this step; pending is what the codec gives readers
             # for those bytes, so the ack test below meets it by identity
-            self.st.c += 1
-            self.st.pending = decode_value(Family.INIT, op.value)
-            self.st.acked = set()
+            self.c += 1
+            self.pending = decode_value(Family.INIT, op.value)
+            self.acked = frozenset()
             self.baseline = tuple(map(bank.write_counts.__getitem__, self.ack_regs))
-            recorder.invoke(self.pid, "write", self.st.pending)
+            recorder.invoke(self.pid, "write", self.pending)
             self.widx += 1
             self.wi = 2
             self.phase = W_INIT if self.cfg.n >= 2 else W_POLL
@@ -256,16 +218,16 @@ class WriterMachine(ProcessMachine):
         except DecodeError:
             value = None
         if (
-            value == self.st.pending
+            value == self.pending
             and bank.write_counts[self.ack_regs[i - 1]] > self.baseline[i - 1]
         ):
-            self.st.acked.add(i)
+            self.acked |= {i}
         self._maybe_finish(recorder)
 
     def _maybe_finish(self, recorder):
-        if self.phase == W_POLL and self.st.d >= self.cfg.quorum:
-            recorder.response(self.pid, "write", self.st.pending)
-            self.st.pending = None
+        if self.phase == W_POLL and len(self.acked) >= self.cfg.quorum:
+            recorder.response(self.pid, "write", self.pending)
+            self.pending = None
             self.phase = W_IDLE
 
     def state_key(self):
@@ -273,9 +235,9 @@ class WriterMachine(ProcessMachine):
             "w",
             self.phase,
             self.widx,
-            self.st.c,
-            self.st.pending,
-            frozenset(self.st.acked),
+            self.c,
+            self.pending,
+            self.acked,
             self.wi,
             self.poll_from,
         )
@@ -288,14 +250,6 @@ class WriterMachine(ProcessMachine):
             return ()
         counts = map(bank.write_counts.__getitem__, self.ack_regs)
         return tuple(map(operator.gt, counts, self.baseline))
-
-    def clone(self):
-        twin = WriterMachine.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin.st = WriterState(
-            c=self.st.c, pending=self.st.pending, acked=set(self.st.acked)
-        )
-        return twin
 
 
 # Reader phases, in helper-iteration order
@@ -470,21 +424,31 @@ class ReaderMachine(ProcessMachine):
         self.ring = ring
         self.index = index
         self.pid = ProcessId.reader(index)
-        self.st = initial_reader_state(cfg, u0, ring, index)
+        # the algorithm's local variables, starting from the bank's
+        # initial contents
+        inform_set = initial_inform_set(cfg, u0, ring)
+        signed = {m.signer: m for m in inform_set.members}
+        self.s = 0
+        self.last_init = TaggedValue(0, u0)
+        self.t_witness = {i: initial_entry(cfg, u0, i) for i in cfg.reader_indices()}
+        self.t_inform: dict[int, WitnessSet | None] = {
+            i: signed[i] for i in cfg.reader_indices()
+        }
+        self.witness_set = signed[index]
+        self.inform_set = inform_set
+        self.last_ack = TaggedValue(0, u0)
+        self.suspected: frozenset[int] = frozenset()
         self.phase = R_INIT
         self.idx = 1  # per-phase register loop counter
         self.pending_entry: WitnessEntry | None = None
         self.form_value: TaggedValue | None = None
-        self.z_list: list[InformSet] = []
+        self.z_list: tuple[InformSet, ...] = ()
         self.adopt_target: InformSet | None = None
         # high-level read workload
         self.reads_remaining = reads
         self.read_gap = read_gap
         self.gap_left = 0
         self.read_active = False
-        # memoized validation of peer final cells, keyed on raw bytes
-        self._final_cache: dict[bytes, InformSet | None] = {}
-        self._sign_cache: dict[frozenset[WitnessEntry], WitnessSet] = {}
 
     # -- hooks for Byzantine subclasses --------------------------------
 
@@ -510,13 +474,6 @@ class ReaderMachine(ProcessMachine):
     def done(self):
         return self.reads_remaining == 0 and not self.read_active
 
-    def _sign_entries(self, entries: frozenset[WitnessEntry]) -> WitnessSet:
-        hit = self._sign_cache.get(entries)
-        if hit is None:
-            hit = crypto.sign_entries(self.ring, self.index, entries)
-            self._sign_cache[entries] = hit
-        return hit
-
     def next_op(self, bank):
         p, i = self.index, self.idx
         if self.phase == R_INIT:
@@ -528,13 +485,13 @@ class ReaderMachine(ProcessMachine):
             return ReadOp(witness_reg(i, p))
         if self.phase == R_WINF:
             return WriteOp(
-                inform_reg(p, i), encode_value(Family.INFORM, self.st.witness_set)
+                inform_reg(p, i), encode_value(Family.INFORM, self.witness_set)
             )
         if self.phase == R_RINF:
             return ReadOp(inform_reg(i, p))
         if self.phase == R_WFIN:
             return WriteOp(
-                final_reg(p, i), encode_value(Family.FINAL, self.st.inform_set)
+                final_reg(p, i), encode_value(Family.FINAL, self.inform_set)
             )
         if self.phase == R_ACK1:
             return WriteOp(ack_reg(p), encode_value(Family.ACK, self.form_value))
@@ -565,7 +522,7 @@ class ReaderMachine(ProcessMachine):
 
     def _end_iteration(self, recorder):
         if self.read_active:
-            recorder.response(self.pid, "read", self.st.last_ack)
+            recorder.response(self.pid, "read", self.last_ack)
             self.read_active = False
             self.reads_remaining -= 1
             self.gap_left = self.read_gap
@@ -576,22 +533,21 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_init(self, bank, op, result, recorder):
         self._begin_iteration(recorder)
-        st = self.st
         try:
             kv = decode_value(Family.INIT, result)
         except DecodeError:
             kv = None  # an unreadable init cell is treated as unchanged
         foreign = None
-        if kv is not None and kv != st.last_init:
-            st.s += self._stamp_bump()
-            st.last_init = kv
-            self.pending_entry = WitnessEntry(kv, st.s, self.index)
+        if kv is not None and kv != self.last_init:
+            self.s += self._stamp_bump()
+            self.last_init = kv
+            self.pending_entry = WitnessEntry(kv, self.s, self.index)
         else:
             foreign = self._adopt_foreign_value()
-            if foreign is not None and foreign != st.last_init:
-                st.s += self._stamp_bump()
-                st.last_init = foreign
-                self.pending_entry = WitnessEntry(foreign, st.s, self.index)
+            if foreign is not None and foreign != self.last_init:
+                self.s += self._stamp_bump()
+                self.last_init = foreign
+                self.pending_entry = WitnessEntry(foreign, self.s, self.index)
             else:
                 self.pending_entry = None
         if self.pending_entry is not None:
@@ -608,34 +564,33 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_cwit(self, bank, op, result, recorder):
         src = self.idx
-        st = self.st
         entry = None
         try:
             entry = decode_value(Family.WITNESS, result)
         except DecodeError:
-            st.suspected.add(src)
+            self.suspected |= {src}
         if entry is not None:
             if entry.p != src:
-                st.suspected.add(src)
+                self.suspected |= {src}
             else:
-                stored = st.t_witness[src]
+                stored = self.t_witness[src]
                 if entry.s > stored.s:
-                    st.t_witness[src] = entry
+                    self.t_witness = {**self.t_witness, src: entry}
                 elif entry.s < stored.s or (
                     entry.s == stored.s and entry.value != stored.value
                 ):
-                    st.suspected.add(src)
+                    self.suspected |= {src}
         self.idx += 1
         if self.idx > self.cfg.n:
             self._after_collect()
-            group = latest_quorum_group(st.t_witness, self.cfg)
+            group = latest_quorum_group(self.t_witness, self.cfg)
             if group is not None:
                 _, entries = group
-                st.witness_set = self._sign_entries(frozenset(entries))
+                self.witness_set = crypto.sign_entries(self.ring, self.index, entries)
                 self.phase = R_WINF
             else:
                 self.phase = R_RFIN
-                self.z_list = []
+                self.z_list = ()
             self.idx = 1
 
     def _apply_winf(self, bank, op, result, recorder):
@@ -655,23 +610,20 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_rinf(self, bank, op, result, recorder):
         src = self.idx
-        st = self.st
         wset = self._validated_inform(src, result)
         if wset is None:
-            st.suspected.add(src)
-            st.t_inform[src] = None
-        else:
-            st.t_inform[src] = wset
+            self.suspected |= {src}
+        self.t_inform = {**self.t_inform, src: wset}
         self.idx += 1
         if self.idx > self.cfg.n:
-            members = [w for w in st.t_inform.values() if w is not None]
+            members = [w for w in self.t_inform.values() if w is not None]
             formed = form_inform_set(members, self.cfg)
             if formed is not None:
-                st.inform_set, self.form_value = formed
+                self.inform_set, self.form_value = formed
                 self.phase = R_WFIN
             else:
                 self.phase = R_RFIN
-                self.z_list = []
+                self.z_list = ()
             self.idx = 1
 
     def _apply_wfin(self, bank, op, result, recorder):
@@ -680,44 +632,24 @@ class ReaderMachine(ProcessMachine):
             self.phase = R_ACK1
 
     def _apply_ack1(self, bank, op, result, recorder):
-        self.st.last_ack = self.form_value
+        self.last_ack = self.form_value
         self.phase = R_RFIN
-        self.z_list = []
+        self.z_list = ()
         self.idx = 1
-
-    def _validated_final(self, data: bytes) -> InformSet | None:
-        if data in self._final_cache:
-            return self._final_cache[data]
-        iset = None
-        try:
-            iset = decode_value(Family.FINAL, data)
-        except DecodeError:
-            iset = None
-        if iset is not None:
-            try:
-                ws_of(iset, self.cfg)
-            except InvalidInformSet:
-                iset = None
-        if iset is not None and not all(
-            crypto.verify_witness_set(self.ring, m) for m in iset.members
-        ):
-            iset = None
-        self._final_cache[data] = iset
-        return iset
 
     def _apply_rfin(self, bank, op, result, recorder):
         src = self.idx
-        iset = self._validated_final(result)
-        if iset is None:
-            self.st.suspected.add(src)
+        valid = validated_final(self.ring, self.cfg, result)
+        if valid is None:
+            self.suspected |= {src}
         else:
-            self.z_list.append(iset)
+            self.z_list = self.z_list + (valid[2],)
         self.idx += 1
         if self.idx > self.cfg.n:
-            latest = find_latest(self.z_list + [self.st.inform_set], self.cfg)
-            if latest != self.st.inform_set:
+            latest = find_latest(self.z_list + (self.inform_set,), self.cfg)
+            if latest != self.inform_set:
                 self.adopt_target = latest
-                self.st.inform_set = latest
+                self.inform_set = latest
                 self.phase = R_WFIN2
                 self.idx = 1
             else:
@@ -729,7 +661,7 @@ class ReaderMachine(ProcessMachine):
             self.phase = R_ACK2
 
     def _apply_ack2(self, bank, op, result, recorder):
-        self.st.last_ack = common_value(cached_ws_of(self.adopt_target, self.cfg))
+        self.last_ack = common_value(cached_ws_of(self.adopt_target, self.cfg))
         self.adopt_target = None
         self._end_iteration(recorder)
 
@@ -747,46 +679,26 @@ class ReaderMachine(ProcessMachine):
     }
 
     def state_key(self):
-        st = self.st
         idxs = self.cfg.reader_indices()
         return (
             "r",
             self.index,
             self.phase,
             self.idx,
-            st.s,
-            st.last_init,
-            tuple(st.t_witness[i] for i in idxs),
-            tuple(st.t_inform[i] for i in idxs),
-            st.witness_set,
-            st.inform_set,
-            st.last_ack,
-            frozenset(st.suspected),
+            self.s,
+            self.last_init,
+            tuple(self.t_witness[i] for i in idxs),
+            tuple(self.t_inform[i] for i in idxs),
+            self.witness_set,
+            self.inform_set,
+            self.last_ack,
+            self.suspected,
             self.pending_entry,
             self.form_value,
-            tuple(self.z_list),
+            self.z_list,
             self.adopt_target,
             self.reads_remaining,
             self.gap_left,
             self.read_active,
         )
 
-    def clone(self):
-        twin = ReaderMachine.__new__(type(self))
-        d = twin.__dict__
-        d.update(self.__dict__)
-        st = self.st
-        d["st"] = ReaderState(
-            s=st.s,
-            last_init=st.last_init,
-            t_witness=dict(st.t_witness),
-            t_inform=dict(st.t_inform),
-            witness_set=st.witness_set,
-            inform_set=st.inform_set,
-            last_ack=st.last_ack,
-            suspected=set(st.suspected),
-        )
-        d["z_list"] = list(self.z_list)
-        # the final-cell and signing caches are pure maps over immutable
-        # values; share them
-        return twin

@@ -24,11 +24,13 @@ from . import crypto
 from .core import (
     Config,
     InformSet,
+    InvalidInformSet,
     ProcessId,
     TaggedValue,
     WitnessEntry,
     WitnessSet,
     WRITER,
+    ws_of,
 )
 
 
@@ -371,6 +373,32 @@ def initial_inform_set(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> InformSe
         )
         ring.initial_sets[key] = iset
     return iset
+
+
+def validated_final(
+    ring: crypto.KeyRing, cfg: Config, data: bytes
+) -> tuple[TaggedValue, frozenset[WitnessEntry], InformSet] | None:
+    """The (value, witness core, inform set) that final-register bytes
+    carry, or None unless they decode to an inform set that passes
+    ``ws_of`` and every member's signature verifies.
+
+    A pure function of the ring's keys, the config and the bytes, so it
+    is memoized on the ring, where readers and the checker share it.
+    """
+    key = (data, cfg)
+    validated = ring._final_validation_cache
+    if key in validated:
+        return validated[key]
+    out = None
+    try:
+        iset = decode_value(Family.FINAL, data)
+        core = ws_of(iset, cfg)
+        if all(crypto.verify_witness_set(ring, m) for m in iset.members):
+            out = (next(iter(core)).value, core, iset)
+    except (DecodeError, InvalidInformSet):
+        pass
+    validated[key] = out
+    return out
 
 
 class RegisterBank:

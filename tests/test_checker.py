@@ -23,6 +23,7 @@ from byzreg.checker import (
     build_full_timestamps,
     check_genuine_advance,
     check_register_linearizability,
+    check_timestamp_isomorphism,
     check_total_order,
     check_total_ordering_reads,
     check_view_consistency,
@@ -33,6 +34,7 @@ from byzreg.checker import (
 )
 from byzreg.core import (
     Config,
+    FullTimestamp,
     InformSet,
     PartialTimestamp,
     ProcessId,
@@ -219,6 +221,30 @@ class TestFullTimestamps:
         ]
         with pytest.raises(InvariantBroken):
             build_full_timestamps(stabs, CFG)
+
+
+class TestTimestampIsomorphism:
+    def test_increasing_chain_passes(self):
+        chain = [FullTimestamp(v) for v in [(0, 0, 0), (1, 1, 0), (1, 2, 2), (3, 2, 2)]]
+        verdict = check_timestamp_isomorphism(chain)
+        assert verdict.passed
+        assert verdict.detail == "chain of 4 strictly increasing vectors"
+
+    @pytest.mark.parametrize(
+        "third", [(1, 2, 2), (2, 0, 5), (0, 0, 0)], ids=["equal", "concurrent", "decreasing"]
+    )
+    def test_broken_link_names_its_positions(self, third):
+        # positions 0,2 are ordered in the concurrent case; only the
+        # adjacent link 1,2 is broken, and the verdict names it
+        vecs = [(0, 0, 0), (1, 2, 2), third, (9, 9, 9)]
+        chain = [FullTimestamp(v) for v in vecs]
+        verdict = check_timestamp_isomorphism(chain)
+        assert verdict.status == "violation"
+        assert verdict.detail == f"chain positions 1,2 not ordered: {chain[1]} vs {chain[2]}"
+
+    def test_short_chains_pass(self):
+        assert check_timestamp_isomorphism([]).passed
+        assert check_timestamp_isomorphism([FullTimestamp((1, 1))]).passed
 
 
 def genuine_advance(stabs, byz_readers, cfg):

@@ -160,6 +160,13 @@ class TestCampaigns:
             {"schedule": {"kind": "scripted", "steps": ["w"], "then": "round-robin"}},
             {"expected": {"status": "complete"}},
             {"expected": {"violations": ["total_ordr"]}},
+            {"workload": {"writes": ["a"], "reads": {"1": -1}}},
+            {"workload": {"writes": ["a"], "read_gap": -3}},
+            {"workload": {"writes": ["a"], "reads": {"9": 2}}},
+            {"workload": {"writes": ["a"], "reads": {"0": 1}}},
+            {"seeds": []},
+            {"seeds": {"count": 0}},
+            {"readers": {"4": {"strategy": "equivocate", "values": {"9": "zz"}}}},
         ],
         ids=[
             "assignment_missing",
@@ -179,6 +186,13 @@ class TestCampaigns:
             "scripted_fallback_unknown",
             "expected_status_unknown",
             "expected_violation_unknown",
+            "reads_negative",
+            "read_gap_negative",
+            "reads_reader_9",
+            "reads_reader_0",
+            "seeds_empty",
+            "seeds_count_zero",
+            "equivocate_peer_9",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):
@@ -197,6 +211,17 @@ class TestCampaigns:
     def test_seed_override(self, tmp_path):
         path = write_scenario(tmp_path, BASE)
         assert main([str(path), "--seeds", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_seed_override_without_seeds_exit_two(self, tmp_path, count):
+        path = write_scenario(tmp_path, BASE)
+        assert main([str(path), "--seeds", count]) == EXIT_CONFIG
+
+    def test_equivocate_without_values_loads(self, tmp_path):
+        obj = {**BASE, "config": {"n": 4, "t": 1},
+               "readers": {"4": {"strategy": "equivocate"}}}
+        s = load_scenario(write_scenario(tmp_path, obj))
+        assert s.strategies.reader_strategy(4).values == ()
 
     def test_fail_fast_stops_at_first_mismatch(self, tmp_path):
         obj = dict(BASE)

@@ -121,6 +121,25 @@ def test_verified_set_does_not_vouch_for_altered_copies(ring):
     assert verify_witness_set(ring, genuine)
 
 
+def test_signing_is_memoized_per_signer_and_entries(ring, monkeypatch):
+    calls = []
+    scheme_sign = type(ring._scheme).sign
+
+    def counted(self, private, payload):
+        calls.append(payload)
+        return scheme_sign(self, private, payload)
+
+    monkeypatch.setattr(type(ring._scheme), "sign", counted)
+    monkeypatch.setattr(ring, "signed", {})  # rings are cached across tests
+    entries = [WitnessEntry(TaggedValue(5, b"memo-sign"), 1, p) for p in (1, 2, 3)]
+    first = sign_entries(ring, 2, entries)
+    assert sign_entries(ring, 2, reversed(entries)) is first
+    assert len(calls) == 1
+    other = sign_entries(ring, 3, entries)
+    assert other.signer == 3 and len(calls) == 2
+    assert verify_witness_set(ring, first) and verify_witness_set(ring, other)
+
+
 def test_rerun_on_one_key_seed_verifies_nothing_again(monkeypatch):
     calls = []
     scheme_verify = crypto.KeyedDigestScheme.verify

@@ -3,9 +3,10 @@ enumeration and its pruner."""
 
 from __future__ import annotations
 
-import pytest
-
+import copy
 import random
+
+import pytest
 
 from byzreg.adversary import (
     CollaborateStabilize,
@@ -386,6 +387,15 @@ class TestSchedulerContract:
     }
 
     @staticmethod
+    def snapshot(machine):
+        """The machine's attributes, with a shallow copy of every list,
+        dict and set, so an in-place change to one shows against it."""
+        return {
+            k: copy.copy(v) if isinstance(v, (list, dict, set)) else v
+            for k, v in vars(machine).items()
+        }
+
+    @staticmethod
     def assert_views_match_rescan(sim):
         assert sim.enabled_pids() == [p for p in sim.order if sim.machines[p].enabled()]
         assert sim.workload_complete() == all(m.done() for m in sim.machines.values())
@@ -407,6 +417,7 @@ class TestSchedulerContract:
                 before = sim.state_key()
                 origin = dict(sim.machines)
                 keys = {pid: m.state_key() for pid, m in origin.items()}
+                snaps = {pid: self.snapshot(m) for pid, m in origin.items()}
                 twin = sim.clone()
                 stepped = set()
                 for _ in range(40):
@@ -424,6 +435,7 @@ class TestSchedulerContract:
                     assert sim.machines[pid] is m
                     assert (twin.machines[pid] is m) == (pid not in stepped)
                     assert m.state_key() == keys[pid]
+                    assert self.snapshot(m) == snaps[pid], f"{pid} at step {step}"
                 assert sim.state_key() == before
             sim.step_process(rng.choice(enabled))
         return sim

@@ -90,16 +90,16 @@ class TestWriter:
         rec = HistoryRecorder()
         w = WriterMachine(cfg, ring, [b"a", b"b", b"c"])
         drive(w, bank, rec)  # first init write of WRITE("a")
-        assert w.st.pending == TaggedValue(1, b"a")
+        assert w.pending == TaggedValue(1, b"a")
         assert decode_value(Family.INIT, bank.peek(init_reg(1))) == TaggedValue(1, b"a")
         # complete by faking fresh acks from three readers
         for i in (1, 2, 3):
             drive(w, bank, rec, steps=3)  # remaining init writes then polls
             bank.write(ack_reg(i), encode_value(Family.ACK, TaggedValue(1, b"a")), ProcessId.reader(i))
-        while w.st.pending is not None:
+        while w.pending is not None:
             drive(w, bank, rec)
         drive(w, bank, rec)  # begins WRITE("b")
-        assert w.st.pending == TaggedValue(2, b"b")
+        assert w.pending == TaggedValue(2, b"b")
 
     def test_needs_quorum_of_fresh_acks(self, world):
         cfg, ring, bank = world
@@ -110,20 +110,20 @@ class TestWriter:
         # stale cells: rewrite nothing; polling must not complete
         for _ in range(12):
             drive(w, bank, rec)
-        assert w.st.pending == kv
+        assert w.pending == kv
         # two fresh acks are not enough
         for i in (1, 2):
             bank.write(ack_reg(i), encode_value(Family.ACK, kv), ProcessId.reader(i))
         for _ in range(12):
             drive(w, bank, rec)
-        assert w.st.pending == kv and w.st.d == 2
+        assert w.pending == kv and len(w.acked) == 2
         # the third fresh ack completes the write
         bank.write(ack_reg(3), encode_value(Family.ACK, kv), ProcessId.reader(3))
         for _ in range(4):
-            if w.st.pending is None:
+            if w.pending is None:
                 break
             drive(w, bank, rec)
-        assert w.st.pending is None
+        assert w.pending is None
         events = rec.events
         assert [e.kind for e in events] == ["invoke", "response"]
 
@@ -137,8 +137,8 @@ class TestWriter:
         for _ in range(12):
             drive(w, bank, rec)
         # reader 1's cell matches but was written before this W began
-        assert 1 not in w.st.acked
-        assert w.st.pending is not None
+        assert 1 not in w.acked
+        assert w.pending is not None
 
 
 class TestReaderIteration:
@@ -158,14 +158,14 @@ class TestReaderIteration:
         kv = TaggedValue(1, b"a")
         bank.write(init_reg(2), encode_value(Family.INIT, kv), WRITER)
         run_full_iteration(r, bank, rec)
-        assert r.st.s == 1
-        assert r.st.last_init == kv
+        assert r.s == 1
+        assert r.last_init == kv
         entry = WitnessEntry(kv, 1, 2)
         for j in cfg.reader_indices():
             assert decode_value(Family.WITNESS, bank.peek(witness_reg(2, j))) == entry
         # a second iteration with an unchanged cell does not bump s
         run_full_iteration(r, bank, rec)
-        assert r.st.s == 1
+        assert r.s == 1
 
     def test_value_flap_bumps_twice(self, world):
         # A then B then A again: each overwrite of a different value counts,
@@ -181,8 +181,8 @@ class TestReaderIteration:
         run_full_iteration(r, bank, rec)
         bank.write(init_reg(1), encode_value(Family.INIT, a), WRITER)
         run_full_iteration(r, bank, rec)
-        assert r.st.s == 3
-        assert r.st.t_witness[1] == WitnessEntry(a, 3, 1)
+        assert r.s == 3
+        assert r.t_witness[1] == WitnessEntry(a, 3, 1)
 
     def test_collect_accepts_fresh_rejects_regressed(self, world):
         cfg, ring, bank = world
@@ -191,20 +191,20 @@ class TestReaderIteration:
         fresh = WitnessEntry(TaggedValue(1, b"a"), 2, 3)
         bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, fresh), ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
-        assert r.st.t_witness[3] == fresh
+        assert r.t_witness[3] == fresh
         # regression: lower stamp from the same source
         stale = WitnessEntry(TaggedValue(1, b"a"), 1, 3)
         bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, stale), ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
-        assert r.st.t_witness[3] == fresh
-        assert 3 in r.st.suspected
+        assert r.t_witness[3] == fresh
+        assert 3 in r.suspected
 
     def test_equal_stamp_same_tuple_not_suspected(self, world):
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
         run_full_iteration(r, bank, rec)  # sees the initial entries again
-        assert r.st.suspected == set()
+        assert r.suspected == set()
 
     def test_equal_stamp_different_tuple_suspected(self, world):
         cfg, ring, bank = world
@@ -216,8 +216,8 @@ class TestReaderIteration:
         twin = WitnessEntry(TaggedValue(9, b"zz"), 2, 3)
         bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, twin), ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
-        assert r.st.t_witness[3] == fresh
-        assert 3 in r.st.suspected
+        assert r.t_witness[3] == fresh
+        assert 3 in r.suspected
 
     def test_malformed_witness_cell_suspected(self, world):
         cfg, ring, bank = world
@@ -225,7 +225,7 @@ class TestReaderIteration:
         r = ReaderMachine(cfg, ring, U0, 1)
         bank.write(witness_reg(3, 1), b"garbage bytes", ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
-        assert 3 in r.st.suspected
+        assert 3 in r.suspected
 
 
 class TestFormation:
