@@ -563,6 +563,9 @@ def _register_linearizability(
                         f"recent preceding correct write {w}",
                     )
 
+    # operand pairs already compared without a violation; any other
+    # outcome ends the loop, so only these can recur
+    in_order: set = set()
     for i in range(len(reads)):
         for j in range(len(reads)):
             if i == j:
@@ -572,6 +575,9 @@ def _register_linearizability(
                 s1 = attribution.get((r1.process, r1.index))
                 s2 = attribution.get((r2.process, r2.index))
                 if s1 is None or s2 is None:
+                    continue
+                pair = (s1.ws, s2.ws)
+                if pair in in_order:
                     continue
                 try:
                     verdict = mapsto_compare(s1.ws, s2.ws, cfg)
@@ -586,6 +592,7 @@ def _register_linearizability(
                         f"new-old inversion: {r1.process} returned {r1.response_value} "
                         f"before {r2.process} returned {r2.response_value}",
                     )
+                in_order.add(pair)
     return Verdict("pass", f"{len(reads)} reads current and inversion-free")
 
 

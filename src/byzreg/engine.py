@@ -296,6 +296,31 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]) -> _Chooser:
     raise TypeError(f"unknown schedule {schedule!r}")
 
 
+class _EventLog:
+    """Stands in for the recorder the first time a tabled step is taken,
+    keeping its calls so that every later take replays them."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        self.calls: list[tuple] = []
+
+    def invoke(self, pid: ProcessId, op: str, value=None):
+        self.calls.append((HistoryRecorder.invoke, pid, op, value))
+
+    def response(self, pid: ProcessId, op: str, value=None):
+        self.calls.append((HistoryRecorder.response, pid, op, value))
+
+
+def _violation(pid: ProcessId, exc: Exception) -> str:
+    kind = (
+        "concurrent_final_sets"
+        if isinstance(exc, ConcurrentFinalSets)
+        else "equal_stamps_different_value"
+    )
+    return f"{kind} at {pid}: {exc}"
+
+
 class Simulation:
     """Sole owner of all mutable state during a run.
 
@@ -303,6 +328,10 @@ class Simulation:
     after which neither side owns any of them, and a simulation clones a
     machine it does not own before stepping it.  A run that never clones
     owns every machine from the start.
+
+    An enumeration also steps by table (``_tabulate``): a machine that
+    reads the bank through its op's result alone moves from one canonical
+    machine to another, each (machine, read result) step taken once.
     """
 
     def __init__(
@@ -325,11 +354,20 @@ class Simulation:
         # replaced, never mutated, and clones share them
         self._enabled = [pid for pid in self.order if machines[pid].enabled()]
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
-        # so does a machine's state_key: pid -> its interned id, dropped
-        # when the pid steps; the intern table lives as long as this
-        # simulation and its clones
-        self._ids: dict[ProcessId, int] = {}
-        self._intern: dict = {}
+        # so does a machine's state_key: pid -> its key id, the canonical
+        # machine of its key, dropped when the pid steps; the table of
+        # canonical machines lives as long as this simulation and its clones
+        self._ids: dict[ProcessId, ProcessMachine] = {}
+        self._canon: dict = {}
+        # processes whose machines read the bank beyond their op's result:
+        # the ones that override bank_key
+        self._bank_keyed = tuple(
+            pid for pid in self.order
+            if type(machines[pid]).bank_key is not ProcessMachine.bank_key
+        )
+        # canonical machine -> (it after next_op, its op, {result: (canonical
+        # successor, recorder calls, violation)}), or None to step in place
+        self._table: dict | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -349,38 +387,85 @@ class Simulation:
         return not self._unfinished
 
     def step_process(self, pid: ProcessId) -> None:
-        if pid in self._owned:
-            machine = self.machines[pid]
-        else:
-            machine = self.machines[pid] = copy.copy(self.machines[pid])
-            self._owned.add(pid)
-        self._ids.pop(pid, None)
-        self.bank.current_step = self.steps
+        bank = self.bank
+        bank.current_step = self.steps
         self.recorder.step = self.steps
         self._sched_node = (self._sched_node, pid)
-        op = machine.next_op(self.bank)
+        tabled = self._table is not None and pid not in self._bank_keyed
+        if tabled:
+            machine = self.machines[pid]
+            entry = self._table.get(machine)
+            if entry is None:
+                # next_op on a copy: a machine may build its op queue lazily
+                probe = copy.copy(machine)
+                entry = self._table[machine] = (probe, probe.next_op(bank), {})
+            op = entry[1]
+        else:
+            if pid in self._owned:
+                machine = self.machines[pid]
+            else:
+                machine = self.machines[pid] = copy.copy(self.machines[pid])
+                self._owned.add(pid)
+            self._ids.pop(pid, None)
+            op = machine.next_op(bank)
         if isinstance(op, ReadOp):
-            result = self.bank.read(op.reg, pid)
+            result = bank.read(op.reg, pid)
         elif isinstance(op, WriteOp):
-            self.bank.write(op.reg, op.value, pid)
+            bank.write(op.reg, op.value, pid)
             result = None
         elif isinstance(op, LocalOp):
             result = None
         else:
             raise TypeError(f"machine {pid} produced {op!r}")
-        try:
-            machine.apply(self.bank, op, result, self.recorder)
-        except ConcurrentFinalSets as exc:
-            self.status = "protocol_violation"
-            self.violation = f"concurrent_final_sets at {pid}: {exc}"
-        except EqualStampsDifferentValue as exc:
-            self.status = "protocol_violation"
-            self.violation = f"equal_stamps_different_value at {pid}: {exc}"
+        if tabled:
+            machine = self._take(pid, entry, result)
+        else:
+            try:
+                machine.apply(bank, op, result, self.recorder)
+            except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
+                self.status = "protocol_violation"
+                self.violation = _violation(pid, exc)
         self.steps += 1
         if machine.enabled() != (pid in self._enabled):
             self._enabled = sorted(set(self._enabled) ^ {pid})
         if machine.done() == (pid in self._unfinished):
             self._unfinished = self._unfinished ^ {pid}
+
+    def _take(self, pid: ProcessId, entry: tuple, result) -> ProcessMachine:
+        """Bind a tabled step's successor and replay its recorder calls and
+        violation; the first take of the step computes them on a copy."""
+        probe, op, outcomes = entry
+        outcome = outcomes.get(result)
+        if outcome is None:
+            successor = copy.copy(probe)
+            log = _EventLog()
+            violation = None
+            try:
+                successor.apply(self.bank, op, result, log)
+            except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
+                violation = _violation(pid, exc)
+            successor = self._canon.setdefault(successor.state_key(), successor)
+            outcome = outcomes[result] = (successor, log.calls, violation)
+        successor, calls, violation = outcome
+        self.machines[pid] = self._ids[pid] = successor
+        for call, *args in calls:
+            call(self.recorder, *args)
+        if violation is not None:
+            self.status = "protocol_violation"
+            self.violation = violation
+        return successor
+
+    def _tabulate(self) -> None:
+        """Step every process outside ``_bank_keyed`` by a transition table
+        from now on, one table shared with every later clone.  Such a
+        machine's step is a function of its state_key and its read result,
+        so each of its states is one canonical machine, never changed."""
+        self._table = {}
+        for pid in self.order:
+            if pid not in self._bank_keyed:
+                machine = self.machines[pid]
+                canon = self._canon.setdefault(machine.state_key(), machine)
+                self.machines[pid] = self._ids[pid] = canon
 
     def history(self, status: str) -> ExecutionHistory:
         return ExecutionHistory(
@@ -408,7 +493,9 @@ class Simulation:
         twin._enabled = self._enabled
         twin._unfinished = self._unfinished
         twin._ids = self._ids.copy()
-        twin._intern = self._intern
+        twin._canon = self._canon
+        twin._bank_keyed = self._bank_keyed
+        twin._table = self._table
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
@@ -419,20 +506,24 @@ class Simulation:
 
     def state_key(self):
         # step indices are deliberately excluded: two prefixes reaching the
-        # same machine/bank/event state have identical futures.  Interning
-        # keeps equality exact: the table compares whole machine keys.
+        # same machine/bank/event state have identical futures.  Key ids
+        # keep equality exact: the table compares whole machine keys.
         ids = self._ids
         if len(ids) < len(self.order):
-            intern = self._intern
+            canon = self._canon
             for pid in self.order:
                 if pid not in ids:
-                    ids[pid] = intern.setdefault(
-                        self.machines[pid].state_key(), len(intern)
-                    )
+                    key = self.machines[pid].state_key()
+                    canonical = canon.get(key)
+                    if canonical is None:
+                        # a copy: this machine may yet be stepped in place
+                        canonical = canon[key] = copy.copy(self.machines[pid])
+                    ids[pid] = canonical
         bank = self.bank
+        machines = self.machines
         return (
             tuple(map(ids.__getitem__, self.order)),
-            tuple([m.bank_key(bank) for m in self.machines.values()]),
+            tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed]),
             bank.cells_key(),
             self.recorder.key_node,
             self.status,
@@ -528,7 +619,9 @@ def enumerate_schedules(
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
     seen: set = set()
     yielded: set = set()
-    stack = [_root_simulation(cfg, strategies, workload, u0, scheme, key_seed)]
+    root = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
+    root._tabulate()
+    stack = [root]
     visited = 0
     while stack:
         sim = stack.pop()

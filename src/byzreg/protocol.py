@@ -100,7 +100,10 @@ class ProcessMachine:
     when this machine steps.  The engine relies on that: it re-evaluates
     them for the stepped process alone, and caches each machine's key
     until it steps.  Anything of the state that reads the bank goes in
-    ``bank_key``, which the engine evaluates on every state.
+    ``bank_key``, which the engine evaluates on every state.  A machine
+    that keeps the base ``bank_key`` reads the bank through its op's
+    result alone, and equal ``state_key``s mean equal attributes: the
+    enumerator then takes each (state, result) step once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -110,6 +113,11 @@ class ProcessMachine:
     """
 
     pid: ProcessId
+
+    def __copy__(self):
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def enabled(self) -> bool:
         """True when this process can take a step."""

@@ -9,7 +9,9 @@ import random
 import pytest
 
 from byzreg.adversary import (
+    READER_STRATEGIES,
     CollaborateStabilize,
+    CorrectReader,
     Equivocate,
     FakeWitnessStamp,
     ForgeInformSet,
@@ -271,8 +273,8 @@ class TestEnumeration:
         state_key = Simulation.state_key
 
         def recording(sim):
-            if not any(sim._intern is t for t in tables[-1]):
-                tables[-1].append(sim._intern)
+            if not any(sim._canon is c and sim._table is t for c, t in tables[-1]):
+                tables[-1].append((sim._canon, sim._table))
             return state_key(sim)
 
         monkeypatch.setattr(Simulation, "state_key", recording)
@@ -281,9 +283,15 @@ class TestEnumeration:
         for _ in range(2):
             tables.append([])
             assert list(enumerate_schedules(cfg, wl, depth_bound=40))
-        # one table per enumeration, shared by all its clones
-        (first,), (second,) = tables
-        assert first is not second and first and second
+        # one table of canonical machines and one transition table per
+        # enumeration, shared by all its clones
+        ((canon1, table1),), ((canon2, table2),) = tables
+        assert canon1 is not canon2 and canon1 and canon2
+        assert table1 is not table2 and table1 and table2
+        # every machine in either table belongs to its own enumeration
+        ids1 = {id(m) for m in canon1.values()}
+        assert not ids1 & {id(m) for m in canon2.values()}
+        assert not ids1 & {id(m) for m in table2}
 
 
 def reference_key(sim):
@@ -348,6 +356,130 @@ class TestIncrementalStateKey:
         assert pruned == self.reachable(root(), 6, prune=False)
         # the writer reached W_POLL, so bank_key took part
         assert any(ref[1][0] for ref in pruned)
+
+
+class TestTransitionTable:
+    """An enumeration steps every machine that reads the bank through its
+    op's result alone by a transition table: one canonical machine per
+    state_key, each (machine, read result) step taken once and replayed.
+    That is sound only if equal keys mean equal machines and a replayed
+    step equals the step taken in place."""
+
+    READERS = {
+        "correct": CorrectReader(),
+        "silent": Silent(),
+        "fake_witness_stamp": FakeWitnessStamp(offset=10),
+        "out_of_order_witness": OutOfOrderWitness(),
+        "forge_inform_set": ForgeInformSet(),
+        "equivocate": Equivocate.make({1: b"zz", 2: b"qq"}),
+        "collaborate_stabilize": CollaborateStabilize(),
+    }
+
+    def test_every_reader_strategy_is_covered(self):
+        assert set(self.READERS) == set(READER_STRATEGIES) | {"correct"}
+
+    @staticmethod
+    def lockstep(cfg, strategies, wl, seeds, steps):
+        """Step a tabled simulation (clones of one root, so they share its
+        tables) and one stepped in place through the same random schedule,
+        comparing the stepped machines; returns every state_key of a
+        tabled process reached in place, with its machine's attributes, and
+        each run's final status."""
+        ring = make_keyring(cfg, "keyed", 0)
+
+        def root():
+            machines = build_machines(cfg, strategies, wl, ring, b"init")
+            return Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+
+        tabled_root = root()
+        tabled_root._tabulate()
+        reached: dict = {}
+        statuses = []
+        for seed in seeds:
+            rng = random.Random(seed)
+            plain, tabled = root(), tabled_root.clone()
+            for _ in range(steps):
+                if plain.status is not None:
+                    break
+                pid = rng.choice(plain.enabled_pids())
+                plain.step_process(pid)
+                tabled.step_process(pid)
+                m = plain.machines[pid]
+                assert vars(tabled.machines[pid]) == vars(m)
+                if pid not in plain._bank_keyed:
+                    assert reached.setdefault(m.state_key(), dict(vars(m))) == vars(m)
+            assert tabled.recorder.key_node == plain.recorder.key_node
+            assert (tabled.status, tabled.violation) == (plain.status, plain.violation)
+            assert tabled.history("x").digest() == plain.history("x").digest()
+            statuses.append(plain.status)
+        assert len(tabled_root._table) < seeds.stop * steps  # steps were replayed
+        return reached, statuses
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_equal_keys_mean_equal_machines(self, name):
+        strategies = StrategyAssignment(readers={4: self.READERS[name]})
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 1, 2: 1}, read_gap=1)
+        reached, _ = self.lockstep(CFG41, strategies, wl, range(6), 500)
+        assert reached
+
+    @pytest.mark.parametrize(
+        "writer",
+        [
+            SplitValue.make({1: b"a", 2: b"a", 3: b"b", 4: b"b"}),
+            PartialQuorum.make({1, 2}, {3}),
+            MultiValueBurst((b"p", b"q")),
+            OverwriteEarly(delay=2),
+            StaleCounter(k=1),
+        ],
+        ids=lambda w: type(w).__name__,
+    )
+    def test_equal_keys_mean_equal_byzantine_writers(self, writer):
+        # a Byzantine writer reads no bank, so it is tabled too
+        cfg = Config(4, 1, writer_byzantine=True)
+        wl = Workload.make(writes=[b"a", b"b", b"c"], reads={1: 1}, read_gap=1)
+        reached, _ = self.lockstep(cfg, StrategyAssignment(writer=writer), wl, range(6), 300)
+        assert any(key[0] == "bw" for key in reached)
+
+    def test_violation_is_replayed(self):
+        # the forged-quorum scenario ends in concurrent_final_sets at a
+        # correct reader, raised inside a tabled step
+        s = scenario_forged_quorum()
+        _, statuses = self.lockstep(s.cfg, s.strategies, s.workload, range(4), 3000)
+        assert "protocol_violation" in statuses
+
+    # criterion 2's first two cases, and n=4 cases with no write: with a
+    # write, no history completes within the cap at n=4
+    CASES = {
+        "c2_one_read": (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200, None),
+        "c2_two_reads": (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 2}), 250, None),
+        "n4t1_silent": (CFG41, Workload.make(reads={1: 1}), 40, {4: Silent()}),
+        "n4t1_fake_witness_stamp": (
+            CFG41, Workload.make(reads={1: 1}), 40, {4: FakeWitnessStamp(offset=10)},
+        ),
+    }
+
+    @staticmethod
+    def digests(cfg, wl, bound, strategies):
+        """The digests of the histories an enumeration yields, in order,
+        and whether it stopped at a 40,000-state cap."""
+        out = []
+        try:
+            for h in enumerate_schedules(
+                cfg, wl, bound, strategies=strategies, node_cap=40_000
+            ):
+                out.append(h.digest())
+        except BoundTooLarge:
+            return out, True
+        return out, False
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_enumeration_unchanged_without_table(self, name, monkeypatch):
+        cfg, wl, bound, readers = self.CASES[name]
+        strategies = StrategyAssignment(readers=readers or {})
+        tabled = self.digests(cfg, wl, bound, strategies)
+        monkeypatch.setattr(Simulation, "_tabulate", lambda sim: None)
+        assert tabled == self.digests(cfg, wl, bound, strategies)
+        assert tabled[0]
 
 
 class TestSchedulerContract:
