@@ -6,7 +6,8 @@ any run can be replayed from its seed and scenario alone.  Strategies
 only ever touch registers their process legitimately owns, and forged
 signatures never verify under another identity.
 
-The scenario factories at the bottom assemble the named attack scripts:
+At the bottom are ``Scenario``, the one type every campaign loads as, and
+the factories that assemble the named attack scripts as Scenarios:
 the collaborating-reader construction that stabilizes a partial write,
 its early-overwrite variant, the sub-threshold alternation attack and
 the two-forger concurrent-quorum attack.
@@ -20,7 +21,7 @@ from typing import ClassVar
 from . import protocol
 from .core import Config, ProcessId, TaggedValue, WitnessEntry, WitnessSet, InformSet, WRITER
 from .crypto import KeyRing, sign_entries
-from .engine import RoundRobin, Scripted, Workload
+from .engine import RoundRobin, Schedule, Scripted, Workload
 from .registers import (
     DecodeError,
     Family,
@@ -39,109 +40,41 @@ from .registers import (
 # --- Byzantine writer machine -------------------------------------------------
 
 class ByzWriterMachine(protocol.ProcessMachine):
-    """Executes one strategy-dictated op script per high-level write.
+    """Plays the op script its strategy plans for each high-level write.
 
     Never blocks on acks: the invocation responds as soon as its script
-    drains.
+    drains.  Its state is the write and the position in that write's
+    script.
     """
 
     def __init__(self, cfg: Config, ring: KeyRing, strategy: WriterStrategy, writes):
-        self.cfg = cfg
-        self.ring = ring
         self.pid = WRITER
-        self.strategy = strategy
-        self.writes = [bytes(w) for w in writes]
+        # per write: (ops, the value its invoke and response carry)
+        self.plan = tuple(strategy.plan(cfg, [bytes(w) for w in writes]))
         self.widx = 0
-        self.c = 0
-        self.value_k: dict[bytes, int] = {}
-        self.invocation = 0
-        self.script: list = []
-        self.hli_value: TaggedValue | None = None
-        self.started = False
-        if self.widx < len(self.writes):
-            self._build_script()
-
-    def _broadcast(self, kv: TaggedValue) -> list:
-        data = encode_value(Family.INIT, kv)
-        return [WriteOp(init_reg(i), data) for i in self.cfg.reader_indices()]
-
-    def _build_script(self):
-        payload = self.writes[self.widx]
-        s = self.strategy
-        ops: list = []
-        hli = None
-        if isinstance(s, SplitValue):
-            self.c += 1
-            for i, p in s.assignment:
-                ops.append(
-                    WriteOp(init_reg(i), encode_value(Family.INIT, TaggedValue(self.c, p)))
-                )
-        elif isinstance(s, PartialQuorum):
-            if payload not in self.value_k:
-                self.c += 1
-                self.value_k = {**self.value_k, payload: self.c}
-            kv = TaggedValue(self.value_k[payload], payload)
-            hli = kv
-            targets = s.targets[self.invocation % len(s.targets)]
-            data = encode_value(Family.INIT, kv)
-            ops = [WriteOp(init_reg(i), data) for i in sorted(targets)]
-        elif isinstance(s, MultiValueBurst):
-            for v in s.values:
-                self.c += 1
-                ops.extend(self._broadcast(TaggedValue(self.c, v)))
-        elif isinstance(s, OverwriteEarly):
-            self.c += 1
-            kv = TaggedValue(self.c, payload)
-            hli = kv
-            ops = self._broadcast(kv) + [LocalOp("overwrite-delay")] * s.delay
-        elif isinstance(s, StaleCounter):
-            kv = TaggedValue(s.k, payload)
-            hli = kv
-            ops = self._broadcast(kv)
-        elif isinstance(s, ScriptedWriter):
-            for item in s.scripts[self.invocation % len(s.scripts)]:
-                if isinstance(item, int):
-                    ops.extend([LocalOp("scripted-idle")] * item)
-                else:
-                    i, kv = item
-                    ops.append(WriteOp(init_reg(i), encode_value(Family.INIT, kv)))
-        else:
-            raise TypeError(f"unknown writer strategy {s!r}")
-        self.script = ops
-        self.hli_value = hli
-        self.started = False
+        self.pos = 0
 
     def enabled(self) -> bool:
-        return bool(self.script) or self.widx < len(self.writes)
+        return self.widx < len(self.plan)
 
     def done(self) -> bool:
-        return not self.script and self.widx >= len(self.writes)
+        return self.widx >= len(self.plan)
 
     def next_op(self, bank):
-        return self.script[0]
+        return self.plan[self.widx][0][self.pos]
 
     def apply(self, bank, op, result, recorder):
-        if not self.started:
-            recorder.invoke(self.pid, "write", self.hli_value)
-            self.started = True
-        self.script = self.script[1:]
-        if not self.script:
-            recorder.response(self.pid, "write", self.hli_value)
+        ops, value = self.plan[self.widx]
+        if self.pos == 0:
+            recorder.invoke(self.pid, "write", value)
+        self.pos += 1
+        if self.pos == len(ops):
+            recorder.response(self.pid, "write", value)
             self.widx += 1
-            self.invocation += 1
-            if self.widx < len(self.writes):
-                self._build_script()
+            self.pos = 0
 
     def state_key(self):
-        return (
-            "bw",
-            self.widx,
-            self.c,
-            tuple(sorted(self.value_k.items())),
-            self.invocation,
-            tuple(self.script),
-            self.started,
-        )
+        return ("bw", self.widx, self.pos)
 
 
 # --- reader strategy machines ---------------------------------------------
@@ -258,37 +191,37 @@ class ForgeInformSetReader(RogueReader):
     def __init__(self, *args):
         super().__init__(*args)
         self.cycle = 0
-        self.queue: list = []
+        self.queue = self._forged()
 
-    def _forged(self) -> tuple[bytes, bytes]:
+    def _forged(self) -> tuple:
+        """This cycle's ops: a forged witness set to every inform register
+        and a forged inform set to every final register, then a pause."""
+        readers = list(self.cfg.reader_indices())
         value = TaggedValue(7, b"forged-%d" % self.cycle)
         entries = frozenset(
-            WitnessEntry(value, 1000 + self.cycle, q)
-            for q in list(self.cfg.reader_indices())[: self.cfg.quorum]
+            WitnessEntry(value, 1000 + self.cycle, q) for q in readers[: self.cfg.quorum]
         )
         members = [
             WitnessSet(entries, signer=q, signature=b"not-a-signature-%d" % q)
-            for q in list(self.cfg.reader_indices())[: self.cfg.quorum]
+            for q in readers[: self.cfg.quorum]
         ]
         # the lowest signer's set, so the bytes do not depend on set order
         wset_bytes = encode_value(Family.INFORM, members[0])
         iset_bytes = encode_value(Family.FINAL, InformSet(frozenset(members)))
-        return wset_bytes, iset_bytes
+        return (
+            tuple(WriteOp(inform_reg(self.index, i), wset_bytes) for i in readers)
+            + tuple(WriteOp(final_reg(self.index, i), iset_bytes) for i in readers)
+            + (LocalOp("forge-pause"),)
+        )
 
     def next_op(self, bank):
-        if not self.queue:
-            wset_bytes, iset_bytes = self._forged()
-            self.queue = (
-                [WriteOp(inform_reg(self.index, i), wset_bytes) for i in self.cfg.reader_indices()]
-                + [WriteOp(final_reg(self.index, i), iset_bytes) for i in self.cfg.reader_indices()]
-                + [LocalOp("forge-pause")]
-            )
         return self.queue[0]
 
     def apply(self, bank, op, result, recorder):
         self.queue = self.queue[1:]
         if not self.queue:
             self.cycle += 1
+            self.queue = self._forged()
 
     def state_key(self):
         return ("forge", self.index, self.cycle, len(self.queue))
@@ -416,8 +349,24 @@ def _check_readers(name: str, readers, cfg: Config) -> None:
 
 
 class WriterStrategy(Strategy):
+    """A Byzantine writer spec ``plan``s its own op scripts, which a
+    ``ByzWriterMachine`` plays."""
+
+    def plan(self, cfg: Config, writes: list[bytes]):
+        """Yield, per high-level write, its ops and the value its invoke and
+        response carry (None when it has no single value)."""
+        raise NotImplementedError
+
     def machine(self, cfg, ring, u0, i, workload):
         return ByzWriterMachine(cfg, ring, self, workload.writes)
+
+
+def _init_write(i: int, kv: TaggedValue) -> WriteOp:
+    return WriteOp(init_reg(i), encode_value(Family.INIT, kv))
+
+
+def _broadcast(cfg: Config, kv: TaggedValue) -> tuple:
+    return tuple(_init_write(i, kv) for i in cfg.reader_indices())
 
 
 class ReaderStrategy(Strategy):
@@ -455,6 +404,10 @@ class SplitValue(WriterStrategy):
     def check(self, cfg):
         _check_readers(self.name, [i for i, _ in self.assignment], cfg)
 
+    def plan(self, cfg, writes):
+        for c in range(1, len(writes) + 1):
+            yield tuple(_init_write(i, TaggedValue(c, p)) for i, p in self.assignment), None
+
 
 @dataclass(frozen=True)
 class PartialQuorum(WriterStrategy):
@@ -482,6 +435,13 @@ class PartialQuorum(WriterStrategy):
         for targets in self.targets:
             _check_readers(self.name, targets, cfg)
 
+    def plan(self, cfg, writes):
+        counters: dict[bytes, int] = {}  # a new payload takes the next counter
+        for invocation, payload in enumerate(writes):
+            kv = TaggedValue(counters.setdefault(payload, len(counters) + 1), payload)
+            targets = sorted(self.targets[invocation % len(self.targets)])
+            yield tuple(_init_write(i, kv) for i in targets), kv
+
 
 @dataclass(frozen=True)
 class MultiValueBurst(WriterStrategy):
@@ -498,6 +458,15 @@ class MultiValueBurst(WriterStrategy):
         if not self.values:
             raise ValueError(f"{self.name} has no values")
 
+    def plan(self, cfg, writes):
+        c = 0  # the counter runs on across writes
+        for _ in writes:
+            ops: tuple = ()
+            for v in self.values:
+                c += 1
+                ops += _broadcast(cfg, TaggedValue(c, v))
+            yield ops, None
+
 
 @dataclass(frozen=True)
 class OverwriteEarly(WriterStrategy):
@@ -511,6 +480,11 @@ class OverwriteEarly(WriterStrategy):
     def parse(cls, block):
         return cls(int(block.get("delay", cls.delay)))
 
+    def plan(self, cfg, writes):
+        for c, payload in enumerate(writes, 1):
+            kv = TaggedValue(c, payload)
+            yield _broadcast(cfg, kv) + (LocalOp("overwrite-delay"),) * self.delay, kv
+
 
 @dataclass(frozen=True)
 class StaleCounter(WriterStrategy):
@@ -523,6 +497,11 @@ class StaleCounter(WriterStrategy):
     def parse(cls, block):
         return cls(int(block.get("k", cls.k)))
 
+    def plan(self, cfg, writes):
+        for payload in writes:
+            kv = TaggedValue(self.k, payload)
+            yield _broadcast(cfg, kv), kv
+
 
 @dataclass(frozen=True)
 class ScriptedWriter(WriterStrategy):
@@ -530,6 +509,16 @@ class ScriptedWriter(WriterStrategy):
     of (reader index, TaggedValue) writes and integer idle-step counts."""
 
     scripts: tuple[tuple, ...]
+
+    def plan(self, cfg, writes):
+        for invocation in range(len(writes)):
+            ops: list = []
+            for item in self.scripts[invocation % len(self.scripts)]:
+                if isinstance(item, int):
+                    ops += [LocalOp("scripted-idle")] * item
+                else:
+                    ops.append(_init_write(*item))
+            yield tuple(ops), None
 
 
 # --- reader strategies -------------------------------------------------------
@@ -662,24 +651,31 @@ def build_machines(
     return machines
 
 
-# --- scripted scenarios --------------------------------------------------------
+# --- scenarios -----------------------------------------------------------------
 
 @dataclass
-class ScriptedScenario:
-    """A fully pinned attack script: config, strategies, workload and
-    schedule, plus the outcome it is expected to produce."""
+class Scenario:
+    """A campaign: config, strategies, workload and schedule, run once per
+    seed (a ``SeededRandom`` schedule takes each seed in turn), plus the
+    outcome every run is expected to produce."""
 
     name: str
     cfg: Config
     u0: bytes
     strategies: StrategyAssignment
     workload: Workload
-    schedule: object
-    step_limit: int
+    schedule: Schedule
+    step_limit: int = 20000
     settle_steps: int = 0
     expected_status: str = "completed"
     expected_violations: tuple[str, ...] = ()
-    notes: str = ""
+    scheme: str = "keyed"
+    seeds: list[int] = field(default_factory=lambda: [0])
+    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def byz_readers(self) -> frozenset[int]:
+        return self.strategies.byzantine_readers()
 
 
 def _pseudo_correct_parts(cfg: Config):
@@ -701,7 +697,7 @@ def _pseudo_correct_parts(cfg: Config):
     return x, scripts, readers, reading
 
 
-def scenario_pseudo_correct(cfg: Config | None = None) -> ScriptedScenario:
+def scenario_pseudo_correct(cfg: Config | None = None) -> Scenario:
     """A value written to only n-t init registers, split across two writes,
     stabilizes with a collaborating reader and is returned by a correct read."""
     cfg = cfg or Config(n=4, t=1, writer_byzantine=True)
@@ -710,21 +706,18 @@ def scenario_pseudo_correct(cfg: Config | None = None) -> ScriptedScenario:
         writer=ScriptedWriter(scripts=scripts), readers=readers
     )
     workload = Workload.make(writes=[b"x", b"x"], reads=reading, read_gap=3)
-    return ScriptedScenario(
+    return Scenario(
         name="pseudo_correct_n4t1",
         cfg=cfg,
         u0=b"init",
         strategies=strategies,
         workload=workload,
         schedule=RoundRobin(),
-        step_limit=20000,
         settle_steps=600,
-        expected_status="completed",
-        notes="partial write stabilized via collaborator; expect a pseudo-correct return of x",
     )
 
 
-def scenario_pseudo_correct_overwrite(cfg: Config | None = None) -> ScriptedScenario:
+def scenario_pseudo_correct_overwrite(cfg: Config | None = None) -> Scenario:
     """Same partial write, but overwritten before any inform set can form:
     the partial value must never stabilize nor be returned."""
     cfg = cfg or Config(n=4, t=1, writer_byzantine=True)
@@ -739,21 +732,18 @@ def scenario_pseudo_correct_overwrite(cfg: Config | None = None) -> ScriptedScen
     # every scripted register write lands before any reader steps
     writer_ops = sum(len(s) for s in scripts)
     schedule = Scripted(steps=("w",) * writer_ops, then="round_robin")
-    return ScriptedScenario(
+    return Scenario(
         name="pseudo_correct_overwrite_n4t1",
         cfg=cfg,
         u0=b"init",
         strategies=strategies,
         workload=workload,
         schedule=schedule,
-        step_limit=20000,
         settle_steps=600,
-        expected_status="completed",
-        notes="early overwrite: x must never stabilize or be returned",
     )
 
 
-def scenario_alternation() -> ScriptedScenario:
+def scenario_alternation() -> Scenario:
     """n=3, t=1: two values, each on n-t init registers; Byzantine stamps
     alone drive an unbounded alternation of stabilized returns."""
     cfg = Config(n=3, t=1, writer_byzantine=True)
@@ -774,7 +764,7 @@ def scenario_alternation() -> ScriptedScenario:
         },
     )
     workload = Workload.make(writes=[b"va", b"vb"], reads={1: 14, 2: 14}, read_gap=2)
-    return ScriptedScenario(
+    return Scenario(
         name="alternation_n3t1",
         cfg=cfg,
         u0=b"init",
@@ -783,7 +773,6 @@ def scenario_alternation() -> ScriptedScenario:
         schedule=RoundRobin(),
         step_limit=60000,
         settle_steps=1500,
-        expected_status="completed",
         # fake later writes also break view consistency and the common read
         # order once the alternation swings back
         expected_violations=(
@@ -791,11 +780,10 @@ def scenario_alternation() -> ScriptedScenario:
             "view_consistency",
             "total_ordering_reads",
         ),
-        notes="alternating stabilizations driven solely by Byzantine stamps",
     )
 
 
-def scenario_forged_quorum() -> ScriptedScenario:
+def scenario_forged_quorum() -> Scenario:
     """n=4, t=2: two Byzantine readers fabricate validly signed quorums for
     two values with crossing stamps, yielding concurrent stabilized sets."""
     cfg = Config(n=4, t=2, writer_byzantine=False)
@@ -822,20 +810,17 @@ def scenario_forged_quorum() -> ScriptedScenario:
         }
     )
     workload = Workload.make(writes=[], reads={1: 2, 2: 2}, read_gap=2)
-    return ScriptedScenario(
+    return Scenario(
         name="forged_quorum_n4t2",
         cfg=cfg,
         u0=b"init",
         strategies=strategies,
         workload=workload,
         schedule=RoundRobin(),
-        step_limit=20000,
-        settle_steps=0,
         expected_status="protocol_violation",
         # the fabricated quorums also stabilize values no init register ever
         # held, which is the quorum-formation guarantee n>2t buys
         expected_violations=("total_order", "stabilized_classification"),
-        notes="concurrent stabilized witness sets below the n>2t threshold",
     )
 
 

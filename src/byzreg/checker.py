@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,7 +43,7 @@ from .core import (
     vec_compare,
     ws_of,
 )
-from .engine import ExecutionHistory, HliOp
+from .engine import ExecutionHistory, HliOp, records_digest
 from .registers import DecodeError, Family, TraceEvent, decode_value, final_reg
 
 
@@ -84,9 +83,8 @@ class StabilizationEvent:
 
 @dataclass
 class ValueEvidence:
-    init_registers: dict[int, list[int]] = field(default_factory=dict)
+    init_registers: set[int] = field(default_factory=set)  # readers whose init cell held it
     byz_witnesses: set[int] = field(default_factory=set)
-    hli_writes: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -219,19 +217,6 @@ def classify_writes(
     u0 = history.u0
     initial_value = TaggedValue(0, u0)
     writes = writer_writes(history)
-    # the writer is sequential: its operations are disjoint step intervals
-    # in list order, and only the last can be pending
-    write_ends = [
-        op.response_step if op.response_step is not None else float("inf")
-        for op in writes
-    ]
-
-    def interval_of(step: int) -> int | None:
-        i = bisect.bisect_left(write_ends, step)
-        if i < len(writes) and writes[i].invoke_step <= step:
-            return writes[i].index
-        return None
-
     evidence: dict[TaggedValue, ValueEvidence] = {}
     init_events: list[tuple[int, int, TaggedValue]] = []  # (step, reader, value)
     # per acked value, the (step, reader) of each non-writer ack write
@@ -248,11 +233,7 @@ def classify_writes(
             except DecodeError:
                 continue
             reader = registers.READER_END[ev.reg].index
-            e = evidence.setdefault(v, ValueEvidence())
-            e.init_registers.setdefault(reader, []).append(ev.step)
-            idx = interval_of(ev.step)
-            if idx is not None and idx not in e.hli_writes:
-                e.hli_writes.append(idx)
+            evidence.setdefault(v, ValueEvidence()).init_registers.add(reader)
             init_events.append((ev.step, reader, v))
         elif fam is Family.ACK and not ev.caller.is_writer:
             try:
@@ -329,7 +310,7 @@ def classify_writes(
             kinds[v] = Kind.CORRECT
             continue
         e = evidence.get(v, ValueEvidence())
-        quorum_indices = set(e.init_registers) | (e.byz_witnesses & byz_readers)
+        quorum_indices = e.init_registers | (e.byz_witnesses & byz_readers)
         if len(quorum_indices) >= cfg.quorum and not crosses_correct(v):
             kinds[v] = (
                 Kind.PSEUDO_CORRECT if v in stabilized else Kind.POTENTIAL_PSEUDO_CORRECT
@@ -923,11 +904,7 @@ class CheckReport:
             )
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for line in self.records():
-            h.update(line.encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return records_digest(self.records())
 
 
 def run_all_checks(

@@ -8,10 +8,10 @@ safety violation, 4 unexpected liveness failure, 5 internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import adversary, checker, crypto, engine
@@ -42,28 +42,12 @@ def _strategy(block: dict, registry: dict, correct: type, role: str, cfg: Config
     return spec
 
 
-@dataclass
-class Scenario:
-    name: str
-    cfg: Config
-    u0: bytes
-    scheme: str
-    strategies: adversary.StrategyAssignment
-    workload: engine.Workload
-    schedule_spec: dict
-    seeds: list[int]
-    step_limit: int
-    settle_steps: int
-    expected_status: str
-    expected_violations: tuple[str, ...]
-    byz_readers: frozenset[int]
-    warnings: list[str] = field(default_factory=list)
-
-
-def _schedule_for(spec: dict, seed: int) -> engine.Schedule:
+def _schedule(spec: dict) -> engine.Schedule:
+    """A scenario file's schedule block; a seeded schedule's seed is set
+    per run."""
     kind = spec.get("kind", "seeded")
     if kind == "seeded":
-        return engine.SeededRandom(seed=seed, fair=bool(spec.get("fair", True)))
+        return engine.SeededRandom(seed=0, fair=bool(spec.get("fair", True)))
     if kind == "round_robin":
         return engine.RoundRobin()
     if kind == "scripted":
@@ -81,7 +65,9 @@ def _seeds(raw) -> list[int]:
     return [int(x) for x in raw]
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path) -> adversary.Scenario:
+    """A scenario file: a scripted attack, or a system built from the
+    file's blocks, with the file's overrides applied."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -96,42 +82,24 @@ def load_scenario(path: str | Path) -> Scenario:
         factory = isinstance(scripted, str) and adversary.SCENARIO_SCRIPTS.get(scripted)
         if not factory:
             raise ConfigError(f"unknown scripted scenario {scripted!r}")
-        s = factory()
-        cfg, u0, strategies, workload = s.cfg, s.u0, s.strategies, s.workload
-        name, schedule = s.name, {"kind": "__scripted__", "obj": s.schedule}
-        step_limit, settle_steps = s.step_limit, s.settle_steps
-        status, violations = s.expected_status, s.expected_violations
-        warnings: list[str] = []
+        scenario = factory()
     else:
-        cfg, strategies, workload, warnings = _system(raw)
-        try:
-            u0 = raw.get("u0", "init").encode()
-        except AttributeError as exc:
-            raise ConfigError(f"bad u0: {exc}") from exc
-        name, schedule = Path(path).stem, {"kind": "seeded"}
-        step_limit, settle_steps = 20000, 0
-        status, violations = "completed", ()
+        scenario = _system(raw, Path(path).stem)
 
     try:
         expected = raw.get("expected", {})
-        scenario = Scenario(
-            name=raw.get("name", name),
-            cfg=cfg,
-            u0=u0,
-            scheme=raw.get("crypto", "keyed"),
-            strategies=strategies,
-            workload=workload,
-            schedule_spec=schedule if raw.get("schedule") is None else raw["schedule"],
+        scenario = dataclasses.replace(
+            scenario,
+            name=raw.get("name", scenario.name),
+            scheme=raw.get("crypto", scenario.scheme),
             seeds=_seeds(raw.get("seeds", [0])),
-            step_limit=int(raw.get("step_limit", step_limit)),
-            settle_steps=int(raw.get("settle_steps", settle_steps)),
-            expected_status=expected.get("status", status),
-            expected_violations=tuple(expected.get("violations", violations)),
-            byz_readers=strategies.byzantine_readers(),
-            warnings=warnings,
+            step_limit=int(raw.get("step_limit", scenario.step_limit)),
+            settle_steps=int(raw.get("settle_steps", scenario.settle_steps)),
+            expected_status=expected.get("status", scenario.expected_status),
+            expected_violations=tuple(expected.get("violations", scenario.expected_violations)),
         )
-        if scenario.schedule_spec.get("kind") != "__scripted__":
-            _schedule_for(scenario.schedule_spec, 0)
+        if raw.get("schedule") is not None:
+            scenario.schedule = _schedule(raw["schedule"])
         if scenario.expected_status not in RUN_STATUSES:
             raise ConfigError(f"unknown expected status {scenario.expected_status!r}")
         unknown = set(scenario.expected_violations) - set(checker.PROPERTIES)
@@ -148,8 +116,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def _system(raw: dict):
-    """Config, strategies, workload and warnings of a non-scripted scenario."""
+def _system(raw: dict, name: str) -> adversary.Scenario:
+    """A non-scripted scenario as its blocks describe it, before the
+    overrides it shares with scripted ones."""
     try:
         cfg_raw = raw["config"]
         cfg = Config(
@@ -212,7 +181,13 @@ def _system(raw: dict):
             raise ConfigError(f"read count of reader {i} must be at least 0, got {count}")
         if i in byz:
             warnings.append(f"reads assigned to Byzantine reader {i} are dropped")
-    return cfg, strategies, workload, warnings
+    try:
+        u0 = raw.get("u0", "init").encode()
+    except AttributeError as exc:
+        raise ConfigError(f"bad u0: {exc}") from exc
+    return adversary.Scenario(
+        name, cfg, u0, strategies, workload, engine.SeededRandom(seed=0), warnings=warnings
+    )
 
 
 @dataclass
@@ -224,7 +199,7 @@ class SeedResult:
 
 @dataclass
 class CampaignResult:
-    scenario: Scenario
+    scenario: adversary.Scenario
     results: list[SeedResult]
 
     def matches_expected(self) -> bool:
@@ -252,14 +227,12 @@ class CampaignResult:
         return EXIT_SAFETY
 
 
-def run_scenario(scenario: Scenario) -> CampaignResult:
+def run_scenario(scenario: adversary.Scenario) -> CampaignResult:
     results: list[SeedResult] = []
     for seed in scenario.seeds:
-        spec = scenario.schedule_spec
-        if spec.get("kind") == "__scripted__":
-            schedule = spec["obj"]
-        else:
-            schedule = _schedule_for(spec, seed)
+        schedule = scenario.schedule
+        if isinstance(schedule, engine.SeededRandom):
+            schedule = dataclasses.replace(schedule, seed=seed)
         history = engine.run(
             scenario.cfg,
             scenario.strategies,
@@ -301,11 +274,7 @@ def emit_records(campaign: CampaignResult):
 
 
 def campaign_digest(campaign: CampaignResult) -> str:
-    h = hashlib.sha256()
-    for line in emit_records(campaign):
-        h.update(line.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    return engine.records_digest(emit_records(campaign))
 
 
 def emit_human(campaign: CampaignResult, out) -> None:
@@ -377,7 +346,7 @@ def main(argv=None) -> int:
         if args.fail_fast:
             results = []
             for seed in scenario.seeds:
-                one = Scenario(**{**scenario.__dict__, "seeds": [seed]})
+                one = dataclasses.replace(scenario, seeds=[seed])
                 partial = run_scenario(one)
                 results.extend(partial.results)
                 if not partial.matches_expected():

@@ -15,7 +15,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import crypto
 from .core import Config, EqualStampsDifferentValue, ProcessId, TaggedValue
@@ -167,11 +167,16 @@ class ExecutionHistory:
         yield from export_trace(self.trace)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for line in self.export_records():
-            h.update(line.encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return records_digest(self.export_records())
+
+
+def records_digest(records: Iterable[str]) -> str:
+    """SHA-256 hex digest of the records, each newline-terminated."""
+    h = hashlib.sha256()
+    for line in records:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -365,8 +370,8 @@ class Simulation:
             pid for pid in self.order
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
-        # canonical machine -> (it after next_op, its op, {result: (canonical
-        # successor, recorder calls, violation)}), or None to step in place
+        # canonical machine -> (its op, {result: (canonical successor,
+        # recorder calls, violation)}), or None to step in place
         self._table: dict | None = None
         self.steps = 0
         self.status: str | None = None
@@ -396,10 +401,8 @@ class Simulation:
             machine = self.machines[pid]
             entry = self._table.get(machine)
             if entry is None:
-                # next_op on a copy: a machine may build its op queue lazily
-                probe = copy.copy(machine)
-                entry = self._table[machine] = (probe, probe.next_op(bank), {})
-            op = entry[1]
+                entry = self._table[machine] = (machine.next_op(bank), {})
+            op = entry[0]
         else:
             if pid in self._owned:
                 machine = self.machines[pid]
@@ -434,10 +437,10 @@ class Simulation:
     def _take(self, pid: ProcessId, entry: tuple, result) -> ProcessMachine:
         """Bind a tabled step's successor and replay its recorder calls and
         violation; the first take of the step computes them on a copy."""
-        probe, op, outcomes = entry
+        op, outcomes = entry
         outcome = outcomes.get(result)
         if outcome is None:
-            successor = copy.copy(probe)
+            successor = copy.copy(self.machines[pid])
             log = _EventLog()
             violation = None
             try:

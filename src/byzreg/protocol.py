@@ -108,8 +108,10 @@ class ProcessMachine:
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
     place.  So ``copy.copy`` clones any machine, and a clone stepped
-    apart leaves its origin as it was.  Memos of pure functions of the
-    keys live on the key ring, not on a machine.
+    apart leaves its origin as it was.  Only ``apply`` changes a machine:
+    ``next_op`` only reads it, so the enumerator asks a shared canonical
+    machine for its op.  Memos of pure functions of the keys live on the
+    key ring, not on a machine.
     """
 
     pid: ProcessId

@@ -166,6 +166,12 @@ def final_reg(i: int, j: int) -> RegisterId:
 # Canonical JSON with hex payloads: stable across platforms, byte-exact for
 # identical values, and strict on decode.
 
+# The signing payload packs p and signer in 32 bits and k and s in 64
+# (crypto.canonical_entries_payload), so wider values do not decode.
+_U32 = 1 << 32
+_U64 = 1 << 64
+
+
 def _tagged_obj(v: TaggedValue):
     return {"k": v.k, "u": v.u.hex()}
 
@@ -174,7 +180,7 @@ def _obj_tagged(obj) -> TaggedValue:
     if not isinstance(obj, dict) or set(obj) != {"k", "u"}:
         raise DecodeError("bad tagged value shape")
     k, u = obj["k"], obj["u"]
-    if not isinstance(k, int) or k < 0 or not isinstance(u, str):
+    if not isinstance(k, int) or not 0 <= k < _U64 or not isinstance(u, str):
         raise DecodeError("bad tagged value fields")
     try:
         payload = bytes.fromhex(u)
@@ -191,7 +197,7 @@ def _obj_entry(obj) -> WitnessEntry:
     if not isinstance(obj, dict) or set(obj) != {"v", "s", "p"}:
         raise DecodeError("bad witness entry shape")
     s, p = obj["s"], obj["p"]
-    if not isinstance(s, int) or s < 0 or not isinstance(p, int) or p < 1:
+    if not (isinstance(s, int) and 0 <= s < _U64 and isinstance(p, int) and 1 <= p < _U32):
         raise DecodeError("bad witness entry fields")
     return WitnessEntry(_obj_tagged(obj["v"]), s, p)
 
@@ -212,7 +218,7 @@ def _obj_wset(obj) -> WitnessSet:
     if not isinstance(obj, dict) or set(obj) != {"e", "g", "sig"}:
         raise DecodeError("bad witness set shape")
     entries_obj, signer, sig = obj["e"], obj["g"], obj["sig"]
-    if not isinstance(entries_obj, list) or not isinstance(signer, int) or signer < 1:
+    if not isinstance(entries_obj, list) or not (isinstance(signer, int) and 1 <= signer < _U32):
         raise DecodeError("bad witness set fields")
     if not isinstance(sig, str):
         raise DecodeError("bad signature field")

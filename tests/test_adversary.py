@@ -47,7 +47,7 @@ from byzreg.engine import (
     Workload,
     run,
 )
-from byzreg.registers import bank_init
+from byzreg.registers import READER_END, Family, LocalOp, bank_init, decode_value, init_reg
 
 CFG_BW = Config(4, 1, writer_byzantine=True)
 
@@ -131,6 +131,82 @@ class TestAccessDiscipline:
                 assert ev.caller == ev.reg.reader_end
 
 
+def everyone(k, u):
+    """A broadcast to the four readers of CFG_BW, as plan_literal shows it."""
+    return [(i, k, u) for i in (1, 2, 3, 4)]
+
+
+def plan_literal(spec, writes):
+    """The spec's plan with each write op shown as (reader, k, u) and each
+    local op as its note."""
+    out = []
+    for ops, value in spec.plan(CFG_BW, writes):
+        shown = []
+        for op in ops:
+            if isinstance(op, LocalOp):
+                shown.append(op.note)
+            else:
+                kv = decode_value(Family.INIT, op.value)
+                shown.append((READER_END[op.reg].index, kv.k, kv.u))
+        out.append((shown, value))
+    return out
+
+
+class TestWriterPlans:
+    """Each spec's plan for writes a, b, a, pinned as literals: which
+    counter each write carries is the strategy's behaviour."""
+
+    WRITES = [b"a", b"b", b"a"]
+
+    def test_split_value(self):
+        spec = SplitValue.make({1: b"a", 2: b"a", 3: b"b", 4: b"b"})
+        assert plan_literal(spec, self.WRITES) == [
+            ([(1, c, b"a"), (2, c, b"a"), (3, c, b"b"), (4, c, b"b")], None) for c in (1, 2, 3)
+        ]
+
+    def test_partial_quorum_reuses_a_payloads_counter(self):
+        spec = PartialQuorum.make({1, 2}, {3})
+        a, b = TaggedValue(1, b"a"), TaggedValue(2, b"b")
+        assert plan_literal(spec, self.WRITES) == [
+            ([(1, 1, b"a"), (2, 1, b"a")], a),
+            ([(3, 2, b"b")], b),
+            ([(1, 1, b"a"), (2, 1, b"a")], a),
+        ]
+
+    def test_multi_value_burst_continues_its_counter(self):
+        spec = MultiValueBurst((b"p", b"q"))
+        assert plan_literal(spec, self.WRITES) == [
+            (everyone(1, b"p") + everyone(2, b"q"), None),
+            (everyone(3, b"p") + everyone(4, b"q"), None),
+            (everyone(5, b"p") + everyone(6, b"q"), None),
+        ]
+
+    def test_overwrite_early(self):
+        delay = ["overwrite-delay"] * 2
+        assert plan_literal(OverwriteEarly(delay=2), self.WRITES) == [
+            (everyone(1, b"a") + delay, TaggedValue(1, b"a")),
+            (everyone(2, b"b") + delay, TaggedValue(2, b"b")),
+            (everyone(3, b"a") + delay, TaggedValue(3, b"a")),
+        ]
+
+    def test_stale_counter_keeps_k(self):
+        assert plan_literal(StaleCounter(k=5), self.WRITES) == [
+            (everyone(5, b"a"), TaggedValue(5, b"a")),
+            (everyone(5, b"b"), TaggedValue(5, b"b")),
+            (everyone(5, b"a"), TaggedValue(5, b"a")),
+        ]
+
+    def test_scripted_writer_cycles_its_scripts(self):
+        x, y = TaggedValue(1, b"x"), TaggedValue(2, b"y")
+        spec = ScriptedWriter(scripts=(((1, x), 2), ((2, y),)))
+        idle = ["scripted-idle"] * 2
+        assert plan_literal(spec, self.WRITES) == [
+            ([(1, 1, b"x")] + idle, None),
+            ([(2, 2, b"y")], None),
+            ([(1, 1, b"x")] + idle, None),
+        ]
+
+
 class TestWriterStrategies:
     def test_split_value_quorums_per_classification(self):
         # neither split half reaches the n-t init quorum
@@ -173,8 +249,6 @@ class TestWriterStrategies:
         strategies = StrategyAssignment(writer=StaleCounter(k=7))
         history = run(CFG_BW, strategies, wl, RoundRobin(), 6000,
                       settle_steps=400, raise_on_limit=False)
-        from byzreg.registers import Family, decode_value
-
         init_values = {
             decode_value(Family.INIT, ev.value)
             for ev in history.trace
@@ -193,8 +267,6 @@ class TestWriterStrategies:
             sim.step_process(WRITER)
         kinds = [e.kind for e in rec.events]
         assert kinds == ["invoke", "response"]
-        from byzreg.registers import Family, decode_value, init_reg
-
         assert decode_value(Family.INIT, bank.peek(init_reg(1))) == TaggedValue(1, b"x")
         assert decode_value(Family.INIT, bank.peek(init_reg(4))) == TaggedValue(0, b"init")
 
@@ -332,7 +404,6 @@ class TestScriptedScenarios:
         # time: no re-witnessing, no duplicate stabilization, in any
         # interleaving of a micro instance
         from byzreg.engine import enumerate_schedules
-        from byzreg.registers import Family, decode_value
 
         cfg = Config(2, 0, writer_byzantine=True)
         wl = Workload.make(writes=[b"x", b"x"])

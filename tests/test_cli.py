@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from byzreg.adversary import READER_STRATEGIES, WRITER_STRATEGIES
+from byzreg.engine import SeededRandom
 from byzreg.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SAFETY,
     ConfigError,
@@ -72,6 +74,20 @@ class TestLoading:
         obj["allow_sub_threshold"] = True
         s = load_scenario(write_scenario(tmp_path, obj))
         assert any("sub-threshold" in w for w in s.warnings)
+
+    def test_scripted_file_overrides(self, tmp_path):
+        obj = {
+            "scripted": "pseudo_correct",
+            "schedule": {"kind": "seeded", "fair": False},
+            "step_limit": 1234,
+            "seeds": {"start": 3, "count": 2},
+        }
+        s = load_scenario(write_scenario(tmp_path, obj))
+        assert s.schedule == SeededRandom(seed=0, fair=False)
+        assert s.step_limit == 1234 and s.seeds == [3, 4]
+        # what the file leaves out comes from the scripted attack
+        assert (s.name, s.settle_steps) == ("pseudo_correct_n4t1", 600)
+        assert s.byz_readers == frozenset({4})
 
     def test_sub_threshold_config_warns(self, tmp_path):
         obj = dict(BASE)
@@ -229,6 +245,30 @@ class TestCampaigns:
         obj["expected"] = {"status": "step_limit"}  # wrong on purpose
         path = write_scenario(tmp_path, obj)
         assert main([str(path), "--fail-fast"]) != EXIT_OK
+
+
+class TestAdversaryChosenIntegers:
+    """Counters and stamps wider than the signing payload's 64-bit fields
+    do not decode, so a correct reader never signs one."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            {
+                "config": {"n": 4, "t": 1, "writer_byzantine": True},
+                "writer": {"strategy": "stale_counter", "k": 2**70},
+            },
+            {
+                "config": {"n": 4, "t": 1},
+                "readers": {"4": {"strategy": "fake_witness_stamp", "offset": 2**70}},
+            },
+        ],
+        ids=["stale_counter_k", "fake_witness_stamp_offset"],
+    )
+    def test_huge_integer_is_not_an_internal_error(self, tmp_path, blocks):
+        obj = {**BASE, **blocks, "workload": {"writes": ["a"], "reads": {"1": 1, "2": 1}},
+               "settle_steps": 300}
+        assert main([str(write_scenario(tmp_path, obj))]) != EXIT_INTERNAL
 
 
 class TestScenarioLibrary:

@@ -580,6 +580,24 @@ class TestSchedulerContract:
         # the writer went idle and the reads finished, so both views moved
         assert sim.workload_complete() and WRITER not in sim.enabled_pids()
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_next_op_only_reads(self, name):
+        # the enumerator asks shared canonical machines for their ops
+        cfg, strategies = self.CASES[name]
+        wl = Workload.make(writes=[b"a", b"b"], reads={cfg.n: 2}, read_gap=1)
+        ring = make_keyring(cfg, "keyed", 3)
+        machines = build_machines(cfg, strategies, wl, ring, b"init")
+        sim = Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+        rng = random.Random(3)
+        while sim.enabled_pids() and sim.status is None and sim.steps < 3000:
+            pid = rng.choice(sim.enabled_pids())
+            machine = sim.machines[pid]
+            before = self.snapshot(machine)
+            machine.next_op(sim.bank)
+            assert self.snapshot(machine) == before, f"{pid} at step {sim.steps}"
+            sim.step_process(pid)
+        assert sim.steps == 3000
+
     @pytest.mark.parametrize(
         "factory", [scenario_pseudo_correct, scenario_alternation, scenario_forged_quorum]
     )

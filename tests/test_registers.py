@@ -233,14 +233,29 @@ class TestCodecs:
                 WitnessSet(frozenset({WitnessEntry(TaggedValue(1, b"x"), 1, 1)}), 0, b"s"),
             ),
             (Family.FINAL, InformSet(frozenset({WitnessSet(frozenset(), 0, b"s")}))),
+            # wider than the signing payload's fields
+            (Family.INIT, TaggedValue(2**64, b"x")),
+            (Family.WITNESS, WitnessEntry(TaggedValue(1, b"x"), 2**64, 1)),
+            (Family.WITNESS, WitnessEntry(TaggedValue(1, b"x"), 1, 2**32)),
+            (
+                Family.INFORM,
+                WitnessSet(frozenset({WitnessEntry(TaggedValue(1, b"x"), 1, 1)}), 2**32, b"s"),
+            ),
         ],
         ids=["tagged_k_negative", "entry_p_zero", "entry_s_negative", "wset_signer_zero",
-             "iset_member_signer_zero"],
+             "iset_member_signer_zero", "tagged_k_2_64", "entry_s_2_64", "entry_p_2_32",
+             "wset_signer_2_32"],
     )
     def test_undecodable_values_still_rejected_after_encoding(self, family, value):
         data = encode_value(family, value)
         with pytest.raises(DecodeError):
             decode_value(family, data)
+
+    def test_widest_fields_decode(self):
+        entry = WitnessEntry(TaggedValue(2**64 - 1, b"x"), 2**64 - 1, 2**32 - 1)
+        assert decode_value(Family.WITNESS, encode_value(Family.WITNESS, entry)) == entry
+        wset = WitnessSet(frozenset({entry}), 2**32 - 1, b"s")
+        assert decode_value(Family.INFORM, encode_value(Family.INFORM, wset)) == wset
 
 
 class TestTrace:
