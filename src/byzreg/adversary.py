@@ -475,10 +475,15 @@ class OverwriteEarly(WriterStrategy):
 
     name = "overwrite_early"
     delay: int = 2
+    MAX_DELAY = 1_000_000  # the plan holds one idle op per step of delay
 
     @classmethod
     def parse(cls, block):
         return cls(int(block.get("delay", cls.delay)))
+
+    def check(self, cfg):
+        if not 0 <= self.delay <= self.MAX_DELAY:
+            raise ValueError(f"{self.name} delay {self.delay} outside 0..{self.MAX_DELAY}")
 
     def plan(self, cfg, writes):
         for c, payload in enumerate(writes, 1):

@@ -196,6 +196,13 @@ class SeedResult:
     status: str
     report: checker.CheckReport
 
+    def matches(self, scenario: adversary.Scenario) -> bool:
+        """The run ended in the expected status with exactly the expected
+        violations."""
+        return self.status == scenario.expected_status and set(
+            self.report.violations()
+        ) == set(scenario.expected_violations)
+
 
 @dataclass
 class CampaignResult:
@@ -203,20 +210,7 @@ class CampaignResult:
     results: list[SeedResult]
 
     def matches_expected(self) -> bool:
-        s = self.scenario
-        for r in self.results:
-            if r.status != s.expected_status:
-                return False
-            actual = set(r.report.violations())
-            expected = set(s.expected_violations)
-            if expected:
-                if not expected <= actual:
-                    return False
-                if actual - expected:
-                    return False
-            elif actual:
-                return False
-        return True
+        return all(r.matches(self.scenario) for r in self.results)
 
     def exit_code(self) -> int:
         if self.matches_expected():
@@ -289,11 +283,11 @@ def emit_human(campaign: CampaignResult, out) -> None:
         print(f"  warning: {w}", file=out)
     ok = 0
     for r in campaign.results:
-        violations = r.report.violations()
-        if r.status == s.expected_status and set(violations) == set(s.expected_violations):
+        if r.matches(s):
             ok += 1
         else:
-            print(f"  seed {r.seed}: status={r.status} violations={violations}", file=out)
+            print(f"  seed {r.seed}: status={r.status} violations={r.report.violations()}",
+                  file=out)
             for name, v in r.report.verdicts.items():
                 if v.status == "violation":
                     print(f"    {name}: {v.detail}", file=out)

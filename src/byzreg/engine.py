@@ -251,18 +251,15 @@ class _RandomChooser(_Chooser):
 
 
 class _RoundRobinChooser(_Chooser):
-    def __init__(self):
-        self.order: list[ProcessId] = []
+    """Cycles one cursor over every process in pid order, skipping the
+    disabled ones.  No machine is enabled again once it is disabled, so
+    this picks the next enabled process after the last one chosen."""
+
+    def __init__(self, pids: Sequence[ProcessId]):
+        self.order = sorted(pids)
         self.cursor = 0
 
     def choose(self, enabled):
-        if not self.order:
-            self.order = sorted(set(enabled))
-        else:
-            for pid in enabled:
-                if pid not in self.order:
-                    self.order = sorted(set(self.order) | set(enabled))
-                    break
         for _ in range(len(self.order)):
             pid = self.order[self.cursor % len(self.order)]
             self.cursor += 1
@@ -277,7 +274,7 @@ class _ScriptedChooser(_Chooser):
         by_name = {str(pid): pid for pid in pids}
         self.steps = [by_name[name] for name in spec.steps if name in by_name]
         self.pos = 0
-        self.fallback = _RoundRobinChooser() if spec.then == "round_robin" else None
+        self.fallback = _RoundRobinChooser(pids) if spec.then == "round_robin" else None
 
     def choose(self, enabled):
         while self.pos < len(self.steps):
@@ -295,7 +292,7 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]) -> _Chooser:
     if isinstance(schedule, SeededRandom):
         return _RandomChooser(schedule)
     if isinstance(schedule, RoundRobin):
-        return _RoundRobinChooser()
+        return _RoundRobinChooser(pids)
     if isinstance(schedule, Scripted):
         return _ScriptedChooser(schedule, pids)
     raise TypeError(f"unknown schedule {schedule!r}")
@@ -329,14 +326,11 @@ def _violation(pid: ProcessId, exc: Exception) -> str:
 class Simulation:
     """Sole owner of all mutable state during a run.
 
-    Clones are copy-on-write: a clone shares its origin's machine objects,
-    after which neither side owns any of them, and a simulation clones a
-    machine it does not own before stepping it.  A run that never clones
-    owns every machine from the start.
-
-    An enumeration also steps by table (``_tabulate``): a machine that
-    reads the bank through its op's result alone moves from one canonical
-    machine to another, each (machine, read result) step taken once.
+    A run steps each machine in place, and a clone copies every machine
+    its origin holds, so the two step apart.  An enumeration steps every
+    machine by table instead (``_tabulate``): each machine state is one
+    canonical machine, never changed, and a step replaces it with the
+    canonical successor, so clones share their machines.
     """
 
     def __init__(
@@ -350,7 +344,6 @@ class Simulation:
     ):
         self.cfg = cfg
         self.machines = machines
-        self._owned = set(machines)
         self.bank = bank
         self.recorder = recorder or HistoryRecorder()
         self.order = sorted(machines)
@@ -359,19 +352,16 @@ class Simulation:
         # replaced, never mutated, and clones share them
         self._enabled = [pid for pid in self.order if machines[pid].enabled()]
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
-        # so does a machine's state_key: pid -> its key id, the canonical
-        # machine of its key, dropped when the pid steps; the table of
-        # canonical machines lives as long as this simulation and its clones
-        self._ids: dict[ProcessId, ProcessMachine] = {}
-        self._canon: dict = {}
         # processes whose machines read the bank beyond their op's result:
         # the ones that override bank_key
         self._bank_keyed = tuple(
             pid for pid in self.order
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
-        # canonical machine -> (its op, {result: (canonical successor,
-        # recorder calls, violation)}), or None to step in place
+        # machine key -> its canonical machine, and canonical machine ->
+        # (its op, {outcome key: (canonical successor, recorder calls,
+        # violation)}); None to step in place
+        self._canon: dict | None = None
         self._table: dict | None = None
         self.steps = 0
         self.status: str | None = None
@@ -396,20 +386,14 @@ class Simulation:
         bank.current_step = self.steps
         self.recorder.step = self.steps
         self._sched_node = (self._sched_node, pid)
-        tabled = self._table is not None and pid not in self._bank_keyed
-        if tabled:
-            machine = self.machines[pid]
-            entry = self._table.get(machine)
+        machine = self.machines[pid]
+        table = self._table
+        if table is not None:
+            entry = table.get(machine)
             if entry is None:
-                entry = self._table[machine] = (machine.next_op(bank), {})
+                entry = table[machine] = (machine.next_op(bank), {})
             op = entry[0]
         else:
-            if pid in self._owned:
-                machine = self.machines[pid]
-            else:
-                machine = self.machines[pid] = copy.copy(self.machines[pid])
-                self._owned.add(pid)
-            self._ids.pop(pid, None)
             op = machine.next_op(bank)
         if isinstance(op, ReadOp):
             result = bank.read(op.reg, pid)
@@ -420,8 +404,8 @@ class Simulation:
             result = None
         else:
             raise TypeError(f"machine {pid} produced {op!r}")
-        if tabled:
-            machine = self._take(pid, entry, result)
+        if table is not None:
+            machine = self._take(pid, machine, entry, result)
         else:
             try:
                 machine.apply(bank, op, result, self.recorder)
@@ -434,13 +418,20 @@ class Simulation:
         if machine.done() == (pid in self._unfinished):
             self._unfinished = self._unfinished ^ {pid}
 
-    def _take(self, pid: ProcessId, entry: tuple, result) -> ProcessMachine:
+    def _take(
+        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, result
+    ) -> ProcessMachine:
         """Bind a tabled step's successor and replay its recorder calls and
-        violation; the first take of the step computes them on a copy."""
+        violation; the first take of the step computes them on a copy.  A
+        step's outcome is keyed by its read result, and by the machine's
+        bank_key too when it has one."""
         op, outcomes = entry
-        outcome = outcomes.get(result)
+        key = result
+        if pid in self._bank_keyed:
+            key = (result, machine.bank_key(self.bank))
+        outcome = outcomes.get(key)
         if outcome is None:
-            successor = copy.copy(self.machines[pid])
+            successor = copy.copy(machine)
             log = _EventLog()
             violation = None
             try:
@@ -448,9 +439,9 @@ class Simulation:
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
                 violation = _violation(pid, exc)
             successor = self._canon.setdefault(successor.state_key(), successor)
-            outcome = outcomes[result] = (successor, log.calls, violation)
+            outcome = outcomes[key] = (successor, log.calls, violation)
         successor, calls, violation = outcome
-        self.machines[pid] = self._ids[pid] = successor
+        self.machines[pid] = successor
         for call, *args in calls:
             call(self.recorder, *args)
         if violation is not None:
@@ -459,16 +450,15 @@ class Simulation:
         return successor
 
     def _tabulate(self) -> None:
-        """Step every process outside ``_bank_keyed`` by a transition table
-        from now on, one table shared with every later clone.  Such a
-        machine's step is a function of its state_key and its read result,
-        so each of its states is one canonical machine, never changed."""
+        """Step every process by a transition table from now on, one table
+        shared with every later clone.  A machine's step is a function of
+        its state_key, its bank_key and its read result, so each of its
+        states is one canonical machine, never changed."""
+        self._canon = {}
         self._table = {}
         for pid in self.order:
-            if pid not in self._bank_keyed:
-                machine = self.machines[pid]
-                canon = self._canon.setdefault(machine.state_key(), machine)
-                self.machines[pid] = self._ids[pid] = canon
+            machine = self.machines[pid]
+            self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
 
     def history(self, status: str) -> ExecutionHistory:
         return ExecutionHistory(
@@ -487,17 +477,17 @@ class Simulation:
     def clone(self) -> "Simulation":
         twin = Simulation.__new__(Simulation)
         twin.cfg = self.cfg
-        twin.machines = dict(self.machines)
-        twin._owned = set()
-        self._owned = set()  # every machine is shared now
+        if self._table is None:
+            twin.machines = {pid: copy.copy(m) for pid, m in self.machines.items()}
+        else:
+            twin.machines = dict(self.machines)
         twin.bank = self.bank.clone()
         twin.recorder = self.recorder.clone()
         twin.order = self.order
         twin._enabled = self._enabled
         twin._unfinished = self._unfinished
-        twin._ids = self._ids.copy()
-        twin._canon = self._canon
         twin._bank_keyed = self._bank_keyed
+        twin._canon = self._canon
         twin._table = self._table
         twin.steps = self.steps
         twin.status = self.status
@@ -509,23 +499,16 @@ class Simulation:
 
     def state_key(self):
         # step indices are deliberately excluded: two prefixes reaching the
-        # same machine/bank/event state have identical futures.  Key ids
-        # keep equality exact: the table compares whole machine keys.
-        ids = self._ids
-        if len(ids) < len(self.order):
-            canon = self._canon
-            for pid in self.order:
-                if pid not in ids:
-                    key = self.machines[pid].state_key()
-                    canonical = canon.get(key)
-                    if canonical is None:
-                        # a copy: this machine may yet be stepped in place
-                        canonical = canon[key] = copy.copy(self.machines[pid])
-                    ids[pid] = canonical
-        bank = self.bank
+        # same machine/bank/event state have identical futures.  Tabled
+        # machines are canonical, so they stand for their own keys.
         machines = self.machines
+        if self._table is None:
+            machine_keys = tuple([machines[pid].state_key() for pid in self.order])
+        else:
+            machine_keys = tuple(map(machines.__getitem__, self.order))
+        bank = self.bank
         return (
-            tuple(map(ids.__getitem__, self.order)),
+            machine_keys,
             tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed]),
             bank.cells_key(),
             self.recorder.key_node,

@@ -16,7 +16,6 @@ when the iteration wrote none).
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -97,13 +96,12 @@ class ProcessMachine:
 
     ``enabled``, ``done`` and ``state_key`` depend only on the machine's
     own state, never on the bank or another machine, so they change only
-    when this machine steps.  The engine relies on that: it re-evaluates
-    them for the stepped process alone, and caches each machine's key
-    until it steps.  Anything of the state that reads the bank goes in
-    ``bank_key``, which the engine evaluates on every state.  A machine
-    that keeps the base ``bank_key`` reads the bank through its op's
-    result alone, and equal ``state_key``s mean equal attributes: the
-    enumerator then takes each (state, result) step once and shares it.
+    when this machine steps; the engine re-evaluates them for the stepped
+    process alone.  Whatever of its future reads the bank beyond its op's
+    result goes in ``bank_key``, which the engine evaluates on every
+    state.  Equal ``state_key``s mean equal attributes, so a step is a
+    function of the ``state_key``, the ``bank_key`` and the read result:
+    the enumerator takes each such step once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -142,7 +140,7 @@ class ProcessMachine:
 
     def bank_key(self, bank: RegisterBank):
         """The part of the machine's future behaviour that reads the bank
-        beyond its cells (never cached)."""
+        beyond its op's result (never cached)."""
         return ()
 
 
@@ -155,7 +153,13 @@ W_POLL = 2
 class WriterMachine(ProcessMachine):
     """The correct write protocol: broadcast to every init register in
     ascending order, then poll ack registers round-robin until n-t
-    distinct readers have freshly acknowledged the pending value."""
+    distinct readers have freshly acknowledged the pending value.
+
+    An ack is fresh when it was written after the pending write began.
+    The writer writes ``init[w->r1]`` only in the first step of each
+    write, so an ack is fresh when its register's bank write sequence
+    number is above that of ``init[w->r1]``.
+    """
 
     def __init__(self, cfg: Config, ring: crypto.KeyRing, writes: Sequence[bytes]):
         self.cfg = cfg
@@ -170,10 +174,8 @@ class WriterMachine(ProcessMachine):
         self.phase = W_IDLE
         self.wi = 1
         self.poll_from = 1
-        # reader i's ack register and its write count when the pending
-        # write began, at position i - 1
+        # reader i's ack register at position i - 1
         self.ack_regs = tuple(ack_reg(i) for i in cfg.reader_indices())
-        self.baseline: tuple[int, ...] = ()
 
     def enabled(self):
         return self.phase != W_IDLE or self.widx < len(self.writes)
@@ -205,7 +207,6 @@ class WriterMachine(ProcessMachine):
             self.c += 1
             self.pending = decode_value(Family.INIT, op.value)
             self.acked = frozenset()
-            self.baseline = tuple(map(bank.write_counts.__getitem__, self.ack_regs))
             recorder.invoke(self.pid, "write", self.pending)
             self.widx += 1
             self.wi = 2
@@ -227,10 +228,8 @@ class WriterMachine(ProcessMachine):
             value = decode_value(Family.ACK, result)
         except DecodeError:
             value = None
-        if (
-            value == self.pending
-            and bank.write_counts[self.ack_regs[i - 1]] > self.baseline[i - 1]
-        ):
+        seq = bank.write_seq
+        if value == self.pending and seq[self.ack_regs[i - 1]] > seq[init_reg(1)]:
             self.acked |= {i}
         self._maybe_finish(recorder)
 
@@ -253,13 +252,13 @@ class WriterMachine(ProcessMachine):
         )
 
     def bank_key(self, bank):
-        # absolute ack write counts are behaviorally irrelevant; only the
-        # per-reader freshness relative to the baseline matters, and only
-        # while polling
+        # absolute sequence numbers are behaviorally irrelevant; only each
+        # ack's freshness matters, and only while polling
         if self.phase != W_POLL:
             return ()
-        counts = map(bank.write_counts.__getitem__, self.ack_regs)
-        return tuple(map(operator.gt, counts, self.baseline))
+        seq = bank.write_seq
+        began = seq[init_reg(1)]
+        return tuple([seq[reg] > began for reg in self.ack_regs])
 
 
 # Reader phases, in helper-iteration order

@@ -410,16 +410,20 @@ def validated_final(
 class RegisterBank:
     """All 3n^2 + 2n registers plus their operation trace.
 
-    Cells and write counts are lists indexed by register slot.  The
-    engine owns the bank during a run and sets ``current_step`` before
-    each operation; protocol code only goes through read/write.
+    Cells are a list indexed by register slot, and so are write
+    sequence numbers: every write takes the next number of one bank-wide
+    counter, so ``write_seq`` orders the last writes of any two cells (0
+    for a cell never written).  The engine owns the bank during a run and
+    sets ``current_step`` before each operation; protocol code only goes
+    through read/write.
     """
 
     def __init__(self, cfg: Config, u0: bytes, cells: list[bytes]):
         self.cfg = cfg
         self.u0 = u0
         self._cells = cells
-        self.write_counts: list[int] = [0] * len(cells)
+        self.write_seq: list[int] = [0] * len(cells)
+        self._writes = 0
         # persistent cons-list so clones share their common prefix
         self._trace_node: tuple | None = None
         self.current_step = 0
@@ -456,16 +460,12 @@ class RegisterBank:
         if not isinstance(value, bytes):
             raise TypeError("register cells hold bytes")
         self._cells[reg] = value
-        self.write_counts[reg] += 1
+        self._writes += 1
+        self.write_seq[reg] = self._writes
         self._trace_node = (
             self._trace_node,
             TraceEvent(self.current_step, "write", reg, caller, value),
         )
-
-    def write_count(self, reg: RegisterId) -> int:
-        if not 0 <= reg < len(self._cells):
-            raise UnknownRegister(str(reg))
-        return self.write_counts[reg]
 
     def peek(self, reg: RegisterId) -> bytes:
         """Untraced inspection for checkers and tests, never protocol code."""
@@ -478,7 +478,8 @@ class RegisterBank:
         twin.cfg = self.cfg
         twin.u0 = self.u0
         twin._cells = self._cells.copy()
-        twin.write_counts = self.write_counts.copy()
+        twin.write_seq = self.write_seq.copy()
+        twin._writes = self._writes
         twin._trace_node = self._trace_node
         twin.current_step = self.current_step
         return twin
@@ -486,10 +487,10 @@ class RegisterBank:
     def cells_key(self) -> tuple:
         """Snapshot of cell contents in slot order, for state hashing.
 
-        Write counts are deliberately excluded: rewrites of identical
-        bytes change no future behavior (the writer's freshness check is
-        relative to its own baseline and enters the key as a flag, through
-        ``WriterMachine.bank_key``).
+        Write sequence numbers are deliberately excluded: rewrites of
+        identical bytes change no future behavior.  The one order they
+        carry that a machine reads, the correct writer's ack freshness,
+        enters the key as flags, through ``WriterMachine.bank_key``.
         """
         return tuple(self._cells)
 

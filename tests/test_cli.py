@@ -183,6 +183,8 @@ class TestCampaigns:
             {"seeds": []},
             {"seeds": {"count": 0}},
             {"readers": {"4": {"strategy": "equivocate", "values": {"9": "zz"}}}},
+            {"writer": {"strategy": "overwrite_early", "delay": 2**70}},
+            {"writer": {"strategy": "overwrite_early", "delay": -5}},
         ],
         ids=[
             "assignment_missing",
@@ -209,6 +211,8 @@ class TestCampaigns:
             "seeds_empty",
             "seeds_count_zero",
             "equivocate_peer_9",
+            "delay_too_large",
+            "delay_negative",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

@@ -28,7 +28,7 @@ from byzreg.adversary import (
     scenario_forged_quorum,
     scenario_pseudo_correct,
 )
-from byzreg.core import WRITER, Config, TaggedValue
+from byzreg.core import WRITER, Config, ProcessId, TaggedValue
 from byzreg.crypto import make_keyring
 from byzreg.engine import (
     BoundTooLarge,
@@ -42,7 +42,8 @@ from byzreg.engine import (
     fairness_violations,
     run,
 )
-from byzreg.registers import Family, ack_reg, bank_init, decode_value
+from byzreg.protocol import W_POLL, WriterMachine
+from byzreg.registers import Family, ack_reg, bank_init, decode_value, encode_value
 
 from test_registers import replay_trace
 
@@ -296,7 +297,7 @@ class TestEnumeration:
 
 def reference_key(sim):
     """Simulation.state_key's equality relation, recomputed in full with
-    no cache, interning or running event key."""
+    no canonical machines or running event key."""
     return (
         tuple(sim.machines[pid].state_key() for pid in sim.order),
         tuple(sim.machines[pid].bank_key(sim.bank) for pid in sim.order),
@@ -307,12 +308,12 @@ def reference_key(sim):
 
 
 class TestIncrementalStateKey:
-    """The enumerator's state key is cached per machine, interned and
-    built incrementally; it must relate states exactly as a key rebuilt
-    in full does.  At n=4 no history completes within a depth small
+    """The enumerator's state key holds canonical machines and a running
+    event key; it must relate states exactly as a key rebuilt in full
+    does.  At n=4 no history completes within a depth small
     enough to enumerate unpruned, so these compare the states reachable
-    within the depth: breadth first with pruning on the simulation's key,
-    and without pruning, over clones stepped apart."""
+    within the depth: breadth first with pruning on a tabled simulation's
+    key, and without pruning, over untabled clones stepped apart."""
 
     @staticmethod
     def reachable(sim, depth, prune):
@@ -348,22 +349,24 @@ class TestIncrementalStateKey:
         wl = Workload.make(writes=[b"a"], reads={1: 1})
         ring = make_keyring(cfg, "keyed", 0)
 
-        def root():
+        def root(tabled):
             machines = build_machines(cfg, strategies, wl, ring, b"init")
-            return Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+            sim = Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+            if tabled:
+                sim._tabulate()
+            return sim
 
-        pruned = self.reachable(root(), 6, prune=True)
-        assert pruned == self.reachable(root(), 6, prune=False)
+        pruned = self.reachable(root(tabled=True), 6, prune=True)
+        assert pruned == self.reachable(root(tabled=False), 6, prune=False)
         # the writer reached W_POLL, so bank_key took part
         assert any(ref[1][0] for ref in pruned)
 
 
 class TestTransitionTable:
-    """An enumeration steps every machine that reads the bank through its
-    op's result alone by a transition table: one canonical machine per
-    state_key, each (machine, read result) step taken once and replayed.
-    That is sound only if equal keys mean equal machines and a replayed
-    step equals the step taken in place."""
+    """An enumeration steps every machine by a transition table: one
+    canonical machine per state_key, each (machine, read result, bank_key)
+    step taken once and replayed.  That is sound only if equal keys mean
+    equal machines and a replayed step equals the step taken in place."""
 
     READERS = {
         "correct": CorrectReader(),
@@ -382,9 +385,9 @@ class TestTransitionTable:
     def lockstep(cfg, strategies, wl, seeds, steps):
         """Step a tabled simulation (clones of one root, so they share its
         tables) and one stepped in place through the same random schedule,
-        comparing the stepped machines; returns every state_key of a
-        tabled process reached in place, with its machine's attributes, and
-        each run's final status."""
+        comparing the stepped machines; returns every state_key reached in
+        place, with its machine's attributes, and each run's final
+        status."""
         ring = make_keyring(cfg, "keyed", 0)
 
         def root():
@@ -406,8 +409,7 @@ class TestTransitionTable:
                 tabled.step_process(pid)
                 m = plain.machines[pid]
                 assert vars(tabled.machines[pid]) == vars(m)
-                if pid not in plain._bank_keyed:
-                    assert reached.setdefault(m.state_key(), dict(vars(m))) == vars(m)
+                assert reached.setdefault(m.state_key(), dict(vars(m))) == vars(m)
             assert tabled.recorder.key_node == plain.recorder.key_node
             assert (tabled.status, tabled.violation) == (plain.status, plain.violation)
             assert tabled.history("x").digest() == plain.history("x").digest()
@@ -420,7 +422,8 @@ class TestTransitionTable:
         strategies = StrategyAssignment(readers={4: self.READERS[name]})
         wl = Workload.make(writes=[b"a", b"b"], reads={1: 1, 2: 1}, read_gap=1)
         reached, _ = self.lockstep(CFG41, strategies, wl, range(6), 500)
-        assert reached
+        # the correct writer is tabled too, polling included
+        assert any(key[0] == "w" and key[1] == W_POLL for key in reached)
 
     @pytest.mark.parametrize(
         "writer",
@@ -439,6 +442,27 @@ class TestTransitionTable:
         wl = Workload.make(writes=[b"a", b"b", b"c"], reads={1: 1}, read_gap=1)
         reached, _ = self.lockstep(cfg, StrategyAssignment(writer=writer), wl, range(6), 300)
         assert any(key[0] == "bw" for key in reached)
+
+    def test_writer_step_keyed_by_ack_freshness(self):
+        # the same canonical writer polls the same ack bytes twice: written
+        # before the write began (stale), then after it (fresh); a step
+        # keyed by the read result alone would replay the stale outcome
+        cfg = Config(1, 0)
+        ring = make_keyring(cfg, "keyed", 0)
+        bank = bank_init(cfg, b"init", ring)
+        ack = encode_value(Family.ACK, TaggedValue(1, b"a"))
+        bank.write(ack_reg(1), ack, ProcessId.reader(1))
+        root = Simulation(cfg, {WRITER: WriterMachine(cfg, ring, [b"a"])}, bank)
+        root._tabulate()
+        stale, fresh = root.clone(), root.clone()
+        stale.step_process(WRITER)
+        fresh.step_process(WRITER)
+        fresh.bank.write(ack_reg(1), ack, ProcessId.reader(1))
+        assert stale.machines[WRITER] is fresh.machines[WRITER]
+        stale.step_process(WRITER)
+        fresh.step_process(WRITER)
+        assert not stale.machines[WRITER].acked and not stale.workload_complete()
+        assert fresh.machines[WRITER].acked == {1} and fresh.workload_complete()
 
     def test_violation_is_replayed(self):
         # the forged-quorum scenario ends in concurrent_final_sets at a
@@ -551,21 +575,18 @@ class TestSchedulerContract:
                 keys = {pid: m.state_key() for pid, m in origin.items()}
                 snaps = {pid: self.snapshot(m) for pid, m in origin.items()}
                 twin = sim.clone()
-                stepped = set()
                 for _ in range(40):
                     if twin.enabled_pids():
-                        pid = rng.choice(twin.enabled_pids())
-                        twin.step_process(pid)
-                        stepped.add(pid)
+                        twin.step_process(rng.choice(twin.enabled_pids()))
                 self.assert_views_match_rescan(twin)
                 self.assert_views_match_rescan(sim)
-                # clones are copy-on-write and machines clone shallowly:
-                # the twin still shares every machine it did not step, and
-                # stepping it left every machine and container its origin
-                # holds untouched
+                # an untabled clone copies every machine, shallowly: the
+                # twin holds none of its origin's machines, and stepping
+                # it left every machine and container its origin holds
+                # untouched
                 for pid, m in origin.items():
                     assert sim.machines[pid] is m
-                    assert (twin.machines[pid] is m) == (pid not in stepped)
+                    assert twin.machines[pid] is not m
                     assert m.state_key() == keys[pid]
                     assert self.snapshot(m) == snaps[pid], f"{pid} at step {step}"
                 assert sim.state_key() == before

@@ -164,9 +164,14 @@ class TestAccessControl:
         v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
         v2 = encode_value(Family.INIT, TaggedValue(2, b"b"))
         bank.write(init_reg(1), v1, WRITER)
+        first = bank.write_seq[init_reg(1)]
+        bank.write(init_reg(2), v1, WRITER)
+        between = bank.write_seq[init_reg(2)]
         bank.write(init_reg(1), v2, WRITER)
         assert bank.peek(init_reg(1)) == v2
-        assert bank.write_count(init_reg(1)) == 2
+        # the overwrite takes a later sequence number than any write before it
+        assert 0 < first < between < bank.write_seq[init_reg(1)]
+        assert bank.write_seq[init_reg(3)] == 0  # never written
 
     def test_read_after_write_returns_written(self):
         cfg, _, bank = make_bank(4, 1)
