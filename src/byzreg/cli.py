@@ -109,6 +109,8 @@ def load_scenario(path: str | Path) -> adversary.Scenario:
             raise ConfigError(f"unknown signature scheme {scenario.scheme!r}")
         if scenario.step_limit <= 0:
             raise ConfigError(f"step_limit must be positive, got {scenario.step_limit}")
+        if scenario.settle_steps < 0:
+            raise ConfigError(f"settle_steps must be at least 0, got {scenario.settle_steps}")
         if not scenario.seeds:
             raise ConfigError("the seed list is empty")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -183,7 +185,7 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
             warnings.append(f"reads assigned to Byzantine reader {i} are dropped")
     try:
         u0 = raw.get("u0", "init").encode()
-    except AttributeError as exc:
+    except (AttributeError, UnicodeEncodeError) as exc:
         raise ConfigError(f"bad u0: {exc}") from exc
     return adversary.Scenario(
         name, cfg, u0, strategies, workload, engine.SeededRandom(seed=0), warnings=warnings

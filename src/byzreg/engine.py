@@ -358,11 +358,13 @@ class Simulation:
             pid for pid in self.order
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
-        # machine key -> its canonical machine, and canonical machine ->
-        # (its op, {outcome key: (canonical successor, recorder calls,
-        # violation)}); None to step in place
+        # machine key -> its canonical machine, canonical machine -> (its
+        # op, {outcome key: (canonical successor, recorder calls,
+        # violation)}), and state key part -> the small int standing for
+        # it; None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
+        self._parts: dict | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -456,6 +458,7 @@ class Simulation:
         states is one canonical machine, never changed."""
         self._canon = {}
         self._table = {}
+        self._parts = {}
         for pid in self.order:
             machine = self.machines[pid]
             self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
@@ -489,6 +492,7 @@ class Simulation:
         twin._bank_keyed = self._bank_keyed
         twin._canon = self._canon
         twin._table = self._table
+        twin._parts = self._parts
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
@@ -498,20 +502,34 @@ class Simulation:
         return twin
 
     def state_key(self):
-        # step indices are deliberately excluded: two prefixes reaching the
-        # same machine/bank/event state have identical futures.  Tabled
-        # machines are canonical, so they stand for their own keys.
+        """The machine, bank and event state, without step indices: two
+        prefixes reaching the same state have identical futures.
+
+        Untabled, it is ``(machine keys, bank keys, cells, event key,
+        status)``.  Tabled, it is the flat tuple ``(*canonical machines in
+        pid order, bank keys, cells, event key, status)``: a machine
+        stands for its own key, and the bank keys, the cells and the event
+        key each enter as the small int the enumeration's part table gives
+        that value, so the tuple is the one object a stored state
+        allocates.  Both relate states exactly as a key rebuilt in full
+        does."""
         machines = self.machines
-        if self._table is None:
-            machine_keys = tuple([machines[pid].state_key() for pid in self.order])
-        else:
-            machine_keys = tuple(map(machines.__getitem__, self.order))
         bank = self.bank
+        bank_keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
+        parts = self._parts
+        if parts is None:
+            return (
+                tuple([machines[pid].state_key() for pid in self.order]),
+                bank_keys,
+                bank.cells_key(),
+                self.recorder.key_node,
+                self.status,
+            )
         return (
-            machine_keys,
-            tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed]),
-            bank.cells_key(),
-            self.recorder.key_node,
+            *map(machines.__getitem__, self.order),
+            parts.setdefault(bank_keys, len(parts)),
+            parts.setdefault(bank.cells_key(), len(parts)),
+            parts.setdefault(self.recorder.key_node, len(parts)),
             self.status,
         )
 

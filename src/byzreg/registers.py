@@ -491,6 +491,10 @@ class RegisterBank:
         identical bytes change no future behavior.  The one order they
         carry that a machine reads, the correct writer's ack freshness,
         enters the key as flags, through ``WriterMachine.bank_key``.
+
+        Built afresh on every call.  A tabled enumeration keeps each
+        distinct snapshot once, and a small int stands for it in every
+        state key (see ``Simulation.state_key``).
         """
         return tuple(self._cells)
 

@@ -185,6 +185,8 @@ class TestCampaigns:
             {"readers": {"4": {"strategy": "equivocate", "values": {"9": "zz"}}}},
             {"writer": {"strategy": "overwrite_early", "delay": 2**70}},
             {"writer": {"strategy": "overwrite_early", "delay": -5}},
+            {"u0": "\udc80"},
+            {"settle_steps": -4},
         ],
         ids=[
             "assignment_missing",
@@ -213,6 +215,8 @@ class TestCampaigns:
             "equivocate_peer_9",
             "delay_too_large",
             "delay_negative",
+            "u0_surrogate",
+            "settle_steps_negative",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

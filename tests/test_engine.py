@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import random
+import tracemalloc
 
 import pytest
 
@@ -274,8 +275,8 @@ class TestEnumeration:
         state_key = Simulation.state_key
 
         def recording(sim):
-            if not any(sim._canon is c and sim._table is t for c, t in tables[-1]):
-                tables[-1].append((sim._canon, sim._table))
+            if not any(sim._canon is c and sim._table is t for c, t, _ in tables[-1]):
+                tables[-1].append((sim._canon, sim._table, sim._parts))
             return state_key(sim)
 
         monkeypatch.setattr(Simulation, "state_key", recording)
@@ -284,15 +285,52 @@ class TestEnumeration:
         for _ in range(2):
             tables.append([])
             assert list(enumerate_schedules(cfg, wl, depth_bound=40))
-        # one table of canonical machines and one transition table per
-        # enumeration, shared by all its clones
-        ((canon1, table1),), ((canon2, table2),) = tables
+        # one table of canonical machines, one transition table and one
+        # table of state key parts per enumeration, shared by all its clones
+        ((canon1, table1, parts1),), ((canon2, table2, parts2),) = tables
         assert canon1 is not canon2 and canon1 and canon2
         assert table1 is not table2 and table1 and table2
+        assert parts1 is not parts2 and parts1 and parts2
         # every machine in either table belongs to its own enumeration
         ids1 = {id(m) for m in canon1.values()}
         assert not ids1 & {id(m) for m in canon2.values()}
         assert not ids1 & {id(m) for m in table2}
+
+    def test_bytes_per_stored_state(self, monkeypatch):
+        """A stored state allocates only its flat key tuple; every part it
+        holds is shared.  The benchmark's n=2 instance must peak at no more
+        than 300 traced bytes per distinct state key (a key built from
+        scratch per state costs about 500)."""
+        cfg = Config(2, 0)
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        keys = set()
+        state_key = Simulation.state_key
+
+        def counting(sim):
+            key = state_key(sim)
+            keys.add(key)
+            return key
+
+        # the counting pass also warms the module caches the traced pass
+        # would otherwise fill
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulation, "state_key", counting)
+            histories = sum(1 for _ in enumerate_schedules(cfg, wl, depth_bound=60))
+        states = len(keys)
+        keys.clear()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert sum(1 for _ in enumerate_schedules(cfg, wl, depth_bound=60)) == histories
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert states > 20_000
+        assert peak / states <= 300, f"{peak / states:.0f} B per state"
 
 
 def reference_key(sim):
