@@ -8,11 +8,15 @@ carry a minimal witnessing description.
 
 run_all_checks derives each view of a run once and every check reads
 that view: the operations are paired once (ExecutionHistory.ops), the
-final registers are scanned once (_scan_finals gives the stabilizations
-and each reader's attribution log), and the stabilizations are sorted
-once and turned into one full-timestamp chain; then the checks run.  The
-public check functions take these views, so a test can run any one of
-them on hand-built inputs.
+trace's writes are split by register family once
+(ExecutionHistory.family_writes), the final-register writes are scanned
+once (_scan_finals gives the stabilizations and each reader's
+attribution log), and the stabilizations are sorted once and turned into
+one full-timestamp chain; then the checks run.  The public check
+functions take these views, so a test can run any one of them on
+hand-built inputs.  Each check is a sweep or a lookup, near-linear in run
+length; where a sweep finds a violation, the pairwise loop it replaced
+names it (see the coverage-pattern notes below).
 
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
@@ -25,7 +29,9 @@ import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from itertools import combinations
+from operator import attrgetter, itemgetter
+from typing import Iterable
 
 from . import crypto, registers
 from .core import (
@@ -41,7 +47,6 @@ from .core import (
     WitnessEntry,
     mapsto_compare,
     vec_compare,
-    ws_of,
 )
 from .engine import ExecutionHistory, HliOp, records_digest
 from .registers import DecodeError, Family, TraceEvent, decode_value, final_reg
@@ -122,16 +127,18 @@ def writer_writes(history: ExecutionHistory) -> list[HliOp]:
 
 
 def _scan_finals(
-    trace: list[TraceEvent], cfg: Config, ring: crypto.KeyRing, u0: bytes
+    final_writes: Iterable[TraceEvent], cfg: Config, ring: crypto.KeyRing, u0: bytes
 ) -> tuple[list[StabilizationEvent], dict[int, list[tuple[int, StabilizationEvent]]]]:
-    """Single pass over final-register writes.
+    """Single pass over the final-register writes, in trace order.
 
     Returns the stabilization events in step order plus, per row owner,
     every validated final write (step, matching event or a fresh
     pseudo-event) for read attribution.
     """
     initial = registers.initial_inform_set(cfg, u0, ring)
-    initial_ws = ws_of(initial, cfg)
+    # every member signs the initial entries, so they are its core (what
+    # ws_of would compute, without the intersection)
+    initial_ws = next(iter(initial.members)).entries
     initial_value = TaggedValue(0, u0)
 
     initial_event = StabilizationEvent(
@@ -156,9 +163,7 @@ def _scan_finals(
     }
     events_by_key = {key0: initial_event}
 
-    for ev in trace:
-        if ev.op != "write" or registers.FAMILY[ev.reg] is not Family.FINAL:
-            continue
+    for ev in final_writes:
         out = registers.validated_final(ring, cfg, ev.value)
         owner = registers.WRITER_END[ev.reg].index
         if out is None:
@@ -192,7 +197,11 @@ def detect_stabilizations(
     """Every distinct (value, witness core) that covered a full final row,
     ordered by completion step; the bank initializer counts as the
     stabilization of the initial value at step 0."""
-    events, _ = _scan_finals(trace, cfg, ring, u0)
+    family = registers.FAMILY
+    final_writes = (
+        ev for ev in trace if ev.op == "write" and family[ev.reg] is Family.FINAL
+    )
+    events, _ = _scan_finals(final_writes, cfg, ring, u0)
     return events
 
 
@@ -213,7 +222,7 @@ def classify_writes(
     cannot be audited, so their dated claims stand in, which is also what
     makes a collaborator-completed partial write a pseudo-correct one).
     """
-    trace = history.trace
+    family_writes = history.family_writes
     u0 = history.u0
     initial_value = TaggedValue(0, u0)
     writes = writer_writes(history)
@@ -223,37 +232,35 @@ def classify_writes(
     acks: dict[TaggedValue, list[tuple[int, int]]] = {}
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
-    for ev in trace:
-        if ev.op != "write":
+    for ev in family_writes[Family.INIT]:
+        try:
+            v = decode_value(Family.INIT, ev.value)
+        except DecodeError:
             continue
-        fam = registers.FAMILY[ev.reg]
-        if fam is Family.INIT:
-            try:
-                v = decode_value(Family.INIT, ev.value)
-            except DecodeError:
-                continue
-            reader = registers.READER_END[ev.reg].index
-            evidence.setdefault(v, ValueEvidence()).init_registers.add(reader)
-            init_events.append((ev.step, reader, v))
-        elif fam is Family.ACK and not ev.caller.is_writer:
-            try:
-                v = decode_value(Family.ACK, ev.value)
-            except DecodeError:
-                continue
-            acks.setdefault(v, []).append((ev.step, ev.caller.index))
-        elif fam is Family.WITNESS:
-            src = ev.caller.index if not ev.caller.is_writer else None
-            if src is None:
-                continue
-            try:
-                entry = decode_value(Family.WITNESS, ev.value)
-            except DecodeError:
-                continue
-            if src in byz_readers:
-                evidence.setdefault(entry.value, ValueEvidence()).byz_witnesses.add(src)
-            else:
-                stamps = correct_stamps.setdefault(entry.value, {})
-                stamps[src] = max(stamps.get(src, 0), entry.s)
+        reader = registers.READER_END[ev.reg].index
+        evidence.setdefault(v, ValueEvidence()).init_registers.add(reader)
+        init_events.append((ev.step, reader, v))
+    for ev in family_writes[Family.ACK]:
+        if ev.caller.is_writer:
+            continue
+        try:
+            v = decode_value(Family.ACK, ev.value)
+        except DecodeError:
+            continue
+        acks.setdefault(v, []).append((ev.step, ev.caller.index))
+    for ev in family_writes[Family.WITNESS]:
+        if ev.caller.is_writer:
+            continue
+        src = ev.caller.index
+        try:
+            entry = decode_value(Family.WITNESS, ev.value)
+        except DecodeError:
+            continue
+        if src in byz_readers:
+            evidence.setdefault(entry.value, ValueEvidence()).byz_witnesses.add(src)
+        else:
+            stamps = correct_stamps.setdefault(entry.value, {})
+            stamps[src] = max(stamps.get(src, 0), entry.s)
 
     stabilized = {s.value for s in stabs}
     values = set(evidence) | stabilized
@@ -323,8 +330,78 @@ def classify_writes(
 # --- ordering checks -----------------------------------------------------------
 
 
+# mapsto_compare orders two cores by their stamps on the witnesses they
+# share, so cores that stamp the same witnesses (one coverage pattern)
+# compare on one projection.  The sweeps below group cores by pattern and,
+# for each pair of patterns, order the projections onto the shared
+# witnesses S instead of comparing every pair of cores: projecting onto S
+# keeps componentwise <=, so a set of projections is a chain exactly when
+# its lexicographic sort has componentwise <= neighbours, and a pair that
+# ties on S compares Equal only if it carries one value.  A pair with fewer
+# than n-2t shared witnesses, or none, is never ordered.  The sweeps only
+# decide whether a violation exists; the pairwise loop then names the
+# first one, so a verdict's detail is the one the loop alone would give.
+
+
+def _coverage_groups(cores, items) -> dict[tuple[int, ...], list[tuple]]:
+    """Items grouped by the coverage pattern (the sorted witnesses) of their
+    cores; each member is (its core's stamps by witness, the core's value,
+    the item)."""
+    groups: dict[tuple[int, ...], list] = {}
+    for ws, item in zip(cores, items):
+        stamps = {e.p: e.s for e in ws}
+        value = next(iter(ws)).value if ws else None
+        groups.setdefault(tuple(sorted(stamps)), []).append((stamps, value, item))
+    return groups
+
+
+def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if a is b:
+        return a
+    in_b = set(b)
+    return tuple(p for p in a if p in in_b)
+
+
+def _ordered_across(shared, left, right, cfg: Config) -> bool:
+    """Whether every pair of a left and a right member compares Before,
+    After or Equal; ``left is right`` checks the pairs within one group.
+    Valid for two groups once each has passed on its own, because then
+    the left and the right members are each a chain on their own."""
+    same = left is right
+    if len(shared) < cfg.common_quorum or not shared:
+        return same and len(left) < 2
+    rows = [(tuple(stamps[p] for p in shared), 0, value) for stamps, value, _ in left]
+    if not same:
+        rows += [(tuple(stamps[p] for p in shared), 1, value) for stamps, value, _ in right]
+    rows.sort(key=itemgetter(0))
+    tie = None
+    for proj, side, value in rows:
+        if proj != tie:
+            if tie is not None and any(x > y for x, y in zip(tie, proj)):
+                return False
+            tie, sides, values = proj, set(), set()
+        sides.add(side)
+        values.add(value)
+        if len(values) > 1 and (same or len(sides) > 1):
+            return False
+    return True
+
+
+def _totally_ordered(stabs: list[StabilizationEvent], cfg: Config) -> bool:
+    """Whether every pair of stabilized cores compares without violation."""
+    groups = _coverage_groups([s.ws for s in stabs], stabs)
+    if not all(_ordered_across(a, g, g, cfg) for a, g in groups.items()):
+        return False
+    return all(
+        _ordered_across(_shared(a, b), groups[a], groups[b], cfg)
+        for a, b in combinations(groups, 2)
+    )
+
+
 def check_total_order(stabs: list[StabilizationEvent], cfg: Config) -> Verdict:
     """Every pair of stabilized witness cores must be comparable."""
+    if _totally_ordered(stabs, cfg):
+        return Verdict("pass", f"{len(stabs)} stabilizations totally ordered")
     for i in range(len(stabs)):
         for j in range(i + 1, len(stabs)):
             a, b = stabs[i], stabs[j]
@@ -453,97 +530,80 @@ def _read_attribution(
     """Map each completed correct read to the stabilization event behind the
     value it returned (the reader's latest validated final-row write, from
     _scan_finals' per-owner log)."""
+    steps = {q: [step for step, _ in log] for q, log in by_owner.items()}
     out: dict[tuple[ProcessId, int], StabilizationEvent] = {}
     for read in reads:
-        log = by_owner.get(read.process.index, [])
-        chosen = None
-        for step, stab in log:
-            if step <= read.response_step:
-                chosen = stab
-            else:
-                break
-        if chosen is not None:
-            out[(read.process, read.index)] = chosen
+        q = read.process.index
+        if q not in by_owner:
+            continue
+        # the log is in step order: take its last write by the response
+        k = bisect.bisect_right(steps[q], read.response_step)
+        if k:
+            out[(read.process, read.index)] = by_owner[q][k - 1][1]
     return out
 
 
-def check_register_linearizability(
-    history: ExecutionHistory,
-    stabs: list[StabilizationEvent],
-    classification: WriteClassification,
-    cfg: Config,
-    ring: crypto.KeyRing,
-) -> Verdict:
-    """Reading-a-current-value plus no new-old inversions over completed
-    correct reads, judged on high-level steps and stabilization steps."""
-    _, by_owner = _scan_finals(history.trace, cfg, ring, history.u0)
-    return _register_linearizability(history, stabs, by_owner, classification, cfg)
+def _follows_in_order(shared, earlier, later, cfg: Config) -> bool:
+    """Whether every later member invoked after an earlier member responded
+    returns a core at or above that member's on the shared witnesses,
+    Equal only with one value.  The members are (stamps, value, read).
 
-
-def _register_linearizability(
-    history: ExecutionHistory,
-    stabs: list[StabilizationEvent],
-    by_owner: dict[int, list[tuple[int, StabilizationEvent]]],
-    classification: WriteClassification,
-    cfg: Config,
-) -> Verdict:
-    v0 = TaggedValue(0, history.u0)
-    reads = completed_reads(history)
-    attribution = _read_attribution(reads, by_owner)
-
-    correct_write_ops = [
-        op
-        for op in writer_writes(history)
-        if op.response_step is not None
-        and op.invoke_value is not None
-        and classification.kind_of(op.invoke_value) is Kind.CORRECT
-    ]
-    first_stab_of: dict[TaggedValue, StabilizationEvent] = {}
-    for s in stabs:
-        first_stab_of.setdefault(s.value, s)
-
-    for read in reads:
-        v = read.response_value
-        stab = attribution.get((read.process, read.index))
-        if v == v0:
-            for s in stabs:
-                if s.value != v0 and s.step < read.invoke_step:
-                    return Verdict(
-                        "violation",
-                        f"read at {read.process} returned the initial value after "
-                        f"{s.value} stabilized at step {s.step}",
-                    )
+    Reads sorted by invocation meet the earlier reads sorted by response:
+    a projection is at or above each of a set exactly when it is at or
+    above their componentwise maximum."""
+    if len(shared) < cfg.common_quorum or not shared:
+        first_done = min(read.response_step for _, _, read in earlier)
+        return all(read.invoke_step <= first_done for _, _, read in later)
+    done = sorted(earlier, key=lambda m: m[2].response_step)
+    top = None  # componentwise maximum over the reads done so far
+    tied: dict[tuple[int, ...], set] = {}  # their values, per projection
+    k = 0
+    for stamps, value, read in sorted(later, key=lambda m: m[2].invoke_step):
+        while k < len(done) and done[k][2].response_step < read.invoke_step:
+            done_stamps, done_value, _ = done[k]
+            proj = tuple(done_stamps[p] for p in shared)
+            top = proj if top is None else tuple(map(max, top, proj))
+            tied.setdefault(proj, set()).add(done_value)
+            k += 1
+        if top is None:
             continue
-        if stab is None or stab.value != v:
-            return Verdict(
-                "violation",
-                f"read at {read.process} returned {v} with no matching final-row state",
-            )
-        if stab.step > read.response_step:
-            return Verdict(
-                "violation",
-                f"read at {read.process} returned {v} before it stabilized",
-            )
-        preceding = [
-            op for op in correct_write_ops if op.response_step < read.invoke_step
-        ]
-        if preceding:
-            last = max(preceding, key=lambda op: op.response_step)
-            w = last.invoke_value
-            if w != v:
-                w_stab = first_stab_of.get(w)
-                if w_stab is None:
-                    return Verdict(
-                        "violation", f"correct write {w} completed without stabilizing"
-                    )
-                verdict = mapsto_compare(w_stab.ws, stab.ws, cfg)
-                if verdict not in (OrderVerdict.BEFORE, OrderVerdict.EQUAL):
-                    return Verdict(
-                        "violation",
-                        f"read at {read.process} returned {v}, older than the most "
-                        f"recent preceding correct write {w}",
-                    )
+        proj = tuple(stamps[p] for p in shared)
+        if any(x > y for x, y in zip(top, proj)):
+            return False
+        values = tied.get(proj)
+        if values and (len(values) > 1 or value not in values):
+            return False
+    return True
 
+
+def _inversion_free(
+    reads: list[HliOp],
+    attribution: dict[tuple[ProcessId, int], StabilizationEvent],
+    cfg: Config,
+) -> bool:
+    """Whether no attributed read returns a core that does not compare
+    Before or Equal against that of a read which responded before it was
+    invoked, by one sweep per ordered pair of coverage patterns."""
+    attributed = [r for r in reads if (r.process, r.index) in attribution]
+    groups = _coverage_groups(
+        [attribution[(r.process, r.index)].ws for r in attributed], attributed
+    )
+    return all(
+        _follows_in_order(_shared(a, b), groups[a], groups[b], cfg)
+        for a in groups
+        for b in groups
+    )
+
+
+def _first_inversion(
+    reads: list[HliOp],
+    attribution: dict[tuple[ProcessId, int], StabilizationEvent],
+    cfg: Config,
+) -> Verdict | None:
+    """The first new-old inversion among the attributed reads, in the
+    order of the pairwise loop, or None."""
+    if len(reads) < 2 or _inversion_free(reads, attribution, cfg):
+        return None
     # operand pairs already compared without a violation; any other
     # outcome ends the loop, so only these can recur
     in_order: set = set()
@@ -574,7 +634,99 @@ def _register_linearizability(
                         f"before {r2.process} returned {r2.response_value}",
                     )
                 in_order.add(pair)
-    return Verdict("pass", f"{len(reads)} reads current and inversion-free")
+    return None
+
+
+def check_register_linearizability(
+    history: ExecutionHistory,
+    stabs: list[StabilizationEvent],
+    classification: WriteClassification,
+    cfg: Config,
+    ring: crypto.KeyRing,
+) -> Verdict:
+    """Reading-a-current-value plus no new-old inversions over completed
+    correct reads, judged on high-level steps and stabilization steps."""
+    _, by_owner = _scan_finals(history.family_writes[Family.FINAL], cfg, ring, history.u0)
+    return _register_linearizability(history, stabs, by_owner, classification, cfg)
+
+
+def _register_linearizability(
+    history: ExecutionHistory,
+    stabs: list[StabilizationEvent],
+    by_owner: dict[int, list[tuple[int, StabilizationEvent]]],
+    classification: WriteClassification,
+    cfg: Config,
+) -> Verdict:
+    v0 = TaggedValue(0, history.u0)
+    reads = completed_reads(history)
+    attribution = _read_attribution(reads, by_owner)
+
+    correct_write_ops = sorted(
+        (
+            op
+            for op in writer_writes(history)
+            if op.response_step is not None
+            and op.invoke_value is not None
+            and classification.kind_of(op.invoke_value) is Kind.CORRECT
+        ),
+        key=attrgetter("response_step"),
+    )
+    write_steps = [op.response_step for op in correct_write_ops]
+    first_stab_of: dict[TaggedValue, StabilizationEvent] = {}
+    for s in stabs:
+        first_stab_of.setdefault(s.value, s)
+    # the stabilizations of other values stepped below every earlier one:
+    # the first stabilization in stabs before an invocation is among them
+    undercutting: list[StabilizationEvent] = []
+    for s in stabs:
+        if s.value != v0 and (not undercutting or s.step < undercutting[-1].step):
+            undercutting.append(s)
+    undercut_keys = [-s.step for s in undercutting]
+
+    for read in reads:
+        v = read.response_value
+        stab = attribution.get((read.process, read.index))
+        if v == v0:
+            k = bisect.bisect_right(undercut_keys, -read.invoke_step)
+            if k < len(undercutting):
+                s = undercutting[k]
+                return Verdict(
+                    "violation",
+                    f"read at {read.process} returned the initial value after "
+                    f"{s.value} stabilized at step {s.step}",
+                )
+            continue
+        if stab is None or stab.value != v:
+            return Verdict(
+                "violation",
+                f"read at {read.process} returned {v} with no matching final-row state",
+            )
+        if stab.step > read.response_step:
+            return Verdict(
+                "violation",
+                f"read at {read.process} returned {v} before it stabilized",
+            )
+        k = bisect.bisect_left(write_steps, read.invoke_step)
+        if k:
+            # the first of the latest writes to respond before the invocation
+            last = correct_write_ops[bisect.bisect_left(write_steps, write_steps[k - 1])]
+            w = last.invoke_value
+            if w != v:
+                w_stab = first_stab_of.get(w)
+                if w_stab is None:
+                    return Verdict(
+                        "violation", f"correct write {w} completed without stabilizing"
+                    )
+                verdict = mapsto_compare(w_stab.ws, stab.ws, cfg)
+                if verdict not in (OrderVerdict.BEFORE, OrderVerdict.EQUAL):
+                    return Verdict(
+                        "violation",
+                        f"read at {read.process} returned {v}, older than the most "
+                        f"recent preceding correct write {w}",
+                    )
+
+    inversion = _first_inversion(reads, attribution, cfg)
+    return inversion or Verdict("pass", f"{len(reads)} reads current and inversion-free")
 
 
 def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
@@ -582,12 +734,11 @@ def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     value every later-issued correct read must return it too."""
     u0 = history.u0
     last_value = TaggedValue(0, u0)
-    for ev in history.trace:
-        if ev.op == "write" and registers.FAMILY[ev.reg] is Family.INIT:
-            try:
-                last_value = decode_value(Family.INIT, ev.value)
-            except DecodeError:
-                return Verdict("pass", "final init write undecodable; proviso unmet")
+    for ev in history.family_writes[Family.INIT]:
+        try:
+            last_value = decode_value(Family.INIT, ev.value)
+        except DecodeError:
+            return Verdict("pass", "final init write undecodable; proviso unmet")
     reads = completed_reads(history)
     returning = [r for r in reads if r.response_value == last_value]
     if not returning:
@@ -603,12 +754,32 @@ def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     return Verdict("pass", f"all reads after step {cutoff} returned {last_value}")
 
 
+def _reads_agree(sequences: list[list[TaggedValue]]) -> bool:
+    """Whether no two reads, at one reader or two, saw two values in
+    opposite orders: each reader returns every value in one unbroken
+    stretch, and any two readers meet the values they share in one order.
+    """
+    orders = []
+    for seq in sequences:
+        order = [v for k, v in enumerate(seq) if k == 0 or v != seq[k - 1]]
+        if len(set(order)) != len(order):
+            return False
+        orders.append(order)
+    for p, q in combinations(orders, 2):
+        in_p, in_q = set(p), set(q)
+        if [v for v in p if v in in_q] != [v for v in q if v in in_p]:
+            return False
+    return True
+
+
 def check_total_ordering_reads(history: ExecutionHistory) -> Verdict:
     """No two correct readers may see two values in opposite orders."""
     orders: dict[tuple, tuple[ProcessId, ProcessId]] = {}
     per_reader: dict[ProcessId, list[TaggedValue]] = {}
     for r in completed_reads(history):
         per_reader.setdefault(r.process, []).append(r.response_value)
+    if _reads_agree(list(per_reader.values())):
+        return Verdict("pass", "common order across readers")
     for pid, seq in sorted(per_reader.items()):
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
@@ -637,13 +808,14 @@ def check_write_stabilization(
     """
     if history.cfg.writer_byzantine:
         return Verdict("pass", "vacuous: Byzantine writer does not await stabilization")
+    first_step: dict[TaggedValue, int] = {}
+    for s in stabs:
+        first_step[s.value] = min(s.step, first_step.get(s.value, s.step))
     for op in writer_writes(history):
         if op.response_step is None or op.invoke_value is None:
             continue
-        ok = any(
-            s.value == op.invoke_value and s.step <= op.response_step for s in stabs
-        )
-        if not ok:
+        step = first_step.get(op.invoke_value)
+        if step is None or step > op.response_step:
             return Verdict(
                 "violation",
                 f"write {op.invoke_value} responded at step {op.response_step} "
@@ -747,19 +919,22 @@ def build_byzantine_linearization(
                 f"sequential spec broken: read returned {op.value}, register held {current}"
             )
 
-    # real-time order preserved for the real operations
-    real = [(pos, item[4]) for pos, item in enumerate(seq) if item[4] is not None]
-    for pos_a, op_a in real:
-        for pos_b, op_b in real:
-            if (
-                op_a.response_step is not None
-                and op_b.invoke_step > op_a.response_step
-                and pos_b < pos_a
-            ):
-                raise NoLinearization(
-                    f"real-time order broken between {op_a.process} and {op_b.process}"
-                )
+    _check_real_time([item[4] for item in seq if item[4] is not None])
     return ops
+
+
+def _check_real_time(real: list[HliOp]) -> None:
+    """Raise NoLinearization naming the first operation, in sequence order,
+    placed after one invoked once it had responded, and the first such
+    later-invoked operation: one sweep keeps the latest invocation so far."""
+    latest_invoke = -1
+    for k, op_a in enumerate(real):
+        if op_a.response_step is not None and latest_invoke > op_a.response_step:
+            op_b = next(op for op in real[:k] if op.invoke_step > op_a.response_step)
+            raise NoLinearization(
+                f"real-time order broken between {op_a.process} and {op_b.process}"
+            )
+        latest_invoke = max(latest_invoke, op_a.invoke_step)
 
 
 def check_byzantine_linearization(
@@ -929,7 +1104,7 @@ def run_all_checks(
         else Verdict("violation", f"{len(bad_reads)} stale reads, first at step {bad_reads[0].step}")
     )
 
-    stabs, by_owner = _scan_finals(history.trace, cfg, ring, u0)
+    stabs, by_owner = _scan_finals(history.family_writes[Family.FINAL], cfg, ring, u0)
     classification = classify_writes(history, stabs, cfg, byz_readers)
 
     chain: list[FullTimestamp] = []

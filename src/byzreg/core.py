@@ -53,6 +53,10 @@ class Config:
             raise ValueError(f"need at least one reader, got n={self.n}")
         if not 0 <= self.t <= self.n:
             raise ValueError(f"t must be in [0, n], got t={self.t}, n={self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, self.t, self.writer_byzantine)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def quorum(self) -> int:

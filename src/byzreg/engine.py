@@ -21,6 +21,8 @@ from . import crypto
 from .core import Config, EqualStampsDifferentValue, ProcessId, TaggedValue
 from .protocol import ConcurrentFinalSets, ProcessMachine
 from .registers import (
+    FAMILY,
+    Family,
     LocalOp,
     ReadOp,
     RegisterBank,
@@ -143,6 +145,19 @@ class ExecutionHistory:
             counters[pid] = idx + 1
             ops.append(HliOp(pid, start.op, start.step, None, start.value, None, idx))
         return ops
+
+    @functools.cached_property
+    def family_writes(self) -> dict[Family, list[TraceEvent]]:
+        """The trace's write events per register family, in trace order,
+        so that a checker pass over one family skips the other events."""
+        out: dict[Family, list[TraceEvent]] = {family: [] for family in Family}
+        # keyed by the value string, whose hash is cached, as decode_value's
+        # cache is: an Enum member hashes in Python
+        by_value = {family._value_: writes for family, writes in out.items()}
+        for ev in self.trace:
+            if ev.op == "write":
+                by_value[FAMILY[ev.reg]._value_].append(ev)
+        return out
 
     def export_records(self) -> Iterator[str]:
         meta = {

@@ -381,6 +381,9 @@ def initial_inform_set(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> InformSe
     return iset
 
 
+_UNSEEN = object()
+
+
 def validated_final(
     ring: crypto.KeyRing, cfg: Config, data: bytes
 ) -> tuple[TaggedValue, frozenset[WitnessEntry], InformSet] | None:
@@ -393,8 +396,9 @@ def validated_final(
     """
     key = (data, cfg)
     validated = ring._final_validation_cache
-    if key in validated:
-        return validated[key]
+    out = validated.get(key, _UNSEEN)
+    if out is not _UNSEEN:
+        return out
     out = None
     try:
         iset = decode_value(Family.FINAL, data)

@@ -507,14 +507,16 @@ def test_each_view_derived_once_per_report(monkeypatch):
 
     for name in ("_scan_finals", "sort_stabilizations", "build_full_timestamps"):
         monkeypatch.setattr(checker, name, counted(name, getattr(checker, name)))
-    ops = functools.cached_property(counted("ops", ExecutionHistory.ops.func))
-    ops.__set_name__(ExecutionHistory, "ops")
-    monkeypatch.setattr(ExecutionHistory, "ops", ops)
+    for name in ("ops", "family_writes"):
+        prop = functools.cached_property(counted(name, getattr(ExecutionHistory, name).func))
+        prop.__set_name__(ExecutionHistory, name)
+        monkeypatch.setattr(ExecutionHistory, name, prop)
 
     report = run_all_checks(history)
     assert report.all_pass
     assert counts == {
         "ops": 1,
+        "family_writes": 1,
         "_scan_finals": 1,
         "sort_stabilizations": 1,
         "build_full_timestamps": 1,
