@@ -23,13 +23,9 @@ from .core import Config, ProcessId, TaggedValue, WitnessEntry, WitnessSet, Info
 from .crypto import KeyRing, sign_entries
 from .engine import RoundRobin, Schedule, Scripted, Workload
 from .registers import (
-    DecodeError,
-    Family,
     LocalOp,
     ReadOp,
     WriteOp,
-    decode_value,
-    encode_value,
     final_reg,
     init_reg,
     inform_reg,
@@ -205,12 +201,12 @@ class ForgeInformSetReader(RogueReader):
             WitnessSet(entries, signer=q, signature=b"not-a-signature-%d" % q)
             for q in readers[: self.cfg.quorum]
         ]
-        # the lowest signer's set, so the bytes do not depend on set order
-        wset_bytes = encode_value(Family.INFORM, members[0])
-        iset_bytes = encode_value(Family.FINAL, InformSet(frozenset(members)))
+        # the lowest signer's set, so the value does not depend on set order
+        wset = members[0]
+        iset = InformSet(frozenset(members))
         return (
-            tuple(WriteOp(inform_reg(self.index, i), wset_bytes) for i in readers)
-            + tuple(WriteOp(final_reg(self.index, i), iset_bytes) for i in readers)
+            tuple(WriteOp(inform_reg(self.index, i), wset) for i in readers)
+            + tuple(WriteOp(final_reg(self.index, i), iset) for i in readers)
             + (LocalOp("forge-pause"),)
         )
 
@@ -254,9 +250,8 @@ class AlternationReader(RogueReader):
             return
         value = self.spec.value_a if self.j % 2 == 0 else self.spec.value_b
         entry = WitnessEntry(value, self.j + 1, self.index)
-        data = encode_value(Family.WITNESS, entry)
         self.queue = [
-            WriteOp(witness_reg(self.index, i), data) for i in self.cfg.reader_indices()
+            WriteOp(witness_reg(self.index, i), entry) for i in self.cfg.reader_indices()
         ]
         self.j += 1
         self.wait = self.spec.period
@@ -285,29 +280,25 @@ class QuorumForgerReader(RogueReader):
     def next_op(self, bank):
         if self.phase == self.SEND:
             wset = sign_entries(self.ring, self.index, self.other_entries)
-            return WriteOp(
-                inform_reg(self.index, self.spec.partner),
-                encode_value(Family.INFORM, wset),
-            )
+            return WriteOp(inform_reg(self.index, self.spec.partner), wset)
         if self.phase == self.POLL:
             return ReadOp(inform_reg(self.spec.partner, self.index))
         if self.phase == self.PUBLISH:
             own = sign_entries(self.ring, self.index, self.lead_entries)
             iset = InformSet(frozenset({own, self.partner_member}))
-            return WriteOp(
-                final_reg(self.index, self.fi), encode_value(Family.FINAL, iset)
-            )
+            return WriteOp(final_reg(self.index, self.fi), iset)
         return LocalOp("forger-idle")
 
     def apply(self, bank, op, result, recorder):
         if self.phase == self.SEND:
             self.phase = self.POLL
         elif self.phase == self.POLL:
-            try:
-                wset = decode_value(Family.INFORM, result)
-            except DecodeError:
-                return
-            if wset.signer == self.spec.partner and wset.entries == self.lead_entries:
+            wset = result  # None for an undecodable cell: keep polling
+            if (
+                wset is not None
+                and wset.signer == self.spec.partner
+                and wset.entries == self.lead_entries
+            ):
                 self.partner_member = wset
                 self.phase = self.PUBLISH
                 self.fi = 1
@@ -361,12 +352,8 @@ class WriterStrategy(Strategy):
         return ByzWriterMachine(cfg, ring, self, workload.writes)
 
 
-def _init_write(i: int, kv: TaggedValue) -> WriteOp:
-    return WriteOp(init_reg(i), encode_value(Family.INIT, kv))
-
-
 def _broadcast(cfg: Config, kv: TaggedValue) -> tuple:
-    return tuple(_init_write(i, kv) for i in cfg.reader_indices())
+    return tuple(WriteOp(init_reg(i), kv) for i in cfg.reader_indices())
 
 
 class ReaderStrategy(Strategy):
@@ -406,7 +393,7 @@ class SplitValue(WriterStrategy):
 
     def plan(self, cfg, writes):
         for c in range(1, len(writes) + 1):
-            yield tuple(_init_write(i, TaggedValue(c, p)) for i, p in self.assignment), None
+            yield tuple(WriteOp(init_reg(i), TaggedValue(c, p)) for i, p in self.assignment), None
 
 
 @dataclass(frozen=True)
@@ -440,7 +427,7 @@ class PartialQuorum(WriterStrategy):
         for invocation, payload in enumerate(writes):
             kv = TaggedValue(counters.setdefault(payload, len(counters) + 1), payload)
             targets = sorted(self.targets[invocation % len(self.targets)])
-            yield tuple(_init_write(i, kv) for i in targets), kv
+            yield tuple(WriteOp(init_reg(i), kv) for i in targets), kv
 
 
 @dataclass(frozen=True)
@@ -522,7 +509,8 @@ class ScriptedWriter(WriterStrategy):
                 if isinstance(item, int):
                     ops += [LocalOp("scripted-idle")] * item
                 else:
-                    ops.append(_init_write(*item))
+                    i, kv = item
+                    ops.append(WriteOp(init_reg(i), kv))
             yield tuple(ops), None
 
 

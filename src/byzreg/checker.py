@@ -7,16 +7,18 @@ timestamp chain, and verifies each correctness property.  Violations
 carry a minimal witnessing description.
 
 run_all_checks derives each view of a run once and every check reads
-that view: the operations are paired once (ExecutionHistory.ops), the
-trace's writes are split by register family once
-(ExecutionHistory.family_writes), the final-register writes are scanned
-once (_scan_finals gives the stabilizations and each reader's
-attribution log), and the stabilizations are sorted once and turned into
-one full-timestamp chain; then the checks run.  The public check
-functions take these views, so a test can run any one of them on
-hand-built inputs.  Each check is a sweep or a lookup, near-linear in run
-length; where a sweep finds a violation, the pairwise loop it replaced
-names it (see the coverage-pattern notes below).
+that view: the operations are paired once (ExecutionHistory.ops) and
+their completed correct reads picked out once
+(ExecutionHistory.completed_reads), the trace's writes are split by
+register family once (ExecutionHistory.family_writes), the
+final-register writes are scanned once (_scan_finals gives the
+stabilizations and each reader's attribution log), and the
+stabilizations are sorted once and turned into one full-timestamp chain;
+then the checks run.  The public check functions take these views, so a
+test can run any one of them on hand-built inputs.  Each check is a
+sweep or a lookup, near-linear in run length; where a sweep finds a
+violation, the pairwise loop it replaced names it (see the
+coverage-pattern notes below).
 
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from operator import attrgetter, itemgetter
@@ -39,7 +41,6 @@ from .core import (
     Config,
     EqualStampsDifferentValue,
     FullTimestamp,
-    InformSet,
     OrderVerdict,
     PartialTimestamp,
     ProcessId,
@@ -49,7 +50,7 @@ from .core import (
     vec_compare,
 )
 from .engine import ExecutionHistory, HliOp, records_digest
-from .registers import DecodeError, Family, TraceEvent, decode_value, final_reg
+from .registers import Family, TraceEvent, decode_value, final_reg
 
 
 class InvariantBroken(Exception):
@@ -76,7 +77,6 @@ class StabilizationEvent:
     """A (value, witness core) pair that covered some process's final row."""
 
     value: TaggedValue
-    inform_set: InformSet
     ws: frozenset[WitnessEntry]
     pt: PartialTimestamp
     step: int
@@ -87,15 +87,8 @@ class StabilizationEvent:
 
 
 @dataclass
-class ValueEvidence:
-    init_registers: set[int] = field(default_factory=set)  # readers whose init cell held it
-    byz_witnesses: set[int] = field(default_factory=set)
-
-
-@dataclass
 class WriteClassification:
     kinds: dict[TaggedValue, Kind]
-    evidence: dict[TaggedValue, ValueEvidence]
 
     def kind_of(self, value: TaggedValue) -> Kind:
         return self.kinds.get(value, Kind.NEITHER)
@@ -109,14 +102,6 @@ class Verdict:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-def completed_reads(history: ExecutionHistory) -> list[HliOp]:
-    return [
-        o
-        for o in history.ops
-        if o.op == "read" and not o.process.is_writer and o.response_step is not None
-    ]
 
 
 def writer_writes(history: ExecutionHistory) -> list[HliOp]:
@@ -143,7 +128,6 @@ def _scan_finals(
 
     initial_event = StabilizationEvent(
         value=initial_value,
-        inform_set=initial,
         ws=initial_ws,
         pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in initial_ws}),
         step=0,
@@ -162,21 +146,24 @@ def _scan_finals(
         q: [(-1, initial_event)] for q in cfg.reader_indices()
     }
     events_by_key = {key0: initial_event}
+    # a final row is rewritten with the same bytes over and over: decode
+    # and validate each distinct content once per scan
+    validated: dict[bytes, tuple | None] = {}
 
     for ev in final_writes:
-        out = registers.validated_final(ring, cfg, ev.value)
+        key = validated.get(ev.value, False)  # False: not seen in this scan
+        if key is False:
+            iset = decode_value(Family.FINAL, ev.value)
+            key = validated[ev.value] = registers.validated_final(ring, cfg, iset)
         owner = registers.WRITER_END[ev.reg].index
-        if out is None:
-            cells[ev.reg] = None
-            continue
-        value, core, iset = out
-        key = (value, core)
         cells[ev.reg] = key
+        if key is None:
+            continue
+        value, core = key
         stab = events_by_key.get(key)
         if stab is None and all(cells[r] == key for r in rows[owner]):
             stab = StabilizationEvent(
                 value=value,
-                inform_set=iset,
                 ws=core,
                 pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in core}),
                 step=ev.step,
@@ -226,44 +213,42 @@ def classify_writes(
     u0 = history.u0
     initial_value = TaggedValue(0, u0)
     writes = writer_writes(history)
-    evidence: dict[TaggedValue, ValueEvidence] = {}
+    # per value, the init registers that received it and the Byzantine
+    # readers that witnessed it
+    quorum: dict[TaggedValue, set[int]] = {}
     init_events: list[tuple[int, int, TaggedValue]] = []  # (step, reader, value)
     # per acked value, the (step, reader) of each non-writer ack write
     acks: dict[TaggedValue, list[tuple[int, int]]] = {}
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
     for ev in family_writes[Family.INIT]:
-        try:
-            v = decode_value(Family.INIT, ev.value)
-        except DecodeError:
+        v = decode_value(Family.INIT, ev.value)
+        if v is None:
             continue
         reader = registers.READER_END[ev.reg].index
-        evidence.setdefault(v, ValueEvidence()).init_registers.add(reader)
+        quorum.setdefault(v, set()).add(reader)
         init_events.append((ev.step, reader, v))
     for ev in family_writes[Family.ACK]:
         if ev.caller.is_writer:
             continue
-        try:
-            v = decode_value(Family.ACK, ev.value)
-        except DecodeError:
-            continue
-        acks.setdefault(v, []).append((ev.step, ev.caller.index))
+        v = decode_value(Family.ACK, ev.value)
+        if v is not None:
+            acks.setdefault(v, []).append((ev.step, ev.caller.index))
     for ev in family_writes[Family.WITNESS]:
         if ev.caller.is_writer:
             continue
         src = ev.caller.index
-        try:
-            entry = decode_value(Family.WITNESS, ev.value)
-        except DecodeError:
+        entry = decode_value(Family.WITNESS, ev.value)
+        if entry is None:
             continue
         if src in byz_readers:
-            evidence.setdefault(entry.value, ValueEvidence()).byz_witnesses.add(src)
+            quorum.setdefault(entry.value, set()).add(src)
         else:
             stamps = correct_stamps.setdefault(entry.value, {})
             stamps[src] = max(stamps.get(src, 0), entry.s)
 
     stabilized = {s.value for s in stabs}
-    values = set(evidence) | stabilized
+    values = set(quorum) | stabilized
 
     # a correct write puts one value on all n init registers within a single
     # high-level write and then awaits n-t fresh acks before responding
@@ -316,15 +301,13 @@ def classify_writes(
         if v == initial_value or v in correct_values:
             kinds[v] = Kind.CORRECT
             continue
-        e = evidence.get(v, ValueEvidence())
-        quorum_indices = e.init_registers | (e.byz_witnesses & byz_readers)
-        if len(quorum_indices) >= cfg.quorum and not crosses_correct(v):
+        if len(quorum.get(v, ())) >= cfg.quorum and not crosses_correct(v):
             kinds[v] = (
                 Kind.PSEUDO_CORRECT if v in stabilized else Kind.POTENTIAL_PSEUDO_CORRECT
             )
         else:
             kinds[v] = Kind.NEITHER
-    return WriteClassification(kinds=kinds, evidence=evidence)
+    return WriteClassification(kinds=kinds)
 
 
 # --- ordering checks -----------------------------------------------------------
@@ -658,7 +641,7 @@ def _register_linearizability(
     cfg: Config,
 ) -> Verdict:
     v0 = TaggedValue(0, history.u0)
-    reads = completed_reads(history)
+    reads = history.completed_reads
     attribution = _read_attribution(reads, by_owner)
 
     correct_write_ops = sorted(
@@ -732,14 +715,13 @@ def _register_linearizability(
 def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     """After the final init write, once any correct read returns the final
     value every later-issued correct read must return it too."""
-    u0 = history.u0
-    last_value = TaggedValue(0, u0)
-    for ev in history.family_writes[Family.INIT]:
-        try:
-            last_value = decode_value(Family.INIT, ev.value)
-        except DecodeError:
+    init_writes = history.family_writes[Family.INIT]
+    last_value = TaggedValue(0, history.u0)
+    if init_writes:
+        last_value = decode_value(Family.INIT, init_writes[-1].value)
+        if last_value is None:
             return Verdict("pass", "final init write undecodable; proviso unmet")
-    reads = completed_reads(history)
+    reads = history.completed_reads
     returning = [r for r in reads if r.response_value == last_value]
     if not returning:
         return Verdict("pass", "no read returned the final value; vacuous")
@@ -776,7 +758,7 @@ def check_total_ordering_reads(history: ExecutionHistory) -> Verdict:
     """No two correct readers may see two values in opposite orders."""
     orders: dict[tuple, tuple[ProcessId, ProcessId]] = {}
     per_reader: dict[ProcessId, list[TaggedValue]] = {}
-    for r in completed_reads(history):
+    for r in history.completed_reads:
         per_reader.setdefault(r.process, []).append(r.response_value)
     if _reads_agree(list(per_reader.values())):
         return Verdict("pass", "common order across readers")
@@ -864,7 +846,7 @@ def build_byzantine_linearization(
     for ev in ordered:
         value_rank.setdefault(ev.value, len(value_rank))
 
-    reads = completed_reads(history)
+    reads = history.completed_reads
 
     def read_rank(read: HliOp) -> int:
         rank = value_rank.get(read.response_value)
@@ -1152,7 +1134,7 @@ def run_all_checks(
     else:
         verdicts["byzantine_linearization"] = Verdict("skipped", "prior checks failed")
 
-    returned = frozenset(r.response_value for r in completed_reads(history))
+    returned = frozenset(r.response_value for r in history.completed_reads)
     return CheckReport(
         cfg=cfg,
         verdicts=verdicts,

@@ -29,6 +29,8 @@ from .registers import (
     TraceEvent,
     WriteOp,
     bank_init,
+    decode_value,
+    encode_value,
     export_trace,
     unwind,
 )
@@ -145,6 +147,16 @@ class ExecutionHistory:
             counters[pid] = idx + 1
             ops.append(HliOp(pid, start.op, start.step, None, start.value, None, idx))
         return ops
+
+    @functools.cached_property
+    def completed_reads(self) -> list[HliOp]:
+        """The completed reads, in ``ops`` order: the correct readers'
+        (a Byzantine reader records no high-level operation)."""
+        return [
+            o
+            for o in self.ops
+            if o.op == "read" and not o.process.is_writer and o.response_step is not None
+        ]
 
     @functools.cached_property
     def family_writes(self) -> dict[Family, list[TraceEvent]]:
@@ -374,9 +386,9 @@ class Simulation:
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
         # machine key -> its canonical machine, canonical machine -> (its
-        # op, {outcome key: (canonical successor, recorder calls,
-        # violation)}), and state key part -> the small int standing for
-        # it; None to step in place
+        # op, the bytes it writes, {outcome key: (canonical successor,
+        # recorder calls, violation)}), and state key part -> the small int
+        # standing for it; None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
@@ -399,31 +411,35 @@ class Simulation:
         return not self._unfinished
 
     def step_process(self, pid: ProcessId) -> None:
+        """Perform one op of ``pid``'s machine and apply its result: the
+        one place where values meet cell bytes (see registers.py).  A
+        tabled step keys its outcome on the bytes read and decodes them
+        only on the first take."""
         bank = self.bank
         bank.current_step = self.steps
         self.recorder.step = self.steps
         self._sched_node = (self._sched_node, pid)
         machine = self.machines[pid]
         table = self._table
-        if table is not None:
-            entry = table.get(machine)
-            if entry is None:
-                entry = table[machine] = (machine.next_op(bank), {})
-            op = entry[0]
-        else:
+        entry = None if table is None else table.get(machine)
+        if entry is None:
             op = machine.next_op(bank)
-        if isinstance(op, ReadOp):
-            result = bank.read(op.reg, pid)
-        elif isinstance(op, WriteOp):
-            bank.write(op.reg, op.value, pid)
-            result = None
-        elif isinstance(op, LocalOp):
-            result = None
+            written = encode_value(FAMILY[op.reg], op.value) if isinstance(op, WriteOp) else None
+            if table is not None:
+                entry = table[machine] = (op, written, {})
         else:
+            op, written, _ = entry
+        raw = None
+        if written is not None:
+            bank.write(op.reg, written, pid)
+        elif isinstance(op, ReadOp):
+            raw = bank.read(op.reg, pid)
+        elif not isinstance(op, LocalOp):
             raise TypeError(f"machine {pid} produced {op!r}")
         if table is not None:
-            machine = self._take(pid, machine, entry, result)
+            machine = self._take(pid, machine, entry, raw)
         else:
+            result = None if raw is None else decode_value(FAMILY[op.reg], raw)
             try:
                 machine.apply(bank, op, result, self.recorder)
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
@@ -436,21 +452,22 @@ class Simulation:
             self._unfinished = self._unfinished ^ {pid}
 
     def _take(
-        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, result
+        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, raw: bytes | None
     ) -> ProcessMachine:
         """Bind a tabled step's successor and replay its recorder calls and
         violation; the first take of the step computes them on a copy.  A
-        step's outcome is keyed by its read result, and by the machine's
+        step's outcome is keyed by the bytes it read, and by the machine's
         bank_key too when it has one."""
-        op, outcomes = entry
-        key = result
+        op, _, outcomes = entry
+        key = raw
         if pid in self._bank_keyed:
-            key = (result, machine.bank_key(self.bank))
+            key = (raw, machine.bank_key(self.bank))
         outcome = outcomes.get(key)
         if outcome is None:
             successor = copy.copy(machine)
             log = _EventLog()
             violation = None
+            result = None if raw is None else decode_value(FAMILY[op.reg], raw)
             try:
                 successor.apply(self.bank, op, result, log)
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:

@@ -7,6 +7,11 @@ bookkeeping between register operations is folded into the step that
 precedes it, so adversarial interleavings can split an iteration at
 every point the asynchrony model allows.
 
+Machines deal in values only: a write op carries the value to write,
+and ``apply`` gets the value a read returned, or None when the cell's
+bytes do not decode (the engine's step does the encoding, see
+registers.py).
+
 The reader machine runs the helper loop forever.  A high-level read is
 one full helper iteration: its invocation is the iteration's first step
 and its response the iteration's last, returning the value last written
@@ -34,14 +39,10 @@ from .core import (
     ws_of,
 )
 from .registers import (
-    DecodeError,
-    Family,
     ReadOp,
     RegisterBank,
     WriteOp,
     ack_reg,
-    decode_value,
-    encode_value,
     final_reg,
     init_reg,
     inform_reg,
@@ -131,6 +132,9 @@ class ProcessMachine:
         raise NotImplementedError
 
     def apply(self, bank: RegisterBank, op, result, recorder) -> None:
+        """Take the step ``op`` began; ``result`` is the value a read
+        returned (None for a cell whose bytes do not decode, and for
+        any other op)."""
         raise NotImplementedError
 
     def state_key(self):
@@ -193,19 +197,17 @@ class WriterMachine(ProcessMachine):
 
     def next_op(self, bank):
         if self.phase == W_IDLE:
-            kv = TaggedValue(self.c + 1, self.writes[self.widx])
-            return WriteOp(init_reg(1), encode_value(Family.INIT, kv))
+            return WriteOp(init_reg(1), TaggedValue(self.c + 1, self.writes[self.widx]))
         if self.phase == W_INIT:
-            return WriteOp(init_reg(self.wi), encode_value(Family.INIT, self.pending))
+            return WriteOp(init_reg(self.wi), self.pending)
         return ReadOp(self.ack_regs[self._poll_target() - 1])
 
     def apply(self, bank, op, result, recorder):
         if self.phase == W_IDLE:
             # the first init write of a fresh high-level write happened
-            # during this step; pending is what the codec gives readers
-            # for those bytes, so the ack test below meets it by identity
+            # during this step
             self.c += 1
-            self.pending = decode_value(Family.INIT, op.value)
+            self.pending = op.value
             self.acked = frozenset()
             recorder.invoke(self.pid, "write", self.pending)
             self.widx += 1
@@ -224,12 +226,8 @@ class WriterMachine(ProcessMachine):
         # polling
         i = self._poll_target()
         self.poll_from = i % self.cfg.n + 1
-        try:
-            value = decode_value(Family.ACK, result)
-        except DecodeError:
-            value = None
         seq = bank.write_seq
-        if value == self.pending and seq[self.ack_regs[i - 1]] > seq[init_reg(1)]:
+        if result == self.pending and seq[self.ack_regs[i - 1]] > seq[init_reg(1)]:
             self.acked |= {i}
         self._maybe_finish(recorder)
 
@@ -488,31 +486,23 @@ class ReaderMachine(ProcessMachine):
         if self.phase == R_INIT:
             return ReadOp(init_reg(p))
         if self.phase == R_WWIT:
-            entry = self._entry_for_peer(i, self.pending_entry)
-            return WriteOp(witness_reg(p, i), encode_value(Family.WITNESS, entry))
+            return WriteOp(witness_reg(p, i), self._entry_for_peer(i, self.pending_entry))
         if self.phase == R_CWIT:
             return ReadOp(witness_reg(i, p))
         if self.phase == R_WINF:
-            return WriteOp(
-                inform_reg(p, i), encode_value(Family.INFORM, self.witness_set)
-            )
+            return WriteOp(inform_reg(p, i), self.witness_set)
         if self.phase == R_RINF:
             return ReadOp(inform_reg(i, p))
         if self.phase == R_WFIN:
-            return WriteOp(
-                final_reg(p, i), encode_value(Family.FINAL, self.inform_set)
-            )
+            return WriteOp(final_reg(p, i), self.inform_set)
         if self.phase == R_ACK1:
-            return WriteOp(ack_reg(p), encode_value(Family.ACK, self.form_value))
+            return WriteOp(ack_reg(p), self.form_value)
         if self.phase == R_RFIN:
             return ReadOp(final_reg(i, p))
         if self.phase == R_WFIN2:
-            return WriteOp(
-                final_reg(p, i), encode_value(Family.FINAL, self.adopt_target)
-            )
+            return WriteOp(final_reg(p, i), self.adopt_target)
         if self.phase == R_ACK2:
-            value = common_value(cached_ws_of(self.adopt_target, self.cfg))
-            return WriteOp(ack_reg(p), encode_value(Family.ACK, value))
+            return WriteOp(ack_reg(p), common_value(cached_ws_of(self.adopt_target, self.cfg)))
         raise AssertionError(f"unknown phase {self.phase}")
 
     def apply(self, bank, op, result, recorder):
@@ -542,10 +532,7 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_init(self, bank, op, result, recorder):
         self._begin_iteration(recorder)
-        try:
-            kv = decode_value(Family.INIT, result)
-        except DecodeError:
-            kv = None  # an unreadable init cell is treated as unchanged
+        kv = result  # an undecodable init cell (None) counts as unchanged
         foreign = None
         if kv is not None and kv != self.last_init:
             self.s += self._stamp_bump()
@@ -573,22 +560,17 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_cwit(self, bank, op, result, recorder):
         src = self.idx
-        entry = None
-        try:
-            entry = decode_value(Family.WITNESS, result)
-        except DecodeError:
+        entry = result
+        if entry is None or entry.p != src:
             self.suspected |= {src}
-        if entry is not None:
-            if entry.p != src:
+        else:
+            stored = self.t_witness[src]
+            if entry.s > stored.s:
+                self.t_witness = {**self.t_witness, src: entry}
+            elif entry.s < stored.s or (
+                entry.s == stored.s and entry.value != stored.value
+            ):
                 self.suspected |= {src}
-            else:
-                stored = self.t_witness[src]
-                if entry.s > stored.s:
-                    self.t_witness = {**self.t_witness, src: entry}
-                elif entry.s < stored.s or (
-                    entry.s == stored.s and entry.value != stored.value
-                ):
-                    self.suspected |= {src}
         self.idx += 1
         if self.idx > self.cfg.n:
             self._after_collect()
@@ -608,19 +590,11 @@ class ReaderMachine(ProcessMachine):
             self.phase = R_RINF
             self.idx = 1
 
-    def _validated_inform(self, src: int, data: bytes) -> WitnessSet | None:
-        try:
-            wset = decode_value(Family.INFORM, data)
-        except DecodeError:
-            return None
-        if wset.signer != src or not crypto.verify_witness_set(self.ring, wset):
-            return None
-        return wset
-
     def _apply_rinf(self, bank, op, result, recorder):
         src = self.idx
-        wset = self._validated_inform(src, result)
-        if wset is None:
+        wset = result
+        if wset is None or wset.signer != src or not crypto.verify_witness_set(self.ring, wset):
+            wset = None
             self.suspected |= {src}
         self.t_inform = {**self.t_inform, src: wset}
         self.idx += 1
@@ -648,11 +622,10 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_rfin(self, bank, op, result, recorder):
         src = self.idx
-        valid = validated_final(self.ring, self.cfg, result)
-        if valid is None:
+        if validated_final(self.ring, self.cfg, result) is None:
             self.suspected |= {src}
         else:
-            self.z_list = self.z_list + (valid[2],)
+            self.z_list = self.z_list + (result,)
         self.idx += 1
         if self.idx > self.cfg.n:
             latest = find_latest(self.z_list + (self.inform_set,), self.cfg)

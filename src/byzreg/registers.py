@@ -5,11 +5,14 @@ between writer and each reader, and Witness/Inform/Final between every
 reader pair (3n^2 + 2n registers total).  Each register is owned by one
 writer process and one reader process and every access is checked.
 
-Cell contents are stored as encoded bytes with a family-specific codec
-so Byzantine strategies can write structurally invalid data; decoding
-failures surface as protocol-level rejects, never substrate errors.
-One register operation is one indivisible scheduler step, and every
-operation lands in an append-only trace.
+Process code deals in values: a write op carries the ``TaggedValue``,
+``WitnessEntry``, ``WitnessSet`` or ``InformSet`` it writes.  Cells hold
+bytes in the codec of the register's family, so a Byzantine owner may
+leave content no value encodes to.  The engine's step alone crosses
+between the two: it encodes each write with ``encode_value`` and hands
+the machine ``decode_value`` of each read, None for bytes that do not
+decode.  One register operation is one indivisible scheduler step, and
+every operation lands in an append-only trace of the bytes.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ class UnknownRegister(Exception):
     """Register id not allocated in this bank."""
 
 
-class DecodeError(Exception):
-    """Cell bytes do not decode under the register family's codec."""
+class _DecodeError(ValueError):
+    """Cell bytes do not decode under the register family's codec.  Like
+    the ValueErrors of JSON and hex parsing, only ``decode_value`` sees it:
+    it returns None for such bytes."""
 
 
 class Family(Enum):
@@ -168,6 +173,8 @@ def final_reg(i: int, j: int) -> RegisterId:
 
 # The signing payload packs p and signer in 32 bits and k and s in 64
 # (crypto.canonical_entries_payload), so wider values do not decode.
+# Integer fields are tested for their exact type: a JSON boolean loads as
+# a bool, an int that compares and hashes equal to 0 or 1.
 _U32 = 1 << 32
 _U64 = 1 << 64
 
@@ -178,15 +185,11 @@ def _tagged_obj(v: TaggedValue):
 
 def _obj_tagged(obj) -> TaggedValue:
     if not isinstance(obj, dict) or set(obj) != {"k", "u"}:
-        raise DecodeError("bad tagged value shape")
+        raise _DecodeError("bad tagged value shape")
     k, u = obj["k"], obj["u"]
-    if not isinstance(k, int) or not 0 <= k < _U64 or not isinstance(u, str):
-        raise DecodeError("bad tagged value fields")
-    try:
-        payload = bytes.fromhex(u)
-    except ValueError as exc:
-        raise DecodeError("bad payload hex") from exc
-    return TaggedValue(k, payload)
+    if type(k) is not int or not 0 <= k < _U64 or not isinstance(u, str):
+        raise _DecodeError("bad tagged value fields")
+    return TaggedValue(k, bytes.fromhex(u))
 
 
 def _entry_obj(e: WitnessEntry):
@@ -195,10 +198,10 @@ def _entry_obj(e: WitnessEntry):
 
 def _obj_entry(obj) -> WitnessEntry:
     if not isinstance(obj, dict) or set(obj) != {"v", "s", "p"}:
-        raise DecodeError("bad witness entry shape")
+        raise _DecodeError("bad witness entry shape")
     s, p = obj["s"], obj["p"]
-    if not (isinstance(s, int) and 0 <= s < _U64 and isinstance(p, int) and 1 <= p < _U32):
-        raise DecodeError("bad witness entry fields")
+    if not (type(s) is int and 0 <= s < _U64 and type(p) is int and 1 <= p < _U32):
+        raise _DecodeError("bad witness entry fields")
     return WitnessEntry(_obj_tagged(obj["v"]), s, p)
 
 
@@ -216,20 +219,16 @@ def _wset_obj(w: WitnessSet):
 
 def _obj_wset(obj) -> WitnessSet:
     if not isinstance(obj, dict) or set(obj) != {"e", "g", "sig"}:
-        raise DecodeError("bad witness set shape")
+        raise _DecodeError("bad witness set shape")
     entries_obj, signer, sig = obj["e"], obj["g"], obj["sig"]
-    if not isinstance(entries_obj, list) or not (isinstance(signer, int) and 1 <= signer < _U32):
-        raise DecodeError("bad witness set fields")
+    if not isinstance(entries_obj, list) or not (type(signer) is int and 1 <= signer < _U32):
+        raise _DecodeError("bad witness set fields")
     if not isinstance(sig, str):
-        raise DecodeError("bad signature field")
-    try:
-        signature = bytes.fromhex(sig)
-    except ValueError as exc:
-        raise DecodeError("bad signature hex") from exc
+        raise _DecodeError("bad signature field")
     return WitnessSet(
         entries=frozenset(_obj_entry(e) for e in entries_obj),
         signer=signer,
-        signature=signature,
+        signature=bytes.fromhex(sig),
     )
 
 
@@ -240,9 +239,9 @@ def _iset_obj(s: InformSet):
 
 def _obj_iset(obj) -> InformSet:
     if not isinstance(obj, dict) or set(obj) != {"m"}:
-        raise DecodeError("bad inform set shape")
+        raise _DecodeError("bad inform set shape")
     if not isinstance(obj["m"], list):
-        raise DecodeError("bad inform set members")
+        raise _DecodeError("bad inform set members")
     return InformSet(members=frozenset(_obj_wset(m) for m in obj["m"]))
 
 
@@ -278,8 +277,7 @@ def encode_value(family: Family, value) -> bytes:
     the decode cache maps the bytes to ``value`` itself.  A reader that
     decodes a peer's cell then holds the very object the peer wrote, so
     later equality tests and cache lookups succeed on identity.  Values
-    the decoder rejects are not seeded: their bytes still raise
-    ``DecodeError`` on decode.
+    the decoder rejects are not seeded: their bytes still decode to None.
     """
     fam = family._value_
     key = (fam, value)
@@ -291,21 +289,22 @@ def encode_value(family: Family, value) -> bytes:
         try:
             if _DECODERS[family](obj) == value:
                 _decode_cache[(fam, hit)] = value
-        except DecodeError:
+        except ValueError:
             pass
     return hit
 
 
 def decode_value(family: Family, data: bytes):
+    """The value ``data`` encodes under the family's codec, or None when
+    the bytes do not decode (only decodable bytes are memoized)."""
     key = (family._value_, data)
     hit = _decode_cache.get(key)
     if hit is not None:
         return hit
     try:
-        obj = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DecodeError("cell bytes are not canonical JSON") from exc
-    value = _DECODERS[family](obj)
+        value = _DECODERS[family](json.loads(data.decode()))
+    except ValueError:  # not UTF-8, not JSON, bad hex or a _DecodeError
+        return None
     _decode_cache[key] = value
     return value
 
@@ -314,8 +313,7 @@ def decode_value(family: Family, data: bytes):
 #
 # Built on every step, so these records are slotted, not frozen: a frozen
 # dataclass sets each field through object.__setattr__, which costs several
-# times a plain __init__.  They stay hashable (adversary machines put op
-# lists into their state keys), and nothing assigns to them once built.
+# times a plain __init__.  Nothing assigns to them once built.
 
 @dataclass(slots=True, unsafe_hash=True)
 class ReadOp:
@@ -324,8 +322,11 @@ class ReadOp:
 
 @dataclass(slots=True, unsafe_hash=True)
 class WriteOp:
+    """A write of ``value``, which the engine encodes with the codec of the
+    register's family."""
+
     reg: RegisterId
-    value: bytes
+    value: object
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -385,27 +386,29 @@ _UNSEEN = object()
 
 
 def validated_final(
-    ring: crypto.KeyRing, cfg: Config, data: bytes
-) -> tuple[TaggedValue, frozenset[WitnessEntry], InformSet] | None:
-    """The (value, witness core, inform set) that final-register bytes
-    carry, or None unless they decode to an inform set that passes
-    ``ws_of`` and every member's signature verifies.
+    ring: crypto.KeyRing, cfg: Config, iset: InformSet | None
+) -> tuple[TaggedValue, frozenset[WitnessEntry]] | None:
+    """The (value, witness core) of the inform set a final register holds,
+    or None unless it passes ``ws_of`` and every member's signature
+    verifies; None too for a cell whose bytes did not decode (``iset``
+    None).
 
-    A pure function of the ring's keys, the config and the bytes, so it
-    is memoized on the ring, where readers and the checker share it.
+    A pure function of the ring's keys, the config and the set, so it is
+    memoized on the ring, where readers and the checker share it.
     """
-    key = (data, cfg)
+    if iset is None:
+        return None
+    key = (iset, cfg)
     validated = ring._final_validation_cache
     out = validated.get(key, _UNSEEN)
     if out is not _UNSEEN:
         return out
     out = None
     try:
-        iset = decode_value(Family.FINAL, data)
         core = ws_of(iset, cfg)
         if all(crypto.verify_witness_set(ring, m) for m in iset.members):
-            out = (next(iter(core)).value, core, iset)
-    except (DecodeError, InvalidInformSet):
+            out = (next(iter(core)).value, core)
+    except InvalidInformSet:
         pass
     validated[key] = out
     return out

@@ -8,7 +8,7 @@ on random inputs.
 
 from __future__ import annotations
 
-from byzreg.checker import Kind, NoLinearization, Verdict, completed_reads, writer_writes
+from byzreg.checker import Kind, NoLinearization, Verdict, writer_writes
 from byzreg.core import (
     CommonQuorumTooSmall,
     EqualStampsDifferentValue,
@@ -81,7 +81,7 @@ def first_inversion(reads, attribution, cfg) -> Verdict | None:
 
 def register_linearizability(history, stabs, by_owner, classification, cfg) -> Verdict:
     v0 = TaggedValue(0, history.u0)
-    reads = completed_reads(history)
+    reads = history.completed_reads
     attribution = read_attribution(reads, by_owner)
     correct_write_ops = [
         op
@@ -170,7 +170,7 @@ def write_stabilization(history, stabs) -> Verdict:
 def total_ordering_reads(history) -> Verdict:
     orders = {}
     per_reader = {}
-    for r in completed_reads(history):
+    for r in history.completed_reads:
         per_reader.setdefault(r.process, []).append(r.response_value)
     for pid, seq in sorted(per_reader.items()):
         for i in range(len(seq)):

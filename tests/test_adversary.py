@@ -146,8 +146,7 @@ def plan_literal(spec, writes):
             if isinstance(op, LocalOp):
                 shown.append(op.note)
             else:
-                kv = decode_value(Family.INIT, op.value)
-                shown.append((READER_END[op.reg].index, kv.k, kv.u))
+                shown.append((READER_END[op.reg].index, op.value.k, op.value.u))
         out.append((shown, value))
     return out
 

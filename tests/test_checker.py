@@ -66,7 +66,6 @@ def make_stab(value, stamps, step, owner=1, n=4):
     entries = frozenset(WitnessEntry(value, s, p) for p, s in stamps.items())
     return StabilizationEvent(
         value=value,
-        inform_set=InformSet(frozenset()),  # ordering checks never open it
         ws=entries,
         pt=PartialTimestamp.from_mapping(n, dict(stamps)),
         step=step,
@@ -373,6 +372,27 @@ class TestViewConsistency:
         verdict = check_view_consistency(history, cfg)
         assert verdict.status == "violation"
 
+    def test_only_the_last_init_write_decides(self):
+        # an undecodable init write before the last one does not waive the
+        # check; an undecodable last one does
+        cfg = Config(2, 0)
+        v = TaggedValue(1, b"v")
+        garbage = TraceEvent(0, "write", init_reg(1), WRITER, b"\xffgarbage")
+        valid = TraceEvent(1, "write", init_reg(2), WRITER, encode_value(Family.INIT, v))
+        r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
+        events = [
+            HliEvent(r1, "invoke", "read", None, 5),
+            HliEvent(r1, "response", "read", v, 6),
+            HliEvent(r2, "invoke", "read", None, 10),
+            HliEvent(r2, "response", "read", TaggedValue(0, U0), 11),
+        ]
+        history = synthetic_history(cfg, events, [garbage, valid])
+        assert check_view_consistency(history, cfg).status == "violation"
+        garbage_last = TraceEvent(2, "write", init_reg(1), WRITER, b"\xffgarbage")
+        history = synthetic_history(cfg, events, [valid, garbage_last])
+        verdict = check_view_consistency(history, cfg)
+        assert verdict.passed and "undecodable" in verdict.detail
+
     def test_no_qualifying_read_vacuous(self):
         cfg = Config(4, 1)
         trace = [
@@ -507,7 +527,7 @@ def test_each_view_derived_once_per_report(monkeypatch):
 
     for name in ("_scan_finals", "sort_stabilizations", "build_full_timestamps"):
         monkeypatch.setattr(checker, name, counted(name, getattr(checker, name)))
-    for name in ("ops", "family_writes"):
+    for name in ("ops", "completed_reads", "family_writes"):
         prop = functools.cached_property(counted(name, getattr(ExecutionHistory, name).func))
         prop.__set_name__(ExecutionHistory, name)
         monkeypatch.setattr(ExecutionHistory, name, prop)
@@ -516,6 +536,7 @@ def test_each_view_derived_once_per_report(monkeypatch):
     assert report.all_pass
     assert counts == {
         "ops": 1,
+        "completed_reads": 1,
         "family_writes": 1,
         "_scan_finals": 1,
         "sort_stabilizations": 1,

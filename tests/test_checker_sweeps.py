@@ -19,7 +19,6 @@ from byzreg.adversary import ForgeInformSet, StrategyAssignment
 from byzreg.checker import Kind, NoLinearization, StabilizationEvent, WriteClassification
 from byzreg.core import (
     Config,
-    InformSet,
     PartialTimestamp,
     ProcessId,
     TaggedValue,
@@ -36,7 +35,6 @@ CONFIGS = [Config(4, 1), Config(4, 0), Config(4, 2), Config(3, 1), Config(5, 1)]
 def stab(value, stamps, step, owner=1, n=4):
     return StabilizationEvent(
         value=value,
-        inform_set=InformSet(frozenset()),
         ws=frozenset(WitnessEntry(value, s, p) for p, s in stamps.items()),
         pt=PartialTimestamp.from_mapping(n, dict(stamps)),
         step=step,
@@ -186,7 +184,7 @@ def linearizability_inputs(draw):
         if ev.kind == "response" and ev.op == "read" and draw(st.integers(0, 5)):
             ev.value = [stab for step, stab in by_owner[ev.process] if step <= ev.step][-1].value
     kinds = {v: draw(st.sampled_from(list(Kind))) for v in VALUES}
-    return history, stabs, by_owner, WriteClassification(kinds, {}), cfg
+    return history, stabs, by_owner, WriteClassification(kinds), cfg
 
 
 def outcome(fn, *args):
@@ -216,7 +214,7 @@ def write_then_read(read_invoke: int):
     ]
     by_owner = {q: [(-1, stabs[0])] for q in cfg.reader_indices()}
     by_owner[1].append((3, stabs[1]))
-    classification = WriteClassification({VALUES[3]: Kind.CORRECT}, {})
+    classification = WriteClassification({VALUES[3]: Kind.CORRECT})
     return ExecutionHistory(cfg, U0, events, []), stabs, by_owner, classification, cfg
 
 

@@ -43,8 +43,18 @@ from byzreg.engine import (
     fairness_violations,
     run,
 )
-from byzreg.protocol import W_POLL, WriterMachine
-from byzreg.registers import Family, ack_reg, bank_init, decode_value, encode_value
+from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
+from byzreg.registers import (
+    Family,
+    ack_reg,
+    bank_init,
+    decode_value,
+    encode_value,
+    final_reg,
+    inform_reg,
+    init_reg,
+    witness_reg,
+)
 
 from test_registers import replay_trace
 
@@ -542,6 +552,57 @@ class TestTransitionTable:
         monkeypatch.setattr(Simulation, "_tabulate", lambda sim: None)
         assert tabled == self.digests(cfg, wl, bound, strategies)
         assert tabled[0]
+
+
+@pytest.mark.parametrize("tabled", [False, True], ids=["in_place", "tabled"])
+class TestUndecodableCells:
+    """Bytes no codec decodes reach a correct machine as None through
+    step_process, stepped in place and by table alike."""
+
+    GARBAGE = b"\xff not a value"
+
+    @staticmethod
+    def simulation(tabled, build):
+        ring = make_keyring(CFG41, "keyed", 0)
+        machine = build(ring)
+        sim = Simulation(CFG41, {machine.pid: machine}, bank_init(CFG41, b"init", ring))
+        if tabled:
+            sim._tabulate()
+        return sim
+
+    def test_ack_not_counted(self, tabled):
+        sim = self.simulation(tabled, lambda ring: WriterMachine(CFG41, ring, [b"a"]))
+        for _ in range(CFG41.n):  # the init writes
+            sim.step_process(WRITER)
+        ack = encode_value(Family.ACK, TaggedValue(1, b"a"))
+        sim.bank.write(ack_reg(1), self.GARBAGE, ProcessId.reader(1))
+        sim.bank.write(ack_reg(2), ack, ProcessId.reader(2))
+        sim.step_process(WRITER)  # polls reader 1
+        sim.step_process(WRITER)  # polls reader 2
+        assert sim.machines[WRITER].acked == {2}
+
+    def reader_iteration(self, tabled, reg, owner):
+        """Reader 1 after one helper iteration with ``reg`` holding garbage."""
+        pid = ProcessId.reader(1)
+        sim = self.simulation(tabled, lambda ring: ReaderMachine(CFG41, ring, b"init", 1))
+        sim.bank.write(reg, self.GARBAGE, owner)
+        sim.step_process(pid)
+        while sim.machines[pid].phase != R_INIT:
+            sim.step_process(pid)
+        return sim.machines[pid]
+
+    def test_init_counts_as_unchanged(self, tabled):
+        reader = self.reader_iteration(tabled, init_reg(1), WRITER)
+        assert reader.s == 0 and reader.last_init == TaggedValue(0, b"init")
+        assert reader.suspected == frozenset()
+
+    @pytest.mark.parametrize("family", ["witness", "inform", "final"])
+    def test_peer_cell_suspects_its_source(self, tabled, family):
+        reg = {"witness": witness_reg, "inform": inform_reg, "final": final_reg}[family]
+        reader = self.reader_iteration(tabled, reg(3, 1), ProcessId.reader(3))
+        assert reader.suspected == {3}
+        if family == "inform":
+            assert reader.t_inform[3] is None
 
 
 class TestSchedulerContract:

@@ -21,7 +21,7 @@ from byzreg.core import (
     ws_of,
 )
 from byzreg.crypto import make_keyring, sign_entries
-from byzreg.engine import HistoryRecorder
+from byzreg.engine import HistoryRecorder, Simulation
 from byzreg.protocol import (
     ConcurrentFinalSets,
     ReaderMachine,
@@ -33,8 +33,6 @@ from byzreg.protocol import (
 )
 from byzreg.registers import (
     Family,
-    ReadOp,
-    WriteOp,
     ack_reg,
     bank_init,
     decode_value,
@@ -55,16 +53,10 @@ def world():
 
 
 def drive(machine, bank, recorder, steps=1):
+    """Step the machine in place, through the engine's own op dispatch."""
+    sim = Simulation(bank.cfg, {machine.pid: machine}, bank, recorder)
     for _ in range(steps):
-        op = machine.next_op(bank)
-        if isinstance(op, ReadOp):
-            result = bank.read(op.reg, machine.pid)
-        elif isinstance(op, WriteOp):
-            bank.write(op.reg, op.value, machine.pid)
-            result = None
-        else:
-            result = None
-        machine.apply(bank, op, result, recorder)
+        sim.step_process(machine.pid)
 
 
 def run_full_iteration(reader, bank, recorder, max_steps=60):

@@ -17,7 +17,6 @@ from byzreg.core import (
 from byzreg.crypto import make_keyring, sign_entries
 from byzreg.registers import (
     AccessViolation,
-    DecodeError,
     Family,
     UnknownRegister,
     atomicity_violations,
@@ -196,16 +195,28 @@ class TestCodecs:
 
     def test_garbage_bytes_rejected(self):
         for family in Family:
-            with pytest.raises(DecodeError):
-                decode_value(family, b"\x00\x01 not json")
+            assert decode_value(family, b"\x00\x01 not json") is None
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(DecodeError):
-            decode_value(Family.INIT, b'{"k": -1, "u": "00"}')
-        with pytest.raises(DecodeError):
-            decode_value(Family.WITNESS, b'{"v": {"k":0,"u":""}, "s": -2, "p": 1}')
-        with pytest.raises(DecodeError):
-            decode_value(Family.INIT, b'{"k": 1}')
+        assert decode_value(Family.INIT, b'{"k": -1, "u": "00"}') is None
+        assert decode_value(Family.WITNESS, b'{"v": {"k":0,"u":""}, "s": -2, "p": 1}') is None
+        assert decode_value(Family.INIT, b'{"k": 1}') is None
+
+    @pytest.mark.parametrize(
+        "family,data",
+        [
+            (Family.INIT, b'{"k":true,"u":"78"}'),
+            (Family.WITNESS, b'{"p":1,"s":true,"v":{"k":1,"u":"78"}}'),
+            (Family.WITNESS, b'{"p":true,"s":1,"v":{"k":1,"u":"78"}}'),
+            (Family.INFORM, b'{"e":[],"g":true,"sig":""}'),
+        ],
+        ids=["tagged_k", "entry_s", "entry_p", "wset_signer"],
+    )
+    def test_json_boolean_is_not_an_integer(self, family, data):
+        # true would decode to a value that prints as True but compares and
+        # hashes equal to the one with 1 there, so once it was encoded the
+        # encode cache would give its non-canonical bytes for that value
+        assert decode_value(family, data) is None
 
     def test_encoding_canonical(self):
         v = TaggedValue(3, b"zz")
@@ -252,9 +263,7 @@ class TestCodecs:
              "wset_signer_2_32"],
     )
     def test_undecodable_values_still_rejected_after_encoding(self, family, value):
-        data = encode_value(family, value)
-        with pytest.raises(DecodeError):
-            decode_value(family, data)
+        assert decode_value(family, encode_value(family, value)) is None
 
     def test_widest_fields_decode(self):
         entry = WitnessEntry(TaggedValue(2**64 - 1, b"x"), 2**64 - 1, 2**32 - 1)
