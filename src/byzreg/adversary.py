@@ -15,7 +15,9 @@ the two-forger concurrent-quorum attack.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import ClassVar
 
 from . import protocol
@@ -36,17 +38,23 @@ from .registers import (
 # --- Byzantine writer machine -------------------------------------------------
 
 class ByzWriterMachine(protocol.ProcessMachine):
-    """Plays the op script its strategy plans for each high-level write.
+    """Plays the script its strategy plans for each high-level write: an
+    op, or an idle count, played as that many of the strategy's idle ops.
 
     Never blocks on acks: the invocation responds as soon as its script
-    drains.  Its state is the write and the position in that write's
-    script.
+    drains.  Its state is the write and the step within that write.
     """
 
     def __init__(self, cfg: Config, ring: KeyRing, strategy: WriterStrategy, writes):
         self.pid = WRITER
-        # per write: (ops, the value its invoke and response carry)
+        # per write: (ops and idle counts, the value its invoke and response carry)
         self.plan = tuple(strategy.plan(cfg, [bytes(w) for w in writes]))
+        self.idle_op = strategy.idle_op
+        # per write: the step at which each of its items ends
+        self.ends = tuple(
+            tuple(accumulate(item if type(item) is int else 1 for item in items))
+            for items, _ in self.plan
+        )
         self.widx = 0
         self.pos = 0
 
@@ -57,20 +65,19 @@ class ByzWriterMachine(protocol.ProcessMachine):
         return self.widx >= len(self.plan)
 
     def next_op(self, bank):
-        return self.plan[self.widx][0][self.pos]
+        items = self.plan[self.widx][0]
+        item = items[bisect_right(self.ends[self.widx], self.pos)]
+        return self.idle_op if type(item) is int else item
 
     def apply(self, bank, op, result, recorder):
-        ops, value = self.plan[self.widx]
+        value = self.plan[self.widx][1]
         if self.pos == 0:
             recorder.invoke(self.pid, "write", value)
         self.pos += 1
-        if self.pos == len(ops):
+        if self.pos == self.ends[self.widx][-1]:
             recorder.response(self.pid, "write", value)
             self.widx += 1
             self.pos = 0
-
-    def state_key(self):
-        return ("bw", self.widx, self.pos)
 
 
 # --- reader strategy machines ---------------------------------------------
@@ -103,9 +110,6 @@ class SilentReader(RogueReader):
     def apply(self, bank, op, result, recorder):
         pass
 
-    def state_key(self):
-        return ("silent", self.pid.index)
-
 
 class HookedReader(protocol.ReaderMachine):
     """The correct reader with some of its hooks overridden.  It plays a
@@ -114,9 +118,6 @@ class HookedReader(protocol.ReaderMachine):
     def __init__(self, cfg, ring, u0, index, spec):
         super().__init__(cfg, ring, u0, index)
         self.spec = spec
-
-    def state_key(self):
-        return super().state_key() + (self.spec,)
 
 
 class FakeStampReader(HookedReader):
@@ -158,7 +159,9 @@ class CollaborateReader(HookedReader):
     realizations the attack allows).
     """
 
-    _candidate: TaggedValue | None = None  # the value to adopt next
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._candidate: TaggedValue | None = None  # the value to adopt next
 
     def _after_collect(self):
         if self._candidate is not None:
@@ -175,9 +178,6 @@ class CollaborateReader(HookedReader):
         v = self._candidate
         self._candidate = None
         return v
-
-    def state_key(self):
-        return super().state_key() + (self._candidate,)
 
 
 class ForgeInformSetReader(RogueReader):
@@ -219,9 +219,6 @@ class ForgeInformSetReader(RogueReader):
             self.cycle += 1
             self.queue = self._forged()
 
-    def state_key(self):
-        return ("forge", self.index, self.cycle, len(self.queue))
-
 
 class AlternationReader(RogueReader):
     """Drives the n <= 3t alternation: pushes strictly increasing witness
@@ -232,7 +229,7 @@ class AlternationReader(RogueReader):
         super().__init__(*args)
         self.j = 0
         self.wait = self.spec.initial_delay
-        self.queue: list = []
+        self.queue: tuple = ()
 
     def next_op(self, bank):
         if self.queue:
@@ -250,14 +247,11 @@ class AlternationReader(RogueReader):
             return
         value = self.spec.value_a if self.j % 2 == 0 else self.spec.value_b
         entry = WitnessEntry(value, self.j + 1, self.index)
-        self.queue = [
+        self.queue = tuple(
             WriteOp(witness_reg(self.index, i), entry) for i in self.cfg.reader_indices()
-        ]
+        )
         self.j += 1
         self.wait = self.spec.period
-
-    def state_key(self):
-        return ("alternation", self.index, self.j, self.wait, len(self.queue))
 
 
 class QuorumForgerReader(RogueReader):
@@ -307,9 +301,6 @@ class QuorumForgerReader(RogueReader):
             if self.fi > self.cfg.n:
                 self.phase = self.IDLE
 
-    def state_key(self):
-        return ("forger", self.index, self.phase, self.fi, self.partner_member)
-
 
 # --- strategy specs ------------------------------------------------------------
 
@@ -343,9 +334,12 @@ class WriterStrategy(Strategy):
     """A Byzantine writer spec ``plan``s its own op scripts, which a
     ``ByzWriterMachine`` plays."""
 
+    idle_op: ClassVar[LocalOp] = LocalOp("idle")  # what an idle count plays
+
     def plan(self, cfg: Config, writes: list[bytes]):
-        """Yield, per high-level write, its ops and the value its invoke and
-        response carry (None when it has no single value)."""
+        """Yield, per high-level write, its items (each an op, or an int
+        count of ``idle_op`` steps) and the value its invoke and response
+        carry (None when it has no single value)."""
         raise NotImplementedError
 
     def machine(self, cfg, ring, u0, i, workload):
@@ -461,8 +455,9 @@ class OverwriteEarly(WriterStrategy):
     overwrite it before inform sets can form."""
 
     name = "overwrite_early"
+    idle_op = LocalOp("overwrite-delay")
     delay: int = 2
-    MAX_DELAY = 1_000_000  # the plan holds one idle op per step of delay
+    MAX_DELAY = 1_000_000
 
     @classmethod
     def parse(cls, block):
@@ -475,7 +470,7 @@ class OverwriteEarly(WriterStrategy):
     def plan(self, cfg, writes):
         for c, payload in enumerate(writes, 1):
             kv = TaggedValue(c, payload)
-            yield _broadcast(cfg, kv) + (LocalOp("overwrite-delay"),) * self.delay, kv
+            yield _broadcast(cfg, kv) + (self.delay,), kv
 
 
 @dataclass(frozen=True)
@@ -500,18 +495,15 @@ class ScriptedWriter(WriterStrategy):
     """Literal per-invocation register scripts: each invocation is a tuple
     of (reader index, TaggedValue) writes and integer idle-step counts."""
 
+    idle_op = LocalOp("scripted-idle")
     scripts: tuple[tuple, ...]
 
     def plan(self, cfg, writes):
         for invocation in range(len(writes)):
-            ops: list = []
-            for item in self.scripts[invocation % len(self.scripts)]:
-                if isinstance(item, int):
-                    ops += [LocalOp("scripted-idle")] * item
-                else:
-                    i, kv = item
-                    ops.append(WriteOp(init_reg(i), kv))
-            yield tuple(ops), None
+            yield tuple(
+                item if isinstance(item, int) else WriteOp(init_reg(item[0]), item[1])
+                for item in self.scripts[invocation % len(self.scripts)]
+            ), None
 
 
 # --- reader strategies -------------------------------------------------------

@@ -1017,10 +1017,6 @@ class CheckReport:
     def violations(self) -> list[str]:
         return [name for name, v in self.verdicts.items() if v.status == "violation"]
 
-    def register_count_line(self) -> str:
-        n = self.cfg.n
-        return f"registers: 3n^2+2n = {3 * n * n + 2 * n} at n={n}"
-
     def records(self):
         yield json.dumps(
             {

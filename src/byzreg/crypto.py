@@ -96,9 +96,11 @@ SCHEMES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class KeyRing:
-    """Per-process signing capability plus public verification material."""
+    """Per-process signing capability plus public verification material.
+    Compared and hashed by identity, so a machine's state key can hold
+    it."""
 
     scheme_name: str
     _scheme: object = field(repr=False)

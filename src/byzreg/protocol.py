@@ -100,9 +100,10 @@ class ProcessMachine:
     when this machine steps; the engine re-evaluates them for the stepped
     process alone.  Whatever of its future reads the bank beyond its op's
     result goes in ``bank_key``, which the engine evaluates on every
-    state.  Equal ``state_key``s mean equal attributes, so a step is a
-    function of the ``state_key``, the ``bank_key`` and the read result:
-    the enumerator takes each such step once and shares it.
+    state.  ``state_key`` is derived from the attributes, so equal keys
+    mean equal attributes, and a step is a function of the
+    ``state_key``, the ``bank_key`` and the read result: the enumerator
+    takes each such step once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -138,9 +139,15 @@ class ProcessMachine:
         raise NotImplementedError
 
     def state_key(self):
-        """Hashable summary of the machine's own state: two machines with
-        equal keys behave alike from here on, given equal banks."""
-        raise NotImplementedError
+        """The machine's class and its attribute values, in the order
+        ``__init__`` sets them, a dict as its items in key order: two
+        machines with equal keys have equal attributes, so they behave
+        alike from here on, given equal banks.  Every attribute is
+        hashable (the key ring by identity) and set in ``__init__``."""
+        return (type(self), *[
+            tuple(sorted(v.items())) if type(v) is dict else v
+            for v in self.__dict__.values()
+        ])
 
     def bank_key(self, bank: RegisterBank):
         """The part of the machine's future behaviour that reads the bank
@@ -169,7 +176,7 @@ class WriterMachine(ProcessMachine):
         self.cfg = cfg
         self.ring = ring
         self.pid = WRITER
-        self.writes = [bytes(w) for w in writes]
+        self.writes = tuple(bytes(w) for w in writes)
         self.widx = 0
         # the counter, the pending value and the readers that acked it
         self.c = 0
@@ -236,18 +243,6 @@ class WriterMachine(ProcessMachine):
             recorder.response(self.pid, "write", self.pending)
             self.pending = None
             self.phase = W_IDLE
-
-    def state_key(self):
-        return (
-            "w",
-            self.phase,
-            self.widx,
-            self.c,
-            self.pending,
-            self.acked,
-            self.wi,
-            self.poll_from,
-        )
 
     def bank_key(self, bank):
         # absolute sequence numbers are behaviorally irrelevant; only each
@@ -659,28 +654,3 @@ class ReaderMachine(ProcessMachine):
         R_WFIN2: _apply_wfin2,
         R_ACK2: _apply_ack2,
     }
-
-    def state_key(self):
-        idxs = self.cfg.reader_indices()
-        return (
-            "r",
-            self.index,
-            self.phase,
-            self.idx,
-            self.s,
-            self.last_init,
-            tuple(self.t_witness[i] for i in idxs),
-            tuple(self.t_inform[i] for i in idxs),
-            self.witness_set,
-            self.inform_set,
-            self.last_ack,
-            self.suspected,
-            self.pending_entry,
-            self.form_value,
-            self.z_list,
-            self.adopt_target,
-            self.reads_remaining,
-            self.gap_left,
-            self.read_active,
-        )
-

@@ -68,25 +68,10 @@ class RegisterId(int):
     readers therefore uses exactly slots 0 .. 3n^2+2n-1, and a register
     keeps its slot at every n.  The layout tables below give each slot's
     family, writer end, reader end and export name; they grow, on first
-    use, to the largest n seen.  The bank's access checks and the
-    checker's trace scans index the tables directly, because a property
-    call per event made a checker report about a tenth slower; other
-    code goes through the properties.
+    use, to the largest n seen.  Code indexes the tables directly.
     """
 
     __slots__ = ()
-
-    @property
-    def family(self) -> Family:
-        return FAMILY[self]
-
-    @property
-    def writer_end(self) -> ProcessId:
-        return WRITER_END[self]
-
-    @property
-    def reader_end(self) -> ProcessId:
-        return READER_END[self]
 
     def __str__(self) -> str:
         return NAME[self]
@@ -438,10 +423,6 @@ class RegisterBank:
     @property
     def trace(self) -> list[TraceEvent]:
         return unwind(self._trace_node)
-
-    def register_ids(self) -> list[RegisterId]:
-        """Every register of the bank, in slot order."""
-        return [RegisterId(slot) for slot in range(len(self._cells))]
 
     @property
     def register_count(self) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,16 @@ from byzreg.engine import (
     Workload,
     run,
 )
-from byzreg.registers import READER_END, Family, LocalOp, bank_init, decode_value, init_reg
+from byzreg.registers import (
+    FAMILY,
+    READER_END,
+    WRITER_END,
+    Family,
+    LocalOp,
+    bank_init,
+    decode_value,
+    init_reg,
+)
 
 CFG_BW = Config(4, 1, writer_byzantine=True)
 
@@ -105,7 +115,7 @@ class TestAccessDiscipline:
                       settle_steps=200, raise_on_limit=False)
         for ev in history.trace:
             if ev.op == "write":
-                assert ev.caller == ev.reg.writer_end
+                assert ev.caller == WRITER_END[ev.reg]
 
     @pytest.mark.parametrize(
         "strategy",
@@ -126,9 +136,9 @@ class TestAccessDiscipline:
                       settle_steps=200, raise_on_limit=False)
         for ev in history.trace:
             if ev.op == "write":
-                assert ev.caller == ev.reg.writer_end
+                assert ev.caller == WRITER_END[ev.reg]
             else:
-                assert ev.caller == ev.reg.reader_end
+                assert ev.caller == READER_END[ev.reg]
 
 
 def everyone(k, u):
@@ -138,15 +148,15 @@ def everyone(k, u):
 
 def plan_literal(spec, writes):
     """The spec's plan with each write op shown as (reader, k, u) and each
-    local op as its note."""
+    idle count as that many notes of the spec's idle op."""
     out = []
-    for ops, value in spec.plan(CFG_BW, writes):
+    for items, value in spec.plan(CFG_BW, writes):
         shown = []
-        for op in ops:
-            if isinstance(op, LocalOp):
-                shown.append(op.note)
+        for item in items:
+            if isinstance(item, int):
+                shown += [spec.idle_op.note] * item
             else:
-                shown.append((READER_END[op.reg].index, op.value.k, op.value.u))
+                shown.append((READER_END[item.reg].index, item.value.k, item.value.u))
         out.append((shown, value))
     return out
 
@@ -205,6 +215,42 @@ class TestWriterPlans:
             ([(1, 1, b"x")] + idle, None),
         ]
 
+    def test_machine_plays_idle_counts_as_idle_ops(self):
+        # one step per op and per idle step, a zero count taking none; the
+        # invoke comes with a write's first step and the response with its
+        # last, an idle one included
+        x = TaggedValue(1, b"x")
+        spec = ScriptedWriter(scripts=((2, (1, x), 0, 1),))
+        machine = ByzWriterMachine(CFG_BW, None, spec, [b"a", b"b"])
+        played, calls = [], []
+
+        class Log:
+            def invoke(self, pid, op, value):
+                calls.append(("invoke", len(played)))
+
+            def response(self, pid, op, value):
+                calls.append(("response", len(played)))
+
+        while machine.enabled():
+            op = machine.next_op(None)
+            machine.apply(None, op, None, Log())
+            played.append(op.note if isinstance(op, LocalOp) else READER_END[op.reg].index)
+        idle = "scripted-idle"
+        assert played == [idle, idle, 1, idle] * 2
+        assert calls == [("invoke", 0), ("response", 3), ("invoke", 4), ("response", 7)]
+
+    def test_idle_counts_stay_unexpanded(self):
+        # a plan holds a delay as one count, so building the machine for
+        # the largest delay allowed, over 8 writes, allocates little
+        spec = OverwriteEarly(delay=OverwriteEarly.MAX_DELAY)
+        tracemalloc.start()
+        try:
+            ByzWriterMachine(CFG_BW, None, spec, [b"w%d" % i for i in range(8)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestWriterStrategies:
     def test_split_value_quorums_per_classification(self):
@@ -251,7 +297,7 @@ class TestWriterStrategies:
         init_values = {
             decode_value(Family.INIT, ev.value)
             for ev in history.trace
-            if ev.op == "write" and ev.reg.family is Family.INIT
+            if ev.op == "write" and FAMILY[ev.reg] is Family.INIT
         }
         assert init_values == {TaggedValue(7, b"p"), TaggedValue(7, b"q")}
 
@@ -421,7 +467,7 @@ class TestScriptedScenarios:
                     decode_value(Family.WITNESS, ev.value).s
                     for ev in history.trace
                     if ev.op == "write"
-                    and ev.reg.family is Family.WITNESS
+                    and FAMILY[ev.reg] is Family.WITNESS
                     and ev.caller.index == i
                 }
                 assert stamps <= {1}, f"reader {i} re-witnessed: {stamps}"

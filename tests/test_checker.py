@@ -9,6 +9,7 @@ produce.
 from __future__ import annotations
 
 import functools
+import json
 
 import pytest
 
@@ -505,7 +506,8 @@ class TestReportShape:
         assert r1.digest() == r2.digest()
         lines = list(r1.records())
         assert any('"property": "total_order"' in ln for ln in lines)
-        assert r1.register_count_line() == "registers: 3n^2+2n = 56 at n=4"
+        # 3n^2+2n registers at n=4
+        assert json.loads(lines[0])["report"]["registers"] == 56
 
     def test_all_properties_reported(self):
         history = fault_free_history(seed=12)

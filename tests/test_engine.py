@@ -13,6 +13,7 @@ from byzreg.adversary import (
     READER_STRATEGIES,
     CollaborateStabilize,
     CorrectReader,
+    CorrectWriter,
     Equivocate,
     FakeWitnessStamp,
     ForgeInformSet,
@@ -435,13 +436,16 @@ class TestTransitionTable:
         tables) and one stepped in place through the same random schedule,
         comparing the stepped machines; returns every state_key reached in
         place, with its machine's attributes, and each run's final
-        status."""
+        status.  A state key lists attribute values in ``__init__`` order,
+        so every machine reached must list its attribute names in the
+        order its process's freshly built machine does."""
         ring = make_keyring(cfg, "keyed", 0)
 
         def root():
             machines = build_machines(cfg, strategies, wl, ring, b"init")
             return Simulation(cfg, machines, bank_init(cfg, b"init", ring))
 
+        names = {pid: list(vars(m)) for pid, m in root().machines.items()}
         tabled_root = root()
         tabled_root._tabulate()
         reached: dict = {}
@@ -457,6 +461,7 @@ class TestTransitionTable:
                 tabled.step_process(pid)
                 m = plain.machines[pid]
                 assert vars(tabled.machines[pid]) == vars(m)
+                assert list(vars(m)) == list(vars(tabled.machines[pid])) == names[pid]
                 assert reached.setdefault(m.state_key(), dict(vars(m))) == vars(m)
             assert tabled.recorder.key_node == plain.recorder.key_node
             assert (tabled.status, tabled.violation) == (plain.status, plain.violation)
@@ -471,11 +476,15 @@ class TestTransitionTable:
         wl = Workload.make(writes=[b"a", b"b"], reads={1: 1, 2: 1}, read_gap=1)
         reached, _ = self.lockstep(CFG41, strategies, wl, range(6), 500)
         # the correct writer is tabled too, polling included
-        assert any(key[0] == "w" and key[1] == W_POLL for key in reached)
+        assert any(
+            key[0] is WriterMachine and attrs["phase"] == W_POLL
+            for key, attrs in reached.items()
+        )
 
     @pytest.mark.parametrize(
         "writer",
         [
+            CorrectWriter(),
             SplitValue.make({1: b"a", 2: b"a", 3: b"b", 4: b"b"}),
             PartialQuorum.make({1, 2}, {3}),
             MultiValueBurst((b"p", b"q")),
@@ -485,11 +494,12 @@ class TestTransitionTable:
         ids=lambda w: type(w).__name__,
     )
     def test_equal_keys_mean_equal_byzantine_writers(self, writer):
-        # a Byzantine writer reads no bank, so it is tabled too
+        # every writer strategy of a writer_byzantine config is tabled, the
+        # correct one included; the others read no bank
         cfg = Config(4, 1, writer_byzantine=True)
         wl = Workload.make(writes=[b"a", b"b", b"c"], reads={1: 1}, read_gap=1)
         reached, _ = self.lockstep(cfg, StrategyAssignment(writer=writer), wl, range(6), 300)
-        assert any(key[0] == "bw" for key in reached)
+        assert any(attrs["pid"] == WRITER for attrs in reached.values())
 
     def test_writer_step_keyed_by_ack_freshness(self):
         # the same canonical writer polls the same ack bytes twice: written

@@ -17,7 +17,7 @@ from byzreg.adversary import (
 from byzreg.core import Config, ws_of
 from byzreg.crypto import verify_witness_set
 from byzreg.engine import SeededRandom, Workload, run
-from byzreg.registers import Family, decode_value
+from byzreg.registers import FAMILY, Family, decode_value
 
 
 def adversarial_histories():
@@ -65,7 +65,7 @@ def test_correct_reader_acks_never_regress(idx):
         rank.setdefault(ev.value, pos)
     per_reader = {}
     for ev in history.trace:
-        if ev.op != "write" or ev.reg.family is not Family.ACK:
+        if ev.op != "write" or FAMILY[ev.reg] is not Family.ACK:
             continue
         i = ev.caller.index
         if i in byz:
@@ -83,7 +83,7 @@ def test_correct_reader_witness_stamps_strictly_increase(idx):
     history, byz = HISTORIES[idx]
     stamps_per_reader: dict[int, list[int]] = {}
     for ev in history.trace:
-        if ev.op != "write" or ev.reg.family is not Family.WITNESS:
+        if ev.op != "write" or FAMILY[ev.reg] is not Family.WITNESS:
             continue
         i = ev.caller.index
         if i in byz:
@@ -105,7 +105,7 @@ def test_correct_reader_final_rows_always_validate(idx):
     ring = history.keyring()
     checked = 0
     for ev in history.trace:
-        if ev.op != "write" or ev.reg.family is not Family.FINAL:
+        if ev.op != "write" or FAMILY[ev.reg] is not Family.FINAL:
             continue
         if ev.caller.index in byz:
             continue
@@ -126,7 +126,7 @@ def test_successive_witness_sets_nondecreasing_per_source(idx):
     cfg = history.cfg
     prev_by_reader: dict[int, dict[int, int]] = {}
     for ev in history.trace:
-        if ev.op != "write" or ev.reg.family is not Family.INFORM:
+        if ev.op != "write" or FAMILY[ev.reg] is not Family.INFORM:
             continue
         i = ev.caller.index
         if i in byz:

@@ -138,9 +138,9 @@ class TestReaderIteration:
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
-        before = {reg: bank.peek(reg) for reg in bank.register_ids()}
+        before = {reg: bank.peek(reg) for reg in range(bank.register_count)}
         run_full_iteration(r, bank, rec)
-        after = {reg: bank.peek(reg) for reg in bank.register_ids()}
+        after = {reg: bank.peek(reg) for reg in range(bank.register_count)}
         assert before == after
 
     def test_new_init_bumps_s_once_and_broadcasts(self, world):

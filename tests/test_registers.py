@@ -16,6 +16,9 @@ from byzreg.core import (
 )
 from byzreg.crypto import make_keyring, sign_entries
 from byzreg.registers import (
+    FAMILY,
+    READER_END,
+    WRITER_END,
     AccessViolation,
     Family,
     UnknownRegister,
@@ -38,7 +41,7 @@ def replay_trace(cfg, u0, ring, trace):
     """Every register's final cell, by replaying the trace's writes over a
     fresh bank."""
     bank = bank_init(cfg, u0, ring)
-    cells = {reg: bank.peek(reg) for reg in bank.register_ids()}
+    cells = {reg: bank.peek(reg) for reg in range(bank.register_count)}
     for ev in trace:
         if ev.op == "write":
             cells[ev.reg] = ev.value
@@ -62,10 +65,9 @@ class TestAllocation:
 
     def test_families_present(self):
         cfg, _, bank = make_bank(4, 1)
-        regs = bank.register_ids()
         by_family = {}
-        for r in regs:
-            by_family.setdefault(r.family, []).append(r)
+        for r in range(bank.register_count):
+            by_family.setdefault(FAMILY[r], []).append(r)
         assert len(by_family[Family.INIT]) == 4
         assert len(by_family[Family.ACK]) == 4
         assert len(by_family[Family.WITNESS]) == 16
@@ -84,7 +86,7 @@ class TestAllocation:
         assert sorted(regs) == list(range(3 * n * n + 2 * n))
         assert str(init_reg(2)) == "init[w->r2]" and str(ack_reg(2)) == "ack[r2->w]"
         assert str(final_reg(3, 1)) == "final[r3->r1]"
-        assert (witness_reg(3, 1).writer_end, witness_reg(3, 1).reader_end) == (3, 1)
+        assert (WRITER_END[witness_reg(3, 1)], READER_END[witness_reg(3, 1)]) == (3, 1)
 
     def test_reader_index_below_one_rejected(self):
         with pytest.raises(ValueError):
