@@ -11,12 +11,15 @@ bytes in the codec of the register's family, so a Byzantine owner may
 leave content no value encodes to.  The engine's step alone crosses
 between the two: it encodes each write with ``encode_value`` and hands
 the machine ``decode_value`` of each read, None for bytes that do not
-decode.  One register operation is one indivisible scheduler step, and
+decode.  Both directions are memoized, and a value the encoder has not
+seen is joined from its parts' memoized bytes, with no JSON dump or
+parse.  One register operation is one indivisible scheduler step, and
 every operation lands in an append-only trace of the bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -154,7 +157,17 @@ def final_reg(i: int, j: int) -> RegisterId:
 # --- codecs -----------------------------------------------------------------
 #
 # Canonical JSON with hex payloads: stable across platforms, byte-exact for
-# identical values, and strict on decode.
+# identical values, and strict on decode.  The bytes are those of
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` over a dict per
+# value: ``{"k", "u"}`` for a tagged value, ``{"p", "s", "v"}`` for a witness
+# entry, ``{"e", "g", "sig"}`` for a witness set (entries sorted by
+# ``_entry_key``) and ``{"m"}`` for an inform set (members sorted by signer,
+# then signature).  The encoder joins them from pieces instead: a part's
+# bytes, a literal, an int field or any other scalar, which ``_join``
+# formats with that same ``json.dumps`` call.  Every field is read in the
+# order the dict would have been built, and formatted in byte order only
+# after all were read, so a malformed value raises what building and
+# dumping the dict raised.
 
 # The signing payload packs p and signer in 32 bits and k and s in 64
 # (crypto.canonical_entries_payload), so wider values do not decode.
@@ -164,10 +177,6 @@ _U32 = 1 << 32
 _U64 = 1 << 64
 
 
-def _tagged_obj(v: TaggedValue):
-    return {"k": v.k, "u": v.u.hex()}
-
-
 def _obj_tagged(obj) -> TaggedValue:
     if not isinstance(obj, dict) or set(obj) != {"k", "u"}:
         raise _DecodeError("bad tagged value shape")
@@ -175,10 +184,6 @@ def _obj_tagged(obj) -> TaggedValue:
     if type(k) is not int or not 0 <= k < _U64 or not isinstance(u, str):
         raise _DecodeError("bad tagged value fields")
     return TaggedValue(k, bytes.fromhex(u))
-
-
-def _entry_obj(e: WitnessEntry):
-    return {"v": _tagged_obj(e.value), "s": e.s, "p": e.p}
 
 
 def _obj_entry(obj) -> WitnessEntry:
@@ -192,14 +197,6 @@ def _obj_entry(obj) -> WitnessEntry:
 
 def _entry_key(e: WitnessEntry):
     return (e.p, e.s, e.value.k, e.value.u)
-
-
-def _wset_obj(w: WitnessSet):
-    return {
-        "e": [_entry_obj(e) for e in sorted(w.entries, key=_entry_key)],
-        "g": w.signer,
-        "sig": w.signature.hex(),
-    }
 
 
 def _obj_wset(obj) -> WitnessSet:
@@ -217,11 +214,6 @@ def _obj_wset(obj) -> WitnessSet:
     )
 
 
-def _iset_obj(s: InformSet):
-    members = sorted(s.members, key=lambda m: (m.signer, m.signature))
-    return {"m": [_wset_obj(m) for m in members]}
-
-
 def _obj_iset(obj) -> InformSet:
     if not isinstance(obj, dict) or set(obj) != {"m"}:
         raise _DecodeError("bad inform set shape")
@@ -229,14 +221,6 @@ def _obj_iset(obj) -> InformSet:
         raise _DecodeError("bad inform set members")
     return InformSet(members=frozenset(_obj_wset(m) for m in obj["m"]))
 
-
-_ENCODERS = {
-    Family.INIT: _tagged_obj,
-    Family.ACK: _tagged_obj,
-    Family.WITNESS: _entry_obj,
-    Family.INFORM: _wset_obj,
-    Family.FINAL: _iset_obj,
-}
 
 _DECODERS = {
     Family.INIT: _obj_tagged,
@@ -246,8 +230,100 @@ _DECODERS = {
     Family.FINAL: _obj_iset,
 }
 
+# Each builder appends a value's pieces to ``out`` and returns whether its
+# bytes decode to an equal value with the same field types: every class
+# and field has the exact type the decoder gives, every int is in the
+# decoder's range, and every part passes the same test.
+
+
+def _scalar(x):
+    """The piece of a scalar field: an exact int as is, for ``_join`` to
+    print; anything else wrapped, for ``_join`` to dump."""
+    return x if type(x) is int else (x,)
+
+
+def _hex(data):
+    """The piece of a payload field, through ``.hex()`` as the dict held
+    it; a ``bytes`` payload's hex digits need no escaping."""
+    h = data.hex()
+    return b'"%s"' % h.encode() if type(data) is bytes else (h,)
+
+
+def _part(fam: str, part, build, out: list) -> bool:
+    """Append a part's bytes.  Its memoized bytes serve when the decode
+    memo maps them back to this very object, which therefore decodes; any
+    other part is built and checked afresh, since a merely equal one may
+    differ in field types (True for 1) and so in bytes."""
+    data = _encode_cache.get((fam, part))
+    if data is not None and _decode_cache.get((fam, data)) is part:
+        out.append(data)
+        return True
+    return build(part, out)
+
+
+def _tagged(v, out: list) -> bool:
+    k = v.k
+    u = v.u
+    out += (b'{"k":', _scalar(k), b',"u":', _hex(u), b"}")
+    return type(v) is TaggedValue and type(k) is int and 0 <= k < _U64 and type(u) is bytes
+
+
+def _entry(e, out: list) -> bool:
+    v: list = []
+    ok = _part("init", e.value, _tagged, v)
+    s = e.s
+    p = e.p
+    out += (b'{"p":', _scalar(p), b',"s":', _scalar(s), b',"v":', *v, b"}")
+    return ok and type(e) is WitnessEntry and type(s) is int and 0 <= s < _U64 and (
+        type(p) is int and 1 <= p < _U32
+    )
+
+
+def _wset(w, out: list) -> bool:
+    ok = type(w) is WitnessSet and type(w.entries) is frozenset
+    out.append(b'{"e":[')
+    for i, e in enumerate(sorted(w.entries, key=_entry_key)):
+        if i:
+            out.append(b",")
+        ok = _part("witness", e, _entry, out) and ok
+    signer = w.signer
+    sig = w.signature
+    out += (b'],"g":', _scalar(signer), b',"sig":', _hex(sig), b"}")
+    return ok and type(signer) is int and 1 <= signer < _U32 and type(sig) is bytes
+
+
+def _iset(s, out: list) -> bool:
+    ok = type(s) is InformSet and type(s.members) is frozenset
+    out.append(b'{"m":[')
+    for i, m in enumerate(sorted(s.members, key=lambda m: (m.signer, m.signature))):
+        if i:
+            out.append(b",")
+        ok = _part("inform", m, _wset, out) and ok
+    out.append(b"]}")
+    return ok
+
+
+def _join(pieces: list) -> bytes:
+    return b"".join(
+        p if type(p) is bytes
+        else b"%d" % p if type(p) is int
+        else json.dumps(p[0], sort_keys=True, separators=(",", ":")).encode()
+        for p in pieces
+    )
+
+
+_BUILDERS = {
+    Family.INIT._value_: _tagged,
+    Family.ACK._value_: _tagged,
+    Family.WITNESS._value_: _entry,
+    Family.INFORM._value_: _wset,
+    Family.FINAL._value_: _iset,
+}
+
 # Identical values get rewritten constantly in steady state, so both
-# directions are memoized; all encoded values are immutable.
+# directions are memoized; all encoded values are immutable.  A value's
+# parts are encoded once, at their own top-level write, and reused from
+# here when a larger value holds them.
 # Keys carry the family's value string, whose hash is cached; hashing the
 # Enum member itself would run Enum.__hash__ in Python on every call.
 _encode_cache: dict[tuple[str, object], bytes] = {}
@@ -257,38 +333,38 @@ _decode_cache: dict[tuple[str, bytes], object] = {}
 def encode_value(family: Family, value) -> bytes:
     """Canonical bytes of ``value``.
 
-    On a cache miss the freshly built object also goes through the
-    family's decoder; when that accepts it and gives back an equal value,
-    the decode cache maps the bytes to ``value`` itself.  A reader that
-    decodes a peer's cell then holds the very object the peer wrote, so
-    later equality tests and cache lookups succeed on identity.  Values
-    the decoder rejects are not seeded: their bytes still decode to None.
+    On a cache miss the bytes are joined from the value's fields and its
+    parts' memoized bytes; only a scalar other than an int goes through
+    ``json.dumps``, and nothing is parsed.  When the builder finds that
+    the bytes decode to ``value``, field types included, the decode cache
+    maps them to ``value`` itself.  A reader that decodes a peer's cell
+    then holds the very object the peer wrote, so later equality tests
+    and cache lookups succeed on identity.  Values the decoder rejects
+    are not seeded: their bytes still decode to None.
     """
     fam = family._value_
     key = (fam, value)
     hit = _encode_cache.get(key)
     if hit is None:
-        obj = _ENCODERS[family](value)
-        hit = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-        _encode_cache[key] = hit
-        try:
-            if _DECODERS[family](obj) == value:
-                _decode_cache[(fam, hit)] = value
-        except ValueError:
-            pass
+        pieces: list = []
+        ok = _BUILDERS[fam](value, pieces)
+        hit = _encode_cache[key] = _join(pieces)
+        if ok:
+            _decode_cache[(fam, hit)] = value
     return hit
 
 
 def decode_value(family: Family, data: bytes):
     """The value ``data`` encodes under the family's codec, or None when
-    the bytes do not decode (only decodable bytes are memoized)."""
+    the bytes do not decode (only decodable bytes are memoized).  Nesting
+    too deep for the parser does not decode either."""
     key = (family._value_, data)
     hit = _decode_cache.get(key)
     if hit is not None:
         return hit
     try:
         value = _DECODERS[family](json.loads(data.decode()))
-    except ValueError:  # not UTF-8, not JSON, bad hex or a _DecodeError
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, bad hex or a _DecodeError
         return None
     _decode_cache[key] = value
     return value
@@ -341,7 +417,11 @@ def unwind(node: tuple | None) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def initial_entry(cfg: Config, u0: bytes, i: int) -> WitnessEntry:
+    """Reader i's initial entry, one object per (cfg, u0, i), so the
+    witness sets that hold it reuse its memoized encoding on identity
+    (``_part``)."""
     return WitnessEntry(TaggedValue(0, u0), 0, i)
 
 
@@ -487,20 +567,25 @@ class RegisterBank:
         return tuple(self._cells)
 
 
-def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
-    """Allocate and initialize all five register families.
+def _initial_cells(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> tuple[bytes, ...]:
+    """Every register's initial bytes, in slot order.
 
     Init/Ack start at the initial tagged value; Witness at the owner's
     initial entry; Inform at the owner's signed initial witness set; and
-    Final at the initial inform set over all n signers.
+    Final at the initial inform set over all n signers.  Memoized per
+    (cfg, u0) on the ring, as the initial inform set is; a tuple, so a
+    caller that writes takes its own list of it.
     """
+    key = (cfg, u0)
+    memo = ring.initial_cells.get(key)
+    if memo is not None:
+        return memo
     cells: list[bytes] = [b""] * (3 * cfg.n * cfg.n + 2 * cfg.n)
     init_tagged = encode_value(Family.INIT, TaggedValue(0, u0))
     for i in cfg.reader_indices():
         cells[init_reg(i)] = init_tagged
         cells[ack_reg(i)] = init_tagged
     iset = initial_inform_set(cfg, u0, ring)
-    iset_bytes = encode_value(Family.FINAL, iset)
     signed = {m.signer: m for m in iset.members}
     for i in cfg.reader_indices():
         entry_bytes = encode_value(Family.WITNESS, initial_entry(cfg, u0, i))
@@ -508,8 +593,18 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
         for j in cfg.reader_indices():
             cells[witness_reg(i, j)] = entry_bytes
             cells[inform_reg(i, j)] = wset_bytes
+    # after its members, so that it is joined from their bytes
+    iset_bytes = encode_value(Family.FINAL, iset)
+    for i in cfg.reader_indices():
+        for j in cfg.reader_indices():
             cells[final_reg(i, j)] = iset_bytes
-    return RegisterBank(cfg, u0, cells)
+    memo = ring.initial_cells[key] = tuple(cells)
+    return memo
+
+
+def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
+    """A bank holding every register's initial bytes (``_initial_cells``)."""
+    return RegisterBank(cfg, u0, list(_initial_cells(cfg, u0, ring)))
 
 
 def atomicity_violations(
@@ -520,7 +615,7 @@ def atomicity_violations(
     Trivial by construction for this substrate; asserted after runs as a
     plumbing check.
     """
-    cells = bank_init(cfg, u0, ring)._cells
+    cells = list(_initial_cells(cfg, u0, ring))
     bad = []
     for ev in trace:
         if ev.op == "write":

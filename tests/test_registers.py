@@ -133,6 +133,20 @@ class TestInitializers:
         assert got == expected
         assert len(got.members) == cfg.n  # |L| = n >= n - t
 
+    def test_banks_never_share_cells(self):
+        # bank_init and the replay in atomicity_violations each copy the
+        # initial cells memoized on the ring
+        cfg, ring, bank = make_bank(2, 0)
+        twin = bank_init(cfg, b"init", ring)
+        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        bank.write(init_reg(1), v1, WRITER)
+        assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
+        for other in (twin, bank_init(cfg, b"init", ring)):
+            assert other.peek(init_reg(1)) == encode_value(Family.INIT, TaggedValue(0, b"init"))
+        assert list(ring.initial_cells[(cfg, b"init")]) == [
+            twin.peek(reg) for reg in range(twin.register_count)
+        ]
+
     def test_read_before_write_returns_initializer(self):
         cfg, _, bank = make_bank(2, 0)
         raw = bank.read(init_reg(1), ProcessId.reader(1))
@@ -203,6 +217,18 @@ class TestCodecs:
         assert decode_value(Family.INIT, b'{"k": -1, "u": "00"}') is None
         assert decode_value(Family.WITNESS, b'{"v": {"k":0,"u":""}, "s": -2, "p": 1}') is None
         assert decode_value(Family.INIT, b'{"k": 1}') is None
+
+    @pytest.mark.parametrize(
+        "family,data",
+        [
+            (Family.INIT, b"[" * 100_000),
+            (Family.FINAL, b'{"m":' * 100_000 + b"[]" + b"}" * 100_000),
+        ],
+        ids=["open_brackets", "nested_inform_sets"],
+    )
+    def test_nesting_too_deep_to_parse_rejected(self, family, data):
+        # the parser raises RecursionError, not ValueError, on these
+        assert decode_value(family, data) is None
 
     @pytest.mark.parametrize(
         "family,data",
