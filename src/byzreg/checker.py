@@ -1010,10 +1010,6 @@ class CheckReport:
             s for s in self.stabilizations if s.value not in self.returned_values
         ]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(v.status == "pass" for v in self.verdicts.values())
-
     def violations(self) -> list[str]:
         return [name for name, v in self.verdicts.items() if v.status == "violation"]
 

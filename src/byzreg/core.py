@@ -54,14 +54,12 @@ class Config:
         if not 0 <= self.t <= self.n:
             raise ValueError(f"t must be in [0, n], got t={self.t}, n={self.n}")
         object.__setattr__(self, "_hash", hash((self.n, self.t, self.writer_byzantine)))
+        # the size threshold n - t of witness and inform quorums, read on
+        # every reader step, so stored rather than a property
+        object.__setattr__(self, "quorum", self.n - self.t)
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def quorum(self) -> int:
-        """Size threshold n - t used for witness and inform quorums."""
-        return self.n - self.t
 
     @property
     def common_quorum(self) -> int:

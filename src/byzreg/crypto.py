@@ -16,15 +16,15 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from typing import TYPE_CHECKING, Iterable
 
 from .core import Config, ProcessId, WitnessEntry, WitnessSet, WRITER
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
 
 
 class UnknownProcess(Exception):
@@ -69,11 +69,16 @@ class KeyedDigestScheme:
 
 
 class Ed25519Scheme:
-    """Real asymmetric scheme; Ed25519 signatures are deterministic."""
+    """Real asymmetric scheme; Ed25519 signatures are deterministic.
+
+    The only user of ``cryptography``, which it imports when first used,
+    so that a process signing with the keyed scheme never loads it."""
 
     name = "ed25519"
 
     def keypair(self, seed: int, pid: ProcessId):
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
         private = Ed25519PrivateKey.from_private_bytes(_seed_material(seed, pid))
         return private, private.public_key()
 
@@ -81,6 +86,8 @@ class Ed25519Scheme:
         return private.sign(payload)
 
     def verify(self, public: Ed25519PublicKey, payload: bytes, signature: bytes) -> bool:
+        from cryptography.exceptions import InvalidSignature
+
         if not isinstance(signature, (bytes, bytearray)):
             return False
         try:

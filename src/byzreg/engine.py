@@ -268,11 +268,24 @@ class _RandomChooser(_Chooser):
             return enabled[self.rng.randrange(len(enabled))]
         # shuffled rounds: every process enabled at round start is
         # scheduled once before the next round begins
+        order = self.round
         while True:
-            if not self.round:
-                self.round = list(enabled)
-                self.rng.shuffle(self.round)
-            pid = self.round.pop()
+            if not order:
+                # random.shuffle's draws, made inline: the same getrandbits
+                # calls and rejection loop as its _randbelow, so every
+                # schedule is the one rng.shuffle(list(enabled)) gives
+                order = self.round = list(enabled)
+                getrandbits = self.rng.getrandbits
+                n = len(order)
+                k = n.bit_length()
+                for i in range(n - 1, 0, -1):
+                    if not (i + 1) >> (k - 1):
+                        k -= 1  # k stays (i + 1).bit_length()
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    order[i], order[j] = order[j], order[i]
+            pid = order.pop()
             if pid in enabled:
                 return pid
 
@@ -341,6 +354,15 @@ class _EventLog:
         self.calls.append((HistoryRecorder.response, pid, op, value))
 
 
+def _op_kind(pid: ProcessId, op) -> type:
+    """The op class ``op`` is an instance of, so that a step dispatches on
+    it; TypeError for anything else a machine produced."""
+    for kind in (WriteOp, ReadOp, LocalOp):
+        if isinstance(op, kind):
+            return kind
+    raise TypeError(f"machine {pid} produced {op!r}")
+
+
 def _violation(pid: ProcessId, exc: Exception) -> str:
     kind = (
         "concurrent_final_sets"
@@ -386,9 +408,9 @@ class Simulation:
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
         # machine key -> its canonical machine, canonical machine -> (its
-        # op, the bytes it writes, {outcome key: (canonical successor,
-        # recorder calls, violation)}), and state key part -> the small int
-        # standing for it; None to step in place
+        # op, the op's class, the bytes it writes, {outcome key: (canonical
+        # successor, recorder calls, violation)}), and state key part -> the
+        # small int standing for it; None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
@@ -414,42 +436,53 @@ class Simulation:
         """Perform one op of ``pid``'s machine and apply its result: the
         one place where values meet cell bytes (see registers.py).  A
         tabled step keys its outcome on the bytes read and decodes them
-        only on the first take."""
+        only on the first take.  The views are brought up to date only
+        after a step that recorded an event (see ProcessMachine)."""
+        steps = self.steps
         bank = self.bank
-        bank.current_step = self.steps
-        self.recorder.step = self.steps
+        recorder = self.recorder
+        bank.current_step = recorder.step = steps
+        events = recorder.key_node
         self._sched_node = (self._sched_node, pid)
         machine = self.machines[pid]
         table = self._table
-        entry = None if table is None else table.get(machine)
-        if entry is None:
+        if table is None:
             op = machine.next_op(bank)
-            written = encode_value(FAMILY[op.reg], op.value) if isinstance(op, WriteOp) else None
-            if table is not None:
-                entry = table[machine] = (op, written, {})
-        else:
-            op, written, _ = entry
-        raw = None
-        if written is not None:
-            bank.write(op.reg, written, pid)
-        elif isinstance(op, ReadOp):
-            raw = bank.read(op.reg, pid)
-        elif not isinstance(op, LocalOp):
-            raise TypeError(f"machine {pid} produced {op!r}")
-        if table is not None:
-            machine = self._take(pid, machine, entry, raw)
-        else:
-            result = None if raw is None else decode_value(FAMILY[op.reg], raw)
+            kind = type(op)
+            if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
+                kind = _op_kind(pid, op)
+            result = None
+            if kind is ReadOp:
+                reg = op.reg
+                result = decode_value(FAMILY[reg], bank.read(reg, pid))
+            elif kind is WriteOp:
+                reg = op.reg
+                bank.write(reg, encode_value(FAMILY[reg], op.value), pid)
             try:
-                machine.apply(bank, op, result, self.recorder)
+                machine.apply(bank, op, result, recorder)
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
                 self.status = "protocol_violation"
                 self.violation = _violation(pid, exc)
-        self.steps += 1
-        if machine.enabled() != (pid in self._enabled):
-            self._enabled = sorted(set(self._enabled) ^ {pid})
-        if machine.done() == (pid in self._unfinished):
-            self._unfinished = self._unfinished ^ {pid}
+        else:
+            entry = table.get(machine)
+            if entry is None:
+                op = machine.next_op(bank)
+                kind = _op_kind(pid, op)
+                written = encode_value(FAMILY[op.reg], op.value) if kind is WriteOp else None
+                entry = table[machine] = (op, kind, written, {})
+            op, kind, written, _ = entry
+            raw = None
+            if kind is WriteOp:
+                bank.write(op.reg, written, pid)
+            elif kind is ReadOp:
+                raw = bank.read(op.reg, pid)
+            machine = self._take(pid, machine, entry, raw)
+        self.steps = steps + 1
+        if recorder.key_node is not events:
+            if machine.enabled() != (pid in self._enabled):
+                self._enabled = sorted(set(self._enabled) ^ {pid})
+            if machine.done() == (pid in self._unfinished):
+                self._unfinished = self._unfinished ^ {pid}
 
     def _take(
         self, pid: ProcessId, machine: ProcessMachine, entry: tuple, raw: bytes | None
@@ -458,7 +491,7 @@ class Simulation:
         violation; the first take of the step computes them on a copy.  A
         step's outcome is keyed by the bytes it read, and by the machine's
         bank_key too when it has one."""
-        op, _, outcomes = entry
+        op, _, _, outcomes = entry
         key = raw
         if pid in self._bank_keyed:
             key = (raw, machine.bank_key(self.bank))
@@ -600,22 +633,22 @@ def run(
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
     sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
-    chooser = make_chooser(schedule, sim.order)
+    choose = make_chooser(schedule, sim.order).choose
+    step = sim.step_process
     settle_left = settle_steps
-    while sim.steps < step_limit:
-        if sim.status is not None:
-            break
-        if sim.workload_complete():
+    # the views read directly: a step replaces them, never mutates them
+    while sim.steps < step_limit and sim.status is None:
+        if not sim._unfinished:
             if settle_left <= 0:
                 break
             settle_left -= 1
-        enabled = sim.enabled_pids()
+        enabled = sim._enabled
         if not enabled:
             break
-        pid = chooser.choose(enabled)
+        pid = choose(enabled)
         if pid is None:
             break
-        sim.step_process(pid)
+        step(pid)
     if sim.status is not None:
         status = sim.status
     elif sim.workload_complete():

@@ -77,7 +77,7 @@ def find_latest(sets: Sequence[InformSet], cfg: Config) -> InformSet:
         raise ValueError("find_latest needs at least one inform set")
     survivor = sets[0]
     for cand in sets[1:]:
-        if cand == survivor:
+        if cand is survivor or cand == survivor:
             continue
         verdict = mapsto_compare(
             cached_ws_of(survivor, cfg), cached_ws_of(cand, cfg), cfg
@@ -97,13 +97,16 @@ class ProcessMachine:
 
     ``enabled``, ``done`` and ``state_key`` depend only on the machine's
     own state, never on the bank or another machine, so they change only
-    when this machine steps; the engine re-evaluates them for the stepped
-    process alone.  Whatever of its future reads the bank beyond its op's
-    result goes in ``bank_key``, which the engine evaluates on every
-    state.  ``state_key`` is derived from the attributes, so equal keys
-    mean equal attributes, and a step is a function of the
-    ``state_key``, the ``bank_key`` and the read result: the enumerator
-    takes each such step once and shares it.
+    when this machine steps.  ``enabled`` and ``done`` change only on a
+    step that records an invocation or a response (a process is enabled
+    and busy until its last high-level operation responds, and a reader
+    is always enabled), so the engine re-evaluates them for the stepped
+    process alone, after such a step.  Whatever of its future reads the
+    bank beyond its op's result goes in ``bank_key``, which the engine
+    evaluates on every state.  ``state_key`` is derived from the
+    attributes, so equal keys mean equal attributes, and a step is a
+    function of the ``state_key``, the ``bank_key`` and the read result:
+    the enumerator takes each such step once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -185,8 +188,12 @@ class WriterMachine(ProcessMachine):
         self.phase = W_IDLE
         self.wi = 1
         self.poll_from = 1
-        # reader i's ack register at position i - 1
+        # reader i's init and ack registers, and the op that polls its
+        # ack register, at position i - 1: ops are never changed once
+        # built, so every poll of a register returns one op
+        self.init_regs = tuple(init_reg(i) for i in cfg.reader_indices())
         self.ack_regs = tuple(ack_reg(i) for i in cfg.reader_indices())
+        self.ack_reads = tuple(ReadOp(reg) for reg in self.ack_regs)
 
     def enabled(self):
         return self.phase != W_IDLE or self.widx < len(self.writes)
@@ -204,10 +211,10 @@ class WriterMachine(ProcessMachine):
 
     def next_op(self, bank):
         if self.phase == W_IDLE:
-            return WriteOp(init_reg(1), TaggedValue(self.c + 1, self.writes[self.widx]))
+            return WriteOp(self.init_regs[0], TaggedValue(self.c + 1, self.writes[self.widx]))
         if self.phase == W_INIT:
-            return WriteOp(init_reg(self.wi), self.pending)
-        return ReadOp(self.ack_regs[self._poll_target() - 1])
+            return WriteOp(self.init_regs[self.wi - 1], self.pending)
+        return self.ack_reads[self._poll_target() - 1]
 
     def apply(self, bank, op, result, recorder):
         if self.phase == W_IDLE:
@@ -234,7 +241,7 @@ class WriterMachine(ProcessMachine):
         i = self._poll_target()
         self.poll_from = i % self.cfg.n + 1
         seq = bank.write_seq
-        if result == self.pending and seq[self.ack_regs[i - 1]] > seq[init_reg(1)]:
+        if result == self.pending and seq[self.ack_regs[i - 1]] > seq[self.init_regs[0]]:
             self.acked |= {i}
         self._maybe_finish(recorder)
 
@@ -250,7 +257,7 @@ class WriterMachine(ProcessMachine):
         if self.phase != W_POLL:
             return ()
         seq = bank.write_seq
-        began = seq[init_reg(1)]
+        began = seq[self.init_regs[0]]
         return tuple([seq[reg] > began for reg in self.ack_regs])
 
 
@@ -451,6 +458,18 @@ class ReaderMachine(ProcessMachine):
         self.read_gap = read_gap
         self.gap_left = 0
         self.read_active = False
+        # the op of every read phase and the registers every write phase
+        # writes, peer i's at position i - 1: ops are never changed once
+        # built, so every read of a register returns one op
+        readers = cfg.reader_indices()
+        self.init_read = ReadOp(init_reg(index))
+        self.witness_reads = tuple(ReadOp(witness_reg(i, index)) for i in readers)
+        self.inform_reads = tuple(ReadOp(inform_reg(i, index)) for i in readers)
+        self.final_reads = tuple(ReadOp(final_reg(i, index)) for i in readers)
+        self.ack_reg = ack_reg(index)
+        self.witness_regs = tuple(witness_reg(index, i) for i in readers)
+        self.inform_regs = tuple(inform_reg(index, i) for i in readers)
+        self.final_regs = tuple(final_reg(index, i) for i in readers)
 
     # -- hooks for Byzantine subclasses --------------------------------
 
@@ -477,28 +496,30 @@ class ReaderMachine(ProcessMachine):
         return self.reads_remaining == 0 and not self.read_active
 
     def next_op(self, bank):
-        p, i = self.index, self.idx
-        if self.phase == R_INIT:
-            return ReadOp(init_reg(p))
-        if self.phase == R_WWIT:
-            return WriteOp(witness_reg(p, i), self._entry_for_peer(i, self.pending_entry))
-        if self.phase == R_CWIT:
-            return ReadOp(witness_reg(i, p))
-        if self.phase == R_WINF:
-            return WriteOp(inform_reg(p, i), self.witness_set)
-        if self.phase == R_RINF:
-            return ReadOp(inform_reg(i, p))
-        if self.phase == R_WFIN:
-            return WriteOp(final_reg(p, i), self.inform_set)
-        if self.phase == R_ACK1:
-            return WriteOp(ack_reg(p), self.form_value)
-        if self.phase == R_RFIN:
-            return ReadOp(final_reg(i, p))
-        if self.phase == R_WFIN2:
-            return WriteOp(final_reg(p, i), self.adopt_target)
-        if self.phase == R_ACK2:
-            return WriteOp(ack_reg(p), common_value(cached_ws_of(self.adopt_target, self.cfg)))
-        raise AssertionError(f"unknown phase {self.phase}")
+        # the read phases first: they take most of an iteration's steps
+        phase = self.phase
+        if phase == R_CWIT:
+            return self.witness_reads[self.idx - 1]
+        if phase == R_RFIN:
+            return self.final_reads[self.idx - 1]
+        if phase == R_RINF:
+            return self.inform_reads[self.idx - 1]
+        if phase == R_WINF:
+            return WriteOp(self.inform_regs[self.idx - 1], self.witness_set)
+        if phase == R_WFIN:
+            return WriteOp(self.final_regs[self.idx - 1], self.inform_set)
+        if phase == R_WWIT:
+            i = self.idx
+            return WriteOp(self.witness_regs[i - 1], self._entry_for_peer(i, self.pending_entry))
+        if phase == R_INIT:
+            return self.init_read
+        if phase == R_ACK1:
+            return WriteOp(self.ack_reg, self.form_value)
+        if phase == R_WFIN2:
+            return WriteOp(self.final_regs[self.idx - 1], self.adopt_target)
+        if phase == R_ACK2:
+            return WriteOp(self.ack_reg, common_value(cached_ws_of(self.adopt_target, self.cfg)))
+        raise AssertionError(f"unknown phase {phase}")
 
     def apply(self, bank, op, result, recorder):
         handler = self._APPLY[self.phase]
@@ -617,14 +638,16 @@ class ReaderMachine(ProcessMachine):
 
     def _apply_rfin(self, bank, op, result, recorder):
         src = self.idx
-        if validated_final(self.ring, self.cfg, result) is None:
+        # most final reads return this reader's own inform set, the very
+        # object, which passed validation when it was formed or adopted
+        if result is not self.inform_set and validated_final(self.ring, self.cfg, result) is None:
             self.suspected |= {src}
         else:
             self.z_list = self.z_list + (result,)
         self.idx += 1
         if self.idx > self.cfg.n:
             latest = find_latest(self.z_list + (self.inform_set,), self.cfg)
-            if latest != self.inform_set:
+            if latest is not self.inform_set and latest != self.inform_set:
                 self.adopt_target = latest
                 self.inform_set = latest
                 self.phase = R_WFIN2

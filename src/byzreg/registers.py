@@ -333,25 +333,34 @@ _decode_cache: dict[tuple[str, bytes], object] = {}
 def encode_value(family: Family, value) -> bytes:
     """Canonical bytes of ``value``.
 
-    On a cache miss the bytes are joined from the value's fields and its
-    parts' memoized bytes; only a scalar other than an int goes through
-    ``json.dumps``, and nothing is parsed.  When the builder finds that
-    the bytes decode to ``value``, field types included, the decode cache
-    maps them to ``value`` itself.  A reader that decodes a peer's cell
-    then holds the very object the peer wrote, so later equality tests
-    and cache lookups succeed on identity.  Values the decoder rejects
-    are not seeded: their bytes still decode to None.
+    The memoized bytes serve, as a part's do (``_part``), only when the
+    decode cache maps them back to this very object.  Otherwise the bytes
+    are joined from the value's fields and its parts' memoized bytes;
+    only a scalar other than an int goes through ``json.dumps``, and
+    nothing is parsed.  When the builder finds that the bytes decode to
+    ``value``, field types included, both caches map between the bytes
+    and ``value`` itself.  A reader that decodes a peer's cell then holds
+    the very object the peer wrote, so later equality tests and cache
+    lookups succeed on identity.  Values the decoder rejects are not
+    memoized: their bytes still decode to None.  The memo is keyed by
+    equality, so the identity test keeps a value from being given the
+    bytes of another that merely equals it (True for 1).
     """
     fam = family._value_
     key = (fam, value)
-    hit = _encode_cache.get(key)
-    if hit is None:
-        pieces: list = []
-        ok = _BUILDERS[fam](value, pieces)
-        hit = _encode_cache[key] = _join(pieces)
-        if ok:
-            _decode_cache[(fam, hit)] = value
-    return hit
+    data = _encode_cache.get(key)
+    if data is not None and _decode_cache.get((fam, data)) is value:
+        return data
+    pieces: list = []
+    exact = _BUILDERS[fam](value, pieces)
+    data = _join(pieces)
+    if exact:
+        # keyed by this very object from now on, as the decode memo maps
+        # to it, so that its next lookup matches on identity
+        _encode_cache.pop(key, None)
+        _encode_cache[key] = data
+        _decode_cache[(fam, data)] = value
+    return data
 
 
 def decode_value(family: Family, data: bytes):
@@ -534,12 +543,6 @@ class RegisterBank:
             self._trace_node,
             TraceEvent(self.current_step, "write", reg, caller, value),
         )
-
-    def peek(self, reg: RegisterId) -> bytes:
-        """Untraced inspection for checkers and tests, never protocol code."""
-        if not 0 <= reg < len(self._cells):
-            raise UnknownRegister(str(reg))
-        return self._cells[reg]
 
     def clone(self) -> "RegisterBank":
         twin = RegisterBank.__new__(RegisterBank)

@@ -59,6 +59,8 @@ from byzreg.registers import (
     init_reg,
 )
 
+from test_registers import cell
+
 CFG_BW = Config(4, 1, writer_byzantine=True)
 
 
@@ -312,8 +314,8 @@ class TestWriterStrategies:
             sim.step_process(WRITER)
         kinds = [e.kind for e in rec.events]
         assert kinds == ["invoke", "response"]
-        assert decode_value(Family.INIT, bank.peek(init_reg(1))) == TaggedValue(1, b"x")
-        assert decode_value(Family.INIT, bank.peek(init_reg(4))) == TaggedValue(0, b"init")
+        assert decode_value(Family.INIT, cell(bank, init_reg(1))) == TaggedValue(1, b"x")
+        assert decode_value(Family.INIT, cell(bank, init_reg(4))) == TaggedValue(0, b"init")
 
 
 class TestReaderStrategies:

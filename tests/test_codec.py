@@ -139,10 +139,8 @@ def real_decode(family, data):
 
 @contextmanager
 def fresh_memos():
-    # The memos are keyed by equality, so a value equal to one encoded
-    # earlier (1 and True, bytes and a memoryview) is given the earlier
-    # value's bytes.  Each example starts from empty memos, so that it
-    # sees only the values it encodes itself.
+    # Each example starts from empty memos, so that it sees only the
+    # values it encodes itself.
     saved = registers._encode_cache, registers._decode_cache
     registers._encode_cache, registers._decode_cache = {}, {}
     try:
@@ -216,6 +214,21 @@ def test_odd_values_encode_exactly_and_are_not_seeded(family, value):
         data = encode_value(family, value)
         assert data == oracle_bytes(family, value)
         assert registers._decode_cache.get((family.value, data)) is not value
+
+
+@pytest.mark.parametrize("bool_first", [True, False], ids=["bool_first", "int_first"])
+def test_equal_values_of_other_field_types_keep_their_own_bytes(bool_first):
+    # the memos are keyed by equality, and TaggedValue(True, b"x") equals
+    # TaggedValue(1, b"x"): in either order, each gets its own bytes, and
+    # the int's bytes decode to the int's value
+    exact, odd = TaggedValue(1, b"x"), TaggedValue(True, b"x")
+    with fresh_memos():
+        for value in (odd, exact) if bool_first else (exact, odd):
+            assert encode_value(Family.INIT, value) == oracle_bytes(Family.INIT, value)
+        for value in (odd, exact):
+            assert encode_value(Family.INIT, value) == oracle_bytes(Family.INIT, value)
+        assert decode_value(Family.INIT, encode_value(Family.INIT, exact)) is exact
+        assert decode_value(Family.INIT, encode_value(Family.INIT, odd)) is None
 
 
 def test_fields_are_read_before_any_is_printed():

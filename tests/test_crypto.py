@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from byzreg import adversary, crypto, engine
@@ -163,3 +168,20 @@ def test_rerun_on_one_key_seed_verifies_nothing_again(monkeypatch):
     second = run()
     assert calls == []
     assert second.digest() == first.digest()
+
+
+def test_keyed_runs_never_load_cryptography():
+    # only Ed25519Scheme needs the package, so importing the command line
+    # (and running a keyed campaign) leaves it unloaded
+    script = (
+        "import sys\n"
+        "import byzreg.cli\n"
+        "from byzreg.core import Config\n"
+        "from byzreg.crypto import make_keyring, sign_entries\n"
+        "sign_entries(make_keyring(Config(4, 1), 'keyed', 1), 1, ())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cryptography'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

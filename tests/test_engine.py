@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from byzreg import registers
 from byzreg.adversary import (
     READER_STRATEGIES,
     CollaborateStabilize,
@@ -40,6 +41,7 @@ from byzreg.engine import (
     Simulation,
     StepLimitExhausted,
     Workload,
+    _RandomChooser,
     enumerate_schedules,
     fairness_violations,
     run,
@@ -172,6 +174,66 @@ class TestFairness:
         wl = Workload.make(writes=[b"a"], reads={2: 1})
         history = run(CFG40, StrategyAssignment(), wl, RoundRobin(), 10000)
         assert fairness_violations(history, 2 * (CFG40.n + 1)) == []
+
+
+class ShuffledRounds:
+    """The fair chooser written with random.shuffle: the reference for
+    the chooser's inline draws."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.round: list = []
+
+    def choose(self, enabled):
+        while True:
+            if not self.round:
+                self.round = list(enabled)
+                self.rng.shuffle(self.round)
+            pid = self.round.pop()
+            if pid in enabled:
+                return pid
+
+
+class TestFairRounds:
+    def test_rounds_are_those_random_shuffle_draws(self):
+        # the chooser draws each round inline; every schedule, history and
+        # digest rests on its rounds being random.shuffle's, on every
+        # Python the project supports.  Midway through the second round,
+        # a process that the round has yet to reach is disabled.
+        for seed in range(1000):
+            for length in range(1, 15):
+                enabled = [ProcessId(i) for i in range(length)]
+                chooser = _RandomChooser(SeededRandom(seed))
+                reference = ShuffledRounds(seed)
+                for step in range(3 * length):
+                    assert chooser.choose(enabled) == reference.choose(enabled), (seed, length)
+                    assert chooser.round == reference.round
+                    if step == length + length // 2 and reference.round:
+                        enabled = [p for p in enabled if p != reference.round[0]]
+
+
+class TestRegisterSlots:
+    def test_slots_are_looked_up_a_fixed_number_of_times(self, monkeypatch):
+        # each machine resolves its register slots when it is built, so a
+        # run's slot lookups do not grow with its steps
+        cover = registers._cover
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cover(*args)
+
+        def lookups(writes: int) -> tuple[int, int]:
+            wl = Workload.make(writes=[b"v%d" % k for k in range(writes)], reads={1: 2, 3: 1})
+            calls.clear()
+            history = run(CFG40, None, wl, SeededRandom(seed=5), 200_000)
+            return len(calls), history.steps
+
+        run(CFG40, None, Workload.make(writes=[b"a"]), SeededRandom(seed=5), 200_000)
+        monkeypatch.setattr(registers, "_cover", counting)
+        short, long = lookups(2), lookups(20)
+        assert long[1] > 5 * short[1]
+        assert long[0] == short[0]
 
 
 class TestScriptedSchedule:

@@ -41,6 +41,8 @@ from byzreg.registers import (
     witness_reg,
 )
 
+from test_registers import cell
+
 CFG = Config(4, 1)
 U0 = b"init"
 
@@ -73,7 +75,7 @@ def run_full_iteration(reader, bank, recorder, max_steps=60):
 
 
 def ack_of(bank, i):
-    return decode_value(Family.ACK, bank.peek(ack_reg(i)))
+    return decode_value(Family.ACK, cell(bank, ack_reg(i)))
 
 
 class TestWriter:
@@ -83,7 +85,7 @@ class TestWriter:
         w = WriterMachine(cfg, ring, [b"a", b"b", b"c"])
         drive(w, bank, rec)  # first init write of WRITE("a")
         assert w.pending == TaggedValue(1, b"a")
-        assert decode_value(Family.INIT, bank.peek(init_reg(1))) == TaggedValue(1, b"a")
+        assert decode_value(Family.INIT, cell(bank, init_reg(1))) == TaggedValue(1, b"a")
         # complete by faking fresh acks from three readers
         for i in (1, 2, 3):
             drive(w, bank, rec, steps=3)  # remaining init writes then polls
@@ -138,9 +140,9 @@ class TestReaderIteration:
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
-        before = {reg: bank.peek(reg) for reg in range(bank.register_count)}
+        before = {reg: cell(bank, reg) for reg in range(bank.register_count)}
         run_full_iteration(r, bank, rec)
-        after = {reg: bank.peek(reg) for reg in range(bank.register_count)}
+        after = {reg: cell(bank, reg) for reg in range(bank.register_count)}
         assert before == after
 
     def test_new_init_bumps_s_once_and_broadcasts(self, world):
@@ -154,7 +156,7 @@ class TestReaderIteration:
         assert r.last_init == kv
         entry = WitnessEntry(kv, 1, 2)
         for j in cfg.reader_indices():
-            assert decode_value(Family.WITNESS, bank.peek(witness_reg(2, j))) == entry
+            assert decode_value(Family.WITNESS, cell(bank, witness_reg(2, j))) == entry
         # a second iteration with an unchanged cell does not bump s
         run_full_iteration(r, bank, rec)
         assert r.s == 1

@@ -37,11 +37,16 @@ from byzreg.registers import (
 )
 
 
+def cell(bank, reg) -> bytes:
+    """A register's bytes, read without a trace event."""
+    return bank.cells_key()[reg]
+
+
 def replay_trace(cfg, u0, ring, trace):
     """Every register's final cell, by replaying the trace's writes over a
     fresh bank."""
     bank = bank_init(cfg, u0, ring)
-    cells = {reg: bank.peek(reg) for reg in range(bank.register_count)}
+    cells = {reg: cell(bank, reg) for reg in range(bank.register_count)}
     for ev in trace:
         if ev.op == "write":
             cells[ev.reg] = ev.value
@@ -106,14 +111,14 @@ class TestInitializers:
     def test_init_and_ack_hold_initial_tagged_value(self):
         cfg, _, bank = make_bank(4, 1, u0=b"zero")
         for i in cfg.reader_indices():
-            assert decode_value(Family.INIT, bank.peek(init_reg(i))) == TaggedValue(0, b"zero")
-            assert decode_value(Family.ACK, bank.peek(ack_reg(i))) == TaggedValue(0, b"zero")
+            assert decode_value(Family.INIT, cell(bank, init_reg(i))) == TaggedValue(0, b"zero")
+            assert decode_value(Family.ACK, cell(bank, ack_reg(i))) == TaggedValue(0, b"zero")
 
     def test_witness_cells_hold_owner_entry(self):
         cfg, _, bank = make_bank(4, 1)
         for i in cfg.reader_indices():
             for j in cfg.reader_indices():
-                e = decode_value(Family.WITNESS, bank.peek(witness_reg(i, j)))
+                e = decode_value(Family.WITNESS, cell(bank, witness_reg(i, j)))
                 assert e == initial_entry(cfg, b"init", i)
 
     def test_inform_cells_signed_by_owner(self):
@@ -121,7 +126,7 @@ class TestInitializers:
         from byzreg.crypto import verify_witness_set
 
         for i in cfg.reader_indices():
-            ws = decode_value(Family.INFORM, bank.peek(inform_reg(i, 2)))
+            ws = decode_value(Family.INFORM, cell(bank, inform_reg(i, 2)))
             assert ws.signer == i
             assert verify_witness_set(ring, ws)
             assert len(ws.entries) == cfg.n
@@ -129,7 +134,7 @@ class TestInitializers:
     def test_final_cells_hold_full_initial_inform_set(self):
         cfg, ring, bank = make_bank(4, 1)
         expected = initial_inform_set(cfg, b"init", ring)
-        got = decode_value(Family.FINAL, bank.peek(final_reg(3, 1)))
+        got = decode_value(Family.FINAL, cell(bank, final_reg(3, 1)))
         assert got == expected
         assert len(got.members) == cfg.n  # |L| = n >= n - t
 
@@ -142,9 +147,9 @@ class TestInitializers:
         bank.write(init_reg(1), v1, WRITER)
         assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
         for other in (twin, bank_init(cfg, b"init", ring)):
-            assert other.peek(init_reg(1)) == encode_value(Family.INIT, TaggedValue(0, b"init"))
+            assert cell(other, init_reg(1)) == encode_value(Family.INIT, TaggedValue(0, b"init"))
         assert list(ring.initial_cells[(cfg, b"init")]) == [
-            twin.peek(reg) for reg in range(twin.register_count)
+            cell(twin, reg) for reg in range(twin.register_count)
         ]
 
     def test_read_before_write_returns_initializer(self):
@@ -158,7 +163,7 @@ class TestAccessControl:
         cfg, _, bank = make_bank(4, 1)
         data = encode_value(Family.INIT, TaggedValue(1, b"a"))
         bank.write(init_reg(3), data, WRITER)
-        assert bank.peek(init_reg(3)) == data
+        assert cell(bank, init_reg(3)) == data
         assert bank.trace[-1].op == "write"
 
     def test_reader_cannot_write_init(self):
@@ -183,7 +188,7 @@ class TestAccessControl:
         bank.write(init_reg(2), v1, WRITER)
         between = bank.write_seq[init_reg(2)]
         bank.write(init_reg(1), v2, WRITER)
-        assert bank.peek(init_reg(1)) == v2
+        assert cell(bank, init_reg(1)) == v2
         # the overwrite takes a later sequence number than any write before it
         assert 0 < first < between < bank.write_seq[init_reg(1)]
         assert bank.write_seq[init_reg(3)] == 0  # never written
