@@ -6,16 +6,17 @@ every written value, reconstructs the stabilization order and the full
 timestamp chain, and verifies each correctness property.  Violations
 carry a minimal witnessing description.
 
-run_all_checks derives each view of a run once and every check reads
-that view: the operations are paired once (ExecutionHistory.ops) and
-their completed correct reads picked out once
-(ExecutionHistory.completed_reads), the trace's writes are split by
-register family once (ExecutionHistory.family_writes), the
-final-register writes are scanned once (_scan_finals gives the
-stabilizations and each reader's attribution log), and the
-stabilizations are sorted once and turned into one full-timestamp chain;
-then the checks run.  The public check functions take these views, so a
-test can run any one of them on hand-built inputs.  Each check is a
+Analysis derives each view of a run once and every check reads that
+view: the operations are paired once (ExecutionHistory.ops), and the
+completed correct reads and the writer's writes picked out once
+(ExecutionHistory.completed_reads, ExecutionHistory.writes), the trace's
+writes are split by register family once (ExecutionHistory.family_writes),
+the final-register writes are scanned once (_scan_finals gives the
+stabilizations and each reader's attribution log), the writes are
+classified once, and its report sorts the stabilizations once and turns
+them into one full-timestamp chain; then the checks run.  The public
+check functions take these views, so a test can run any one of them on
+hand-built inputs.  Each check is a
 sweep or a lookup, near-linear in run length; where a sweep finds a
 violation, the pairwise loop it replaced names it (see the
 coverage-pattern notes below).
@@ -82,9 +83,6 @@ class StabilizationEvent:
     step: int
     row_owner: int  # reader index whose row completed first
 
-    def key(self):
-        return (self.value, self.ws)
-
 
 @dataclass
 class WriteClassification:
@@ -104,10 +102,6 @@ class Verdict:
         return self.status == "pass"
 
 
-def writer_writes(history: ExecutionHistory) -> list[HliOp]:
-    return [o for o in history.ops if o.op == "write" and o.process.is_writer]
-
-
 # --- stabilization detection -------------------------------------------------
 
 
@@ -117,8 +111,10 @@ def _scan_finals(
     """Single pass over the final-register writes, in trace order.
 
     Returns the stabilization events in step order plus, per row owner,
-    every validated final write (step, matching event or a fresh
-    pseudo-event) for read attribution.
+    a (step, event) log for read attribution: the initial event at step
+    -1, then each write to the owner's row whose content has stabilized
+    (at this write or earlier, at any row) and whose event is not the
+    one logged last.
     """
     initial = registers.initial_inform_set(cfg, u0, ring)
     # every member signs the initial entries, so they are its core (what
@@ -133,7 +129,7 @@ def _scan_finals(
         step=0,
         row_owner=0,
     )
-    key0 = initial_event.key()
+    key0 = (initial_value, initial_ws)
     cells: dict = {}
     rows: dict[int, list] = {}
     for q in cfg.reader_indices():
@@ -183,7 +179,8 @@ def detect_stabilizations(
 ) -> list[StabilizationEvent]:
     """Every distinct (value, witness core) that covered a full final row,
     ordered by completion step; the bank initializer counts as the
-    stabilization of the initial value at step 0."""
+    stabilization of the initial value at step 0.  Kept for bare traces:
+    bench's enumerate_n2 times it apart; a recorded run has Analysis."""
     family = registers.FAMILY
     final_writes = (
         ev for ev in trace if ev.op == "write" and family[ev.reg] is Family.FINAL
@@ -212,7 +209,6 @@ def classify_writes(
     family_writes = history.family_writes
     u0 = history.u0
     initial_value = TaggedValue(0, u0)
-    writes = writer_writes(history)
     # per value, the init registers that received it and the Byzantine
     # readers that witnessed it
     quorum: dict[TaggedValue, set[int]] = {}
@@ -255,7 +251,7 @@ def classify_writes(
     # trace order is step order, so each step window is a slice
     init_steps = [step for step, _, _ in init_events]
     correct_values: set[TaggedValue] = {initial_value}
-    for op in writes:
+    for op in history.writes:
         if op.response_step is None:
             continue
         ivs = init_events[
@@ -511,8 +507,9 @@ def _read_attribution(
     reads: list[HliOp], by_owner: dict[int, list[tuple[int, StabilizationEvent]]]
 ) -> dict[tuple[ProcessId, int], StabilizationEvent]:
     """Map each completed correct read to the stabilization event behind the
-    value it returned (the reader's latest validated final-row write, from
-    _scan_finals' per-owner log)."""
+    value it returned: the last event _scan_finals logged for the reader's
+    final row by the read's response.  A read with no such event, before
+    its first logged write, is left out."""
     steps = {q: [step for step, _ in log] for q, log in by_owner.items()}
     out: dict[tuple[ProcessId, int], StabilizationEvent] = {}
     for read in reads:
@@ -628,7 +625,9 @@ def check_register_linearizability(
     ring: crypto.KeyRing,
 ) -> Verdict:
     """Reading-a-current-value plus no new-old inversions over completed
-    correct reads, judged on high-level steps and stabilization steps."""
+    correct reads, judged on high-level steps and stabilization steps.
+    Rescans the final registers; kept because bench's enumerate_n2 times
+    it apart.  Analysis.register_linearizability reuses its scan."""
     _, by_owner = _scan_finals(history.family_writes[Family.FINAL], cfg, ring, history.u0)
     return _register_linearizability(history, stabs, by_owner, classification, cfg)
 
@@ -647,7 +646,7 @@ def _register_linearizability(
     correct_write_ops = sorted(
         (
             op
-            for op in writer_writes(history)
+            for op in history.writes
             if op.response_step is not None
             and op.invoke_value is not None
             and classification.kind_of(op.invoke_value) is Kind.CORRECT
@@ -793,7 +792,7 @@ def check_write_stabilization(
     first_step: dict[TaggedValue, int] = {}
     for s in stabs:
         first_step[s.value] = min(s.step, first_step.get(s.value, s.step))
-    for op in writer_writes(history):
+    for op in history.writes:
         if op.response_step is None or op.invoke_value is None:
             continue
         step = first_step.get(op.invoke_value)
@@ -869,7 +868,7 @@ def build_byzantine_linearization(
     seq: list[tuple] = []  # (rank, tier, tiebreak, SeqOp, real_op)
     if not cfg.writer_byzantine:
         returned = {r.response_value for r in reads}
-        for op in writer_writes(history):
+        for op in history.writes:
             v = op.invoke_value
             if op.response_step is None and v not in returned:
                 continue  # pending write nobody saw: removed
@@ -1056,84 +1055,99 @@ class CheckReport:
         return records_digest(self.records())
 
 
+class Analysis:
+    """The views of one recorded run that its checks share, each derived
+    once and eagerly: one _scan_finals pass gives the stabilizations and
+    each reader's final-row log (``by_owner``), and the writes are
+    classified against them."""
+
+    def __init__(self, history: ExecutionHistory, byz_readers: frozenset[int] = frozenset()):
+        self.history = history
+        self.byz_readers = byz_readers
+        self.cfg = history.cfg
+        self.ring = history.keyring()
+        self.stabilizations, self.by_owner = _scan_finals(
+            history.family_writes[Family.FINAL], self.cfg, self.ring, history.u0
+        )
+        self.classification = classify_writes(history, self.stabilizations, self.cfg, byz_readers)
+
+    def register_linearizability(self) -> Verdict:
+        return _register_linearizability(
+            self.history, self.stabilizations, self.by_owner, self.classification, self.cfg
+        )
+
+    def report(self) -> CheckReport:
+        """Every verdict, each computed here: the stabilizations are sorted
+        and turned into a full-timestamp chain once, then every check runs."""
+        history, cfg, byz_readers = self.history, self.cfg, self.byz_readers
+        stabs, classification = self.stabilizations, self.classification
+        verdicts: dict[str, Verdict] = {}
+
+        bad_reads = registers.atomicity_violations(cfg, history.u0, self.ring, history.trace)
+        verdicts["substrate_atomicity"] = (
+            Verdict("pass", f"{len(history.trace)} register events linearizable")
+            if not bad_reads
+            else Verdict("violation", f"{len(bad_reads)} stale reads, first at step {bad_reads[0].step}")
+        )
+
+        chain: list[FullTimestamp] = []
+        total_order = check_total_order(stabs, cfg)
+        verdicts["total_order"] = total_order
+        if total_order.passed:
+            try:
+                ordered = sort_stabilizations(stabs, cfg)
+                chain, contributing = build_full_timestamps(ordered, cfg)
+            except InvariantBroken as exc:
+                verdicts["timestamp_isomorphism"] = Verdict("violation", str(exc))
+                verdicts["genuine_advance"] = Verdict("violation", f"no chain: {exc}")
+            else:
+                verdicts["timestamp_isomorphism"] = check_timestamp_isomorphism(chain)
+                verdicts["genuine_advance"] = check_genuine_advance(
+                    chain, contributing, byz_readers, cfg
+                )
+            verdicts["register_linearizability"] = self.register_linearizability()
+        else:
+            skipped = Verdict("skipped", "total order violated")
+            verdicts["timestamp_isomorphism"] = skipped
+            verdicts["genuine_advance"] = skipped
+            verdicts["register_linearizability"] = skipped
+
+        verdicts["view_consistency"] = check_view_consistency(history, cfg)
+        verdicts["total_ordering_reads"] = check_total_ordering_reads(history)
+        verdicts["write_stabilization"] = check_write_stabilization(history, stabs)
+        verdicts["stabilized_classification"] = check_stabilized_classification(
+            stabs, classification
+        )
+
+        # a pass on every prior check includes timestamp_isomorphism, so the
+        # sort above ran and succeeded
+        prior_ok = all(
+            verdicts[name].status == "pass"
+            for name in PROPERTIES
+            if name != "byzantine_linearization"
+        )
+        if prior_ok:
+            verdicts["byzantine_linearization"] = check_byzantine_linearization(
+                history, ordered, cfg
+            )
+        else:
+            verdicts["byzantine_linearization"] = Verdict("skipped", "prior checks failed")
+
+        returned = frozenset(r.response_value for r in history.completed_reads)
+        return CheckReport(
+            cfg=cfg,
+            verdicts=verdicts,
+            stabilizations=stabs,
+            chain=chain if verdicts["timestamp_isomorphism"].passed else [],
+            classification=classification,
+            status=history.status,
+            violation=history.violation,
+            returned_values=returned,
+        )
+
+
 def run_all_checks(
     history: ExecutionHistory, byz_readers: frozenset[int] = frozenset()
 ) -> CheckReport:
-    """Run every property check over one recorded run.
-
-    Each view of the run is derived once and shared: the operations
-    (history.ops), one _scan_finals pass for the stabilizations and the
-    per-owner read attribution log, then, if the stabilizations are
-    totally ordered, one sort and one full-timestamp chain.
-    """
-    cfg = history.cfg
-    u0 = history.u0
-    ring = history.keyring()
-    verdicts: dict[str, Verdict] = {}
-
-    bad_reads = registers.atomicity_violations(cfg, u0, ring, history.trace)
-    verdicts["substrate_atomicity"] = (
-        Verdict("pass", f"{len(history.trace)} register events linearizable")
-        if not bad_reads
-        else Verdict("violation", f"{len(bad_reads)} stale reads, first at step {bad_reads[0].step}")
-    )
-
-    stabs, by_owner = _scan_finals(history.family_writes[Family.FINAL], cfg, ring, u0)
-    classification = classify_writes(history, stabs, cfg, byz_readers)
-
-    chain: list[FullTimestamp] = []
-    total_order = check_total_order(stabs, cfg)
-    verdicts["total_order"] = total_order
-    if total_order.passed:
-        try:
-            ordered = sort_stabilizations(stabs, cfg)
-            chain, contributing = build_full_timestamps(ordered, cfg)
-        except InvariantBroken as exc:
-            verdicts["timestamp_isomorphism"] = Verdict("violation", str(exc))
-            verdicts["genuine_advance"] = Verdict("violation", f"no chain: {exc}")
-        else:
-            verdicts["timestamp_isomorphism"] = check_timestamp_isomorphism(chain)
-            verdicts["genuine_advance"] = check_genuine_advance(
-                chain, contributing, byz_readers, cfg
-            )
-        verdicts["register_linearizability"] = _register_linearizability(
-            history, stabs, by_owner, classification, cfg
-        )
-    else:
-        skipped = Verdict("skipped", "total order violated")
-        verdicts["timestamp_isomorphism"] = skipped
-        verdicts["genuine_advance"] = skipped
-        verdicts["register_linearizability"] = skipped
-
-    verdicts["view_consistency"] = check_view_consistency(history, cfg)
-    verdicts["total_ordering_reads"] = check_total_ordering_reads(history)
-    verdicts["write_stabilization"] = check_write_stabilization(history, stabs)
-    verdicts["stabilized_classification"] = check_stabilized_classification(
-        stabs, classification
-    )
-
-    # a pass on every prior check includes timestamp_isomorphism, so the
-    # sort above ran and succeeded
-    prior_ok = all(
-        verdicts[name].status == "pass"
-        for name in PROPERTIES
-        if name != "byzantine_linearization"
-    )
-    if prior_ok:
-        verdicts["byzantine_linearization"] = check_byzantine_linearization(
-            history, ordered, cfg
-        )
-    else:
-        verdicts["byzantine_linearization"] = Verdict("skipped", "prior checks failed")
-
-    returned = frozenset(r.response_value for r in history.completed_reads)
-    return CheckReport(
-        cfg=cfg,
-        verdicts=verdicts,
-        stabilizations=stabs,
-        chain=chain if verdicts["timestamp_isomorphism"].passed else [],
-        classification=classification,
-        status=history.status,
-        violation=history.violation,
-        returned_values=returned,
-    )
+    """Run every property check over one recorded run."""
+    return Analysis(history, byz_readers).report()

@@ -159,6 +159,11 @@ class ExecutionHistory:
         ]
 
     @functools.cached_property
+    def writes(self) -> list[HliOp]:
+        """The writer's write operations, in ``ops`` order."""
+        return [o for o in self.ops if o.op == "write" and o.process.is_writer]
+
+    @functools.cached_property
     def family_writes(self) -> dict[Family, list[TraceEvent]]:
         """The trace's write events per register family, in trace order,
         so that a checker pass over one family skips the other events."""
@@ -375,11 +380,11 @@ def _violation(pid: ProcessId, exc: Exception) -> str:
 class Simulation:
     """Sole owner of all mutable state during a run.
 
-    A run steps each machine in place, and a clone copies every machine
-    its origin holds, so the two step apart.  An enumeration steps every
+    A run steps each machine in place.  An enumeration steps every
     machine by table instead (``_tabulate``): each machine state is one
     canonical machine, never changed, and a step replaces it with the
-    canonical successor, so clones share their machines.
+    canonical successor.  Only a tabled simulation is cloned or keyed,
+    so clones share their machines.
     """
 
     def __init__(
@@ -545,10 +550,7 @@ class Simulation:
     def clone(self) -> "Simulation":
         twin = Simulation.__new__(Simulation)
         twin.cfg = self.cfg
-        if self._table is None:
-            twin.machines = {pid: copy.copy(m) for pid, m in self.machines.items()}
-        else:
-            twin.machines = dict(self.machines)
+        twin.machines = dict(self.machines)
         twin.bank = self.bank.clone()
         twin.recorder = self.recorder.clone()
         twin.order = self.order
@@ -567,29 +569,18 @@ class Simulation:
         return twin
 
     def state_key(self):
-        """The machine, bank and event state, without step indices: two
-        prefixes reaching the same state have identical futures.
-
-        Untabled, it is ``(machine keys, bank keys, cells, event key,
-        status)``.  Tabled, it is the flat tuple ``(*canonical machines in
-        pid order, bank keys, cells, event key, status)``: a machine
-        stands for its own key, and the bank keys, the cells and the event
-        key each enter as the small int the enumeration's part table gives
-        that value, so the tuple is the one object a stored state
-        allocates.  Both relate states exactly as a key rebuilt in full
-        does."""
+        """The machine, bank and event state of a tabled simulation,
+        without step indices: two prefixes reaching the same state have
+        identical futures.  It is the flat tuple ``(*canonical machines in
+        pid order, bank keys, cells, event key, status)``: a machine stands
+        for its own key, and the bank keys, the cells and the event key
+        each enter as the small int the enumeration's part table gives that
+        value, so the tuple is the one object a stored state allocates.  It
+        relates states exactly as a key rebuilt in full does."""
         machines = self.machines
         bank = self.bank
         bank_keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
         parts = self._parts
-        if parts is None:
-            return (
-                tuple([machines[pid].state_key() for pid in self.order]),
-                bank_keys,
-                bank.cells_key(),
-                self.recorder.key_node,
-                self.status,
-            )
         return (
             *map(machines.__getitem__, self.order),
             parts.setdefault(bank_keys, len(parts)),
@@ -674,45 +665,33 @@ def enumerate_schedules(
     scheme: str = "keyed",
     key_seed: int = 0,
     node_cap: int = 400_000,
-    prune: bool = True,
 ) -> Iterator[ExecutionHistory]:
     """Yield the history of every distinct interleaving that completes the
     workload within depth_bound steps.
 
     Convergent prefixes (identical machine, register and event state) are
-    pruned by default; the unpruned mode exists to cross-validate the
-    pruner on micro cases.  Intended for n <= 4 and one or two operations
-    per process.
+    pruned.  Intended for n <= 4 and one or two operations per process.
     """
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
     seen: set = set()
-    yielded: set = set()
     root = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
     root._tabulate()
     stack = [root]
     visited = 0
     while stack:
         sim = stack.pop()
-        if prune:
-            # one hash of the key: a set that does not grow held it already
-            size = len(seen)
-            seen.add(sim.state_key())
-            if len(seen) == size:
-                continue
+        # one hash of the key: a set that does not grow held it already
+        size = len(seen)
+        seen.add(sim.state_key())
+        if len(seen) == size:
+            continue
         visited += 1
         if visited > node_cap:
             raise BoundTooLarge(f"explored more than {node_cap} states")
         if sim.status is not None or sim.workload_complete():
-            status = sim.status or "completed"
-            if status == "completed":
-                if prune:
-                    yield sim.history(status)
-                else:
-                    key = sim.state_key()
-                    if key not in yielded:
-                        yielded.add(key)
-                        yield sim.history(status)
+            if sim.status is None:  # not a protocol violation
+                yield sim.history("completed")
             continue
         if sim.steps >= depth_bound:
             continue
@@ -725,21 +704,3 @@ def enumerate_schedules(
         if enabled:
             sim.step_process(enabled[0])
             stack.append(sim)
-
-
-def fairness_violations(history: ExecutionHistory, window: int) -> list[int]:
-    """Steps at which some always-enabled reader went a full window without
-    being scheduled (empty means the schedule was fair for readers)."""
-    readers = {
-        ProcessId.reader(i) for i in history.cfg.reader_indices()
-    }
-    last_seen = {pid: -1 for pid in readers}
-    bad: list[int] = []
-    for step, pid in enumerate(history.sched_log):
-        if pid in last_seen:
-            last_seen[pid] = step
-        for other, seen_at in last_seen.items():
-            if step - seen_at > window:
-                bad.append(step)
-                last_seen[other] = step  # report once per lapse
-    return bad

@@ -39,6 +39,7 @@ from .core import (
     ws_of,
 )
 from .registers import (
+    WRITER_END,
     ReadOp,
     RegisterBank,
     WriteOp,
@@ -237,8 +238,9 @@ class WriterMachine(ProcessMachine):
                 self.poll_from = 1
                 self._maybe_finish(recorder)
             return
-        # polling
-        i = self._poll_target()
+        # polling: the op read reader i's ack register, whose writer end
+        # is reader i
+        i = WRITER_END[op.reg].index
         self.poll_from = i % self.cfg.n + 1
         seq = bank.write_seq
         if result == self.pending and seq[self.ack_regs[i - 1]] > seq[self.init_regs[0]]:

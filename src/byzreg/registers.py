@@ -513,10 +513,6 @@ class RegisterBank:
     def trace(self) -> list[TraceEvent]:
         return unwind(self._trace_node)
 
-    @property
-    def register_count(self) -> int:
-        return len(self._cells)
-
     def read(self, reg: RegisterId, caller: ProcessId) -> bytes:
         if not 0 <= reg < len(self._cells):
             raise UnknownRegister(str(reg))

@@ -8,7 +8,7 @@ on random inputs.
 
 from __future__ import annotations
 
-from byzreg.checker import Kind, NoLinearization, Verdict, writer_writes
+from byzreg.checker import Kind, NoLinearization, Verdict
 from byzreg.core import (
     CommonQuorumTooSmall,
     EqualStampsDifferentValue,
@@ -85,7 +85,7 @@ def register_linearizability(history, stabs, by_owner, classification, cfg) -> V
     attribution = read_attribution(reads, by_owner)
     correct_write_ops = [
         op
-        for op in writer_writes(history)
+        for op in history.writes
         if op.response_step is not None
         and op.invoke_value is not None
         and classification.kind_of(op.invoke_value) is Kind.CORRECT
@@ -154,7 +154,7 @@ def real_time(real) -> None:
 def write_stabilization(history, stabs) -> Verdict:
     if history.cfg.writer_byzantine:
         return Verdict("pass", "vacuous: Byzantine writer does not await stabilization")
-    for op in writer_writes(history):
+    for op in history.writes:
         if op.response_step is None or op.invoke_value is None:
             continue
         ok = any(s.value == op.invoke_value and s.step <= op.response_step for s in stabs)

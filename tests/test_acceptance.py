@@ -30,14 +30,8 @@ from byzreg.adversary import (
     scenario_forged_quorum,
     scenario_pseudo_correct,
 )
-from byzreg.checker import (
-    Kind,
-    brute_force_linearizable,
-    check_register_linearizability,
-    classify_writes,
-    detect_stabilizations,
-    run_all_checks,
-)
+from byzreg import checker
+from byzreg.checker import Analysis, Kind, brute_force_linearizable, run_all_checks
 from byzreg.cli import campaign_digest, load_scenario, run_scenario
 from byzreg.core import Config, TaggedValue
 from byzreg.crypto import make_keyring
@@ -115,32 +109,37 @@ def test_criterion_1_fault_free_atomicity():
     )
 
 
-def test_criterion_2_exhaustive_micro_oracle():
-    """Full schedule enumeration vs the sequential-extension oracle."""
+def test_criterion_2_exhaustive_micro_oracle(monkeypatch):
+    """Full schedule enumeration vs the sequential-extension oracle, with
+    the final registers scanned once per history."""
     cases = [
         (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200),
         (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 2}), 250),
         (Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1}), 250),
         (Config(2, 0), Workload.make(writes=[b"a"], reads={1: 2}), 300),
     ]
+    scan_finals = checker._scan_finals
+    scans = []
+
+    def counted(*args):
+        scans.append(None)
+        return scan_finals(*args)
+
+    monkeypatch.setattr(checker, "_scan_finals", counted)
     total = 0
     disagreements = 0
     for cfg, wl, bound in cases:
-        ring = make_keyring(cfg, "keyed", 0)
         for history in enumerate_schedules(cfg, wl, depth_bound=bound, node_cap=600_000):
             total += 1
-            stabs = detect_stabilizations(history.trace, cfg, ring, history.u0)
-            classification = classify_writes(history, stabs, cfg)
-            verdict = check_register_linearizability(
-                history, stabs, classification, cfg, ring
-            )
+            verdict = Analysis(history).register_linearizability()
             oracle = brute_force_linearizable(history)
             if verdict.passed != oracle or not verdict.passed:
                 disagreements += 1
     _line(
         2,
-        total > 1000 and total <= 100_000 and disagreements == 0,
-        f"{total} interleavings enumerated, {disagreements} oracle disagreements",
+        total > 1000 and total <= 100_000 and disagreements == 0 and len(scans) == total,
+        f"{total} interleavings enumerated, {disagreements} oracle disagreements, "
+        f"{len(scans)} final-register scans",
     )
 
 
@@ -367,7 +366,7 @@ def test_criterion_9_space_accounting():
     for n in (1, 2, 4, 7):
         cfg = Config(n, 0)
         bank = bank_init(cfg, b"init", make_keyring(cfg, "keyed", 0))
-        if bank.register_count != 3 * n * n + 2 * n:
+        if len(bank.cells_key()) != 3 * n * n + 2 * n:
             counts_ok = False
     scenario = load_scenario("scenarios/fault_free_n4.json")
     scenario.seeds = [0]

@@ -37,7 +37,7 @@ from byzreg.adversary import (
     scenario_pseudo_correct,
     scenario_pseudo_correct_overwrite,
 )
-from byzreg.checker import Kind, classify_writes, detect_stabilizations
+from byzreg.checker import Analysis, Kind
 from byzreg.core import WRITER, Config, TaggedValue
 from byzreg.crypto import make_keyring
 from byzreg.engine import (
@@ -263,8 +263,7 @@ class TestWriterStrategies:
         )
         history = run(CFG_BW, strategies, wl, SeededRandom(seed=1), 30000,
                       settle_steps=600, raise_on_limit=False)
-        stabs = detect_stabilizations(history.trace, CFG_BW, history.keyring(), history.u0)
-        cls = classify_writes(history, stabs, CFG_BW)
+        cls = Analysis(history).classification
         assert cls.kind_of(TaggedValue(1, b"a")) is Kind.NEITHER
         assert cls.kind_of(TaggedValue(1, b"b")) is Kind.NEITHER
 
@@ -273,8 +272,7 @@ class TestWriterStrategies:
         strategies = StrategyAssignment(writer=PartialQuorum.make({1, 2, 3}))
         history = run(CFG_BW, strategies, wl, SeededRandom(seed=2), 30000,
                       settle_steps=600, raise_on_limit=False)
-        stabs = detect_stabilizations(history.trace, CFG_BW, history.keyring(), history.u0)
-        cls = classify_writes(history, stabs, CFG_BW)
+        cls = Analysis(history).classification
         assert cls.kind_of(TaggedValue(1, b"x")) in (
             Kind.POTENTIAL_PSEUDO_CORRECT,
             Kind.PSEUDO_CORRECT,  # three correct readers suffice to stabilize it
@@ -288,7 +286,7 @@ class TestWriterStrategies:
 
         history = run(CFG_BW, strategies, wl, Scripted(steps=("w",) * 18, then="stop"),
                       1000, raise_on_limit=False)
-        stabs = detect_stabilizations(history.trace, CFG_BW, history.keyring(), history.u0)
+        stabs = Analysis(history).stabilizations
         assert [s.value for s in stabs] == [TaggedValue(0, b"init")]
 
     def test_stale_counter_reuses_k(self):
@@ -387,7 +385,7 @@ class TestReaderStrategies:
         strategies = StrategyAssignment(writer=PartialQuorum.make({1, 2}))
         history = run(cfg, strategies, wl, RoundRobin(), 20000,
                       settle_steps=800, raise_on_limit=False)
-        stabs = detect_stabilizations(history.trace, cfg, history.keyring(), history.u0)
+        stabs = Analysis(history).stabilizations
         assert all(s.value != TaggedValue(1, b"x") for s in stabs)
 
 
@@ -455,14 +453,13 @@ class TestScriptedScenarios:
         cfg = Config(2, 0, writer_byzantine=True)
         wl = Workload.make(writes=[b"x", b"x"])
         strategies = StrategyAssignment(writer=StaleCounter(k=1))
-        ring = make_keyring(cfg, "keyed", 0)
         x = TaggedValue(1, b"x")
         total = 0
         for history in enumerate_schedules(
             cfg, wl, depth_bound=80, strategies=strategies, node_cap=400_000
         ):
             total += 1
-            stabs = detect_stabilizations(history.trace, cfg, ring, history.u0)
+            stabs = Analysis(history).stabilizations
             assert sum(1 for s in stabs if s.value == x) <= 1
             for i in cfg.reader_indices():
                 stamps = {

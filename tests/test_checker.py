@@ -16,6 +16,7 @@ import pytest
 from byzreg import checker
 from byzreg.adversary import SplitValue, StrategyAssignment
 from byzreg.checker import (
+    Analysis,
     InvariantBroken,
     Kind,
     StabilizationEvent,
@@ -23,12 +24,10 @@ from byzreg.checker import (
     build_byzantine_linearization,
     build_full_timestamps,
     check_genuine_advance,
-    check_register_linearizability,
     check_timestamp_isomorphism,
     check_total_order,
     check_total_ordering_reads,
     check_view_consistency,
-    classify_writes,
     detect_stabilizations,
     run_all_checks,
     sort_stabilizations,
@@ -49,6 +48,7 @@ from byzreg.engine import (
     HliEvent,
     SeededRandom,
     Workload,
+    enumerate_schedules,
     run,
 )
 from byzreg.registers import (
@@ -87,17 +87,13 @@ def fault_free_history(seed=0, writes=(b"a", b"b"), reads=None):
 class TestDetectStabilizations:
     def test_initial_value_stabilizes_at_step_zero(self):
         history = fault_free_history(writes=(), reads={1: 1})
-        stabs = detect_stabilizations(
-            history.trace, history.cfg, history.keyring(), history.u0
-        )
+        stabs = Analysis(history).stabilizations
         assert stabs[0].value == TaggedValue(0, U0)
         assert stabs[0].step == 0
 
     def test_single_write_yields_one_new_stabilization(self):
         history = fault_free_history(writes=(b"a",), reads={1: 1})
-        stabs = detect_stabilizations(
-            history.trace, history.cfg, history.keyring(), history.u0
-        )
+        stabs = Analysis(history).stabilizations
         values = [s.value for s in stabs]
         assert values[0] == TaggedValue(0, U0)
         assert TaggedValue(1, b"a") in values
@@ -138,10 +134,7 @@ class TestDetectStabilizations:
 class TestClassifyWrites:
     def test_correct_writer_all_correct(self):
         history = fault_free_history()
-        stabs = detect_stabilizations(
-            history.trace, history.cfg, history.keyring(), history.u0
-        )
-        classification = classify_writes(history, stabs, history.cfg)
+        classification = Analysis(history).classification
         for v, kind in classification.kinds.items():
             assert kind is Kind.CORRECT, (v, kind)
 
@@ -155,10 +148,8 @@ class TestClassifyWrites:
             cfg, strategies, wl, SeededRandom(seed=3), 40000, settle_steps=800,
             raise_on_limit=False,
         )
-        stabs = detect_stabilizations(
-            history.trace, cfg, history.keyring(), history.u0
-        )
-        classification = classify_writes(history, stabs, cfg)
+        analysis = Analysis(history)
+        stabs, classification = analysis.stabilizations, analysis.classification
         assert classification.kind_of(TaggedValue(1, b"a")) is Kind.NEITHER
         assert classification.kind_of(TaggedValue(1, b"b")) is Kind.NEITHER
         stab_values = {s.value for s in stabs}
@@ -326,10 +317,7 @@ class TestRegisterLinearizability:
             HliEvent(r2, "invoke", "read", None, 20),
             HliEvent(r2, "response", "read", a, 21),
         ]
-        history = synthetic_history(cfg, events, trace)
-        stabs = detect_stabilizations(trace, cfg, ring, U0)
-        classification = classify_writes(history, stabs, cfg)
-        verdict = check_register_linearizability(history, stabs, classification, cfg, ring)
+        verdict = Analysis(synthetic_history(cfg, events, trace)).register_linearizability()
         assert verdict.status == "violation"
         assert "inversion" in verdict.detail
 
@@ -343,10 +331,7 @@ class TestRegisterLinearizability:
             HliEvent(r2, "invoke", "read", None, 30),
             HliEvent(r2, "response", "read", TaggedValue(0, U0), 40),
         ]
-        history = synthetic_history(cfg, events, trace)
-        stabs = detect_stabilizations(trace, cfg, ring, U0)
-        classification = classify_writes(history, stabs, cfg)
-        verdict = check_register_linearizability(history, stabs, classification, cfg, ring)
+        verdict = Analysis(synthetic_history(cfg, events, trace)).register_linearizability()
         assert verdict.status == "violation"
         assert "initial" in verdict.detail
 
@@ -439,9 +424,7 @@ class TestByzantineLinearization:
         history = fault_free_history(seed=7)
         report = run_all_checks(history)
         assert report.verdicts["byzantine_linearization"].passed
-        stabs = detect_stabilizations(
-            history.trace, history.cfg, history.keyring(), history.u0
-        )
+        stabs = Analysis(history).stabilizations
         ops = build_byzantine_linearization(
             history, sort_stabilizations(stabs, history.cfg), history.cfg
         )
@@ -453,9 +436,7 @@ class TestByzantineLinearization:
 
     def test_empty_workload_empty_linearization(self):
         history = fault_free_history(writes=(), reads={})
-        stabs = detect_stabilizations(
-            history.trace, history.cfg, history.keyring(), history.u0
-        )
+        stabs = Analysis(history).stabilizations
         ops = build_byzantine_linearization(
             history, sort_stabilizations(stabs, history.cfg), history.cfg
         )
@@ -515,9 +496,11 @@ class TestReportShape:
         assert set(report.verdicts) == set(checker.PROPERTIES)
 
 
-def test_each_view_derived_once_per_report(monkeypatch):
-    history = fault_free_history(seed=3)
-    counts = {}
+def count_views(monkeypatch) -> dict[str, int]:
+    """Count, from now on, every call of the final-register scan, the
+    sort and the chain builder, and every build of a history's cached
+    views."""
+    counts: dict[str, int] = {}
 
     def counted(name, fn):
         @functools.wraps(fn)
@@ -529,18 +512,58 @@ def test_each_view_derived_once_per_report(monkeypatch):
 
     for name in ("_scan_finals", "sort_stabilizations", "build_full_timestamps"):
         monkeypatch.setattr(checker, name, counted(name, getattr(checker, name)))
-    for name in ("ops", "completed_reads", "family_writes"):
+    for name in ("ops", "completed_reads", "writes", "family_writes"):
         prop = functools.cached_property(counted(name, getattr(ExecutionHistory, name).func))
         prop.__set_name__(ExecutionHistory, name)
         monkeypatch.setattr(ExecutionHistory, name, prop)
+    return counts
 
+
+def test_each_view_derived_once_per_report(monkeypatch):
+    history = fault_free_history(seed=3)
+    counts = count_views(monkeypatch)
     report = run_all_checks(history)
     assert all(v.passed for v in report.verdicts.values())
     assert counts == {
         "ops": 1,
         "completed_reads": 1,
+        "writes": 1,
         "family_writes": 1,
         "_scan_finals": 1,
         "sort_stabilizations": 1,
         "build_full_timestamps": 1,
     }
+
+
+# criterion 2's first case: every interleaving of one write and one read at n=1
+MICRO = (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200)
+
+
+def test_register_linearizability_scans_the_finals_once(monkeypatch):
+    # criterion 2 judges each enumerated history by this verdict alone
+    cfg, wl, bound = MICRO
+    histories = list(enumerate_schedules(cfg, wl, depth_bound=bound))
+    counts = count_views(monkeypatch)
+    for history in histories:
+        assert Analysis(history).register_linearizability().passed
+    assert len(histories) > 1
+    assert counts["_scan_finals"] == len(histories)
+
+
+def test_benchmark_checker_calls_agree_with_analysis():
+    # the enumerate_n2 benchmark workload checks each history with these
+    # three calls, so a changed signature or result fails it; they must
+    # give what Analysis gives
+    cfg, wl, bound = MICRO
+    total = 0
+    for history in enumerate_schedules(cfg, wl, depth_bound=bound):
+        total += 1
+        ring = history.keyring()
+        stabs = checker.detect_stabilizations(history.trace, cfg, ring, history.u0)
+        classes = checker.classify_writes(history, stabs, cfg)
+        verdict = checker.check_register_linearizability(history, stabs, classes, cfg, ring)
+        analysis = Analysis(history)
+        assert stabs == analysis.stabilizations
+        assert classes == analysis.classification
+        assert verdict == analysis.register_linearizability()
+    assert total > 1

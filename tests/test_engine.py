@@ -42,8 +42,8 @@ from byzreg.engine import (
     StepLimitExhausted,
     Workload,
     _RandomChooser,
+    _root_simulation,
     enumerate_schedules,
-    fairness_violations,
     run,
 )
 from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
@@ -159,6 +159,22 @@ class TestLiveness:
         schedule = Scripted(steps=("w",) * 200, then="stop")
         history = run(CFG40, StrategyAssignment(), wl, schedule, 200, raise_on_limit=False)
         assert history.status == "step_limit"
+
+
+def fairness_violations(history, window: int) -> list[int]:
+    """Steps at which some always-enabled reader went a full window without
+    being scheduled (empty means the schedule was fair for readers)."""
+    readers = {ProcessId.reader(i) for i in history.cfg.reader_indices()}
+    last_seen = {pid: -1 for pid in readers}
+    bad: list[int] = []
+    for step, pid in enumerate(history.sched_log):
+        if pid in last_seen:
+            last_seen[pid] = step
+        for other, seen_at in last_seen.items():
+            if step - seen_at > window:
+                bad.append(step)
+                last_seen[other] = step  # report once per lapse
+    return bad
 
 
 class TestFairness:
@@ -307,7 +323,7 @@ class TestEnumeration:
         }
         unpruned = {
             self.outcome(h)
-            for h in enumerate_schedules(
+            for h in reference_enumeration(
                 cfg, wl, depth_bound=16, prune=False, node_cap=500_000
             )
         }
@@ -328,7 +344,7 @@ class TestEnumeration:
         wl = Workload.make(writes=[b"a"], reads={1: 1})
         pruned = list(enumerate_schedules(cfg, wl, depth_bound=15))
         unpruned = list(
-            enumerate_schedules(cfg, wl, depth_bound=15, prune=False, node_cap=500_000)
+            reference_enumeration(cfg, wl, depth_bound=15, prune=False, node_cap=500_000)
         )
         assert {self.outcome(h) for h in pruned} == {self.outcome(h) for h in unpruned}
 
@@ -418,24 +434,72 @@ def reference_key(sim):
     )
 
 
+def reference_clone(sim):
+    """A twin of a simulation stepped in place: every machine copied, so
+    the two step apart."""
+    twin = copy.copy(sim)
+    twin.machines = {pid: copy.copy(m) for pid, m in sim.machines.items()}
+    twin.bank = sim.bank.clone()
+    twin.recorder = sim.recorder.clone()
+    return twin
+
+
+def reference_enumeration(cfg, wl, depth_bound, *, strategies=None, node_cap=400_000,
+                          prune=True):
+    """enumerate_schedules with no transition table: the same depth-first
+    order and state cap, every machine stepped in place and copied into
+    each clone.  Pruned, it merges states on reference_key; unpruned, it
+    explores every prefix and yields each completed state once."""
+    root = _root_simulation(cfg, strategies, wl, b"init", "keyed", 0)
+    seen, yielded = set(), set()
+    stack = [root]
+    visited = 0
+    while stack:
+        sim = stack.pop()
+        if prune:
+            key = reference_key(sim)
+            if key in seen:
+                continue
+            seen.add(key)
+        visited += 1
+        if visited > node_cap:
+            raise BoundTooLarge(f"explored more than {node_cap} states")
+        if sim.status is not None or sim.workload_complete():
+            key = reference_key(sim)
+            if sim.status is None and key not in yielded:
+                yielded.add(key)
+                yield sim.history("completed")
+            continue
+        if sim.steps >= depth_bound:
+            continue
+        enabled = sim.enabled_pids()
+        for pid in reversed(enabled[1:]):
+            child = reference_clone(sim)
+            child.step_process(pid)
+            stack.append(child)
+        if enabled:
+            sim.step_process(enabled[0])
+            stack.append(sim)
+
+
 class TestIncrementalStateKey:
     """The enumerator's state key holds canonical machines and a running
     event key; it must relate states exactly as a key rebuilt in full
     does.  At n=4 no history completes within a depth small
     enough to enumerate unpruned, so these compare the states reachable
     within the depth: breadth first with pruning on a tabled simulation's
-    key, and without pruning, over untabled clones stepped apart."""
+    key, and without pruning, over reference clones stepped in place."""
 
     @staticmethod
     def reachable(sim, depth, prune):
         found = {reference_key(sim)}
-        refs = {sim.state_key(): reference_key(sim)}
+        refs = {sim.state_key(): reference_key(sim)} if prune else {}
         frontier = [sim]
         for _ in range(depth):
             later = []
             for parent in frontier:
                 for pid in parent.enabled_pids():
-                    child = parent.clone()
+                    child = parent.clone() if prune else reference_clone(parent)
                     child.step_process(pid)
                     ref = reference_key(child)
                     if prune:
@@ -603,26 +667,23 @@ class TestTransitionTable:
     }
 
     @staticmethod
-    def digests(cfg, wl, bound, strategies):
+    def digests(enumeration, cfg, wl, bound, strategies):
         """The digests of the histories an enumeration yields, in order,
         and whether it stopped at a 40,000-state cap."""
         out = []
         try:
-            for h in enumerate_schedules(
-                cfg, wl, bound, strategies=strategies, node_cap=40_000
-            ):
+            for h in enumeration(cfg, wl, bound, strategies=strategies, node_cap=40_000):
                 out.append(h.digest())
         except BoundTooLarge:
             return out, True
         return out, False
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_enumeration_unchanged_without_table(self, name, monkeypatch):
+    def test_enumeration_unchanged_without_table(self, name):
         cfg, wl, bound, readers = self.CASES[name]
         strategies = StrategyAssignment(readers=readers or {})
-        tabled = self.digests(cfg, wl, bound, strategies)
-        monkeypatch.setattr(Simulation, "_tabulate", lambda sim: None)
-        assert tabled == self.digests(cfg, wl, bound, strategies)
+        tabled = self.digests(enumerate_schedules, cfg, wl, bound, strategies)
+        assert tabled == self.digests(reference_enumeration, cfg, wl, bound, strategies)
         assert tabled[0]
 
 
@@ -741,26 +802,27 @@ class TestSchedulerContract:
             if not enabled or sim.status is not None:
                 break
             if step % 97 == 0:
-                before = sim.state_key()
+                before = reference_key(sim)
                 origin = dict(sim.machines)
                 keys = {pid: m.state_key() for pid, m in origin.items()}
                 snaps = {pid: self.snapshot(m) for pid, m in origin.items()}
-                twin = sim.clone()
+                twin = reference_clone(sim)
                 for _ in range(40):
                     if twin.enabled_pids():
                         twin.step_process(rng.choice(twin.enabled_pids()))
                 self.assert_views_match_rescan(twin)
                 self.assert_views_match_rescan(sim)
-                # an untabled clone copies every machine, shallowly: the
-                # twin holds none of its origin's machines, and stepping
-                # it left every machine and container its origin holds
+                # the reference clone copies every machine shallowly, as
+                # a tabled step's first take copies its machine: the twin
+                # holds none of its origin's machines, and stepping it in
+                # place left every machine and container its origin holds
                 # untouched
                 for pid, m in origin.items():
                     assert sim.machines[pid] is m
                     assert twin.machines[pid] is not m
                     assert m.state_key() == keys[pid]
                     assert self.snapshot(m) == snaps[pid], f"{pid} at step {step}"
-                assert sim.state_key() == before
+                assert reference_key(sim) == before
             sim.step_process(rng.choice(enabled))
         return sim
 

@@ -56,10 +56,8 @@ def test_correct_reader_acks_never_regress(idx):
     # the sequence of values a correct reader acknowledges is
     # non-decreasing under the stabilization order
     history, byz = HISTORIES[idx]
-    cfg = history.cfg
-    ring = history.keyring()
-    stabs = checker.detect_stabilizations(history.trace, cfg, ring, history.u0)
-    ordered = checker.sort_stabilizations(stabs, cfg)
+    stabs = checker.Analysis(history, byz).stabilizations
+    ordered = checker.sort_stabilizations(stabs, history.cfg)
     rank = {}
     for pos, ev in enumerate(ordered):
         rank.setdefault(ev.value, pos)

@@ -21,7 +21,7 @@ from byzreg.core import (
     ws_of,
 )
 from byzreg.crypto import make_keyring, sign_entries
-from byzreg.engine import HistoryRecorder, Simulation
+from byzreg.engine import HistoryRecorder, SeededRandom, Simulation, Workload, run
 from byzreg.protocol import (
     ConcurrentFinalSets,
     ReaderMachine,
@@ -134,15 +134,32 @@ class TestWriter:
         assert 1 not in w.acked
         assert w.pending is not None
 
+    def test_poll_target_found_once_per_poll(self, monkeypatch):
+        # next_op picks the ack register to poll; apply reads the reader
+        # from the op instead of searching again
+        poll_target = WriterMachine._poll_target
+        calls = []
+
+        def counting(self):
+            calls.append(None)
+            return poll_target(self)
+
+        monkeypatch.setattr(WriterMachine, "_poll_target", counting)
+        wl = Workload.make(writes=[b"a", b"b", b"c"], reads={1: 2, 3: 1}, read_gap=1)
+        history = run(Config(4, 0), None, wl, SeededRandom(seed=2), 100_000)
+        polls = sum(1 for ev in history.trace if ev.op == "read" and ev.caller == WRITER)
+        assert polls > 3
+        assert len(calls) == polls
+
 
 class TestReaderIteration:
     def test_quiescent_iteration_changes_no_register_value(self, world):
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
-        before = {reg: cell(bank, reg) for reg in range(bank.register_count)}
+        before = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
         run_full_iteration(r, bank, rec)
-        after = {reg: cell(bank, reg) for reg in range(bank.register_count)}
+        after = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
         assert before == after
 
     def test_new_init_bumps_s_once_and_broadcasts(self, world):

@@ -46,7 +46,7 @@ def replay_trace(cfg, u0, ring, trace):
     """Every register's final cell, by replaying the trace's writes over a
     fresh bank."""
     bank = bank_init(cfg, u0, ring)
-    cells = {reg: cell(bank, reg) for reg in range(bank.register_count)}
+    cells = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
     for ev in trace:
         if ev.op == "write":
             cells[ev.reg] = ev.value
@@ -66,12 +66,12 @@ class TestAllocation:
         # n init + n ack + n^2 each of witness/inform/final
         assert expected == n + n + 3 * n * n
         _, _, bank = make_bank(n, 0)
-        assert bank.register_count == expected
+        assert len(bank.cells_key()) == expected
 
     def test_families_present(self):
         cfg, _, bank = make_bank(4, 1)
         by_family = {}
-        for r in range(bank.register_count):
+        for r in range(len(bank.cells_key())):
             by_family.setdefault(FAMILY[r], []).append(r)
         assert len(by_family[Family.INIT]) == 4
         assert len(by_family[Family.ACK]) == 4
@@ -149,7 +149,7 @@ class TestInitializers:
         for other in (twin, bank_init(cfg, b"init", ring)):
             assert cell(other, init_reg(1)) == encode_value(Family.INIT, TaggedValue(0, b"init"))
         assert list(ring.initial_cells[(cfg, b"init")]) == [
-            cell(twin, reg) for reg in range(twin.register_count)
+            cell(twin, reg) for reg in range(len(twin.cells_key()))
         ]
 
     def test_read_before_write_returns_initializer(self):
