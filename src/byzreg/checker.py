@@ -51,7 +51,7 @@ from .core import (
     vec_compare,
 )
 from .engine import ExecutionHistory, HliOp, records_digest
-from .registers import Family, TraceEvent, decode_value, final_reg
+from .registers import Family, TraceEvent, final_reg, read_content
 
 
 class InvariantBroken(Exception):
@@ -142,14 +142,14 @@ def _scan_finals(
         q: [(-1, initial_event)] for q in cfg.reader_indices()
     }
     events_by_key = {key0: initial_event}
-    # a final row is rewritten with the same bytes over and over: decode
+    # a final row is rewritten with the same content over and over: read
     # and validate each distinct content once per scan
-    validated: dict[bytes, tuple | None] = {}
+    validated: dict = {}
 
     for ev in final_writes:
         key = validated.get(ev.value, False)  # False: not seen in this scan
         if key is False:
-            iset = decode_value(Family.FINAL, ev.value)
+            iset = read_content(Family.FINAL, ev.value)
             key = validated[ev.value] = registers.validated_final(ring, cfg, iset)
         owner = registers.WRITER_END[ev.reg].index
         cells[ev.reg] = key
@@ -218,7 +218,7 @@ def classify_writes(
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
     for ev in family_writes[Family.INIT]:
-        v = decode_value(Family.INIT, ev.value)
+        v = read_content(Family.INIT, ev.value)
         if v is None:
             continue
         reader = registers.READER_END[ev.reg].index
@@ -227,14 +227,14 @@ def classify_writes(
     for ev in family_writes[Family.ACK]:
         if ev.caller.is_writer:
             continue
-        v = decode_value(Family.ACK, ev.value)
+        v = read_content(Family.ACK, ev.value)
         if v is not None:
             acks.setdefault(v, []).append((ev.step, ev.caller.index))
     for ev in family_writes[Family.WITNESS]:
         if ev.caller.is_writer:
             continue
         src = ev.caller.index
-        entry = decode_value(Family.WITNESS, ev.value)
+        entry = read_content(Family.WITNESS, ev.value)
         if entry is None:
             continue
         if src in byz_readers:
@@ -717,7 +717,7 @@ def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     init_writes = history.family_writes[Family.INIT]
     last_value = TaggedValue(0, history.u0)
     if init_writes:
-        last_value = decode_value(Family.INIT, init_writes[-1].value)
+        last_value = read_content(Family.INIT, init_writes[-1].value)
         if last_value is None:
             return Verdict("pass", "final init write undecodable; proviso unmet")
     reads = history.completed_reads

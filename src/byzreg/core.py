@@ -35,6 +35,12 @@ class LengthMismatch(Exception):
     """Full timestamp vectors of different lengths cannot be compared."""
 
 
+# The signing payload packs p and signer in 32 bits and k and s in 64
+# (crypto.canonical_entries_payload), so wider values do not decode.
+U32 = 1 << 32
+U64 = 1 << 64
+
+
 @dataclass(frozen=True)
 class Config:
     """System parameters: n readers, at most t of them Byzantine.
@@ -114,6 +120,16 @@ class ProcessId(int):
 WRITER = ProcessId(0)
 
 
+# Each value type below sets ``exact`` when it is built: whether the
+# value is what the register codec decodes, class and field types
+# included.  The class is exactly the type, every int field an exact int
+# in the decoder's range, payloads and signatures bytes, containers
+# frozensets, and every part exact.  So an exact value's canonical bytes
+# decode to an equal value, and equal exact values have equal bytes;
+# TaggedValue(True, b"x") equals TaggedValue(1, b"x") but is not exact.
+# ``exact`` is no dataclass field, so equality and hashing ignore it.
+
+
 @dataclass(frozen=True)
 class TaggedValue:
     """The writer's counter/payload pair flowing through every register layer."""
@@ -122,7 +138,10 @@ class TaggedValue:
     u: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.k, self.u)))
+        k, u = self.k, self.u
+        object.__setattr__(self, "_hash", hash((k, u)))
+        exact = type(self) is TaggedValue and type(k) is int and 0 <= k < U64 and type(u) is bytes
+        object.__setattr__(self, "exact", exact)
 
     def __hash__(self):
         return self._hash
@@ -145,7 +164,11 @@ class WitnessEntry:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.value, self.s, self.p)))
+        value, s, p = self.value, self.s, self.p
+        object.__setattr__(self, "_hash", hash((value, s, p)))
+        exact = type(self) is WitnessEntry and type(value) is TaggedValue and value.exact
+        exact = exact and type(s) is int and 0 <= s < U64 and type(p) is int and 1 <= p < U32
+        object.__setattr__(self, "exact", exact)
 
     def __hash__(self):
         return self._hash
@@ -163,7 +186,12 @@ class WitnessSet:
     signature: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.entries, self.signer, self.signature)))
+        entries, signer, signature = self.entries, self.signer, self.signature
+        object.__setattr__(self, "_hash", hash((entries, signer, signature)))
+        exact = type(self) is WitnessSet and type(entries) is frozenset and type(signature) is bytes
+        exact = exact and type(signer) is int and 1 <= signer < U32
+        exact = exact and all(type(e) is WitnessEntry and e.exact for e in entries)
+        object.__setattr__(self, "exact", exact)
 
     def __hash__(self):
         return self._hash
@@ -176,7 +204,11 @@ class InformSet:
     members: frozenset[WitnessSet]
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.members))
+        members = self.members
+        object.__setattr__(self, "_hash", hash(members))
+        exact = type(self) is InformSet and type(members) is frozenset
+        exact = exact and all(type(m) is WitnessSet and m.exact for m in members)
+        object.__setattr__(self, "exact", exact)
 
     def __hash__(self):
         return self._hash

@@ -29,8 +29,6 @@ from .registers import (
     TraceEvent,
     WriteOp,
     bank_init,
-    decode_value,
-    encode_value,
     export_trace,
     unwind,
 )
@@ -168,8 +166,8 @@ class ExecutionHistory:
         """The trace's write events per register family, in trace order,
         so that a checker pass over one family skips the other events."""
         out: dict[Family, list[TraceEvent]] = {family: [] for family in Family}
-        # keyed by the value string, whose hash is cached, as decode_value's
-        # cache is: an Enum member hashes in Python
+        # keyed by the value string, whose hash is cached: an Enum member
+        # hashes in Python
         by_value = {family._value_: writes for family, writes in out.items()}
         for ev in self.trace:
             if ev.op == "write":
@@ -413,12 +411,16 @@ class Simulation:
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
         # machine key -> its canonical machine, canonical machine -> (its
-        # op, the op's class, the bytes it writes, {outcome key: (canonical
-        # successor, recorder calls, violation)}), and state key part -> the
-        # small int standing for it; None to step in place
+        # op, the op's class, the content id of what it writes, {outcome
+        # key: (canonical successor, recorder calls, violation)}), state key
+        # part or cell content -> the small int standing for it, and the
+        # cells' content ids, a tuple that a write changing one replaces, so
+        # clones share it and the state key holds it as is; None to step in
+        # place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
+        self._cell_ids: tuple[int, ...] | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -438,11 +440,11 @@ class Simulation:
         return not self._unfinished
 
     def step_process(self, pid: ProcessId) -> None:
-        """Perform one op of ``pid``'s machine and apply its result: the
-        one place where values meet cell bytes (see registers.py).  A
-        tabled step keys its outcome on the bytes read and decodes them
-        only on the first take.  The views are brought up to date only
-        after a step that recorded an event (see ProcessMachine)."""
+        """Perform one op of ``pid``'s machine and apply its result: a
+        write stores the op's value, and ``apply`` gets what the read
+        returned (see registers.py).  A tabled step keys its outcome on the
+        content id of the cell it read.  The views are brought up to date
+        only after a step that recorded an event (see ProcessMachine)."""
         steps = self.steps
         bank = self.bank
         recorder = self.recorder
@@ -458,11 +460,9 @@ class Simulation:
                 kind = _op_kind(pid, op)
             result = None
             if kind is ReadOp:
-                reg = op.reg
-                result = decode_value(FAMILY[reg], bank.read(reg, pid))
+                result = bank.read(op.reg, pid)
             elif kind is WriteOp:
-                reg = op.reg
-                bank.write(reg, encode_value(FAMILY[reg], op.value), pid)
+                bank.write(op.reg, op.value, pid)
             try:
                 machine.apply(bank, op, result, recorder)
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
@@ -472,16 +472,23 @@ class Simulation:
             entry = table.get(machine)
             if entry is None:
                 op = machine.next_op(bank)
-                kind = _op_kind(pid, op)
-                written = encode_value(FAMILY[op.reg], op.value) if kind is WriteOp else None
-                entry = table[machine] = (op, kind, written, {})
-            op, kind, written, _ = entry
-            raw = None
+                entry = table[machine] = (op, _op_kind(pid, op), None, {})
+            op, kind, written, outcomes = entry
+            result = key = None
             if kind is WriteOp:
-                bank.write(op.reg, written, pid)
+                reg = op.reg
+                bank.write(reg, op.value, pid)
+                if written is None:  # the first take
+                    parts = self._parts
+                    written = parts.setdefault(bank.cells[reg], len(parts))
+                    entry = table[machine] = (op, kind, written, outcomes)
+                ids = self._cell_ids
+                if ids[reg] != written:
+                    self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
             elif kind is ReadOp:
-                raw = bank.read(op.reg, pid)
-            machine = self._take(pid, machine, entry, raw)
+                result = bank.read(op.reg, pid)
+                key = self._cell_ids[op.reg]
+            machine = self._take(pid, machine, entry, key, result)
         self.steps = steps + 1
         if recorder.key_node is not events:
             if machine.enabled() != (pid in self._enabled):
@@ -490,22 +497,21 @@ class Simulation:
                 self._unfinished = self._unfinished ^ {pid}
 
     def _take(
-        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, raw: bytes | None
+        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, key, result
     ) -> ProcessMachine:
         """Bind a tabled step's successor and replay its recorder calls and
         violation; the first take of the step computes them on a copy.  A
-        step's outcome is keyed by the bytes it read, and by the machine's
-        bank_key too when it has one."""
+        step's outcome is keyed by the content id of the cell it read
+        (``key``, None for a step that reads nothing), and by the
+        machine's bank_key too when it has one."""
         op, _, _, outcomes = entry
-        key = raw
         if pid in self._bank_keyed:
-            key = (raw, machine.bank_key(self.bank))
+            key = (key, machine.bank_key(self.bank))
         outcome = outcomes.get(key)
         if outcome is None:
             successor = copy.copy(machine)
             log = _EventLog()
             violation = None
-            result = None if raw is None else decode_value(FAMILY[op.reg], raw)
             try:
                 successor.apply(self.bank, op, result, log)
             except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
@@ -525,10 +531,14 @@ class Simulation:
         """Step every process by a transition table from now on, one table
         shared with every later clone.  A machine's step is a function of
         its state_key, its bank_key and its read result, so each of its
-        states is one canonical machine, never changed."""
+        states is one canonical machine, never changed.  Cells are keyed by
+        content ids: a small int per distinct content, from the part
+        table, since a tuple of ints hashes in C and one of values would
+        run each value's ``__hash__`` in Python."""
         self._canon = {}
         self._table = {}
-        self._parts = {}
+        parts = self._parts = {}
+        self._cell_ids = tuple(parts.setdefault(c, len(parts)) for c in self.bank.cells)
         for pid in self.order:
             machine = self.machines[pid]
             self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
@@ -560,6 +570,7 @@ class Simulation:
         twin._canon = self._canon
         twin._table = self._table
         twin._parts = self._parts
+        twin._cell_ids = self._cell_ids
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
@@ -573,10 +584,14 @@ class Simulation:
         without step indices: two prefixes reaching the same state have
         identical futures.  It is the flat tuple ``(*canonical machines in
         pid order, bank keys, cells, event key, status)``: a machine stands
-        for its own key, and the bank keys, the cells and the event key
-        each enter as the small int the enumeration's part table gives that
-        value, so the tuple is the one object a stored state allocates.  It
-        relates states exactly as a key rebuilt in full does."""
+        for its own key, and the bank keys, the cells' content ids and the
+        event key each enter as the small int the enumeration's part table
+        gives that value, so the tuple is the one object a stored state
+        allocates.  Write sequence numbers stay out: rewrites of equal
+        content change no future behavior, and the one order they carry
+        that a machine reads, the correct writer's ack freshness, enters
+        through ``WriterMachine.bank_key``.  The key relates states exactly
+        as a key rebuilt in full does."""
         machines = self.machines
         bank = self.bank
         bank_keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
@@ -584,7 +599,7 @@ class Simulation:
         return (
             *map(machines.__getitem__, self.order),
             parts.setdefault(bank_keys, len(parts)),
-            parts.setdefault(bank.cells_key(), len(parts)),
+            parts.setdefault(self._cell_ids, len(parts)),
             parts.setdefault(self.recorder.key_node, len(parts)),
             self.status,
         )

@@ -8,9 +8,8 @@ precedes it, so adversarial interleavings can split an iteration at
 every point the asynchrony model allows.
 
 Machines deal in values only: a write op carries the value to write,
-and ``apply`` gets the value a read returned, or None when the cell's
-bytes do not decode (the engine's step does the encoding, see
-registers.py).
+and ``apply`` gets the value a read returned, or None when the cell
+holds bytes that do not decode (see registers.py).
 
 The reader machine runs the helper loop forever.  A high-level read is
 one full helper iteration: its invocation is the iteration's first step

@@ -5,16 +5,15 @@ between writer and each reader, and Witness/Inform/Final between every
 reader pair (3n^2 + 2n registers total).  Each register is owned by one
 writer process and one reader process and every access is checked.
 
-Process code deals in values: a write op carries the ``TaggedValue``,
-``WitnessEntry``, ``WitnessSet`` or ``InformSet`` it writes.  Cells hold
-bytes in the codec of the register's family, so a Byzantine owner may
-leave content no value encodes to.  The engine's step alone crosses
-between the two: it encodes each write with ``encode_value`` and hands
-the machine ``decode_value`` of each read, None for bytes that do not
-decode.  Both directions are memoized, and a value the encoder has not
-seen is joined from its parts' memoized bytes, with no JSON dump or
-parse.  One register operation is one indivisible scheduler step, and
-every operation lands in an append-only trace of the bytes.
+Cells hold what a read returns.  A write op carries the ``TaggedValue``,
+``WitnessEntry``, ``WitnessSet`` or ``InformSet`` it writes, and the cell
+keeps it as it is when it is an exact value of the register's family
+(``core``).  Anything else a Byzantine owner writes is kept by its bytes
+in the family's codec (``cell_content``): as the value they decode to
+when they are its canonical encoding, and as ``Raw`` bytes otherwise,
+which a read decodes, to None when they do not decode.  One register
+operation is one indivisible scheduler step, and every operation lands
+in an append-only trace of cell contents, encoded only on export.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ from .core import (
     InvalidInformSet,
     ProcessId,
     TaggedValue,
+    U32,
+    U64,
     WitnessEntry,
     WitnessSet,
     WRITER,
@@ -70,8 +71,9 @@ class RegisterId(int):
     reader <= m follow all registers of readers below m.  A system of n
     readers therefore uses exactly slots 0 .. 3n^2+2n-1, and a register
     keeps its slot at every n.  The layout tables below give each slot's
-    family, writer end, reader end and export name; they grow, on first
-    use, to the largest n seen.  Code indexes the tables directly.
+    family, value class, writer end, reader end and export name; they
+    grow, on first use, to the largest n seen.  Code indexes the tables
+    directly.
     """
 
     __slots__ = ()
@@ -85,6 +87,7 @@ class RegisterId(int):
 
 # the layout, indexed by slot
 FAMILY: list[Family] = []
+VALUE_CLASS: list[type] = []  # the class of the family's exact values
 WRITER_END: list[ProcessId] = []
 READER_END: list[ProcessId] = []
 NAME: list[str] = []
@@ -98,9 +101,19 @@ _FINAL: list[list] = [[]]
 _covered = 0  # readers whose shells are allocated
 
 
+_VALUE_CLASSES = {
+    Family.INIT: TaggedValue,
+    Family.ACK: TaggedValue,
+    Family.WITNESS: WitnessEntry,
+    Family.INFORM: WitnessSet,
+    Family.FINAL: InformSet,
+}
+
+
 def _allocate(family: Family, w: ProcessId, r: ProcessId) -> RegisterId:
     reg = RegisterId(len(FAMILY))
     FAMILY.append(family)
+    VALUE_CLASS.append(_VALUE_CLASSES[family])
     WRITER_END.append(w)
     READER_END.append(r)
     NAME.append(f"{family.value}[{w}->{r}]")
@@ -157,31 +170,21 @@ def final_reg(i: int, j: int) -> RegisterId:
 # --- codecs -----------------------------------------------------------------
 #
 # Canonical JSON with hex payloads: stable across platforms, byte-exact for
-# identical values, and strict on decode.  The bytes are those of
-# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` over a dict per
-# value: ``{"k", "u"}`` for a tagged value, ``{"p", "s", "v"}`` for a witness
+# identical values, and strict on decode.  A value's bytes are
+# ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` of one dict:
+# ``{"k", "u"}`` for a tagged value, ``{"p", "s", "v"}`` for a witness
 # entry, ``{"e", "g", "sig"}`` for a witness set (entries sorted by
 # ``_entry_key``) and ``{"m"}`` for an inform set (members sorted by signer,
-# then signature).  The encoder joins them from pieces instead: a part's
-# bytes, a literal, an int field or any other scalar, which ``_join``
-# formats with that same ``json.dumps`` call.  Every field is read in the
-# order the dict would have been built, and formatted in byte order only
-# after all were read, so a malformed value raises what building and
-# dumping the dict raised.
-
-# The signing payload packs p and signer in 32 bits and k and s in 64
-# (crypto.canonical_entries_payload), so wider values do not decode.
-# Integer fields are tested for their exact type: a JSON boolean loads as
-# a bool, an int that compares and hashes equal to 0 or 1.
-_U32 = 1 << 32
-_U64 = 1 << 64
+# then signature).  Integer fields decode only as exact ints in range
+# (``core.U32``, ``core.U64``): a JSON boolean loads as a bool, an int that
+# compares and hashes equal to 0 or 1.
 
 
 def _obj_tagged(obj) -> TaggedValue:
     if not isinstance(obj, dict) or set(obj) != {"k", "u"}:
         raise _DecodeError("bad tagged value shape")
     k, u = obj["k"], obj["u"]
-    if type(k) is not int or not 0 <= k < _U64 or not isinstance(u, str):
+    if type(k) is not int or not 0 <= k < U64 or not isinstance(u, str):
         raise _DecodeError("bad tagged value fields")
     return TaggedValue(k, bytes.fromhex(u))
 
@@ -190,7 +193,7 @@ def _obj_entry(obj) -> WitnessEntry:
     if not isinstance(obj, dict) or set(obj) != {"v", "s", "p"}:
         raise _DecodeError("bad witness entry shape")
     s, p = obj["s"], obj["p"]
-    if not (type(s) is int and 0 <= s < _U64 and type(p) is int and 1 <= p < _U32):
+    if not (type(s) is int and 0 <= s < U64 and type(p) is int and 1 <= p < U32):
         raise _DecodeError("bad witness entry fields")
     return WitnessEntry(_obj_tagged(obj["v"]), s, p)
 
@@ -203,7 +206,7 @@ def _obj_wset(obj) -> WitnessSet:
     if not isinstance(obj, dict) or set(obj) != {"e", "g", "sig"}:
         raise _DecodeError("bad witness set shape")
     entries_obj, signer, sig = obj["e"], obj["g"], obj["sig"]
-    if not isinstance(entries_obj, list) or not (type(signer) is int and 1 <= signer < _U32):
+    if not isinstance(entries_obj, list) or not (type(signer) is int and 1 <= signer < U32):
         raise _DecodeError("bad witness set fields")
     if not isinstance(sig, str):
         raise _DecodeError("bad signature field")
@@ -230,153 +233,85 @@ _DECODERS = {
     Family.FINAL: _obj_iset,
 }
 
-# Each builder appends a value's pieces to ``out`` and returns whether its
-# bytes decode to an equal value with the same field types: every class
-# and field has the exact type the decoder gives, every int is in the
-# decoder's range, and every part passes the same test.
+
+def _tagged_dict(v: TaggedValue) -> dict:
+    return {"k": v.k, "u": v.u.hex()}
 
 
-def _scalar(x):
-    """The piece of a scalar field: an exact int as is, for ``_join`` to
-    print; anything else wrapped, for ``_join`` to dump."""
-    return x if type(x) is int else (x,)
+def _entry_dict(e: WitnessEntry) -> dict:
+    return {"v": _tagged_dict(e.value), "s": e.s, "p": e.p}
 
 
-def _hex(data):
-    """The piece of a payload field, through ``.hex()`` as the dict held
-    it; a ``bytes`` payload's hex digits need no escaping."""
-    h = data.hex()
-    return b'"%s"' % h.encode() if type(data) is bytes else (h,)
+def _wset_dict(w: WitnessSet) -> dict:
+    return {
+        "e": [_entry_dict(e) for e in sorted(w.entries, key=_entry_key)],
+        "g": w.signer,
+        "sig": w.signature.hex(),
+    }
 
 
-def _part(fam: str, part, build, out: list) -> bool:
-    """Append a part's bytes.  Its memoized bytes serve when the decode
-    memo maps them back to this very object, which therefore decodes; any
-    other part is built and checked afresh, since a merely equal one may
-    differ in field types (True for 1) and so in bytes."""
-    data = _encode_cache.get((fam, part))
-    if data is not None and _decode_cache.get((fam, data)) is part:
-        out.append(data)
-        return True
-    return build(part, out)
+def _iset_dict(s: InformSet) -> dict:
+    members = sorted(s.members, key=lambda m: (m.signer, m.signature))
+    return {"m": [_wset_dict(m) for m in members]}
 
 
-def _tagged(v, out: list) -> bool:
-    k = v.k
-    u = v.u
-    out += (b'{"k":', _scalar(k), b',"u":', _hex(u), b"}")
-    return type(v) is TaggedValue and type(k) is int and 0 <= k < _U64 and type(u) is bytes
-
-
-def _entry(e, out: list) -> bool:
-    v: list = []
-    ok = _part("init", e.value, _tagged, v)
-    s = e.s
-    p = e.p
-    out += (b'{"p":', _scalar(p), b',"s":', _scalar(s), b',"v":', *v, b"}")
-    return ok and type(e) is WitnessEntry and type(s) is int and 0 <= s < _U64 and (
-        type(p) is int and 1 <= p < _U32
-    )
-
-
-def _wset(w, out: list) -> bool:
-    ok = type(w) is WitnessSet and type(w.entries) is frozenset
-    out.append(b'{"e":[')
-    for i, e in enumerate(sorted(w.entries, key=_entry_key)):
-        if i:
-            out.append(b",")
-        ok = _part("witness", e, _entry, out) and ok
-    signer = w.signer
-    sig = w.signature
-    out += (b'],"g":', _scalar(signer), b',"sig":', _hex(sig), b"}")
-    return ok and type(signer) is int and 1 <= signer < _U32 and type(sig) is bytes
-
-
-def _iset(s, out: list) -> bool:
-    ok = type(s) is InformSet and type(s.members) is frozenset
-    out.append(b'{"m":[')
-    for i, m in enumerate(sorted(s.members, key=lambda m: (m.signer, m.signature))):
-        if i:
-            out.append(b",")
-        ok = _part("inform", m, _wset, out) and ok
-    out.append(b"]}")
-    return ok
-
-
-def _join(pieces: list) -> bytes:
-    return b"".join(
-        p if type(p) is bytes
-        else b"%d" % p if type(p) is int
-        else json.dumps(p[0], sort_keys=True, separators=(",", ":")).encode()
-        for p in pieces
-    )
-
-
-_BUILDERS = {
-    Family.INIT._value_: _tagged,
-    Family.ACK._value_: _tagged,
-    Family.WITNESS._value_: _entry,
-    Family.INFORM._value_: _wset,
-    Family.FINAL._value_: _iset,
+_ENCODERS = {
+    Family.INIT: _tagged_dict,
+    Family.ACK: _tagged_dict,
+    Family.WITNESS: _entry_dict,
+    Family.INFORM: _wset_dict,
+    Family.FINAL: _iset_dict,
 }
 
-# Identical values get rewritten constantly in steady state, so both
-# directions are memoized; all encoded values are immutable.  A value's
-# parts are encoded once, at their own top-level write, and reused from
-# here when a larger value holds them.
-# Keys carry the family's value string, whose hash is cached; hashing the
-# Enum member itself would run Enum.__hash__ in Python on every call.
-_encode_cache: dict[tuple[str, object], bytes] = {}
-_decode_cache: dict[tuple[str, bytes], object] = {}
+
+@dataclass(frozen=True)
+class Raw:
+    """Cell content that is not the canonical encoding of any exact value:
+    its bytes, as written."""
+
+    data: bytes
 
 
 def encode_value(family: Family, value) -> bytes:
-    """Canonical bytes of ``value``.
-
-    The memoized bytes serve, as a part's do (``_part``), only when the
-    decode cache maps them back to this very object.  Otherwise the bytes
-    are joined from the value's fields and its parts' memoized bytes;
-    only a scalar other than an int goes through ``json.dumps``, and
-    nothing is parsed.  When the builder finds that the bytes decode to
-    ``value``, field types included, both caches map between the bytes
-    and ``value`` itself.  A reader that decodes a peer's cell then holds
-    the very object the peer wrote, so later equality tests and cache
-    lookups succeed on identity.  Values the decoder rejects are not
-    memoized: their bytes still decode to None.  The memo is keyed by
-    equality, so the identity test keeps a value from being given the
-    bytes of another that merely equals it (True for 1).
-    """
-    fam = family._value_
-    key = (fam, value)
-    data = _encode_cache.get(key)
-    if data is not None and _decode_cache.get((fam, data)) is value:
-        return data
-    pieces: list = []
-    exact = _BUILDERS[fam](value, pieces)
-    data = _join(pieces)
-    if exact:
-        # keyed by this very object from now on, as the decode memo maps
-        # to it, so that its next lookup matches on identity
-        _encode_cache.pop(key, None)
-        _encode_cache[key] = data
-        _decode_cache[(fam, data)] = value
-    return data
+    """The canonical bytes of ``value`` under the family's codec; a
+    ``Raw``'s own bytes.  A malformed value raises what building and
+    dumping its dict raises."""
+    if type(value) is Raw:
+        return value.data
+    obj = _ENCODERS[family](value)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def decode_value(family: Family, data: bytes):
     """The value ``data`` encodes under the family's codec, or None when
-    the bytes do not decode (only decodable bytes are memoized).  Nesting
-    too deep for the parser does not decode either."""
-    key = (family._value_, data)
-    hit = _decode_cache.get(key)
-    if hit is not None:
-        return hit
+    the bytes do not decode.  Nesting too deep for the parser does not
+    decode either."""
     try:
-        value = _DECODERS[family](json.loads(data.decode()))
+        return _DECODERS[family](json.loads(data.decode()))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, bad hex or a _DecodeError
         return None
-    _decode_cache[key] = value
-    return value
+
+
+def cell_content(reg: RegisterId, value):
+    """What a cell holds once ``value`` is written to ``reg``: ``value``
+    itself when it is an exact value of the register's family; else the
+    value its bytes decode to, when those bytes are that value's canonical
+    encoding; else ``Raw`` of the bytes.  So two contents are equal exactly
+    when their bytes are."""
+    if type(value) is VALUE_CLASS[reg] and value.exact:
+        return value
+    family = FAMILY[reg]
+    data = encode_value(family, value)
+    decoded = decode_value(family, data)
+    if decoded is not None and encode_value(family, decoded) == data:
+        return decoded
+    return Raw(data)
+
+
+def read_content(family: Family, content):
+    """What a read of a cell holding ``content`` returns: a value as it
+    is, and a ``Raw`` decoded (None for bytes that do not decode)."""
+    return decode_value(family, content.data) if type(content) is Raw else content
 
 
 # --- operations a process can request ---------------------------------------
@@ -392,8 +327,7 @@ class ReadOp:
 
 @dataclass(slots=True, unsafe_hash=True)
 class WriteOp:
-    """A write of ``value``, which the engine encodes with the codec of the
-    register's family."""
+    """A write of ``value``, which the bank stores as ``cell_content``."""
 
     reg: RegisterId
     value: object
@@ -412,7 +346,7 @@ class TraceEvent:
     op: str  # "read" | "write"
     reg: RegisterId
     caller: ProcessId
-    value: bytes
+    value: object  # the cell's content: an exact value or a Raw
 
 
 def unwind(node: tuple | None) -> list:
@@ -428,9 +362,9 @@ def unwind(node: tuple | None) -> list:
 
 @functools.lru_cache(maxsize=1024)
 def initial_entry(cfg: Config, u0: bytes, i: int) -> WitnessEntry:
-    """Reader i's initial entry, one object per (cfg, u0, i), so the
-    witness sets that hold it reuse its memoized encoding on identity
-    (``_part``)."""
+    """Reader i's initial entry, one object per (cfg, u0, i): the witness
+    sets that hold it share it, so equality tests between their entries
+    succeed on identity."""
     return WitnessEntry(TaggedValue(0, u0), 0, i)
 
 
@@ -491,18 +425,20 @@ def validated_final(
 class RegisterBank:
     """All 3n^2 + 2n registers plus their operation trace.
 
-    Cells are a list indexed by register slot, and so are write
-    sequence numbers: every write takes the next number of one bank-wide
-    counter, so ``write_seq`` orders the last writes of any two cells (0
-    for a cell never written).  The engine owns the bank during a run and
-    sets ``current_step`` before each operation; protocol code only goes
+    ``cells`` lists the register contents by slot, each an exact value
+    of the slot's family or a ``Raw`` (``cell_content``); only ``write``
+    assigns to it.  Write sequence numbers are indexed by slot too:
+    every write takes the next number of one bank-wide counter, so
+    ``write_seq`` orders the last writes of any two cells (0 for a cell
+    never written).  The engine owns the bank during a run and sets
+    ``current_step`` before each operation; protocol code only goes
     through read/write.
     """
 
-    def __init__(self, cfg: Config, u0: bytes, cells: list[bytes]):
+    def __init__(self, cfg: Config, u0: bytes, cells: list):
         self.cfg = cfg
         self.u0 = u0
-        self._cells = cells
+        self.cells = cells
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
         # persistent cons-list so clones share their common prefix
@@ -513,61 +449,46 @@ class RegisterBank:
     def trace(self) -> list[TraceEvent]:
         return unwind(self._trace_node)
 
-    def read(self, reg: RegisterId, caller: ProcessId) -> bytes:
-        if not 0 <= reg < len(self._cells):
+    def read(self, reg: RegisterId, caller: ProcessId):
+        """The cell's value (``read_content``), recording its content."""
+        if not 0 <= reg < len(self.cells):
             raise UnknownRegister(str(reg))
         if caller != READER_END[reg]:
             raise AccessViolation(f"{caller} cannot read {reg}")
-        value = self._cells[reg]
+        content = self.cells[reg]
         self._trace_node = (
             self._trace_node,
-            TraceEvent(self.current_step, "read", reg, caller, value),
+            TraceEvent(self.current_step, "read", reg, caller, content),
         )
-        return value
+        return read_content(FAMILY[reg], content)
 
-    def write(self, reg: RegisterId, value: bytes, caller: ProcessId) -> None:
-        if not 0 <= reg < len(self._cells):
+    def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
+        if not 0 <= reg < len(self.cells):
             raise UnknownRegister(str(reg))
         if caller != WRITER_END[reg]:
             raise AccessViolation(f"{caller} cannot write {reg}")
-        if not isinstance(value, bytes):
-            raise TypeError("register cells hold bytes")
-        self._cells[reg] = value
+        content = self.cells[reg] = cell_content(reg, value)
         self._writes += 1
         self.write_seq[reg] = self._writes
         self._trace_node = (
             self._trace_node,
-            TraceEvent(self.current_step, "write", reg, caller, value),
+            TraceEvent(self.current_step, "write", reg, caller, content),
         )
 
     def clone(self) -> "RegisterBank":
         twin = RegisterBank.__new__(RegisterBank)
         twin.cfg = self.cfg
         twin.u0 = self.u0
-        twin._cells = self._cells.copy()
+        twin.cells = self.cells.copy()
         twin.write_seq = self.write_seq.copy()
         twin._writes = self._writes
         twin._trace_node = self._trace_node
         twin.current_step = self.current_step
         return twin
 
-    def cells_key(self) -> tuple:
-        """Snapshot of cell contents in slot order, for state hashing.
 
-        Write sequence numbers are deliberately excluded: rewrites of
-        identical bytes change no future behavior.  The one order they
-        carry that a machine reads, the correct writer's ack freshness,
-        enters the key as flags, through ``WriterMachine.bank_key``.
-
-        Built afresh on every call.  A tabled enumeration keeps each
-        distinct snapshot once, and a small int stands for it in every
-        state key (see ``Simulation.state_key``).
-        """
-        return tuple(self._cells)
-
-
-def _initial_cells(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> tuple[bytes, ...]:
-    """Every register's initial bytes, in slot order.
+def _initial_cells(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> tuple:
+    """Every register's initial content, in slot order.
 
     Init/Ack start at the initial tagged value; Witness at the owner's
     initial entry; Inform at the owner's signed initial witness set; and
@@ -579,30 +500,26 @@ def _initial_cells(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> tuple[bytes,
     memo = ring.initial_cells.get(key)
     if memo is not None:
         return memo
-    cells: list[bytes] = [b""] * (3 * cfg.n * cfg.n + 2 * cfg.n)
-    init_tagged = encode_value(Family.INIT, TaggedValue(0, u0))
+    cells: list = [None] * (3 * cfg.n * cfg.n + 2 * cfg.n)
+    init_tagged = TaggedValue(0, u0)
     for i in cfg.reader_indices():
-        cells[init_reg(i)] = init_tagged
-        cells[ack_reg(i)] = init_tagged
+        cells[init_reg(i)] = cells[ack_reg(i)] = init_tagged
     iset = initial_inform_set(cfg, u0, ring)
     signed = {m.signer: m for m in iset.members}
     for i in cfg.reader_indices():
-        entry_bytes = encode_value(Family.WITNESS, initial_entry(cfg, u0, i))
-        wset_bytes = encode_value(Family.INFORM, signed[i])
+        entry = initial_entry(cfg, u0, i)
         for j in cfg.reader_indices():
-            cells[witness_reg(i, j)] = entry_bytes
-            cells[inform_reg(i, j)] = wset_bytes
-    # after its members, so that it is joined from their bytes
-    iset_bytes = encode_value(Family.FINAL, iset)
-    for i in cfg.reader_indices():
-        for j in cfg.reader_indices():
-            cells[final_reg(i, j)] = iset_bytes
-    memo = ring.initial_cells[key] = tuple(cells)
+            cells[witness_reg(i, j)] = entry
+            cells[inform_reg(i, j)] = signed[i]
+            cells[final_reg(i, j)] = iset
+    memo = ring.initial_cells[key] = tuple(
+        cell_content(reg, value) for reg, value in enumerate(cells)
+    )
     return memo
 
 
 def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
-    """A bank holding every register's initial bytes (``_initial_cells``)."""
+    """A bank holding every register's initial content (``_initial_cells``)."""
     return RegisterBank(cfg, u0, list(_initial_cells(cfg, u0, ring)))
 
 
@@ -612,28 +529,37 @@ def atomicity_violations(
     """Reads that did not return the latest preceding write (empty means linearizable).
 
     Trivial by construction for this substrate; asserted after runs as a
-    plumbing check.
+    plumbing check.  A read records the very content written, so the
+    identity test settles nearly every read without an equality test.
     """
     cells = list(_initial_cells(cfg, u0, ring))
     bad = []
     for ev in trace:
         if ev.op == "write":
             cells[ev.reg] = ev.value
-        elif ev.value != cells[ev.reg]:
+        elif ev.value is not cells[ev.reg] and ev.value != cells[ev.reg]:
             bad.append(ev)
     return bad
 
 
 def export_trace(trace: Iterable[TraceEvent]):
-    """Newline-delimited structured records with value digests."""
+    """Newline-delimited structured records with digests of the contents'
+    bytes.  Equal contents have equal bytes, so each distinct content is
+    encoded once per call."""
+    digests: dict = {}
     for ev in trace:
+        content = ev.value
+        digest = digests.get(content)
+        if digest is None:
+            data = encode_value(FAMILY[ev.reg], content)
+            digest = digests[content] = hashlib.sha256(data).hexdigest()[:16]
         yield json.dumps(
             {
                 "step": ev.step,
                 "op": ev.op,
                 "register": str(ev.reg),
                 "caller": str(ev.caller),
-                "value_digest": hashlib.sha256(ev.value).hexdigest()[:16],
+                "value_digest": digest,
             },
             sort_keys=True,
         )

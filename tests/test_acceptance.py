@@ -366,7 +366,7 @@ def test_criterion_9_space_accounting():
     for n in (1, 2, 4, 7):
         cfg = Config(n, 0)
         bank = bank_init(cfg, b"init", make_keyring(cfg, "keyed", 0))
-        if len(bank.cells_key()) != 3 * n * n + 2 * n:
+        if len(bank.cells) != 3 * n * n + 2 * n:
             counts_ok = False
     scenario = load_scenario("scenarios/fault_free_n4.json")
     scenario.seeds = [0]

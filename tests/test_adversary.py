@@ -55,7 +55,6 @@ from byzreg.registers import (
     Family,
     LocalOp,
     bank_init,
-    decode_value,
     init_reg,
 )
 
@@ -295,7 +294,7 @@ class TestWriterStrategies:
         history = run(CFG_BW, strategies, wl, RoundRobin(), 6000,
                       settle_steps=400, raise_on_limit=False)
         init_values = {
-            decode_value(Family.INIT, ev.value)
+            ev.value
             for ev in history.trace
             if ev.op == "write" and FAMILY[ev.reg] is Family.INIT
         }
@@ -312,8 +311,8 @@ class TestWriterStrategies:
             sim.step_process(WRITER)
         kinds = [e.kind for e in rec.events]
         assert kinds == ["invoke", "response"]
-        assert decode_value(Family.INIT, cell(bank, init_reg(1))) == TaggedValue(1, b"x")
-        assert decode_value(Family.INIT, cell(bank, init_reg(4))) == TaggedValue(0, b"init")
+        assert cell(bank, init_reg(1)) == TaggedValue(1, b"x")
+        assert cell(bank, init_reg(4)) == TaggedValue(0, b"init")
 
 
 class TestReaderStrategies:
@@ -463,7 +462,7 @@ class TestScriptedScenarios:
             assert sum(1 for s in stabs if s.value == x) <= 1
             for i in cfg.reader_indices():
                 stamps = {
-                    decode_value(Family.WITNESS, ev.value).s
+                    ev.value.s
                     for ev in history.trace
                     if ev.op == "write"
                     and FAMILY[ev.reg] is Family.WITNESS

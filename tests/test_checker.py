@@ -52,9 +52,8 @@ from byzreg.engine import (
     run,
 )
 from byzreg.registers import (
-    Family,
+    Raw,
     TraceEvent,
-    encode_value,
     final_reg,
     init_reg,
 )
@@ -110,9 +109,8 @@ class TestDetectStabilizations:
             entries=frozenset(entries), signer=2, signature=b"nonsense"
         )
         iset = InformSet(frozenset({honest, forged, sign_entries(ring, 3, entries)}))
-        data = encode_value(Family.FINAL, iset)
         trace = [
-            TraceEvent(step, "write", final_reg(2, j), ProcessId.reader(2), data)
+            TraceEvent(step, "write", final_reg(2, j), ProcessId.reader(2), iset)
             for step, j in enumerate(cfg.reader_indices(), start=1)
         ]
         stabs = detect_stabilizations(trace, cfg, ring, U0)
@@ -124,7 +122,7 @@ class TestDetectStabilizations:
         cfg = Config(2, 2)
         ring = make_keyring(cfg, "keyed", 0)
         trace = [
-            TraceEvent(step, "write", final_reg(1, j), ProcessId.reader(1), b'{"m":[]}')
+            TraceEvent(step, "write", final_reg(1, j), ProcessId.reader(1), InformSet(frozenset()))
             for step, j in enumerate(cfg.reader_indices(), start=1)
         ]
         stabs = detect_stabilizations(trace, cfg, ring, U0)
@@ -289,9 +287,8 @@ def synthetic_history(cfg, events, trace, u0=U0, seed=0):
 def stab_row_trace(ring, cfg, owner, value, stamps, start_step, signers=(1, 2, 3)):
     entries = [WitnessEntry(value, s, p) for p, s in stamps.items()]
     iset = InformSet(frozenset(sign_entries(ring, i, entries) for i in signers))
-    data = encode_value(Family.FINAL, iset)
     return [
-        TraceEvent(start_step + j - 1, "write", final_reg(owner, j), ProcessId.reader(owner), data)
+        TraceEvent(start_step + j - 1, "write", final_reg(owner, j), ProcessId.reader(owner), iset)
         for j in cfg.reader_indices()
     ]
 
@@ -345,7 +342,7 @@ class TestViewConsistency:
         cfg = Config(4, 1)
         a, b = TaggedValue(1, b"a"), TaggedValue(2, b"b")
         trace = [
-            TraceEvent(0, "write", init_reg(1), WRITER, encode_value(Family.INIT, b)),
+            TraceEvent(0, "write", init_reg(1), WRITER, b),
         ]
         r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
         events = [
@@ -363,8 +360,8 @@ class TestViewConsistency:
         # check; an undecodable last one does
         cfg = Config(2, 0)
         v = TaggedValue(1, b"v")
-        garbage = TraceEvent(0, "write", init_reg(1), WRITER, b"\xffgarbage")
-        valid = TraceEvent(1, "write", init_reg(2), WRITER, encode_value(Family.INIT, v))
+        garbage = TraceEvent(0, "write", init_reg(1), WRITER, Raw(b"\xffgarbage"))
+        valid = TraceEvent(1, "write", init_reg(2), WRITER, v)
         r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
         events = [
             HliEvent(r1, "invoke", "read", None, 5),
@@ -374,7 +371,7 @@ class TestViewConsistency:
         ]
         history = synthetic_history(cfg, events, [garbage, valid])
         assert check_view_consistency(history, cfg).status == "violation"
-        garbage_last = TraceEvent(2, "write", init_reg(1), WRITER, b"\xffgarbage")
+        garbage_last = TraceEvent(2, "write", init_reg(1), WRITER, Raw(b"\xffgarbage"))
         history = synthetic_history(cfg, events, [valid, garbage_last])
         verdict = check_view_consistency(history, cfg)
         assert verdict.passed and "undecodable" in verdict.detail
@@ -382,8 +379,7 @@ class TestViewConsistency:
     def test_no_qualifying_read_vacuous(self):
         cfg = Config(4, 1)
         trace = [
-            TraceEvent(0, "write", init_reg(1), WRITER,
-                       encode_value(Family.INIT, TaggedValue(1, b"a"))),
+            TraceEvent(0, "write", init_reg(1), WRITER, TaggedValue(1, b"a")),
         ]
         history = synthetic_history(cfg, [], trace)
         verdict = check_view_consistency(history, cfg)

@@ -1,33 +1,54 @@
-"""The compositional encoder against the JSON dict encoding it replaced.
+"""Cell contents against the register codec.
 
-``registers.encode_value`` joins a value's bytes from its fields and its
-parts' memoized bytes, and decides from the fields alone whether to seed
-the decode memo.  ``codec_oracle`` keeps the dict builders it replaced.
-Random values of every family, with odd fields (booleans, int subclasses,
-out-of-range ints, floats, strings, non-bytes payloads) and parts encoded,
-decoded or copied beforehand, must give the oracle's bytes or raise what
-the oracle raises, decode as the real decoder decodes, and never seed the
-decode memo with bytes the decoder rejects.  A guard keeps a whole run at
-n=10 free of JSON dumps.
+A cell holds what a read returns: the very object written when it is an
+exact value of the register's family (``core``), and otherwise whatever
+its canonical bytes stand for (``registers.cell_content``): the value they
+decode to when they are that value's canonical encoding, else ``Raw``
+bytes.  Random values of every family, with odd fields (booleans, int
+subclasses, out-of-range ints, floats, strings, non-bytes payloads),
+subclasses and tuple containers, must be kept as themselves exactly when
+``exact`` holds, must otherwise keep their bytes and read as those bytes
+decode, and a malformed value must raise what encoding it raises.
+Whole runs do no codec work, and undecodable writes reach the trace as
+``Raw`` cells with the digests they had as bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
-import types
-from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from byzreg import registers
-from byzreg.adversary import Equivocate, FakeWitnessStamp, StrategyAssignment
-from byzreg.core import Config, InformSet, TaggedValue, WitnessEntry, WitnessSet
+from byzreg import adversary, checker, engine, protocol, registers
+from byzreg.adversary import (
+    CollaborateStabilize,
+    Equivocate,
+    FakeWitnessStamp,
+    StaleCounter,
+    StrategyAssignment,
+)
+from byzreg.core import WRITER, Config, InformSet, ProcessId, TaggedValue, WitnessEntry, WitnessSet
+from byzreg.crypto import make_keyring
 from byzreg.engine import SeededRandom, Workload, run
-from byzreg.registers import Family, decode_value, encode_value
-from codec_oracle import oracle_bytes
+from byzreg.registers import (
+    FAMILY,
+    Family,
+    Raw,
+    ack_reg,
+    bank_init,
+    cell_content,
+    decode_value,
+    encode_value,
+    export_trace,
+    final_reg,
+    inform_reg,
+    init_reg,
+    witness_reg,
+)
 
 
 class Int(int):
@@ -104,19 +125,19 @@ VALUES = {
     Family.FINAL: inform_sets(),
 }
 
+CFG = Config(2, 0)
+# per family, a register of a two-reader bank: (register, writer, reader)
+ENDS = {
+    Family.INIT: (init_reg(1), WRITER, ProcessId(1)),
+    Family.ACK: (ack_reg(1), ProcessId(1), WRITER),
+    Family.WITNESS: (witness_reg(1, 2), ProcessId(1), ProcessId(2)),
+    Family.INFORM: (inform_reg(1, 2), ProcessId(1), ProcessId(2)),
+    Family.FINAL: (final_reg(1, 2), ProcessId(1), ProcessId(2)),
+}
 
-def parts(value):
-    """(family, part) for every part nested in ``value``, innermost first."""
-    if isinstance(value, InformSet):
-        for m in value.members:
-            yield from parts(m)
-            yield Family.INFORM, m
-    elif isinstance(value, WitnessSet):
-        for e in value.entries:
-            yield from parts(e)
-            yield Family.WITNESS, e
-    elif isinstance(value, WitnessEntry):
-        yield Family.INIT, value.value
+
+def fresh_bank():
+    return bank_init(CFG, b"init", make_keyring(CFG, "keyed", 0))
 
 
 def typed(v):
@@ -129,26 +150,6 @@ def typed(v):
     return type(v), v
 
 
-def real_decode(family, data):
-    """What the decoder gives for ``data``, bypassing the decode memo."""
-    try:
-        return registers._DECODERS[family](json.loads(data.decode()))
-    except ValueError:
-        return None
-
-
-@contextmanager
-def fresh_memos():
-    # Each example starts from empty memos, so that it sees only the
-    # values it encodes itself.
-    saved = registers._encode_cache, registers._decode_cache
-    registers._encode_cache, registers._decode_cache = {}, {}
-    try:
-        yield
-    finally:
-        registers._encode_cache, registers._decode_cache = saved
-
-
 def outcome(encode, family, value):
     try:
         return encode(family, value)
@@ -156,35 +157,47 @@ def outcome(encode, family, value):
         return type(exc)
 
 
-def prepare(family, part, how):
-    """Leave ``part`` in the memos as a run might have: encoded itself,
-    decoded from its canonical bytes, or encoded as an equal copy."""
-    with suppress(Exception):
-        if how == "encode":
-            encode_value(family, part)
-        elif how == "decode":
-            decode_value(family, oracle_bytes(family, part))
-        elif how == "copy":
-            encode_value(family, dataclasses.replace(part))
+def digests(trace) -> list[str]:
+    return [json.loads(line)["value_digest"] for line in export_trace(trace)]
+
+
+def digest_of(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def write_and_read(family, value):
+    """A fresh bank after ``value`` is written to the family's register
+    and read back, and what the read returned."""
+    reg, writer, reader = ENDS[family]
+    bank = fresh_bank()
+    bank.write(reg, value, writer)
+    return bank, bank.read(reg, reader)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_encoding_matches_the_json_dict_encoding(data):
+def test_exact_values_are_kept_and_others_by_their_bytes(data):
     family = data.draw(st.sampled_from(list(Family)), label="family")
     value = data.draw(VALUES[family], label="value")
-    with fresh_memos():
-        for fam, part in parts(value):
-            prepare(fam, part, data.draw(st.sampled_from(["none", "encode", "decode", "copy"])))
-        got = outcome(encode_value, family, value)
-        assert got == outcome(oracle_bytes, family, value)
-        if isinstance(got, bytes):
-            assert typed(decode_value(family, got)) == typed(real_decode(family, got))
-        # nothing the decoder rejects is ever seeded, and every seeded
-        # value is what the decoder gives, down to the type of each field
-        for (fam, raw), seeded in registers._decode_cache.items():
-            expected = real_decode(Family(fam), raw)
-            assert expected is not None and typed(seeded) == typed(expected)
+    reg = ENDS[family][0]
+    encoded = outcome(encode_value, family, value)
+    if isinstance(encoded, type):  # malformed: what the dict encoder raises
+        assert not value.exact
+        assert outcome(lambda _, v: cell_content(reg, v), family, value) is encoded
+        return
+    content = cell_content(reg, value)
+    assert (content is value) == value.exact
+    decoded = decode_value(family, encoded)
+    if value.exact:
+        # its bytes decode to it, down to the type of each field
+        assert typed(decoded) == typed(value)
+    else:
+        assert typed(decoded) != typed(value)
+        assert type(content) is Raw or content.exact
+        assert encode_value(family, content) == encoded
+    bank, got = write_and_read(family, value)
+    assert typed(got) == typed(decoded)
+    assert digests(bank.trace) == [digest_of(encoded)] * 2
 
 
 TAGGED_X = TaggedValue(1, b"x")
@@ -206,33 +219,67 @@ TAGGED_X = TaggedValue(1, b"x")
     ids=["bool_k", "int_subclass_s", "memoryview_u", "tagged_subclass", "entry_subclass",
          "tuple_entries", "wset_subclass", "tuple_members", "iset_subclass"],
 )
-def test_odd_values_encode_exactly_and_are_not_seeded(family, value):
+def test_odd_values_are_kept_by_their_bytes(family, value):
     # each is equal to a value that decodes, or encodes to bytes that do,
     # but differs from what the decoder gives in a class or field type
-    with fresh_memos():
-        encode_value(Family.INIT, TAGGED_X)
-        data = encode_value(family, value)
-        assert data == oracle_bytes(family, value)
-        assert registers._decode_cache.get((family.value, data)) is not value
+    content = cell_content(ENDS[family][0], value)
+    assert not value.exact and content is not value
+    assert encode_value(family, content) == encode_value(family, value)
 
 
 @pytest.mark.parametrize("bool_first", [True, False], ids=["bool_first", "int_first"])
-def test_equal_values_of_other_field_types_keep_their_own_bytes(bool_first):
-    # the memos are keyed by equality, and TaggedValue(True, b"x") equals
-    # TaggedValue(1, b"x"): in either order, each gets its own bytes, and
-    # the int's bytes decode to the int's value
-    exact, odd = TaggedValue(1, b"x"), TaggedValue(True, b"x")
-    with fresh_memos():
-        for value in (odd, exact) if bool_first else (exact, odd):
-            assert encode_value(Family.INIT, value) == oracle_bytes(Family.INIT, value)
-        for value in (odd, exact):
-            assert encode_value(Family.INIT, value) == oracle_bytes(Family.INIT, value)
-        assert decode_value(Family.INIT, encode_value(Family.INIT, exact)) is exact
-        assert decode_value(Family.INIT, encode_value(Family.INIT, odd)) is None
+def test_true_and_1_keep_their_own_bytes(bool_first):
+    # TaggedValue(True, b"x") equals TaggedValue(1, b"x"): in either order,
+    # each is exported with its own bytes, and only the int's decode
+    exact, odd = TAGGED_X, TaggedValue(True, b"x")
+    order = (odd, exact) if bool_first else (exact, odd)
+    bank = fresh_bank()
+    reads = []
+    for value in order:
+        bank.write(init_reg(1), value, WRITER)
+        reads.append(bank.read(init_reg(1), ProcessId(1)))
+    assert reads == [None if value is odd else exact for value in order]
+    events = [value for value in order for _ in "wr"]  # a write and a read each
+    for ev, value in zip(bank.trace, events, strict=True):
+        assert ev.value is exact if value is exact else ev.value == Raw(b'{"k":true,"u":"78"}')
+    expected = [digest_of(encode_value(Family.INIT, value)) for value in events]
+    assert digests(bank.trace) == expected
+    assert len(set(expected)) == 2
+
+
+ENTRY_X = b'{"p":1,"s":1,"v":{"k":1,"u":"78"}}'
+
+
+@pytest.mark.parametrize(
+    "family,data,value",
+    [
+        (Family.INIT, b'{"u":"78","k":1}', TAGGED_X),
+        (Family.ACK, b'{"k": 1, "u": "78"}', TAGGED_X),
+        (Family.INIT, b'{"k":1,"u":"7A"}', TaggedValue(1, b"z")),
+        (
+            Family.INFORM,
+            b'{"e":[' + ENTRY_X + b"," + ENTRY_X + b'],"g":1,"sig":"73"}',
+            WitnessSet(frozenset({WitnessEntry(TAGGED_X, 1, 1)}), 1, b"s"),
+        ),
+    ],
+    ids=["keys_reordered", "spaces", "upper_hex", "entry_listed_twice"],
+)
+def test_noncanonical_bytes_stay_raw(family, data, value):
+    # they decode, but to a value whose canonical bytes are others
+    assert decode_value(family, data) == value and encode_value(family, value) != data
+    assert cell_content(ENDS[family][0], Raw(data)) == Raw(data)
+    bank, got = write_and_read(family, Raw(data))
+    assert got == value
+    assert digests(bank.trace) == [digest_of(data)] * 2
+
+
+def test_canonical_raw_bytes_become_their_value():
+    content = cell_content(init_reg(1), Raw(b'{"k":1,"u":"78"}'))
+    assert content == TAGGED_X and content.exact
 
 
 def test_fields_are_read_before_any_is_printed():
-    # the dict was built before it was dumped: a signature without .hex()
+    # the dict is built before it is dumped: a signature without .hex()
     # raises AttributeError even when an earlier field cannot be printed
     # (an int with more digits than the interpreter prints: ValueError)
     entry = WitnessEntry(TaggedValue(10**4400, b"x"), 1, 1)
@@ -241,26 +288,31 @@ def test_fields_are_read_before_any_is_printed():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        with fresh_memos():
-            assert outcome(encode_value, Family.INFORM, unprintable) is ValueError
-            assert outcome(oracle_bytes, Family.INFORM, unprintable) is ValueError
-            assert outcome(encode_value, Family.INFORM, both) is AttributeError
-            assert outcome(oracle_bytes, Family.INFORM, both) is AttributeError
+        assert outcome(encode_value, Family.INFORM, unprintable) is ValueError
+        assert outcome(encode_value, Family.INFORM, both) is AttributeError
+        reg = inform_reg(1, 2)
+        assert outcome(lambda _, v: cell_content(reg, v), None, unprintable) is ValueError
+        assert outcome(lambda _, v: cell_content(reg, v), None, both) is AttributeError
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def test_run_at_n10_dumps_no_json(monkeypatch):
+def test_run_at_n10_does_no_codec_work(monkeypatch):
     # fresh keys: every witness and inform set of this run is signed anew,
-    # so the codec meets values it has not encoded before
-    dumps = []
+    # and the bank is built afresh for them
+    calls = {"encode_value": 0, "decode_value": 0}
 
-    def counting_dumps(*args, **kwargs):
-        dumps.append(args)
-        return json.dumps(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(registers, "json", types.SimpleNamespace(loads=json.loads, dumps=counting_dumps))
-    encoded_before = len(registers._encode_cache)
+        return wrapper
+
+    for module in (registers, engine, checker, protocol, adversary):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(registers, name)))
     wl = Workload.make(writes=[b"a"], reads={2: 1, 5: 1, 7: 1}, read_gap=1)
     strategies = StrategyAssignment(
         readers={9: Equivocate.make({1: b"zz", 2: b"qq"}), 10: FakeWitnessStamp(offset=10)}
@@ -269,5 +321,33 @@ def test_run_at_n10_dumps_no_json(monkeypatch):
         Config(10, 3), strategies, wl, SeededRandom(seed=3), 400_000, key_seed=0x5EED_C0DE
     )
     assert history.steps > 0
-    assert len(registers._encode_cache) - encoded_before > 20
-    assert dumps == []
+    assert calls == {"encode_value": 0, "decode_value": 0}
+
+
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        (2**64, "84856b93d07fb683a9be6d183971081ba3b58de0bf7253d7411b70d0ec235130"),
+        (-1, "ce9614be79d0e6ec2f60e37e66f20423e3ee58df31a31d8bf14c8ea21706e3a9"),
+    ],
+    ids=["k_2_64", "k_negative"],
+)
+def test_undecodable_writes_run_end_to_end(k, digest):
+    # a counter outside the codec's range: every init write is Raw bytes,
+    # which the readers read as None, and the digests are those the run
+    # had when cells held bytes
+    cfg = Config(4, 1, writer_byzantine=True)
+    strategies = StrategyAssignment(
+        writer=StaleCounter(k=k), readers={4: CollaborateStabilize()}
+    )
+    wl = Workload.make(writes=[b"x", b"y"], reads={1: 2, 2: 2}, read_gap=2)
+    history = run(cfg, strategies, wl, SeededRandom(3), 60_000, key_seed=3, settle_steps=500)
+    assert history.steps == 860
+    init_writes = [
+        ev for ev in history.trace if ev.op == "write" and FAMILY[ev.reg] is Family.INIT
+    ]
+    assert init_writes and all(type(ev.value) is Raw for ev in init_writes)
+    report = checker.run_all_checks(history, {4})
+    assert not report.violations()
+    assert history.digest() == digest
+    assert report.digest() == "947a2442ae4ff9b37740c5b1b1514509bed7ec414c0f1e54c3038880d8bf21ed"

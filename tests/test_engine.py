@@ -48,11 +48,9 @@ from byzreg.engine import (
 )
 from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
 from byzreg.registers import (
-    Family,
+    Raw,
     ack_reg,
     bank_init,
-    decode_value,
-    encode_value,
     final_reg,
     inform_reg,
     init_reg,
@@ -127,7 +125,7 @@ class TestRoundRobinLiveness:
         history = run(CFG40, StrategyAssignment(), wl, RoundRobin(), 3000, settle_steps=600)
         cells = replay_trace(CFG40, history.u0, history.keyring(), history.trace)
         for i in CFG40.reader_indices():
-            assert decode_value(Family.ACK, cells[ack_reg(i)]) == TaggedValue(1, b"a")
+            assert cells[ack_reg(i)] == TaggedValue(1, b"a")
 
     def test_silent_byzantine_reader_does_not_block(self):
         wl = Workload.make(writes=[b"a", b"b"])
@@ -428,7 +426,7 @@ def reference_key(sim):
     return (
         tuple(sim.machines[pid].state_key() for pid in sim.order),
         tuple(sim.machines[pid].bank_key(sim.bank) for pid in sim.order),
-        sim.bank.cells_key(),
+        tuple(sim.bank.cells),
         tuple((e.process, e.kind, e.op, e.value) for e in sim.recorder.events),
         sim.status,
     )
@@ -628,13 +626,13 @@ class TestTransitionTable:
         assert any(attrs["pid"] == WRITER for attrs in reached.values())
 
     def test_writer_step_keyed_by_ack_freshness(self):
-        # the same canonical writer polls the same ack bytes twice: written
+        # the same canonical writer polls the same ack content twice: written
         # before the write began (stale), then after it (fresh); a step
         # keyed by the read result alone would replay the stale outcome
         cfg = Config(1, 0)
         ring = make_keyring(cfg, "keyed", 0)
         bank = bank_init(cfg, b"init", ring)
-        ack = encode_value(Family.ACK, TaggedValue(1, b"a"))
+        ack = TaggedValue(1, b"a")
         bank.write(ack_reg(1), ack, ProcessId.reader(1))
         root = Simulation(cfg, {WRITER: WriterMachine(cfg, ring, [b"a"])}, bank)
         root._tabulate()
@@ -655,14 +653,26 @@ class TestTransitionTable:
         _, statuses = self.lockstep(s.cfg, s.strategies, s.workload, range(4), 3000)
         assert "protocol_violation" in statuses
 
-    # criterion 2's first two cases, and n=4 cases with no write: with a
-    # write, no history completes within the cap at n=4
+    # criterion 2's first two cases, n=4 cases with no write (with a write,
+    # no history completes within the cap at n=4), and a writer whose
+    # counter does not decode, so that Raw cells get content ids
     CASES = {
-        "c2_one_read": (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200, None),
-        "c2_two_reads": (Config(1, 0), Workload.make(writes=[b"a"], reads={1: 2}), 250, None),
-        "n4t1_silent": (CFG41, Workload.make(reads={1: 1}), 40, {4: Silent()}),
+        "c2_one_read": (
+            Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200, StrategyAssignment(),
+        ),
+        "c2_two_reads": (
+            Config(1, 0), Workload.make(writes=[b"a"], reads={1: 2}), 250, StrategyAssignment(),
+        ),
+        "n4t1_silent": (
+            CFG41, Workload.make(reads={1: 1}), 40, StrategyAssignment(readers={4: Silent()}),
+        ),
         "n4t1_fake_witness_stamp": (
-            CFG41, Workload.make(reads={1: 1}), 40, {4: FakeWitnessStamp(offset=10)},
+            CFG41, Workload.make(reads={1: 1}), 40,
+            StrategyAssignment(readers={4: FakeWitnessStamp(offset=10)}),
+        ),
+        "n2_stale_counter_2_64": (
+            Config(2, 0, writer_byzantine=True), Workload.make(writes=[b"a"], reads={1: 1}), 60,
+            StrategyAssignment(writer=StaleCounter(k=2**64)),
         ),
     }
 
@@ -680,11 +690,25 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_enumeration_unchanged_without_table(self, name):
-        cfg, wl, bound, readers = self.CASES[name]
-        strategies = StrategyAssignment(readers=readers or {})
+        cfg, wl, bound, strategies = self.CASES[name]
         tabled = self.digests(enumerate_schedules, cfg, wl, bound, strategies)
         assert tabled == self.digests(reference_enumeration, cfg, wl, bound, strategies)
         assert tabled[0]
+
+    def test_undecodable_writes_get_content_ids(self, monkeypatch):
+        # the stale counter 2**64 is wider than the codec's, so the init
+        # writes hold Raw content, which takes a content id like any other
+        cfg, wl, bound, strategies = self.CASES["n2_stale_counter_2_64"]
+        tabulate = Simulation._tabulate
+        parts = []
+
+        def keep_parts(sim):
+            tabulate(sim)
+            parts.append(sim._parts)
+
+        monkeypatch.setattr(Simulation, "_tabulate", keep_parts)
+        assert len(list(enumerate_schedules(cfg, wl, bound, strategies=strategies))) == 665
+        assert any(type(part) is Raw for part in parts[0])
 
 
 @pytest.mark.parametrize("tabled", [False, True], ids=["in_place", "tabled"])
@@ -692,7 +716,7 @@ class TestUndecodableCells:
     """Bytes no codec decodes reach a correct machine as None through
     step_process, stepped in place and by table alike."""
 
-    GARBAGE = b"\xff not a value"
+    GARBAGE = Raw(b"\xff not a value")
 
     @staticmethod
     def simulation(tabled, build):
@@ -707,7 +731,7 @@ class TestUndecodableCells:
         sim = self.simulation(tabled, lambda ring: WriterMachine(CFG41, ring, [b"a"]))
         for _ in range(CFG41.n):  # the init writes
             sim.step_process(WRITER)
-        ack = encode_value(Family.ACK, TaggedValue(1, b"a"))
+        ack = TaggedValue(1, b"a")
         sim.bank.write(ack_reg(1), self.GARBAGE, ProcessId.reader(1))
         sim.bank.write(ack_reg(2), ack, ProcessId.reader(2))
         sim.step_process(WRITER)  # polls reader 1

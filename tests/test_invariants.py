@@ -17,7 +17,7 @@ from byzreg.adversary import (
 from byzreg.core import Config, ws_of
 from byzreg.crypto import verify_witness_set
 from byzreg.engine import SeededRandom, Workload, run
-from byzreg.registers import FAMILY, Family, decode_value
+from byzreg.registers import FAMILY, Family, read_content
 
 
 def adversarial_histories():
@@ -68,7 +68,7 @@ def test_correct_reader_acks_never_regress(idx):
         i = ev.caller.index
         if i in byz:
             continue
-        value = decode_value(Family.ACK, ev.value)
+        value = read_content(Family.ACK, ev.value)
         per_reader.setdefault(i, []).append(value)
     assert per_reader
     for i, values in per_reader.items():
@@ -86,7 +86,7 @@ def test_correct_reader_witness_stamps_strictly_increase(idx):
         i = ev.caller.index
         if i in byz:
             continue
-        entry = decode_value(Family.WITNESS, ev.value)
+        entry = read_content(Family.WITNESS, ev.value)
         if entry is None:
             pytest.fail("correct reader published an undecodable witness entry")
         seq = stamps_per_reader.setdefault(i, [])
@@ -107,7 +107,7 @@ def test_correct_reader_final_rows_always_validate(idx):
             continue
         if ev.caller.index in byz:
             continue
-        iset = decode_value(Family.FINAL, ev.value)
+        iset = read_content(Family.FINAL, ev.value)
         core = ws_of(iset, cfg)  # raises InvalidInformSet on a bad publish
         assert len(core) >= cfg.quorum
         assert len(iset.members) >= cfg.quorum
@@ -129,7 +129,7 @@ def test_successive_witness_sets_nondecreasing_per_source(idx):
         i = ev.caller.index
         if i in byz:
             continue
-        wset = decode_value(Family.INFORM, ev.value)
+        wset = read_content(Family.INFORM, ev.value)
         stamps = {e.p: e.s for e in wset.entries}
         prev = prev_by_reader.get(i)
         if prev is not None:

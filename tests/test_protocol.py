@@ -32,11 +32,9 @@ from byzreg.protocol import (
     latest_quorum_group,
 )
 from byzreg.registers import (
-    Family,
     ack_reg,
     bank_init,
-    decode_value,
-    encode_value,
+    Raw,
     init_reg,
     witness_reg,
 )
@@ -75,7 +73,7 @@ def run_full_iteration(reader, bank, recorder, max_steps=60):
 
 
 def ack_of(bank, i):
-    return decode_value(Family.ACK, cell(bank, ack_reg(i)))
+    return cell(bank, ack_reg(i))
 
 
 class TestWriter:
@@ -85,11 +83,11 @@ class TestWriter:
         w = WriterMachine(cfg, ring, [b"a", b"b", b"c"])
         drive(w, bank, rec)  # first init write of WRITE("a")
         assert w.pending == TaggedValue(1, b"a")
-        assert decode_value(Family.INIT, cell(bank, init_reg(1))) == TaggedValue(1, b"a")
+        assert cell(bank, init_reg(1)) == TaggedValue(1, b"a")
         # complete by faking fresh acks from three readers
         for i in (1, 2, 3):
             drive(w, bank, rec, steps=3)  # remaining init writes then polls
-            bank.write(ack_reg(i), encode_value(Family.ACK, TaggedValue(1, b"a")), ProcessId.reader(i))
+            bank.write(ack_reg(i), TaggedValue(1, b"a"), ProcessId.reader(i))
         while w.pending is not None:
             drive(w, bank, rec)
         drive(w, bank, rec)  # begins WRITE("b")
@@ -107,12 +105,12 @@ class TestWriter:
         assert w.pending == kv
         # two fresh acks are not enough
         for i in (1, 2):
-            bank.write(ack_reg(i), encode_value(Family.ACK, kv), ProcessId.reader(i))
+            bank.write(ack_reg(i), kv, ProcessId.reader(i))
         for _ in range(12):
             drive(w, bank, rec)
         assert w.pending == kv and len(w.acked) == 2
         # the third fresh ack completes the write
-        bank.write(ack_reg(3), encode_value(Family.ACK, kv), ProcessId.reader(3))
+        bank.write(ack_reg(3), kv, ProcessId.reader(3))
         for _ in range(4):
             if w.pending is None:
                 break
@@ -125,7 +123,7 @@ class TestWriter:
         cfg, ring, bank = world
         rec = HistoryRecorder()
         # pre-seed an ack cell with the exact value the writer will write
-        bank.write(ack_reg(1), encode_value(Family.ACK, TaggedValue(1, b"a")), ProcessId.reader(1))
+        bank.write(ack_reg(1), TaggedValue(1, b"a"), ProcessId.reader(1))
         w = WriterMachine(cfg, ring, [b"a"])
         drive(w, bank, rec, steps=4)
         for _ in range(12):
@@ -157,9 +155,9 @@ class TestReaderIteration:
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
-        before = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
+        before = {reg: cell(bank, reg) for reg in range(len(bank.cells))}
         run_full_iteration(r, bank, rec)
-        after = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
+        after = {reg: cell(bank, reg) for reg in range(len(bank.cells))}
         assert before == after
 
     def test_new_init_bumps_s_once_and_broadcasts(self, world):
@@ -167,13 +165,13 @@ class TestReaderIteration:
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 2)
         kv = TaggedValue(1, b"a")
-        bank.write(init_reg(2), encode_value(Family.INIT, kv), WRITER)
+        bank.write(init_reg(2), kv, WRITER)
         run_full_iteration(r, bank, rec)
         assert r.s == 1
         assert r.last_init == kv
         entry = WitnessEntry(kv, 1, 2)
         for j in cfg.reader_indices():
-            assert decode_value(Family.WITNESS, cell(bank, witness_reg(2, j))) == entry
+            assert cell(bank, witness_reg(2, j)) == entry
         # a second iteration with an unchanged cell does not bump s
         run_full_iteration(r, bank, rec)
         assert r.s == 1
@@ -186,11 +184,11 @@ class TestReaderIteration:
         r = ReaderMachine(cfg, ring, U0, 1)
         a = TaggedValue(1, b"a")
         b = TaggedValue(2, b"b")
-        bank.write(init_reg(1), encode_value(Family.INIT, a), WRITER)
+        bank.write(init_reg(1), a, WRITER)
         run_full_iteration(r, bank, rec)
-        bank.write(init_reg(1), encode_value(Family.INIT, b), WRITER)
+        bank.write(init_reg(1), b, WRITER)
         run_full_iteration(r, bank, rec)
-        bank.write(init_reg(1), encode_value(Family.INIT, a), WRITER)
+        bank.write(init_reg(1), a, WRITER)
         run_full_iteration(r, bank, rec)
         assert r.s == 3
         assert r.t_witness[1] == WitnessEntry(a, 3, 1)
@@ -200,12 +198,12 @@ class TestReaderIteration:
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
         fresh = WitnessEntry(TaggedValue(1, b"a"), 2, 3)
-        bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, fresh), ProcessId.reader(3))
+        bank.write(witness_reg(3, 1), fresh, ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
         assert r.t_witness[3] == fresh
         # regression: lower stamp from the same source
         stale = WitnessEntry(TaggedValue(1, b"a"), 1, 3)
-        bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, stale), ProcessId.reader(3))
+        bank.write(witness_reg(3, 1), stale, ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
         assert r.t_witness[3] == fresh
         assert 3 in r.suspected
@@ -222,10 +220,10 @@ class TestReaderIteration:
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
         fresh = WitnessEntry(TaggedValue(1, b"a"), 2, 3)
-        bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, fresh), ProcessId.reader(3))
+        bank.write(witness_reg(3, 1), fresh, ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
         twin = WitnessEntry(TaggedValue(9, b"zz"), 2, 3)
-        bank.write(witness_reg(3, 1), encode_value(Family.WITNESS, twin), ProcessId.reader(3))
+        bank.write(witness_reg(3, 1), twin, ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
         assert r.t_witness[3] == fresh
         assert 3 in r.suspected
@@ -234,7 +232,7 @@ class TestReaderIteration:
         cfg, ring, bank = world
         rec = HistoryRecorder()
         r = ReaderMachine(cfg, ring, U0, 1)
-        bank.write(witness_reg(3, 1), b"garbage bytes", ProcessId.reader(3))
+        bank.write(witness_reg(3, 1), Raw(b"garbage bytes"), ProcessId.reader(3))
         run_full_iteration(r, bank, rec)
         assert 3 in r.suspected
 

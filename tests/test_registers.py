@@ -37,16 +37,16 @@ from byzreg.registers import (
 )
 
 
-def cell(bank, reg) -> bytes:
-    """A register's bytes, read without a trace event."""
-    return bank.cells_key()[reg]
+def cell(bank, reg):
+    """A register's content, read without a trace event."""
+    return bank.cells[reg]
 
 
 def replay_trace(cfg, u0, ring, trace):
     """Every register's final cell, by replaying the trace's writes over a
     fresh bank."""
     bank = bank_init(cfg, u0, ring)
-    cells = {reg: cell(bank, reg) for reg in range(len(bank.cells_key()))}
+    cells = {reg: cell(bank, reg) for reg in range(len(bank.cells))}
     for ev in trace:
         if ev.op == "write":
             cells[ev.reg] = ev.value
@@ -66,12 +66,12 @@ class TestAllocation:
         # n init + n ack + n^2 each of witness/inform/final
         assert expected == n + n + 3 * n * n
         _, _, bank = make_bank(n, 0)
-        assert len(bank.cells_key()) == expected
+        assert len(bank.cells) == expected
 
     def test_families_present(self):
         cfg, _, bank = make_bank(4, 1)
         by_family = {}
-        for r in range(len(bank.cells_key())):
+        for r in range(len(bank.cells)):
             by_family.setdefault(FAMILY[r], []).append(r)
         assert len(by_family[Family.INIT]) == 4
         assert len(by_family[Family.ACK]) == 4
@@ -111,14 +111,14 @@ class TestInitializers:
     def test_init_and_ack_hold_initial_tagged_value(self):
         cfg, _, bank = make_bank(4, 1, u0=b"zero")
         for i in cfg.reader_indices():
-            assert decode_value(Family.INIT, cell(bank, init_reg(i))) == TaggedValue(0, b"zero")
-            assert decode_value(Family.ACK, cell(bank, ack_reg(i))) == TaggedValue(0, b"zero")
+            assert cell(bank, init_reg(i)) == TaggedValue(0, b"zero")
+            assert cell(bank, ack_reg(i)) == TaggedValue(0, b"zero")
 
     def test_witness_cells_hold_owner_entry(self):
         cfg, _, bank = make_bank(4, 1)
         for i in cfg.reader_indices():
             for j in cfg.reader_indices():
-                e = decode_value(Family.WITNESS, cell(bank, witness_reg(i, j)))
+                e = cell(bank, witness_reg(i, j))
                 assert e == initial_entry(cfg, b"init", i)
 
     def test_inform_cells_signed_by_owner(self):
@@ -126,7 +126,7 @@ class TestInitializers:
         from byzreg.crypto import verify_witness_set
 
         for i in cfg.reader_indices():
-            ws = decode_value(Family.INFORM, cell(bank, inform_reg(i, 2)))
+            ws = cell(bank, inform_reg(i, 2))
             assert ws.signer == i
             assert verify_witness_set(ring, ws)
             assert len(ws.entries) == cfg.n
@@ -134,7 +134,7 @@ class TestInitializers:
     def test_final_cells_hold_full_initial_inform_set(self):
         cfg, ring, bank = make_bank(4, 1)
         expected = initial_inform_set(cfg, b"init", ring)
-        got = decode_value(Family.FINAL, cell(bank, final_reg(3, 1)))
+        got = cell(bank, final_reg(3, 1))
         assert got == expected
         assert len(got.members) == cfg.n  # |L| = n >= n - t
 
@@ -143,32 +143,31 @@ class TestInitializers:
         # initial cells memoized on the ring
         cfg, ring, bank = make_bank(2, 0)
         twin = bank_init(cfg, b"init", ring)
-        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        v1 = TaggedValue(1, b"a")
         bank.write(init_reg(1), v1, WRITER)
         assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
         for other in (twin, bank_init(cfg, b"init", ring)):
-            assert cell(other, init_reg(1)) == encode_value(Family.INIT, TaggedValue(0, b"init"))
+            assert cell(other, init_reg(1)) == TaggedValue(0, b"init")
         assert list(ring.initial_cells[(cfg, b"init")]) == [
-            cell(twin, reg) for reg in range(len(twin.cells_key()))
+            cell(twin, reg) for reg in range(len(twin.cells))
         ]
 
     def test_read_before_write_returns_initializer(self):
         cfg, _, bank = make_bank(2, 0)
-        raw = bank.read(init_reg(1), ProcessId.reader(1))
-        assert decode_value(Family.INIT, raw) == TaggedValue(0, b"init")
+        assert bank.read(init_reg(1), ProcessId.reader(1)) == TaggedValue(0, b"init")
 
 
 class TestAccessControl:
     def test_writer_writes_init(self):
         cfg, _, bank = make_bank(4, 1)
-        data = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        data = TaggedValue(1, b"a")
         bank.write(init_reg(3), data, WRITER)
         assert cell(bank, init_reg(3)) == data
         assert bank.trace[-1].op == "write"
 
     def test_reader_cannot_write_init(self):
         cfg, _, bank = make_bank(4, 1)
-        data = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        data = TaggedValue(1, b"a")
         with pytest.raises(AccessViolation):
             bank.write(init_reg(3), data, ProcessId.reader(2))
 
@@ -181,8 +180,8 @@ class TestAccessControl:
 
     def test_overwrite_keeps_second_value(self):
         cfg, _, bank = make_bank(4, 1)
-        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
-        v2 = encode_value(Family.INIT, TaggedValue(2, b"b"))
+        v1 = TaggedValue(1, b"a")
+        v2 = TaggedValue(2, b"b")
         bank.write(init_reg(1), v1, WRITER)
         first = bank.write_seq[init_reg(1)]
         bank.write(init_reg(2), v1, WRITER)
@@ -195,7 +194,7 @@ class TestAccessControl:
 
     def test_read_after_write_returns_written(self):
         cfg, _, bank = make_bank(4, 1)
-        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        v1 = TaggedValue(1, b"a")
         bank.write(init_reg(1), v1, WRITER)
         assert bank.read(init_reg(1), ProcessId.reader(1)) == v1
 
@@ -255,10 +254,27 @@ class TestCodecs:
         v = TaggedValue(3, b"zz")
         assert encode_value(Family.INIT, v) == encode_value(Family.INIT, TaggedValue(3, b"zz"))
 
+    def test_literal_encodings(self):
+        # one dict per value, dumped with sorted keys and no spaces; entries
+        # sorted by (p, s, k, u), members by (signer, signature)
+        tagged = TaggedValue(1, b"a")
+        late, early = WitnessEntry(tagged, 2, 3), WitnessEntry(tagged, 5, 1)
+        wset = WitnessSet(frozenset({late, early}), 3, b"\x01\x02")
+        first = WitnessSet(frozenset({late}), 1, b"\xff")
+        entry_bytes = b'{"p":3,"s":2,"v":{"k":1,"u":"61"}}'
+        wset_bytes = (
+            b'{"e":[{"p":1,"s":5,"v":{"k":1,"u":"61"}},' + entry_bytes + b'],"g":3,"sig":"0102"}'
+        )
+        assert encode_value(Family.INIT, TaggedValue(7, b"xy")) == b'{"k":7,"u":"7879"}'
+        assert encode_value(Family.ACK, TaggedValue(0, b"")) == b'{"k":0,"u":""}'
+        assert encode_value(Family.WITNESS, late) == entry_bytes
+        assert encode_value(Family.INFORM, wset) == wset_bytes
+        assert encode_value(Family.FINAL, InformSet(frozenset({wset, first}))) == (
+            b'{"m":[{"e":[' + entry_bytes + b'],"g":1,"sig":"ff"},' + wset_bytes + b"]}"
+        )
+
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-    def test_decode_returns_the_encoded_object(self, family):
-        # a payload no other test encodes, so this object is the first of
-        # its value the codec sees
+    def test_read_returns_the_written_object(self, family):
         tagged = TaggedValue(7, b"identity-" + family.value.encode())
         entries = frozenset(WitnessEntry(tagged, 4, p) for p in (1, 2, 3))
         ring = make_keyring(Config(4, 1), "keyed", 0)
@@ -269,7 +285,16 @@ class TestCodecs:
             Family.INFORM: sign_entries(ring, 1, entries),
             Family.FINAL: InformSet(frozenset(sign_entries(ring, i, entries) for i in (1, 2, 3))),
         }[family]
-        assert decode_value(family, encode_value(family, value)) is value
+        reg, owner, reader = {
+            Family.INIT: (init_reg(1), WRITER, 1),
+            Family.ACK: (ack_reg(1), 1, WRITER),
+            Family.WITNESS: (witness_reg(1, 2), 1, 2),
+            Family.INFORM: (inform_reg(1, 2), 1, 2),
+            Family.FINAL: (final_reg(1, 2), 1, 2),
+        }[family]
+        _, _, bank = make_bank(4, 1)
+        bank.write(reg, value, ProcessId(owner))
+        assert bank.read(reg, ProcessId(reader)) is value
 
     @pytest.mark.parametrize(
         "family,value",
@@ -308,7 +333,7 @@ class TestCodecs:
 class TestTrace:
     def test_trace_is_ordered_and_replayable(self):
         cfg, ring, bank = make_bank(2, 0)
-        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        v1 = TaggedValue(1, b"a")
         bank.current_step = 5
         bank.write(init_reg(1), v1, WRITER)
         bank.current_step = 6
@@ -320,7 +345,7 @@ class TestTrace:
 
     def test_atomicity_violations_empty_for_honest_trace(self):
         cfg, ring, bank = make_bank(2, 0)
-        v1 = encode_value(Family.INIT, TaggedValue(1, b"a"))
+        v1 = TaggedValue(1, b"a")
         bank.write(init_reg(1), v1, WRITER)
         bank.read(init_reg(1), ProcessId.reader(1))
         assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
