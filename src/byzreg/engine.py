@@ -415,12 +415,17 @@ class Simulation:
         # key: (canonical successor, recorder calls, violation)}), state key
         # part or cell content -> the small int standing for it, and the
         # cells' content ids, a tuple that a write changing one replaces, so
-        # clones share it and the state key holds it as is; None to step in
-        # place
+        # clones share it; None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
         self._cell_ids: tuple[int, ...] | None = None
+        # the part ids of the cell ids, the event key and the bank keys,
+        # each set where a step changes what it stands for; the bank id is
+        # None until _bank_part derives it again
+        self._cells_id: int | None = None
+        self._events_id: int | None = None
+        self._bank_id: int | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -484,7 +489,10 @@ class Simulation:
                     entry = table[machine] = (op, kind, written, outcomes)
                 ids = self._cell_ids
                 if ids[reg] != written:
-                    self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
+                    ids = self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
+                    parts = self._parts
+                    self._cells_id = parts.setdefault(ids, len(parts))
+                self._bank_id = None
             elif kind is ReadOp:
                 result = bank.read(op.reg, pid)
                 key = self._cell_ids[op.reg]
@@ -502,11 +510,14 @@ class Simulation:
         """Bind a tabled step's successor and replay its recorder calls and
         violation; the first take of the step computes them on a copy.  A
         step's outcome is keyed by the content id of the cell it read
-        (``key``, None for a step that reads nothing), and by the
-        machine's bank_key too when it has one."""
+        (``key``, None for a step that reads nothing), and for a process
+        with a bank_key by the state's bank part too (``_bank_part``).
+        Replayed recorder calls set the event part id; a step of such a
+        process clears the bank part id."""
         op, _, _, outcomes = entry
-        if pid in self._bank_keyed:
-            key = (key, machine.bank_key(self.bank))
+        bank_keyed = pid in self._bank_keyed
+        if bank_keyed:
+            key = (key, self._bank_part())
         outcome = outcomes.get(key)
         if outcome is None:
             successor = copy.copy(machine)
@@ -520,8 +531,14 @@ class Simulation:
             outcome = outcomes[key] = (successor, log.calls, violation)
         successor, calls, violation = outcome
         self.machines[pid] = successor
-        for call, *args in calls:
-            call(self.recorder, *args)
+        if bank_keyed:
+            self._bank_id = None
+        if calls:
+            recorder = self.recorder
+            for call, *args in calls:
+                call(recorder, *args)
+            parts = self._parts
+            self._events_id = parts.setdefault(recorder.key_node, len(parts))
         if violation is not None:
             self.status = "protocol_violation"
             self.violation = violation
@@ -534,14 +551,31 @@ class Simulation:
         states is one canonical machine, never changed.  Cells are keyed by
         content ids: a small int per distinct content, from the part
         table, since a tuple of ints hashes in C and one of values would
-        run each value's ``__hash__`` in Python."""
+        run each value's ``__hash__`` in Python.  The part ids of the cell
+        ids and the event key are carried from here on, and the bank keys'
+        once ``_bank_part`` first derives it."""
         self._canon = {}
         self._table = {}
         parts = self._parts = {}
-        self._cell_ids = tuple(parts.setdefault(c, len(parts)) for c in self.bank.cells)
+        ids = self._cell_ids = tuple(parts.setdefault(c, len(parts)) for c in self.bank.cells)
+        self._cells_id = parts.setdefault(ids, len(parts))
+        self._events_id = parts.setdefault(self.recorder.key_node, len(parts))
         for pid in self.order:
             machine = self.machines[pid]
             self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
+
+    def _bank_part(self) -> int:
+        """The part id of the bank keys, ``bank_key`` of each process that
+        has one in pid order; derived again only after a write or a step
+        of such a process cleared it."""
+        part = self._bank_id
+        if part is None:
+            machines = self.machines
+            bank = self.bank
+            keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
+            parts = self._parts
+            part = self._bank_id = parts.setdefault(keys, len(parts))
+        return part
 
     def history(self, status: str) -> ExecutionHistory:
         return ExecutionHistory(
@@ -571,6 +605,9 @@ class Simulation:
         twin._table = self._table
         twin._parts = self._parts
         twin._cell_ids = self._cell_ids
+        twin._cells_id = self._cells_id
+        twin._events_id = self._events_id
+        twin._bank_id = self._bank_id
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
@@ -587,20 +624,20 @@ class Simulation:
         for its own key, and the bank keys, the cells' content ids and the
         event key each enter as the small int the enumeration's part table
         gives that value, so the tuple is the one object a stored state
-        allocates.  Write sequence numbers stay out: rewrites of equal
-        content change no future behavior, and the one order they carry
-        that a machine reads, the correct writer's ack freshness, enters
-        through ``WriterMachine.bank_key``.  The key relates states exactly
-        as a key rebuilt in full does."""
-        machines = self.machines
-        bank = self.bank
-        bank_keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
-        parts = self._parts
+        allocates.  The simulation carries those three ids, each set by the
+        step that changes its part, and the bank keys are derived again
+        only after a write or a step of a process that has one
+        (``_bank_part``), so building the key hashes nothing.  Write
+        sequence numbers stay out: rewrites of equal content change no
+        future behavior, and the one order they carry that a machine reads,
+        the correct writer's ack freshness, enters through
+        ``WriterMachine.bank_key``.  The key relates states exactly as a key
+        rebuilt in full does."""
         return (
-            *map(machines.__getitem__, self.order),
-            parts.setdefault(bank_keys, len(parts)),
-            parts.setdefault(self._cell_ids, len(parts)),
-            parts.setdefault(self.recorder.key_node, len(parts)),
+            *map(self.machines.__getitem__, self.order),
+            self._bank_part(),
+            self._cells_id,
+            self._events_id,
             self.status,
         )
 

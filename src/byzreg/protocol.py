@@ -102,11 +102,12 @@ class ProcessMachine:
     and busy until its last high-level operation responds, and a reader
     is always enabled), so the engine re-evaluates them for the stepped
     process alone, after such a step.  Whatever of its future reads the
-    bank beyond its op's result goes in ``bank_key``, which the engine
-    evaluates on every state.  ``state_key`` is derived from the
-    attributes, so equal keys mean equal attributes, and a step is a
-    function of the ``state_key``, the ``bank_key`` and the read result:
-    the enumerator takes each such step once and shares it.
+    bank beyond its op's result goes in ``bank_key``, which depends only
+    on the machine and the bank's writes, so the enumerator re-derives it
+    after a write or a step of its own process.  ``state_key`` is derived
+    from the attributes, so equal keys mean equal attributes, and a step
+    is a function of the ``state_key``, the ``bank_key`` and the read
+    result: the enumerator takes each such step once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -154,7 +155,8 @@ class ProcessMachine:
 
     def bank_key(self, bank: RegisterBank):
         """The part of the machine's future behaviour that reads the bank
-        beyond its op's result (never cached)."""
+        beyond its op's result (re-derived after a write or a step of its
+        own process)."""
         return ()
 
 

@@ -175,7 +175,8 @@ def final_reg(i: int, j: int) -> RegisterId:
 # ``{"k", "u"}`` for a tagged value, ``{"p", "s", "v"}`` for a witness
 # entry, ``{"e", "g", "sig"}`` for a witness set (entries sorted by
 # ``_entry_key``) and ``{"m"}`` for an inform set (members sorted by signer,
-# then signature).  Integer fields decode only as exact ints in range
+# then signature, then their sorted entry keys, so equal sets encode alike
+# under any hash seed).  Integer fields decode only as exact ints in range
 # (``core.U32``, ``core.U64``): a JSON boolean loads as a bool, an int that
 # compares and hashes equal to 0 or 1.
 
@@ -250,9 +251,12 @@ def _wset_dict(w: WitnessSet) -> dict:
     }
 
 
+def _member_key(m: WitnessSet):
+    return (m.signer, m.signature, sorted(map(_entry_key, m.entries)))
+
+
 def _iset_dict(s: InformSet) -> dict:
-    members = sorted(s.members, key=lambda m: (m.signer, m.signature))
-    return {"m": [_wset_dict(m) for m in members]}
+    return {"m": [_wset_dict(m) for m in sorted(s.members, key=_member_key)]}
 
 
 _ENCODERS = {

@@ -18,7 +18,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -295,6 +298,46 @@ def test_fields_are_read_before_any_is_printed():
         assert outcome(lambda _, v: cell_content(reg, v), None, both) is AttributeError
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# six members signed by reader 2 with one signature, differing only in
+# their entries, so that only the entries can order them; a frozenset of
+# them iterates in an order set by the hash seed and, where hashes collide,
+# by the order the members were added
+TIED_MEMBERS = """
+import random
+from byzreg.core import InformSet, TaggedValue, WitnessEntry, WitnessSet
+from byzreg.registers import Family, encode_value
+
+members = [
+    WitnessSet(frozenset({WitnessEntry(TaggedValue(k, b"v"), s, 1)}), 2, b"sig")
+    for k in (1, 2, 3) for s in (1, 2)
+]
+rng = random.Random(0)
+orders = [members, members[::-1]] + [rng.sample(members, len(members)) for _ in range(30)]
+encodings = {encode_value(Family.FINAL, InformSet(frozenset(order))) for order in orders}
+"""
+
+
+def test_tied_members_encode_alike_under_every_hash_seed():
+    # equal sets built in 32 orders, under four hash seeds: one encoding
+    script = TIED_MEMBERS + "print(*sorted(e.hex() for e in encodings))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        outputs.update(out.stdout.split())
+    assert len(outputs) == 1
+
+
+def test_tied_members_are_ordered_by_their_entries():
+    scope: dict = {}
+    exec(TIED_MEMBERS, scope)
+    (data,) = scope["encodings"]
+    keys = [(e["p"], e["s"], e["v"]["k"]) for m in json.loads(data)["m"] for e in m["e"]]
+    assert keys == sorted(keys) and len(keys) == 6
 
 
 def test_run_at_n10_does_no_codec_work(monkeypatch):

@@ -383,6 +383,27 @@ class TestEnumeration:
         assert not ids1 & {id(m) for m in canon2.values()}
         assert not ids1 & {id(m) for m in table2}
 
+    def test_bank_keys_derived_fewer_times_than_states_keyed(self, monkeypatch):
+        # the bank keys' part id is carried from state to state and derived
+        # again only after a write or a step of the writer, whose bank_key
+        # the state key and the writer's step both use
+        counts = {"bank_key": 0, "state_key": 0}
+
+        def counting(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(WriterMachine, "bank_key")
+        counting(Simulation, "state_key")
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        assert sum(1 for _ in enumerate_schedules(Config(2, 0), wl, depth_bound=60)) == 754
+        assert counts["bank_key"] < counts["state_key"]
+
     def test_bytes_per_stored_state(self, monkeypatch):
         """A stored state allocates only its flat key tuple; every part it
         holds is shared.  The benchmark's n=2 instance must peak at no more
@@ -694,6 +715,41 @@ class TestTransitionTable:
         tabled = self.digests(enumerate_schedules, cfg, wl, bound, strategies)
         assert tabled == self.digests(reference_enumeration, cfg, wl, bound, strategies)
         assert tabled[0]
+
+    # the benchmark's enumerate_n2 instance: reader 1 acks while the writer
+    # polls, so a reader's write changes the writer's bank key
+    ENUMERATE_N2 = (
+        Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1}), 60, StrategyAssignment(),
+    )
+
+    @pytest.mark.parametrize(
+        "name", ["c2_one_read", "n2_stale_counter_2_64", "n4t1_fake_witness_stamp", "enumerate_n2"]
+    )
+    def test_carried_part_ids_match_fresh_ones(self, name, monkeypatch):
+        """At every keyed state, the part ids the simulation carries are
+        those of the cell ids, the event key and the bank keys derived
+        afresh."""
+        cfg, wl, bound, strategies = self.CASES.get(name, self.ENUMERATE_N2)
+        state_key = Simulation.state_key
+        bank_keys = []
+
+        def checking(sim):
+            key = state_key(sim)
+            parts = sim._parts
+            fresh = tuple(sim.machines[pid].bank_key(sim.bank) for pid in sim._bank_keyed)
+            assert sim._cell_ids == tuple(parts.get(c) for c in sim.bank.cells)
+            assert key[len(sim.order):-1] == (
+                parts.get(fresh), parts.get(sim._cell_ids), parts.get(sim.recorder.key_node)
+            )
+            bank_keys.append(fresh)
+            return key
+
+        monkeypatch.setattr(Simulation, "state_key", checking)
+        assert self.digests(enumerate_schedules, cfg, wl, bound, strategies)[0]
+        assert len(bank_keys) > 100
+        if name == "enumerate_n2":
+            # some keyed state holds a fresh ack while the writer polls
+            assert any(True in key for (key,) in bank_keys)
 
     def test_undecodable_writes_get_content_ids(self, monkeypatch):
         # the stale counter 2**64 is wider than the codec's, so the init
