@@ -116,11 +116,13 @@ def _scan_finals(
     (at this write or earlier, at any row) and whose event is not the
     one logged last.
     """
-    initial = registers.initial_inform_set(cfg, u0, ring)
-    # every member signs the initial entries, so they are its core (what
-    # ws_of would compute, without the intersection)
-    initial_ws = next(iter(initial.members)).entries
-    initial_value = TaggedValue(0, u0)
+    # the initial event holds the ring's initial value and core: every
+    # member of the initial inform set signs all the initial entries, so
+    # they are its core (what ws_of would compute, without the
+    # intersection)
+    init = registers.initial_state(ring, cfg, u0)
+    initial_ws = init.witness_sets[1].entries
+    initial_value = init.value
 
     initial_event = StabilizationEvent(
         value=initial_value,

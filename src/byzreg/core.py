@@ -92,10 +92,6 @@ class ProcessId(int):
         return super().__new__(cls, index)
 
     @classmethod
-    def writer(cls) -> "ProcessId":
-        return WRITER
-
-    @classmethod
     def reader(cls, index: int) -> "ProcessId":
         if index < 1:
             raise ValueError(f"reader index must be >= 1, got {index}")
@@ -231,12 +227,6 @@ class PartialTimestamp:
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[int, int]) -> "PartialTimestamp":
         return cls(n, tuple(sorted(mapping.items())))
-
-    def get(self, i: int) -> int | None:
-        for p, s in self.stamps:
-            if p == i:
-                return s
-        return None
 
     def mapping(self) -> dict[int, int]:
         return dict(self.stamps)

@@ -114,12 +114,11 @@ class KeyRing:
     _private: dict[ProcessId, object] = field(repr=False)
     _public: dict[ProcessId, object] = field(repr=False)
     # memos of pure functions of these keys, so they live as long as the
-    # ring: the initial inform set and the initial register cells per
-    # (cfg, u0), the validation of a final register's inform set per
-    # (inform set, cfg), the witness set sign_entries makes per (signer,
-    # entries), and the verdict of verify_witness_set per witness set
-    initial_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    initial_cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ring: registers.initial_state per (cfg, u0), the validation of a
+    # final register's inform set per (inform set, cfg), the witness set
+    # sign_entries makes per (signer, entries), and the verdict of
+    # verify_witness_set per witness set
+    initial_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _final_validation_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

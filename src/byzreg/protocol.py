@@ -46,8 +46,7 @@ from .registers import (
     final_reg,
     init_reg,
     inform_reg,
-    initial_entry,
-    initial_inform_set,
+    initial_state,
     validated_final,
     witness_reg,
 )
@@ -276,6 +275,9 @@ R_RFIN = 17  # collect peers' final inform sets
 R_WFIN2 = 18  # broadcast adopted inform set
 R_ACK2 = 19  # ack the adopted value
 
+# the phase that follows each broadcast to every peer
+_AFTER_BROADCAST = {R_WWIT: R_CWIT, R_WINF: R_RINF, R_WFIN: R_ACK1, R_WFIN2: R_ACK2}
+
 
 def latest_quorum_group(
     t_witness: dict[int, WitnessEntry], cfg: Config
@@ -438,17 +440,14 @@ class ReaderMachine(ProcessMachine):
         self.pid = ProcessId.reader(index)
         # the algorithm's local variables, starting from the bank's
         # initial contents
-        inform_set = initial_inform_set(cfg, u0, ring)
-        signed = {m.signer: m for m in inform_set.members}
+        init = initial_state(ring, cfg, u0)
         self.s = 0
-        self.last_init = TaggedValue(0, u0)
-        self.t_witness = {i: initial_entry(cfg, u0, i) for i in cfg.reader_indices()}
-        self.t_inform: dict[int, WitnessSet | None] = {
-            i: signed[i] for i in cfg.reader_indices()
-        }
-        self.witness_set = signed[index]
-        self.inform_set = inform_set
-        self.last_ack = TaggedValue(0, u0)
+        self.last_init = init.value
+        self.t_witness = init.entries
+        self.t_inform: dict[int, WitnessSet | None] = init.witness_sets
+        self.witness_set = init.witness_sets[index]
+        self.inform_set = init.inform_set
+        self.last_ack = init.value
         self.suspected: frozenset[int] = frozenset()
         self.phase = R_INIT
         self.idx = 1  # per-phase register loop counter
@@ -549,6 +548,12 @@ class ReaderMachine(ProcessMachine):
 
     # -- phase handlers ---------------------------------------------------
 
+    def _apply_broadcast(self, bank, op, result, recorder):
+        self.idx += 1
+        if self.idx > self.cfg.n:
+            self.phase = _AFTER_BROADCAST[self.phase]
+            self.idx = 1
+
     def _apply_init(self, bank, op, result, recorder):
         self._begin_iteration(recorder)
         kv = result  # an undecodable init cell (None) counts as unchanged
@@ -570,12 +575,6 @@ class ReaderMachine(ProcessMachine):
         else:
             self.phase = R_CWIT
         self.idx = 1
-
-    def _apply_wwit(self, bank, op, result, recorder):
-        self.idx += 1
-        if self.idx > self.cfg.n:
-            self.phase = R_CWIT
-            self.idx = 1
 
     def _apply_cwit(self, bank, op, result, recorder):
         src = self.idx
@@ -603,12 +602,6 @@ class ReaderMachine(ProcessMachine):
                 self.z_list = ()
             self.idx = 1
 
-    def _apply_winf(self, bank, op, result, recorder):
-        self.idx += 1
-        if self.idx > self.cfg.n:
-            self.phase = R_RINF
-            self.idx = 1
-
     def _apply_rinf(self, bank, op, result, recorder):
         src = self.idx
         wset = result
@@ -627,11 +620,6 @@ class ReaderMachine(ProcessMachine):
                 self.phase = R_RFIN
                 self.z_list = ()
             self.idx = 1
-
-    def _apply_wfin(self, bank, op, result, recorder):
-        self.idx += 1
-        if self.idx > self.cfg.n:
-            self.phase = R_ACK1
 
     def _apply_ack1(self, bank, op, result, recorder):
         self.last_ack = self.form_value
@@ -658,11 +646,6 @@ class ReaderMachine(ProcessMachine):
             else:
                 self._end_iteration(recorder)
 
-    def _apply_wfin2(self, bank, op, result, recorder):
-        self.idx += 1
-        if self.idx > self.cfg.n:
-            self.phase = R_ACK2
-
     def _apply_ack2(self, bank, op, result, recorder):
         self.last_ack = common_value(cached_ws_of(self.adopt_target, self.cfg))
         self.adopt_target = None
@@ -670,13 +653,13 @@ class ReaderMachine(ProcessMachine):
 
     _APPLY = {
         R_INIT: _apply_init,
-        R_WWIT: _apply_wwit,
+        R_WWIT: _apply_broadcast,
         R_CWIT: _apply_cwit,
-        R_WINF: _apply_winf,
+        R_WINF: _apply_broadcast,
         R_RINF: _apply_rinf,
-        R_WFIN: _apply_wfin,
+        R_WFIN: _apply_broadcast,
         R_ACK1: _apply_ack1,
         R_RFIN: _apply_rfin,
-        R_WFIN2: _apply_wfin2,
+        R_WFIN2: _apply_broadcast,
         R_ACK2: _apply_ack2,
     }

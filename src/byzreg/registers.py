@@ -18,12 +18,11 @@ in an append-only trace of cell contents, encoded only on export.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import crypto
 from .core import (
@@ -87,7 +86,7 @@ class RegisterId(int):
 
 # the layout, indexed by slot
 FAMILY: list[Family] = []
-VALUE_CLASS: list[type] = []  # the class of the family's exact values
+VALUE_CLASS: list[type] = []  # _Codec.value_class of the slot's family
 WRITER_END: list[ProcessId] = []
 READER_END: list[ProcessId] = []
 NAME: list[str] = []
@@ -101,19 +100,10 @@ _FINAL: list[list] = [[]]
 _covered = 0  # readers whose shells are allocated
 
 
-_VALUE_CLASSES = {
-    Family.INIT: TaggedValue,
-    Family.ACK: TaggedValue,
-    Family.WITNESS: WitnessEntry,
-    Family.INFORM: WitnessSet,
-    Family.FINAL: InformSet,
-}
-
-
 def _allocate(family: Family, w: ProcessId, r: ProcessId) -> RegisterId:
     reg = RegisterId(len(FAMILY))
     FAMILY.append(family)
-    VALUE_CLASS.append(_VALUE_CLASSES[family])
+    VALUE_CLASS.append(_CODECS[family].value_class)
     WRITER_END.append(w)
     READER_END.append(r)
     NAME.append(f"{family.value}[{w}->{r}]")
@@ -226,15 +216,6 @@ def _obj_iset(obj) -> InformSet:
     return InformSet(members=frozenset(_obj_wset(m) for m in obj["m"]))
 
 
-_DECODERS = {
-    Family.INIT: _obj_tagged,
-    Family.ACK: _obj_tagged,
-    Family.WITNESS: _obj_entry,
-    Family.INFORM: _obj_wset,
-    Family.FINAL: _obj_iset,
-}
-
-
 def _tagged_dict(v: TaggedValue) -> dict:
     return {"k": v.k, "u": v.u.hex()}
 
@@ -259,12 +240,18 @@ def _iset_dict(s: InformSet) -> dict:
     return {"m": [_wset_dict(m) for m in sorted(s.members, key=_member_key)]}
 
 
-_ENCODERS = {
-    Family.INIT: _tagged_dict,
-    Family.ACK: _tagged_dict,
-    Family.WITNESS: _entry_dict,
-    Family.INFORM: _wset_dict,
-    Family.FINAL: _iset_dict,
+class _Codec(NamedTuple):
+    value_class: type  # the class of the family's exact values
+    encode: Callable[[object], dict]
+    decode: Callable[[object], object]
+
+
+_CODECS = {
+    Family.INIT: _Codec(TaggedValue, _tagged_dict, _obj_tagged),
+    Family.ACK: _Codec(TaggedValue, _tagged_dict, _obj_tagged),
+    Family.WITNESS: _Codec(WitnessEntry, _entry_dict, _obj_entry),
+    Family.INFORM: _Codec(WitnessSet, _wset_dict, _obj_wset),
+    Family.FINAL: _Codec(InformSet, _iset_dict, _obj_iset),
 }
 
 
@@ -282,7 +269,7 @@ def encode_value(family: Family, value) -> bytes:
     dumping its dict raises."""
     if type(value) is Raw:
         return value.data
-    obj = _ENCODERS[family](value)
+    obj = _CODECS[family].encode(value)
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -291,7 +278,7 @@ def decode_value(family: Family, data: bytes):
     the bytes do not decode.  Nesting too deep for the parser does not
     decode either."""
     try:
-        return _DECODERS[family](json.loads(data.decode()))
+        return _CODECS[family].decode(json.loads(data.decode()))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, bad hex or a _DecodeError
         return None
 
@@ -362,36 +349,6 @@ def unwind(node: tuple | None) -> list:
         out.append(item)
     out.reverse()
     return out
-
-
-@functools.lru_cache(maxsize=1024)
-def initial_entry(cfg: Config, u0: bytes, i: int) -> WitnessEntry:
-    """Reader i's initial entry, one object per (cfg, u0, i): the witness
-    sets that hold it share it, so equality tests between their entries
-    succeed on identity."""
-    return WitnessEntry(TaggedValue(0, u0), 0, i)
-
-
-def initial_entries(cfg: Config, u0: bytes) -> frozenset[WitnessEntry]:
-    return frozenset(initial_entry(cfg, u0, k) for k in cfg.reader_indices())
-
-
-def initial_inform_set(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> InformSet:
-    """Every reader's signed initial witness set, as one inform set.
-
-    Signed once per (ring, cfg, u0) and memoized on the ring; signatures
-    are deterministic, so the memo changes no bytes.  Reader i's initial
-    witness set is its member signed by i.
-    """
-    key = (cfg, u0)
-    iset = ring.initial_sets.get(key)
-    if iset is None:
-        entries = initial_entries(cfg, u0)
-        iset = InformSet(
-            frozenset(crypto.sign_entries(ring, l, entries) for l in cfg.reader_indices())
-        )
-        ring.initial_sets[key] = iset
-    return iset
 
 
 _UNSEEN = object()
@@ -491,40 +448,57 @@ class RegisterBank:
         return twin
 
 
-def _initial_cells(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> tuple:
-    """Every register's initial content, in slot order.
+@dataclass(frozen=True, eq=False)
+class InitialState:
+    """The state every register and every reader's local variables start
+    from, for one (ring, cfg, u0); built by ``initial_state`` alone.
 
-    Init/Ack start at the initial tagged value; Witness at the owner's
-    initial entry; Inform at the owner's signed initial witness set; and
-    Final at the initial inform set over all n signers.  Memoized per
-    (cfg, u0) on the ring, as the initial inform set is; a tuple, so a
-    caller that writes takes its own list of it.
+    ``entries[i]`` is reader i's initial entry: the initial value stamped
+    0.  ``witness_sets[i]`` is those n entries signed by reader i, and
+    ``inform_set`` holds every reader's signed set.  ``cells`` lists
+    every register's initial content by slot: Init and Ack hold
+    ``value``, Witness its owner's entry, Inform its owner's witness set
+    and Final the inform set.  Consumers share these objects, so equality
+    tests between them succeed on identity, and never change the dicts
+    in place.
     """
+
+    value: TaggedValue
+    entries: dict[int, WitnessEntry]
+    witness_sets: dict[int, WitnessSet]
+    inform_set: InformSet
+    cells: tuple
+
+
+def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
+    """The initial state for (cfg, u0) under the ring's keys.  Signed once
+    and memoized on the ring; signatures are deterministic, so the memo
+    changes no bytes."""
     key = (cfg, u0)
-    memo = ring.initial_cells.get(key)
-    if memo is not None:
-        return memo
-    cells: list = [None] * (3 * cfg.n * cfg.n + 2 * cfg.n)
-    init_tagged = TaggedValue(0, u0)
-    for i in cfg.reader_indices():
-        cells[init_reg(i)] = cells[ack_reg(i)] = init_tagged
-    iset = initial_inform_set(cfg, u0, ring)
-    signed = {m.signer: m for m in iset.members}
-    for i in cfg.reader_indices():
-        entry = initial_entry(cfg, u0, i)
-        for j in cfg.reader_indices():
-            cells[witness_reg(i, j)] = entry
-            cells[inform_reg(i, j)] = signed[i]
-            cells[final_reg(i, j)] = iset
-    memo = ring.initial_cells[key] = tuple(
-        cell_content(reg, value) for reg, value in enumerate(cells)
-    )
-    return memo
+    state = ring.initial_states.get(key)
+    if state is None:
+        value = TaggedValue(0, u0)
+        readers = cfg.reader_indices()
+        entries = {i: WitnessEntry(value, 0, i) for i in readers}
+        core = frozenset(entries.values())
+        witness_sets = {i: crypto.sign_entries(ring, i, core) for i in readers}
+        inform_set = InformSet(frozenset(witness_sets.values()))
+        cells = [None] * (3 * cfg.n * cfg.n + 2 * cfg.n)
+        for i in readers:
+            cells[init_reg(i)] = cells[ack_reg(i)] = value
+            for j in readers:
+                cells[witness_reg(i, j)] = entries[i]
+                cells[inform_reg(i, j)] = witness_sets[i]
+                cells[final_reg(i, j)] = inform_set
+        cells = tuple(cell_content(reg, v) for reg, v in enumerate(cells))
+        state = InitialState(value, entries, witness_sets, inform_set, cells)
+        ring.initial_states[key] = state
+    return state
 
 
 def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
-    """A bank holding every register's initial content (``_initial_cells``)."""
-    return RegisterBank(cfg, u0, list(_initial_cells(cfg, u0, ring)))
+    """A bank holding every register's initial content."""
+    return RegisterBank(cfg, u0, list(initial_state(ring, cfg, u0).cells))
 
 
 def atomicity_violations(
@@ -536,7 +510,7 @@ def atomicity_violations(
     plumbing check.  A read records the very content written, so the
     identity test settles nearly every read without an equality test.
     """
-    cells = list(_initial_cells(cfg, u0, ring))
+    cells = list(initial_state(ring, cfg, u0).cells)
     bad = []
     for ev in trace:
         if ev.op == "write":

@@ -327,7 +327,7 @@ class TestReaderStrategies:
         # the inflated stamp really entered some stabilized core
         inflated = [
             s for s in report.stabilizations
-            if s.pt.get(4) is not None and s.pt.get(4) > 5
+            if s.pt.mapping().get(4) is not None and s.pt.mapping().get(4) > 5
         ]
         assert inflated
 

@@ -24,6 +24,7 @@ from byzreg.core import (
     TaggedValue,
     WitnessEntry,
     WitnessSet,
+    WRITER,
     mapsto_compare,
     partial_timestamp,
     vec_compare,
@@ -139,7 +140,7 @@ class TestPartialTimestamp:
         s = iset(wset(es, 1), wset(es, 2), wset(es, 3))
         pt = partial_timestamp(s, CFG41)
         assert pt.mapping() == {1: 2, 2: 2, 3: 2}
-        assert pt.get(4) is None
+        assert pt.mapping().get(4) is None
         assert str(pt) == "{1:2, 2:2, 3:2, 4:-}"
 
     def test_initial_inform_set_stamps(self):
@@ -325,7 +326,7 @@ class TestConfig:
             Config(2, 3)
 
     def test_process_ids(self):
-        w = ProcessId.writer()
+        w = WRITER
         r = ProcessId.reader(3)
         assert str(w) == "w" and str(r) == "r3"
         assert w < r

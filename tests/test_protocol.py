@@ -20,6 +20,7 @@ from byzreg.core import (
     common_value,
     ws_of,
 )
+from byzreg.checker import Analysis
 from byzreg.crypto import make_keyring, sign_entries
 from byzreg.engine import HistoryRecorder, SeededRandom, Simulation, Workload, run
 from byzreg.protocol import (
@@ -35,7 +36,9 @@ from byzreg.registers import (
     ack_reg,
     bank_init,
     Raw,
+    final_reg,
     init_reg,
+    inform_reg,
     witness_reg,
 )
 
@@ -148,6 +151,26 @@ class TestWriter:
         polls = sum(1 for ev in history.trace if ev.op == "read" and ev.caller == WRITER)
         assert polls > 3
         assert len(calls) == polls
+
+
+class TestInitialState:
+    def test_bank_readers_and_checker_start_from_one_state(self, world):
+        # every reader's local variables are the bank's very initial
+        # cells, and so is the checker's initial stabilization
+        cfg, ring, bank = world
+        cells = bank.cells
+        for i in cfg.reader_indices():
+            r = ReaderMachine(cfg, ring, U0, i)
+            assert r.last_init is cells[init_reg(i)]
+            assert r.last_ack is cells[init_reg(i)]
+            for j in cfg.reader_indices():
+                assert r.t_witness[j] is cells[witness_reg(j, i)]
+                assert r.t_inform[j] is cells[inform_reg(j, i)]
+                assert r.inform_set is cells[final_reg(j, i)]
+        history = run(cfg, None, Workload.make(writes=[b"a"], reads={1: 1}),
+                      SeededRandom(seed=1), 20000, u0=U0)
+        assert history.keyring() is ring
+        assert Analysis(history).stabilizations[0].value is cells[init_reg(1)]
 
 
 class TestReaderIteration:

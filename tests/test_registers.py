@@ -31,8 +31,7 @@ from byzreg.registers import (
     final_reg,
     init_reg,
     inform_reg,
-    initial_entry,
-    initial_inform_set,
+    initial_state,
     witness_reg,
 )
 
@@ -115,11 +114,11 @@ class TestInitializers:
             assert cell(bank, ack_reg(i)) == TaggedValue(0, b"zero")
 
     def test_witness_cells_hold_owner_entry(self):
-        cfg, _, bank = make_bank(4, 1)
+        cfg, ring, bank = make_bank(4, 1)
         for i in cfg.reader_indices():
             for j in cfg.reader_indices():
                 e = cell(bank, witness_reg(i, j))
-                assert e == initial_entry(cfg, b"init", i)
+                assert e == initial_state(ring, cfg, b"init").entries[i]
 
     def test_inform_cells_signed_by_owner(self):
         cfg, ring, bank = make_bank(4, 1)
@@ -133,14 +132,14 @@ class TestInitializers:
 
     def test_final_cells_hold_full_initial_inform_set(self):
         cfg, ring, bank = make_bank(4, 1)
-        expected = initial_inform_set(cfg, b"init", ring)
+        expected = initial_state(ring, cfg, b"init").inform_set
         got = cell(bank, final_reg(3, 1))
         assert got == expected
         assert len(got.members) == cfg.n  # |L| = n >= n - t
 
     def test_banks_never_share_cells(self):
         # bank_init and the replay in atomicity_violations each copy the
-        # initial cells memoized on the ring
+        # initial cells of the ring's initial state
         cfg, ring, bank = make_bank(2, 0)
         twin = bank_init(cfg, b"init", ring)
         v1 = TaggedValue(1, b"a")
@@ -148,7 +147,7 @@ class TestInitializers:
         assert atomicity_violations(cfg, b"init", ring, bank.trace) == []
         for other in (twin, bank_init(cfg, b"init", ring)):
             assert cell(other, init_reg(1)) == TaggedValue(0, b"init")
-        assert list(ring.initial_cells[(cfg, b"init")]) == [
+        assert list(initial_state(ring, cfg, b"init").cells) == [
             cell(twin, reg) for reg in range(len(twin.cells))
         ]
 
@@ -210,7 +209,7 @@ class TestCodecs:
 
     def test_inform_set_round_trip(self):
         cfg, ring, _ = make_bank(4, 1)
-        s = initial_inform_set(cfg, b"init", ring)
+        s = initial_state(ring, cfg, b"init").inform_set
         assert decode_value(Family.FINAL, encode_value(Family.FINAL, s)) == s
 
     def test_garbage_bytes_rejected(self):
