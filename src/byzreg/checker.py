@@ -14,12 +14,15 @@ writes are split by register family once (ExecutionHistory.family_writes),
 the final-register writes are scanned once (_scan_finals gives the
 stabilizations and each reader's attribution log), the writes are
 classified once, and its report sorts the stabilizations once and turns
-them into one full-timestamp chain; then the checks run.  The public
-check functions take these views, so a test can run any one of them on
-hand-built inputs.  Each check is a
-sweep or a lookup, near-linear in run length; where a sweep finds a
-violation, the pairwise loop it replaced names it (see the
-coverage-pattern notes below).
+them into one full-timestamp chain; then the checks run.  What depends
+only on the key ring, the config and the initial value (the initial
+value, its stabilization event and the final-row layout) is derived
+once per ring, with the ring's registers.initial_state, and every scan
+starts from it.  The public check functions take these views, so a test
+can run any one of them on hand-built inputs.  Each check is a sweep or
+a lookup, near-linear in run length; where a sweep finds a violation,
+the pairwise loop it replaced names it (see the coverage-pattern notes
+below).
 
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
@@ -38,6 +41,7 @@ from typing import Iterable
 
 from . import crypto, registers
 from .core import (
+    WRITER,
     CommonQuorumTooSmall,
     Config,
     EqualStampsDifferentValue,
@@ -45,13 +49,13 @@ from .core import (
     OrderVerdict,
     PartialTimestamp,
     ProcessId,
+    StabilizationEvent,
     TaggedValue,
-    WitnessEntry,
     mapsto_compare,
     vec_compare,
 )
 from .engine import ExecutionHistory, HliOp, records_digest
-from .registers import Family, TraceEvent, final_reg, read_content
+from .registers import Family, Raw, TraceEvent, read_content
 
 
 class InvariantBroken(Exception):
@@ -71,17 +75,6 @@ class Kind(Enum):
     POTENTIAL_PSEUDO_CORRECT = "potential_pseudo_correct"
     PSEUDO_CORRECT = "pseudo_correct"
     NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class StabilizationEvent:
-    """A (value, witness core) pair that covered some process's final row."""
-
-    value: TaggedValue
-    ws: frozenset[WitnessEntry]
-    pt: PartialTimestamp
-    step: int
-    row_owner: int  # reader index whose row completed first
 
 
 @dataclass
@@ -106,7 +99,10 @@ class Verdict:
 
 
 def _scan_finals(
-    final_writes: Iterable[TraceEvent], cfg: Config, ring: crypto.KeyRing, u0: bytes
+    final_writes: Iterable[TraceEvent],
+    cfg: Config,
+    ring: crypto.KeyRing,
+    init: registers.InitialState,
 ) -> tuple[list[StabilizationEvent], dict[int, list[tuple[int, StabilizationEvent]]]]:
     """Single pass over the final-register writes, in trace order.
 
@@ -114,64 +110,62 @@ def _scan_finals(
     a (step, event) log for read attribution: the initial event at step
     -1, then each write to the owner's row whose content has stabilized
     (at this write or earlier, at any row) and whose event is not the
-    one logged last.
-    """
-    # the initial event holds the ring's initial value and core: every
-    # member of the initial inform set signs all the initial entries, so
-    # they are its core (what ws_of would compute, without the
-    # intersection)
-    init = registers.initial_state(ring, cfg, u0)
-    initial_ws = init.witness_sets[1].entries
-    initial_value = init.value
+    one logged last.  Starts from the initial state's event.
 
-    initial_event = StabilizationEvent(
-        value=initial_value,
-        ws=initial_ws,
-        pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in initial_ws}),
-        step=0,
-        row_owner=0,
-    )
-    key0 = (initial_value, initial_ws)
-    cells: dict = {}
+    A validated content stands for its witness core (validated_final),
+    which carries one value.  Register final_reg(q, j) is cell j of
+    reader q's row, so its writer end picks the row and its reader end
+    the cell, and a row's cells are made at its first write.  A cell
+    holds the core of its last write, or None for a content that does
+    not validate or a cell not written yet.  An unwritten cell holds the
+    initial core, which has its event from the start, and a row is
+    checked only for a core with no event yet, so None never matches
+    where the initial core would.
+    """
+    initial_event = init.stabilization
+    n = cfg.n
+    # ProcessIds are ints, so a writer end keys the rows and the logs as
+    # it is
+    writer_end, reader_end = registers.WRITER_END, registers.READER_END
     rows: dict[int, list] = {}
-    for q in cfg.reader_indices():
-        rows[q] = [final_reg(q, j) for j in cfg.reader_indices()]
-        for reg in rows[q]:
-            cells[reg] = key0
 
     events: list[StabilizationEvent] = [initial_event]
+    first = (-1, initial_event)
     by_owner: dict[int, list[tuple[int, StabilizationEvent]]] = {
-        q: [(-1, initial_event)] for q in cfg.reader_indices()
+        q: [first] for q in cfg.reader_indices()
     }
-    events_by_key = {key0: initial_event}
+    events_by_core = {initial_event.ws: initial_event}
     # a final row is rewritten with the same content over and over: read
     # and validate each distinct content once per scan
     validated: dict = {}
 
     for ev in final_writes:
-        key = validated.get(ev.value, False)  # False: not seen in this scan
-        if key is False:
-            iset = read_content(Family.FINAL, ev.value)
-            key = validated[ev.value] = registers.validated_final(ring, cfg, iset)
-        owner = registers.WRITER_END[ev.reg].index
-        cells[ev.reg] = key
-        if key is None:
+        content = ev.value
+        core = validated.get(content, False)  # False: not seen in this scan
+        if core is False:
+            iset = read_content(Family.FINAL, content) if type(content) is Raw else content
+            core = validated[content] = registers.validated_final(ring, cfg, iset)
+        owner = writer_end[ev.reg]
+        row = rows.get(owner)
+        if row is None:
+            row = rows[owner] = [None] * n
+        row[reader_end[ev.reg] - 1] = core
+        if core is None:
             continue
-        value, core = key
-        stab = events_by_key.get(key)
-        if stab is None and all(cells[r] == key for r in rows[owner]):
+        stab = events_by_core.get(core)
+        if stab is None and row.count(core) == n:
             stab = StabilizationEvent(
-                value=value,
+                value=next(iter(core)).value,
                 ws=core,
-                pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in core}),
+                pt=PartialTimestamp.from_mapping(n, {e.p: e.s for e in core}),
                 step=ev.step,
-                row_owner=owner,
+                row_owner=int(owner),
             )
             events.append(stab)
-            events_by_key[key] = stab
+            events_by_core[core] = stab
         if stab is not None:
             log = by_owner[owner]
-            if not log or log[-1][1] is not stab:
+            if log[-1][1] is not stab:
                 log.append((ev.step, stab))
     return events, by_owner
 
@@ -183,11 +177,9 @@ def detect_stabilizations(
     ordered by completion step; the bank initializer counts as the
     stabilization of the initial value at step 0.  Kept for bare traces:
     bench's enumerate_n2 times it apart; a recorded run has Analysis."""
-    family = registers.FAMILY
-    final_writes = (
-        ev for ev in trace if ev.op == "write" and family[ev.reg] is Family.FINAL
-    )
-    events, _ = _scan_finals(final_writes, cfg, ring, u0)
+    family, final = registers.FAMILY, Family.FINAL
+    final_writes = [ev for ev in trace if ev.op == "write" and family[ev.reg] is final]
+    events, _ = _scan_finals(final_writes, cfg, ring, registers.initial_state(ring, cfg, u0))
     return events
 
 
@@ -209,8 +201,8 @@ def classify_writes(
     makes a collaborator-completed partial write a pseudo-correct one).
     """
     family_writes = history.family_writes
-    u0 = history.u0
-    initial_value = TaggedValue(0, u0)
+    initial_value = history.initial.value
+    reader_end = registers.READER_END
     # per value, the init registers that received it and the Byzantine
     # readers that witnessed it
     quorum: dict[TaggedValue, set[int]] = {}
@@ -219,24 +211,33 @@ def classify_writes(
     acks: dict[TaggedValue, list[tuple[int, int]]] = {}
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
-    for ev in family_writes[Family.INIT]:
-        v = read_content(Family.INIT, ev.value)
+    # a process id is its index as an int, the writer's 0; a value is
+    # decoded only from Raw bytes
+    for ev in family_writes.init:
+        v = ev.value
+        if type(v) is Raw:
+            v = read_content(Family.INIT, v)
         if v is None:
             continue
-        reader = registers.READER_END[ev.reg].index
+        reader = reader_end[ev.reg]
         quorum.setdefault(v, set()).add(reader)
         init_events.append((ev.step, reader, v))
-    for ev in family_writes[Family.ACK]:
-        if ev.caller.is_writer:
+    for ev in family_writes.ack:
+        if ev.caller == WRITER:
             continue
-        v = read_content(Family.ACK, ev.value)
-        if v is not None:
-            acks.setdefault(v, []).append((ev.step, ev.caller.index))
-    for ev in family_writes[Family.WITNESS]:
-        if ev.caller.is_writer:
+        v = ev.value
+        if type(v) is Raw:
+            v = read_content(Family.ACK, v)
+        if v is None:
             continue
-        src = ev.caller.index
-        entry = read_content(Family.WITNESS, ev.value)
+        acks.setdefault(v, []).append((ev.step, ev.caller))
+    for ev in family_writes.witness:
+        src = ev.caller
+        if src == WRITER:
+            continue
+        entry = ev.value
+        if type(entry) is Raw:
+            entry = read_content(Family.WITNESS, entry)
         if entry is None:
             continue
         if src in byz_readers:
@@ -252,6 +253,7 @@ def classify_writes(
     # high-level write and then awaits n-t fresh acks before responding
     # trace order is step order, so each step window is a slice
     init_steps = [step for step, _, _ in init_events]
+    readers = set(cfg.reader_indices())
     correct_values: set[TaggedValue] = {initial_value}
     for op in history.writes:
         if op.response_step is None:
@@ -267,7 +269,7 @@ def classify_writes(
             continue
         v = next(iter(vals))
         covered = {reader for _, reader, _ in ivs}
-        if covered != set(cfg.reader_indices()):
+        if covered != readers:
             continue
         first_step = ivs[0][0]
         acked = acks.get(v, [])
@@ -515,7 +517,7 @@ def _read_attribution(
     steps = {q: [step for step, _ in log] for q, log in by_owner.items()}
     out: dict[tuple[ProcessId, int], StabilizationEvent] = {}
     for read in reads:
-        q = read.process.index
+        q = read.process
         if q not in by_owner:
             continue
         # the log is in step order: take its last write by the response
@@ -630,7 +632,8 @@ def check_register_linearizability(
     correct reads, judged on high-level steps and stabilization steps.
     Rescans the final registers; kept because bench's enumerate_n2 times
     it apart.  Analysis.register_linearizability reuses its scan."""
-    _, by_owner = _scan_finals(history.family_writes[Family.FINAL], cfg, ring, history.u0)
+    init = registers.initial_state(ring, cfg, history.u0)
+    _, by_owner = _scan_finals(history.family_writes.final, cfg, ring, init)
     return _register_linearizability(history, stabs, by_owner, classification, cfg)
 
 
@@ -641,7 +644,7 @@ def _register_linearizability(
     classification: WriteClassification,
     cfg: Config,
 ) -> Verdict:
-    v0 = TaggedValue(0, history.u0)
+    v0 = history.initial.value
     reads = history.completed_reads
     attribution = _read_attribution(reads, by_owner)
 
@@ -716,8 +719,8 @@ def _register_linearizability(
 def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     """After the final init write, once any correct read returns the final
     value every later-issued correct read must return it too."""
-    init_writes = history.family_writes[Family.INIT]
-    last_value = TaggedValue(0, history.u0)
+    init_writes = history.family_writes.init
+    last_value = history.initial.value
     if init_writes:
         last_value = read_content(Family.INIT, init_writes[-1].value)
         if last_value is None:
@@ -840,7 +843,7 @@ def build_byzantine_linearization(
     immediately before their first reader (real writes for a correct
     writer, inserted Byzantine writes otherwise), verified against the
     register's sequential specification and the run's real-time order."""
-    v0 = TaggedValue(0, history.u0)
+    v0 = history.initial.value
     # ranks are value-level: re-stabilizations of one value are the same
     # write and may be adopted in either order among equal-comparing sets
     value_rank: dict[TaggedValue, int] = {}
@@ -940,7 +943,7 @@ def brute_force_linearizable(history: ExecutionHistory) -> bool:
     respecting permutation against the register's sequential
     specification.  Micro instances only.
     """
-    v0 = TaggedValue(0, history.u0)
+    v0 = history.initial.value
     ops = [o for o in history.ops if o.response_step is not None]
     n = len(ops)
     if n == 0:
@@ -1069,7 +1072,7 @@ class Analysis:
         self.cfg = history.cfg
         self.ring = history.keyring()
         self.stabilizations, self.by_owner = _scan_finals(
-            history.family_writes[Family.FINAL], self.cfg, self.ring, history.u0
+            history.family_writes.final, self.cfg, self.ring, history.initial
         )
         self.classification = classify_writes(history, self.stabilizations, self.cfg, byz_readers)
 

@@ -102,10 +102,6 @@ class ProcessId(int):
         """Reader index, 0 for the writer."""
         return int(self)
 
-    @property
-    def is_writer(self) -> bool:
-        return self == 0
-
     def __str__(self) -> str:
         return "w" if self == 0 else f"r{int(self)}"
 
@@ -237,6 +233,17 @@ class PartialTimestamp:
         for i in range(1, self.n + 1):
             cells.append(f"{i}:{have[i]}" if i in have else f"{i}:-")
         return "{" + ", ".join(cells) + "}"
+
+
+@dataclass(frozen=True)
+class StabilizationEvent:
+    """A (value, witness core) pair that covered some process's final row."""
+
+    value: TaggedValue
+    ws: frozenset[WitnessEntry]
+    pt: PartialTimestamp
+    step: int
+    row_owner: int  # reader index whose row completed first
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A run interleaves one enabled process step at a time according to a
 schedule source (seeded random, round robin, or a scripted step list).
 Identical inputs produce byte-identical histories.  The enumerator
-explores every distinct interleaving of a micro workload up to a depth
-bound, pruning convergent states.
+explores the interleavings of a micro workload up to a depth bound,
+pruning each state it has seen before (see enumerate_schedules for what
+that bound then covers).
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import crypto
-from .core import Config, EqualStampsDifferentValue, ProcessId, TaggedValue
+from .core import WRITER, Config, EqualStampsDifferentValue, ProcessId, TaggedValue
 from .protocol import ConcurrentFinalSets, ProcessMachine
 from .registers import (
     FAMILY,
     Family,
+    InitialState,
     LocalOp,
     ReadOp,
     RegisterBank,
@@ -30,6 +32,7 @@ from .registers import (
     WriteOp,
     bank_init,
     export_trace,
+    initial_state,
     unwind,
 )
 
@@ -99,6 +102,20 @@ class HistoryRecorder:
         return twin
 
 
+class FamilyWrites(NamedTuple):
+    """A trace's write events per register family, each in trace order,
+    in fields named by the families' values."""
+
+    init: list[TraceEvent]
+    ack: list[TraceEvent]
+    witness: list[TraceEvent]
+    inform: list[TraceEvent]
+    final: list[TraceEvent]
+
+
+assert FamilyWrites._fields == tuple(family.value for family in Family)
+
+
 @dataclass
 class ExecutionHistory:
     """Recorded high-level events plus the full register-operation trace."""
@@ -118,6 +135,11 @@ class ExecutionHistory:
         """The key ring this run signed with (derivable, so checkers never
         need it passed alongside)."""
         return crypto.make_keyring(self.cfg, self.scheme, self.key_seed)
+
+    @functools.cached_property
+    def initial(self) -> InitialState:
+        """The state the run started from, memoized on its key ring."""
+        return initial_state(self.keyring(), self.cfg, self.u0)
 
     @functools.cached_property
     def ops(self) -> list[HliOp]:
@@ -153,22 +175,22 @@ class ExecutionHistory:
         return [
             o
             for o in self.ops
-            if o.op == "read" and not o.process.is_writer and o.response_step is not None
+            if o.op == "read" and o.process != WRITER and o.response_step is not None
         ]
 
     @functools.cached_property
     def writes(self) -> list[HliOp]:
         """The writer's write operations, in ``ops`` order."""
-        return [o for o in self.ops if o.op == "write" and o.process.is_writer]
+        return [o for o in self.ops if o.op == "write" and o.process == WRITER]
 
     @functools.cached_property
-    def family_writes(self) -> dict[Family, list[TraceEvent]]:
+    def family_writes(self) -> FamilyWrites:
         """The trace's write events per register family, in trace order,
-        so that a checker pass over one family skips the other events."""
-        out: dict[Family, list[TraceEvent]] = {family: [] for family in Family}
-        # keyed by the value string, whose hash is cached: an Enum member
-        # hashes in Python
-        by_value = {family._value_: writes for family, writes in out.items()}
+        so that a checker pass over one family skips the other events.
+        Read by field: an Enum member, as a key, hashes in Python."""
+        out = FamilyWrites([], [], [], [], [])
+        # keyed by the family's value, a string whose hash is cached
+        by_value = dict(zip(FamilyWrites._fields, out))
         for ev in self.trace:
             if ev.op == "write":
                 by_value[FAMILY[ev.reg]._value_].append(ev)
@@ -718,11 +740,18 @@ def enumerate_schedules(
     key_seed: int = 0,
     node_cap: int = 400_000,
 ) -> Iterator[ExecutionHistory]:
-    """Yield the history of every distinct interleaving that completes the
-    workload within depth_bound steps.
+    """Yield the history of every completed state the depth-first search
+    reaches within depth_bound steps, once each.
 
     Convergent prefixes (identical machine, register and event state) are
-    pruned.  Intended for n <= 4 and one or two operations per process.
+    pruned, whatever their length: the visited set ignores depth, so a
+    state first reached by a path that hits the bound blocks its shorter
+    paths, and interleavings that complete the workload within
+    depth_bound steps past such a state are not yielded.  So depth_bound
+    bounds the search; it does not promise every interleaving of that
+    length (at n=2 with one write and no read, depth 30 yields none,
+    though 16 completed states lie within 30 steps).  Intended for n <= 4
+    and one or two operations per process.
     """
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")

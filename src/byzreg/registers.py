@@ -29,7 +29,9 @@ from .core import (
     Config,
     InformSet,
     InvalidInformSet,
+    PartialTimestamp,
     ProcessId,
+    StabilizationEvent,
     TaggedValue,
     U32,
     U64,
@@ -356,11 +358,11 @@ _UNSEEN = object()
 
 def validated_final(
     ring: crypto.KeyRing, cfg: Config, iset: InformSet | None
-) -> tuple[TaggedValue, frozenset[WitnessEntry]] | None:
-    """The (value, witness core) of the inform set a final register holds,
-    or None unless it passes ``ws_of`` and every member's signature
-    verifies; None too for a cell whose bytes did not decode (``iset``
-    None).
+) -> frozenset[WitnessEntry] | None:
+    """The witness core of the inform set a final register holds, or None
+    unless it passes ``ws_of`` and every member's signature verifies;
+    None too for a cell whose bytes did not decode (``iset`` None).  A
+    core carries one value, so it stands for its (value, core) pair.
 
     A pure function of the ring's keys, the config and the set, so it is
     memoized on the ring, where readers and the checker share it.
@@ -376,7 +378,9 @@ def validated_final(
     try:
         core = ws_of(iset, cfg)
         if all(crypto.verify_witness_set(ring, m) for m in iset.members):
-            out = (next(iter(core)).value, core)
+            # a member that signed exactly the core holds it already, so
+            # the memo keeps no second copy
+            out = next((m.entries for m in iset.members if m.entries == core), core)
     except InvalidInformSet:
         pass
     validated[key] = out
@@ -393,13 +397,15 @@ class RegisterBank:
     ``write_seq`` orders the last writes of any two cells (0 for a cell
     never written).  The engine owns the bank during a run and sets
     ``current_step`` before each operation; protocol code only goes
-    through read/write.
+    through read/write.  The cell count never changes, so ``size`` keeps
+    it for the bound checks.
     """
 
     def __init__(self, cfg: Config, u0: bytes, cells: list):
         self.cfg = cfg
         self.u0 = u0
         self.cells = cells
+        self.size = len(cells)
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
         # persistent cons-list so clones share their common prefix
@@ -412,7 +418,7 @@ class RegisterBank:
 
     def read(self, reg: RegisterId, caller: ProcessId):
         """The cell's value (``read_content``), recording its content."""
-        if not 0 <= reg < len(self.cells):
+        if not 0 <= reg < self.size:
             raise UnknownRegister(str(reg))
         if caller != READER_END[reg]:
             raise AccessViolation(f"{caller} cannot read {reg}")
@@ -424,7 +430,7 @@ class RegisterBank:
         return read_content(FAMILY[reg], content)
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
-        if not 0 <= reg < len(self.cells):
+        if not 0 <= reg < self.size:
             raise UnknownRegister(str(reg))
         if caller != WRITER_END[reg]:
             raise AccessViolation(f"{caller} cannot write {reg}")
@@ -441,6 +447,7 @@ class RegisterBank:
         twin.cfg = self.cfg
         twin.u0 = self.u0
         twin.cells = self.cells.copy()
+        twin.size = self.size
         twin.write_seq = self.write_seq.copy()
         twin._writes = self._writes
         twin._trace_node = self._trace_node
@@ -451,16 +458,28 @@ class RegisterBank:
 @dataclass(frozen=True, eq=False)
 class InitialState:
     """The state every register and every reader's local variables start
-    from, for one (ring, cfg, u0); built by ``initial_state`` alone.
+    from, for one (ring, cfg, u0), with what the checker derives from it;
+    built by ``initial_state`` alone.
 
     ``entries[i]`` is reader i's initial entry: the initial value stamped
     0.  ``witness_sets[i]`` is those n entries signed by reader i, and
     ``inform_set`` holds every reader's signed set.  ``cells`` lists
     every register's initial content by slot: Init and Ack hold
     ``value``, Witness its owner's entry, Inform its owner's witness set
-    and Final the inform set.  Consumers share these objects, so equality
-    tests between them succeed on identity, and never change the dicts
-    in place.
+    and Final the inform set.
+
+    ``stabilization`` is the initial value's stabilization event, at step
+    0 with row owner 0, from which the checker starts every scan of the
+    final registers: every member of the inform set signs every initial
+    entry, so all of them are its witness core (what ``ws_of`` gives,
+    without the intersection).  ``value`` and ``stabilization`` are the
+    checker's views per ring; every other view of a run (its operations,
+    its writes by family, its stabilizations, read attribution and write
+    classification) depends on the history and is derived once per
+    history (``checker.Analysis``).
+
+    Consumers share these objects, so equality tests between them
+    succeed on identity, and never change the dicts in place.
     """
 
     value: TaggedValue
@@ -468,6 +487,7 @@ class InitialState:
     witness_sets: dict[int, WitnessSet]
     inform_set: InformSet
     cells: tuple
+    stabilization: StabilizationEvent
 
 
 def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
@@ -491,7 +511,14 @@ def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
                 cells[inform_reg(i, j)] = witness_sets[i]
                 cells[final_reg(i, j)] = inform_set
         cells = tuple(cell_content(reg, v) for reg, v in enumerate(cells))
-        state = InitialState(value, entries, witness_sets, inform_set, cells)
+        stabilization = StabilizationEvent(
+            value=value,
+            ws=core,
+            pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in core}),
+            step=0,
+            row_owner=0,
+        )
+        state = InitialState(value, entries, witness_sets, inform_set, cells, stabilization)
         ring.initial_states[key] = state
     return state
 

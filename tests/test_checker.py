@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 
 import pytest
 
-from byzreg import checker
+from byzreg import checker, registers
 from byzreg.adversary import SplitValue, StrategyAssignment
 from byzreg.checker import (
     Analysis,
@@ -563,3 +564,92 @@ def test_benchmark_checker_calls_agree_with_analysis():
         assert classes == analysis.classification
         assert verdict == analysis.register_linearizability()
     assert total > 1
+
+
+def count_setup(monkeypatch, u0: bytes) -> dict[str, int]:
+    """Count, from now on, every call of registers.final_reg (under each
+    name a byzreg module binds it to), every PartialTimestamp.from_mapping
+    call and every build of the initial value TaggedValue(0, u0)."""
+    counts = {"final_reg": 0, "from_mapping": 0, "initial_value": 0}
+    final_reg = registers.final_reg
+
+    @functools.wraps(final_reg)
+    def counted_final_reg(*args):
+        counts["final_reg"] += 1
+        return final_reg(*args)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("byzreg") and getattr(module, "final_reg", None) is final_reg:
+            monkeypatch.setattr(module, "final_reg", counted_final_reg)
+
+    from_mapping = PartialTimestamp.from_mapping.__func__
+
+    def counted_from_mapping(cls, n, mapping):
+        counts["from_mapping"] += 1
+        return from_mapping(cls, n, mapping)
+
+    monkeypatch.setattr(PartialTimestamp, "from_mapping", classmethod(counted_from_mapping))
+
+    post_init = TaggedValue.__post_init__
+
+    def counted_post_init(self):
+        post_init(self)
+        if self.k == 0 and self.u == u0:
+            counts["initial_value"] += 1
+
+    monkeypatch.setattr(TaggedValue, "__post_init__", counted_post_init)
+    return counts
+
+
+def test_report_setup_derived_once_per_ring(monkeypatch):
+    # what depends only on (key ring, cfg, u0) is derived with the ring's
+    # initial state, so a report on a second history of one ring derives
+    # none of it: no final-row layout, one timestamp per new
+    # stabilization and at most one initial value
+    cfg = Config(4, 0)
+    wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 3: 1}, read_gap=1)
+    first, second = (
+        run(cfg, StrategyAssignment(), wl, SeededRandom(seed=s), 40000, key_seed=9)
+        for s in (1, 2)
+    )
+    assert first.keyring() is second.keyring()
+    run_all_checks(first)
+
+    counts = count_setup(monkeypatch, second.u0)
+    report = run_all_checks(second)
+    assert all(v.passed for v in report.verdicts.values())
+    new_stabilizations = len(report.stabilizations) - 1
+    assert new_stabilizations >= 2
+    assert counts["final_reg"] == 0
+    assert counts["from_mapping"] <= new_stabilizations
+    assert counts["initial_value"] <= 1
+
+
+def test_benchmark_checker_calls_derive_no_setup(monkeypatch):
+    # the enumerate_n2 benchmark workload's calls on a second history of
+    # one ring; each of its two scans of the final registers builds one
+    # timestamp per new stabilization at most
+    cfg, wl, bound = Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1}), 60
+    histories = enumerate_schedules(cfg, wl, depth_bound=bound)
+    first, second = next(histories), next(histories)
+    assert first.keyring() is second.keyring()
+
+    def bench_calls(history):
+        ring = history.keyring()
+        stabs = checker.detect_stabilizations(history.trace, cfg, ring, history.u0)
+        scanned = counts["from_mapping"]
+        classes = checker.classify_writes(history, stabs, cfg)
+        verdict = checker.check_register_linearizability(history, stabs, classes, cfg, ring)
+        rescanned = counts["from_mapping"] - scanned
+        assert verdict.passed and brute_force_linearizable(history)
+        return len(stabs) - 1, scanned, rescanned
+
+    counts = {"from_mapping": 0}
+    bench_calls(first)
+    counts = count_setup(monkeypatch, second.u0)
+    new_stabilizations, scanned, rescanned = bench_calls(second)
+    assert new_stabilizations >= 1
+    assert counts["final_reg"] == 0
+    assert scanned <= new_stabilizations and rescanned <= new_stabilizations
+    assert counts["initial_value"] <= 1
