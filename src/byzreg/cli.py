@@ -54,7 +54,10 @@ def _schedule(spec: dict) -> engine.Schedule:
         then = spec.get("then", "round_robin")
         if then not in ("round_robin", "stop"):
             raise ConfigError(f"unknown scripted schedule fallback {then!r}")
-        return engine.Scripted(steps=tuple(spec["steps"]), then=then)
+        steps = spec["steps"]
+        if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
+            raise ConfigError(f"scripted schedule steps must be a list of names, not {steps!r}")
+        return engine.Scripted(steps=tuple(steps), then=then)
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 

@@ -115,13 +115,15 @@ class KeyRing:
     _public: dict[ProcessId, object] = field(repr=False)
     # memos of pure functions of these keys, so they live as long as the
     # ring: registers.initial_state per (cfg, u0), the validation of a
-    # final register's inform set per (inform set, cfg), the witness set
+    # final register's inform set per (inform set, cfg), the result of
+    # protocol.form_inform_set per (member set, cfg), the witness set
     # sign_entries makes per (signer, entries), and the verdict of
     # verify_witness_set per witness set
     initial_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _final_validation_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    formed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     signed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -20,7 +20,6 @@ when the iteration wrote none).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from . import crypto
@@ -60,17 +59,12 @@ class ConcurrentFinalSets(Exception):
     """
 
 
-@lru_cache(maxsize=16384)
-def cached_ws_of(inform_set: InformSet, cfg: Config) -> frozenset[WitnessEntry]:
-    """ws_of for already-validated sets (find_latest compares repeatedly)."""
-    return ws_of(inform_set, cfg)
-
-
-def find_latest(sets: Sequence[InformSet], cfg: Config) -> InformSet:
+def find_latest(sets: Sequence[InformSet], cfg: Config, ring: crypto.KeyRing) -> InformSet:
     """Survivor of pairwise common-witness elimination over inform sets.
 
     The earlier set of each comparable pair is discarded (on Equal, the
-    second operand goes).  Every element must already pass ws_of.
+    second operand goes).  Every element must pass ``validated_final``
+    under the ring, whose memo holds its witness core.
     """
     if not sets:
         raise ValueError("find_latest needs at least one inform set")
@@ -78,14 +72,13 @@ def find_latest(sets: Sequence[InformSet], cfg: Config) -> InformSet:
     for cand in sets[1:]:
         if cand is survivor or cand == survivor:
             continue
-        verdict = mapsto_compare(
-            cached_ws_of(survivor, cfg), cached_ws_of(cand, cfg), cfg
-        )
+        a, b = validated_final(ring, cfg, survivor), validated_final(ring, cfg, cand)
+        verdict = mapsto_compare(a, b, cfg)
         if verdict is OrderVerdict.BEFORE:
             survivor = cand
         elif verdict is OrderVerdict.CONCURRENT:
-            a = sorted((e.p, e.s) for e in cached_ws_of(survivor, cfg))
-            b = sorted((e.p, e.s) for e in cached_ws_of(cand, cfg))
+            a = sorted((e.p, e.s) for e in a)
+            b = sorted((e.p, e.s) for e in b)
             raise ConcurrentFinalSets(f"stamps {a} vs {b}")
         # AFTER or EQUAL keeps the survivor
     return survivor
@@ -304,7 +297,7 @@ def latest_quorum_group(
 
 
 def form_inform_set(
-    members: Sequence[WitnessSet], cfg: Config
+    members: Sequence[WitnessSet], cfg: Config, ring: crypto.KeyRing
 ) -> tuple[InformSet, TaggedValue] | None:
     """Assemble an inform set from collected witness sets, if a quorum of
     them shares a quorum of identical entries.
@@ -327,14 +320,15 @@ def form_inform_set(
     grow to at most the same set, with the same key, and loses the tie.
     The result is therefore the one the exhaustive search over
     ``combinations`` gives; the winner is validated by ``ws_of`` itself.
+    The result is memoized on the ring, per (member set, config).
     """
-    return _form_inform_cached(frozenset(members), cfg)
+    key = (frozenset(members), cfg)
+    if key not in ring.formed:
+        ring.formed[key] = _form_inform(*key)
+    return ring.formed[key]
 
 
-@lru_cache(maxsize=8192)
-def _form_inform_cached(
-    member_set: frozenset[WitnessSet], cfg: Config
-) -> tuple[InformSet, TaggedValue] | None:
+def _form_inform(member_set: frozenset[WitnessSet], cfg: Config):
     members = sorted(member_set, key=lambda m: m.signer)
     quorum = cfg.quorum
     if len(members) < quorum:
@@ -348,23 +342,9 @@ def _form_inform_cached(
         masks.append(mask)
     entries = list(bit)
     valid = _core_test(entries, cfg)
-
-    def subsets(start: int, chosen: list[int], signers: set[int], core: int):
-        """(indices, core) of every valid quorum subset extending chosen."""
-        need = quorum - len(chosen)
-        if need == 0:
-            if valid(core):
-                yield chosen, core
-            return
-        for i in range(start, len(members) - need + 1):
-            signer = members[i].signer
-            narrowed = core & masks[i]
-            if signer in signers or narrowed.bit_count() < quorum:
-                continue
-            yield from subsets(i + 1, chosen + [i], signers | {signer}, narrowed)
-
     best = None
-    for chosen, core in subsets(0, [], set(), (1 << len(entries)) - 1):
+    full = (1 << len(entries)) - 1
+    for chosen, core in _valid_subsets(members, masks, valid, quorum, 0, [], set(), full):
         grown = list(chosen)
         signers = {members[i].signer for i in chosen}
         for i, m in enumerate(members):
@@ -385,6 +365,25 @@ def _form_inform_cached(
         return None
     iset = InformSet(frozenset(members[i] for i in best[1]))
     return iset, common_value(ws_of(iset, cfg))
+
+
+def _valid_subsets(members, masks, valid, quorum, start, chosen, signers, core):
+    """(indices, core) of every valid quorum subset extending ``chosen``
+    (its ``signers`` and ``core`` mask) by members from ``start`` on; not
+    a closure, so a search stopped early leaves no reference cycle."""
+    need = quorum - len(chosen)
+    if need == 0:
+        if valid(core):
+            yield chosen, core
+        return
+    for i in range(start, len(members) - need + 1):
+        signer = members[i].signer
+        narrowed = core & masks[i]
+        if signer in signers or narrowed.bit_count() < quorum:
+            continue
+        yield from _valid_subsets(
+            members, masks, valid, quorum, i + 1, chosen + [i], signers | {signer}, narrowed
+        )
 
 
 def _core_test(entries: list[WitnessEntry], cfg: Config):
@@ -454,7 +453,6 @@ class ReaderMachine(ProcessMachine):
         self.pending_entry: WitnessEntry | None = None
         self.form_value: TaggedValue | None = None
         self.z_list: tuple[InformSet, ...] = ()
-        self.adopt_target: InformSet | None = None
         # high-level read workload
         self.reads_remaining = reads
         self.read_gap = read_gap
@@ -508,7 +506,7 @@ class ReaderMachine(ProcessMachine):
             return self.inform_reads[self.idx - 1]
         if phase == R_WINF:
             return WriteOp(self.inform_regs[self.idx - 1], self.witness_set)
-        if phase == R_WFIN:
+        if phase == R_WFIN or phase == R_WFIN2:
             return WriteOp(self.final_regs[self.idx - 1], self.inform_set)
         if phase == R_WWIT:
             i = self.idx
@@ -517,10 +515,9 @@ class ReaderMachine(ProcessMachine):
             return self.init_read
         if phase == R_ACK1:
             return WriteOp(self.ack_reg, self.form_value)
-        if phase == R_WFIN2:
-            return WriteOp(self.final_regs[self.idx - 1], self.adopt_target)
         if phase == R_ACK2:
-            return WriteOp(self.ack_reg, common_value(cached_ws_of(self.adopt_target, self.cfg)))
+            core = validated_final(self.ring, self.cfg, self.inform_set)
+            return WriteOp(self.ack_reg, common_value(core))
         raise AssertionError(f"unknown phase {phase}")
 
     def apply(self, bank, op, result, recorder):
@@ -612,7 +609,7 @@ class ReaderMachine(ProcessMachine):
         self.idx += 1
         if self.idx > self.cfg.n:
             members = [w for w in self.t_inform.values() if w is not None]
-            formed = form_inform_set(members, self.cfg)
+            formed = form_inform_set(members, self.cfg, self.ring)
             if formed is not None:
                 self.inform_set, self.form_value = formed
                 self.phase = R_WFIN
@@ -637,9 +634,8 @@ class ReaderMachine(ProcessMachine):
             self.z_list = self.z_list + (result,)
         self.idx += 1
         if self.idx > self.cfg.n:
-            latest = find_latest(self.z_list + (self.inform_set,), self.cfg)
+            latest = find_latest(self.z_list + (self.inform_set,), self.cfg, self.ring)
             if latest is not self.inform_set and latest != self.inform_set:
-                self.adopt_target = latest
                 self.inform_set = latest
                 self.phase = R_WFIN2
                 self.idx = 1
@@ -647,8 +643,7 @@ class ReaderMachine(ProcessMachine):
                 self._end_iteration(recorder)
 
     def _apply_ack2(self, bank, op, result, recorder):
-        self.last_ack = common_value(cached_ws_of(self.adopt_target, self.cfg))
-        self.adopt_target = None
+        self.last_ack = op.value
         self._end_iteration(recorder)
 
     _APPLY = {

@@ -174,6 +174,8 @@ class TestCampaigns:
             {"u0": 5},
             {"schedule": {"kind": "scripted"}},
             {"schedule": {"kind": "scripted", "steps": ["w"], "then": "round-robin"}},
+            {"schedule": {"kind": "scripted", "steps": [["w"], 3]}},
+            {"schedule": {"kind": "scripted", "steps": "r1"}},
             {"expected": {"status": "complete"}},
             {"expected": {"violations": ["total_ordr"]}},
             {"workload": {"writes": ["a"], "reads": {"1": -1}}},
@@ -204,6 +206,8 @@ class TestCampaigns:
             "u0_not_str",
             "scripted_schedule_without_steps",
             "scripted_fallback_unknown",
+            "scripted_steps_not_names",
+            "scripted_steps_a_string",
             "expected_status_unknown",
             "expected_violation_unknown",
             "reads_negative",

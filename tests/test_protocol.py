@@ -3,6 +3,8 @@ find_latest behavior."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -20,14 +22,15 @@ from byzreg.core import (
     common_value,
     ws_of,
 )
+from byzreg.adversary import Equivocate, FakeWitnessStamp, StrategyAssignment
 from byzreg.checker import Analysis
-from byzreg.crypto import make_keyring, sign_entries
+from byzreg.crypto import RING_CACHE_SIZE, make_keyring, sign_entries
 from byzreg.engine import HistoryRecorder, SeededRandom, Simulation, Workload, run
 from byzreg.protocol import (
+    R_ACK2,
     ConcurrentFinalSets,
     ReaderMachine,
     WriterMachine,
-    _form_inform_cached,
     find_latest,
     form_inform_set,
     latest_quorum_group,
@@ -290,9 +293,9 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in (1, 2, 3)]
         two = [sign_entries(ring, i, entries) for i in (1, 2)]
-        assert form_inform_set(two, CFG) is None
+        assert form_inform_set(two, CFG, ring) is None
         three = two + [sign_entries(ring, 3, entries)]
-        formed = form_inform_set(three, CFG)
+        formed = form_inform_set(three, CFG, ring)
         assert formed is not None
         iset, value = formed
         assert value == v and len(iset.members) == 3
@@ -302,7 +305,7 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in (1, 2, 3)]
         members = [sign_entries(ring, i, entries) for i in (1, 2, 3, 4)]
-        formed = form_inform_set(members, CFG)
+        formed = form_inform_set(members, CFG, ring)
         assert formed is not None and len(formed[0].members) == 4
 
     def test_fault_free_n13_returns_every_member(self):
@@ -311,7 +314,7 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in cfg.reader_indices()]
         members = [sign_entries(ring, i, entries) for i in cfg.reader_indices()]
-        formed = form_inform_set(members, cfg)
+        formed = form_inform_set(members, cfg, ring)
         assert formed == formed_by_combinations(members, cfg)
         assert formed[0].members == frozenset(members) and formed[1] == v
 
@@ -325,7 +328,7 @@ class TestFormation:
         members.append(sign_entries(ring, 10, entries))
         with pytest.raises(InvalidInformSet):
             ws_of(InformSet(frozenset(members)), cfg)
-        formed = form_inform_set(members, cfg)
+        formed = form_inform_set(members, cfg, ring)
         assert formed == formed_by_combinations(members, cfg)
         iset, value = formed
         assert value == v and len(iset.members) == 9
@@ -335,10 +338,11 @@ class TestFormation:
     @given(st.data())
     def test_matches_exhaustive_search(self, data):
         cfg, members = data.draw(member_sets())
-        # a cached result may come from an equal member set whose members
+        # a memoized result may come from an equal member set whose members
         # with one signer iterated in another order; compute afresh
-        _form_inform_cached.cache_clear()
-        assert form_inform_set(members, cfg) == formed_by_combinations(members, cfg)
+        ring = make_keyring(cfg, "keyed", 0)
+        ring.formed.clear()
+        assert form_inform_set(members, cfg, ring) == formed_by_combinations(members, cfg)
 
 
 def formed_by_combinations(members, cfg):
@@ -419,14 +423,14 @@ class TestFindLatest:
     def test_singleton(self, world):
         cfg, ring, bank = world
         a = self._iset(ring, {1: 1, 2: 1, 3: 1}, TaggedValue(1, b"a"))
-        assert find_latest([a], cfg) is a
+        assert find_latest([a], cfg, ring) is a
 
     def test_later_stamps_win(self, world):
         cfg, ring, _ = world
         a = self._iset(ring, {1: 1, 2: 1, 3: 1}, TaggedValue(1, b"a"))
         b = self._iset(ring, {1: 2, 2: 2, 3: 2}, TaggedValue(2, b"b"))
-        assert find_latest([a, b], cfg) is b
-        assert find_latest([b, a], cfg) is b
+        assert find_latest([a, b], cfg, ring) is b
+        assert find_latest([b, a], cfg, ring) is b
 
     def test_equal_keeps_first_operand(self, world):
         cfg, ring, _ = world
@@ -434,8 +438,8 @@ class TestFindLatest:
         entries = [WitnessEntry(v, 1, p) for p in (1, 2, 3)]
         a = InformSet(frozenset(sign_entries(ring, i, entries) for i in (1, 2, 3)))
         b = InformSet(frozenset(sign_entries(ring, i, entries) for i in (2, 3, 4)))
-        assert find_latest([a, b], cfg) is a
-        assert find_latest([b, a], cfg) is b
+        assert find_latest([a, b], cfg, ring) is a
+        assert find_latest([b, a], cfg, ring) is b
 
     def test_concurrent_raises(self, world):
         # hand-forged pair only constructible below the n > 2t threshold
@@ -452,7 +456,7 @@ class TestFindLatest:
             for i in (3, 4)
         ))
         with pytest.raises(ConcurrentFinalSets):
-            find_latest([a, b], cfg22)
+            find_latest([a, b], cfg22, ring)
 
     def test_order_insensitive_for_comparable_sets(self, world):
         import itertools
@@ -463,7 +467,7 @@ class TestFindLatest:
             for s in (1, 2, 3)
         ]
         for perm in itertools.permutations(sets):
-            assert find_latest(list(perm), cfg) is sets[2]
+            assert find_latest(list(perm), cfg, ring) is sets[2]
 
 
 class TestReadBookkeeping:
@@ -486,3 +490,49 @@ class TestReadBookkeeping:
         # read, two gap iterations, read
         assert kinds == ["invoke", "response", "invoke", "response"]
         assert r.done()
+
+
+def fresh_key_run(strategy, key_seed):
+    """One seeded run at n=4, t=1 with a Byzantine reader 4, on the keys
+    of ``key_seed`` (criterion 3's workload); the history is dropped."""
+    wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 2, 3: 1}, read_gap=2)
+    run(CFG, StrategyAssignment(readers={4: strategy}), wl, SeededRandom(seed=key_seed),
+        100_000, key_seed=key_seed, settle_steps=200, raise_on_limit=False)
+
+
+class TestMemoLifetime:
+    """The protocol keeps no memo of its own: every memo of a signed value
+    lives on its key ring and goes with it."""
+
+    FRESH = 1 << 40  # key seeds no other test uses
+
+    def test_memos_die_with_their_ring(self, monkeypatch):
+        adoptions = []
+        ack2 = ReaderMachine._APPLY[R_ACK2]
+        monkeypatch.setitem(
+            ReaderMachine._APPLY, R_ACK2, lambda *args: adoptions.append(1) or ack2(*args)
+        )
+        seed = self.FRESH + 2  # a schedule in which readers adopt
+        fresh_key_run(FakeWitnessStamp(offset=10), seed)
+        ring = make_keyring(CFG, "keyed", seed)
+        assert ring.formed and adoptions  # formation and adoption both ran
+        refs = [weakref.ref(w) for w in ring.signed.values()]
+        del ring
+        for k in range(1, RING_CACHE_SIZE + 9):
+            fresh_key_run(FakeWitnessStamp(offset=10), seed + k)
+        gc.collect()
+        alive = sum(r() is not None for r in refs)
+        assert alive == 0, f"{alive} of {len(refs)} witness sets outlive their ring"
+
+    def test_formation_leaves_no_reference_cycle(self):
+        strategies = [FakeWitnessStamp(offset=10), Equivocate.make({1: b"zz", 2: b"qq"})]
+        seed = self.FRESH + 100
+        gc.collect()
+        gc.disable()
+        try:
+            # fresh keys, so every formation misses the ring's memo
+            for k, strategy in enumerate(strategies * 3):
+                fresh_key_run(strategy, seed + k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
