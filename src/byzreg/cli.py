@@ -42,12 +42,20 @@ def _strategy(block: dict, registry: dict, correct: type, role: str, cfg: Config
     return spec
 
 
+def _flag(block: dict, key: str, default: bool) -> bool:
+    """A JSON boolean field: the string "false" would be read as true."""
+    value = block.get(key, default)
+    if type(value) is not bool:
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def _schedule(spec: dict) -> engine.Schedule:
     """A scenario file's schedule block; a seeded schedule's seed is set
     per run."""
     kind = spec.get("kind", "seeded")
     if kind == "seeded":
-        return engine.SeededRandom(seed=0, fair=bool(spec.get("fair", True)))
+        return engine.SeededRandom(seed=0, fair=_flag(spec, "fair", True))
     if kind == "round_robin":
         return engine.RoundRobin()
     if kind == "scripted":
@@ -62,10 +70,18 @@ def _schedule(spec: dict) -> engine.Schedule:
 
 
 def _seeds(raw) -> list[int]:
+    """The seeds a file lists, or counts from a start: JSON ints of at
+    least 0, since Random(-s) draws what Random(s) draws."""
     if isinstance(raw, dict):
-        start = int(raw.get("start", 0))
-        return list(range(start, start + int(raw.get("count", 1))))
-    return [int(x) for x in raw]
+        start, count = raw.get("start", 0), raw.get("count", 1)
+        if type(start) is not int or type(count) is not int:
+            raise ConfigError(f"seed start and count must be ints, not {start!r}, {count!r}")
+        raw = range(start, start + count)
+    seeds = list(raw)
+    for seed in seeds:
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"a seed must be an int of at least 0, not {seed!r}")
+    return seeds
 
 
 def load_scenario(path: str | Path) -> adversary.Scenario:
@@ -129,7 +145,7 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
         cfg = Config(
             n=int(cfg_raw["n"]),
             t=int(cfg_raw["t"]),
-            writer_byzantine=bool(cfg_raw.get("writer_byzantine", False)),
+            writer_byzantine=_flag(cfg_raw, "writer_byzantine", False),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config block: {exc}") from exc
@@ -156,8 +172,9 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
 
     warnings: list[str] = []
     byz = strategies.byzantine_readers()
+    allow_sub_threshold = _flag(raw, "allow_sub_threshold", False)
     if len(byz) > cfg.t:
-        if not raw.get("allow_sub_threshold", False):
+        if not allow_sub_threshold:
             raise ConfigError(
                 f"{len(byz)} Byzantine readers exceed t={cfg.t}; "
                 "set allow_sub_threshold to proceed"

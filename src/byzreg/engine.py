@@ -5,7 +5,9 @@ schedule source (seeded random, round robin, or a scripted step list).
 Identical inputs produce byte-identical histories.  The enumerator
 explores the interleavings of a micro workload up to a depth bound,
 pruning each state it has seen before (see enumerate_schedules for what
-that bound then covers).
+that bound then covers).  A run logs its schedule, and its bank the
+register trace, in flat lists; the enumerator's tabled simulations log
+them in persistent cons-lists, so that clones share their prefixes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .registers import (
     TraceEvent,
     WriteOp,
     bank_init,
+    chain,
     export_trace,
     initial_state,
     unwind,
@@ -405,6 +408,12 @@ class Simulation:
     canonical machine, never changed, and a step replaces it with the
     canonical successor.  Only a tabled simulation is cloned or keyed,
     so clones share their machines.
+
+    The schedule and the bank's register trace are logged the same way:
+    stepped in place, each is a flat list, which keeps only the trace
+    event of a step alive for the cyclic collector to walk; ``_tabulate``
+    turns both into persistent ``(rest, item)`` cons-lists, which clones
+    share.  A copy of a simulation stepped in place copies the lists.
     """
 
     def __init__(
@@ -451,13 +460,13 @@ class Simulation:
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
-        self._sched_node: tuple | None = None
+        self._sched: list | tuple | None = []  # a cons-list once tabled
         self.scheme = scheme
         self.key_seed = key_seed
 
     @property
     def sched_log(self) -> list[ProcessId]:
-        return unwind(self._sched_node)
+        return unwind(self._sched)
 
     def enabled_pids(self) -> list[ProcessId]:
         """Enabled processes in pid order (shared: do not mutate)."""
@@ -477,10 +486,10 @@ class Simulation:
         recorder = self.recorder
         bank.current_step = recorder.step = steps
         events = recorder.key_node
-        self._sched_node = (self._sched_node, pid)
         machine = self.machines[pid]
         table = self._table
         if table is None:
+            self._sched.append(pid)
             op = machine.next_op(bank)
             kind = type(op)
             if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
@@ -496,6 +505,7 @@ class Simulation:
                 self.status = "protocol_violation"
                 self.violation = _violation(pid, exc)
         else:
+            self._sched = (self._sched, pid)
             entry = table.get(machine)
             if entry is None:
                 op = machine.next_op(bank)
@@ -576,6 +586,8 @@ class Simulation:
         run each value's ``__hash__`` in Python.  The part ids of the cell
         ids and the event key are carried from here on, and the bank keys'
         once ``_bank_part`` first derives it."""
+        self._sched = chain(self._sched)
+        self.bank._trace = chain(self.bank._trace)
         self._canon = {}
         self._table = {}
         parts = self._parts = {}
@@ -633,7 +645,8 @@ class Simulation:
         twin.steps = self.steps
         twin.status = self.status
         twin.violation = self.violation
-        twin._sched_node = self._sched_node
+        sched = self._sched
+        twin._sched = sched.copy() if type(sched) is list else sched
         twin.scheme = self.scheme
         twin.key_seed = self.key_seed
         return twin

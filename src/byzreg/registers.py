@@ -342,15 +342,26 @@ class TraceEvent:
     value: object  # the cell's content: an exact value or a Raw
 
 
-def unwind(node: tuple | None) -> list:
-    """The items of a persistent cons-list of ``(rest, item)`` pairs, oldest
-    first, as a fresh list."""
+def unwind(log: list | tuple | None) -> list:
+    """The items of a log, oldest first, as a fresh list: a copy of a flat
+    list, or the items of a persistent cons-list of ``(rest, item)``
+    pairs."""
+    if type(log) is list:
+        return log.copy()
     out = []
-    while node is not None:
-        node, item = node
+    while log is not None:
+        log, item = log
         out.append(item)
     out.reverse()
     return out
+
+
+def chain(items: list) -> tuple | None:
+    """A flat list's items as a persistent cons-list, oldest innermost."""
+    node = None
+    for item in items:
+        node = (node, item)
+    return node
 
 
 _UNSEEN = object()
@@ -398,7 +409,9 @@ class RegisterBank:
     never written).  The engine owns the bank during a run and sets
     ``current_step`` before each operation; protocol code only goes
     through read/write.  The cell count never changes, so ``size`` keeps
-    it for the bound checks.
+    it for the bound checks.  The trace is a flat list, and a persistent
+    cons-list once the bank's simulation steps by table, so that clones
+    share its prefix; ``clone`` copies a list.
     """
 
     def __init__(self, cfg: Config, u0: bytes, cells: list):
@@ -408,13 +421,12 @@ class RegisterBank:
         self.size = len(cells)
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
-        # persistent cons-list so clones share their common prefix
-        self._trace_node: tuple | None = None
+        self._trace: list | tuple | None = []  # a cons-list once tabled
         self.current_step = 0
 
     @property
     def trace(self) -> list[TraceEvent]:
-        return unwind(self._trace_node)
+        return unwind(self._trace)
 
     def read(self, reg: RegisterId, caller: ProcessId):
         """The cell's value (``read_content``), recording its content."""
@@ -423,10 +435,12 @@ class RegisterBank:
         if caller != READER_END[reg]:
             raise AccessViolation(f"{caller} cannot read {reg}")
         content = self.cells[reg]
-        self._trace_node = (
-            self._trace_node,
-            TraceEvent(self.current_step, "read", reg, caller, content),
-        )
+        event = TraceEvent(self.current_step, "read", reg, caller, content)
+        trace = self._trace
+        if type(trace) is list:
+            trace.append(event)
+        else:
+            self._trace = (trace, event)
         return read_content(FAMILY[reg], content)
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
@@ -437,10 +451,12 @@ class RegisterBank:
         content = self.cells[reg] = cell_content(reg, value)
         self._writes += 1
         self.write_seq[reg] = self._writes
-        self._trace_node = (
-            self._trace_node,
-            TraceEvent(self.current_step, "write", reg, caller, content),
-        )
+        event = TraceEvent(self.current_step, "write", reg, caller, content)
+        trace = self._trace
+        if type(trace) is list:
+            trace.append(event)
+        else:
+            self._trace = (trace, event)
 
     def clone(self) -> "RegisterBank":
         twin = RegisterBank.__new__(RegisterBank)
@@ -450,7 +466,8 @@ class RegisterBank:
         twin.size = self.size
         twin.write_seq = self.write_seq.copy()
         twin._writes = self._writes
-        twin._trace_node = self._trace_node
+        trace = self._trace
+        twin._trace = trace.copy() if type(trace) is list else trace
         twin.current_step = self.current_step
         return twin
 

@@ -189,6 +189,14 @@ class TestCampaigns:
             {"writer": {"strategy": "overwrite_early", "delay": -5}},
             {"u0": "\udc80"},
             {"settle_steps": -4},
+            {"config": {"n": 4, "t": 1, "writer_byzantine": "false"}},
+            {"schedule": {"kind": "seeded", "fair": "false"}},
+            {"allow_sub_threshold": "false",
+             "readers": {"1": {"strategy": "silent"}, "2": {"strategy": "silent"}}},
+            {"seeds": [-5]},
+            {"seeds": {"start": -5, "count": 2}},
+            {"seeds": [1.5]},
+            {"seeds": {"start": "3", "count": 2}},
         ],
         ids=[
             "assignment_missing",
@@ -221,6 +229,13 @@ class TestCampaigns:
             "delay_negative",
             "u0_surrogate",
             "settle_steps_negative",
+            "writer_byzantine_string",
+            "fair_string",
+            "allow_sub_threshold_string",
+            "seed_negative",
+            "seed_start_negative",
+            "seed_float",
+            "seed_start_string",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

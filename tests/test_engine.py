@@ -4,6 +4,7 @@ enumeration and its pruner."""
 from __future__ import annotations
 
 import copy
+import gc
 import random
 import tracemalloc
 
@@ -277,6 +278,64 @@ class TestScriptedSchedule:
         assert mixed.digest() == clean.digest()
 
 
+class TestRunLogs:
+    """A simulation stepped in place logs its schedule and register trace
+    in flat lists, and a tabled one in persistent cons-lists; either log
+    is a schedule that replays."""
+
+    def test_in_place_step_retains_one_object(self):
+        # the trace event; a cons cell per log would be two more, and the
+        # cyclic collector walks every object a run keeps alive
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 2}, read_gap=1)
+        sim = _root_simulation(CFG40, None, wl, b"init", "keyed", 0)
+        rng = random.Random(1)
+
+        def step(count):
+            for _ in range(count):
+                sim.step_process(rng.choice(sim.enabled_pids()))
+            gc.collect()
+            return len(gc.get_objects())
+
+        before = step(200)
+        assert (step(2000) - before) / 2000 <= 1.25
+
+    @staticmethod
+    def assert_replays(history, wl, strategies=None, settle_steps=0, digest=True):
+        """Run ``history``'s recorded schedule, then stop: the same schedule
+        and the same fields that digest() reads, so the same digest too."""
+        script = Scripted(tuple(map(str, history.sched_log)), then="stop")
+        again = run(
+            history.cfg, strategies, wl, script, history.steps + 1,
+            key_seed=history.key_seed, settle_steps=settle_steps,
+        )
+        assert again.sched_log == history.sched_log
+        fields = ("status", "steps", "violation", "hli_events", "trace")
+        assert [getattr(again, f) for f in fields] == [getattr(history, f) for f in fields]
+        if digest:
+            assert again.digest() == history.digest()
+
+    def test_seeded_run_with_settle_steps_replays(self):
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 3: 1}, read_gap=1)
+        history = run(CFG40, None, wl, SeededRandom(seed=7), 30000, key_seed=7, settle_steps=300)
+        self.assert_replays(history, wl, settle_steps=300)
+
+    def test_byzantine_run_replays(self):
+        strategies = StrategyAssignment(readers={4: FakeWitnessStamp(offset=10)})
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+        history = run(CFG41, strategies, wl, SeededRandom(seed=3), 30000, key_seed=3)
+        self.assert_replays(history, wl, strategies)
+
+    def test_enumerated_histories_replay(self):
+        # criterion 2's n=2, t=0 case with one read: every history is tabled
+        cfg, wl = Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1})
+        count = 0
+        for history in enumerate_schedules(cfg, wl, depth_bound=250, node_cap=600_000):
+            # digesting every replay and original would make the test five times slower
+            self.assert_replays(history, wl, digest=count % 50 == 0)
+            count += 1
+        assert count == 10_790
+
+
 class TestEnumeration:
     def test_micro_full_enumeration_n1(self):
         cfg = Config(1, 0)
@@ -472,6 +531,7 @@ def reference_clone(sim):
     """A twin of a simulation stepped in place: every machine copied, so
     the two step apart."""
     twin = copy.copy(sim)
+    twin._sched = sim._sched.copy()  # a flat list in place: copied, not shared
     twin.machines = {pid: copy.copy(m) for pid, m in sim.machines.items()}
     twin.bank = sim.bank.clone()
     twin.recorder = sim.recorder.clone()
@@ -931,6 +991,7 @@ class TestSchedulerContract:
                 break
             if step % 97 == 0:
                 before = reference_key(sim)
+                logs = (sim.sched_log, sim.bank.trace)
                 origin = dict(sim.machines)
                 keys = {pid: m.state_key() for pid, m in origin.items()}
                 snaps = {pid: self.snapshot(m) for pid, m in origin.items()}
@@ -951,6 +1012,8 @@ class TestSchedulerContract:
                     assert m.state_key() == keys[pid]
                     assert self.snapshot(m) == snaps[pid], f"{pid} at step {step}"
                 assert reference_key(sim) == before
+                # and appended nothing to the logs its origin keeps
+                assert (sim.sched_log, sim.bank.trace) == logs
             sim.step_process(rng.choice(enabled))
         return sim
 
