@@ -1088,9 +1088,11 @@ class Analysis:
         stabs, classification = self.stabilizations, self.classification
         verdicts: dict[str, Verdict] = {}
 
-        bad_reads = registers.atomicity_violations(cfg, history.u0, self.ring, history.trace)
+        bad_reads = registers.atomicity_violations(
+            cfg, history.u0, self.ring, history.register_events, history.read_log
+        )
         verdicts["substrate_atomicity"] = (
-            Verdict("pass", f"{len(history.trace)} register events linearizable")
+            Verdict("pass", f"{history.trace_length} register events linearizable")
             if not bad_reads
             else Verdict("violation", f"{len(bad_reads)} stale reads, first at step {bad_reads[0].step}")
         )

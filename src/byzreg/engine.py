@@ -6,14 +6,14 @@ Identical inputs produce byte-identical histories.  The enumerator
 explores the interleavings of a micro workload up to a depth bound,
 pruning each state it has seen before (see enumerate_schedules for what
 that bound then covers).  A run logs its schedule, and its bank the
-register trace, in flat lists; the enumerator's tabled simulations log
-them in persistent cons-lists, so that clones share their prefixes.
+register trace, in flat lists, the reads apart from the writes; the
+enumerator's tabled simulations log them in persistent cons-lists, so
+that clones share their prefixes.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import json
 import random
@@ -26,6 +26,7 @@ from .protocol import ConcurrentFinalSets, ProcessMachine
 from .registers import (
     FAMILY,
     Family,
+    READ_FIELDS,
     InitialState,
     LocalOp,
     ReadOp,
@@ -36,6 +37,7 @@ from .registers import (
     chain,
     export_trace,
     initial_state,
+    merged_trace,
     unwind,
 )
 
@@ -119,32 +121,74 @@ class FamilyWrites(NamedTuple):
 assert FamilyWrites._fields == tuple(family.value for family in Family)
 
 
+class _view:
+    """A view of a history, derived on first access and stored in the
+    instance dict, which shadows this non-data descriptor from then on.
+    functools.cached_property does the same, but takes a lock on every
+    first access."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass
 class ExecutionHistory:
-    """Recorded high-level events plus the full register-operation trace."""
+    """Recorded high-level events plus the register trace, in the logs
+    its bank kept (``RegisterBank``).
+
+    A tabled run, like a history built by hand, passes every register
+    event as a ``TraceEvent`` in ``register_events``.  A run stepped in
+    place passes only its writes there, and its reads as the flat
+    ``read_log``.  The checker's passes read the writes alone
+    (``family_writes``), and the substrate check and the export walk the
+    read log as it is, so checking and digesting such a run builds no
+    object per read.  ``trace`` merges the two logs in recording order
+    on first access.
+    """
 
     cfg: Config
     u0: bytes
     hli_events: list[HliEvent]
-    trace: list[TraceEvent]
+    register_events: list[TraceEvent]
     status: str = "completed"  # completed | step_limit | protocol_violation
     violation: str | None = None
     steps: int = 0
     sched_log: list[ProcessId] = field(default_factory=list)
     scheme: str = "keyed"
     key_seed: int = 0
+    read_log: Sequence = ()  # READ_FIELDS entries per read
 
     def keyring(self) -> crypto.KeyRing:
         """The key ring this run signed with (derivable, so checkers never
         need it passed alongside)."""
         return crypto.make_keyring(self.cfg, self.scheme, self.key_seed)
 
-    @functools.cached_property
+    @property
+    def trace_length(self) -> int:
+        """The number of register events, counted without merging."""
+        return len(self.register_events) + len(self.read_log) // READ_FIELDS
+
+    @_view
+    def trace(self) -> list[TraceEvent]:
+        """Every register event in recording order (``merged_trace``)."""
+        return merged_trace(self.register_events, self.read_log)
+
+    @_view
     def initial(self) -> InitialState:
         """The state the run started from, memoized on its key ring."""
         return initial_state(self.keyring(), self.cfg, self.u0)
 
-    @functools.cached_property
+    @_view
     def ops(self) -> list[HliOp]:
         """Invoke/response events paired into operations, per process;
         pending operations follow the completed ones in process order."""
@@ -171,7 +215,7 @@ class ExecutionHistory:
             ops.append(HliOp(pid, start.op, start.step, None, start.value, None, idx))
         return ops
 
-    @functools.cached_property
+    @_view
     def completed_reads(self) -> list[HliOp]:
         """The completed reads, in ``ops`` order: the correct readers'
         (a Byzantine reader records no high-level operation)."""
@@ -181,22 +225,27 @@ class ExecutionHistory:
             if o.op == "read" and o.process != WRITER and o.response_step is not None
         ]
 
-    @functools.cached_property
+    @_view
     def writes(self) -> list[HliOp]:
         """The writer's write operations, in ``ops`` order."""
         return [o for o in self.ops if o.op == "write" and o.process == WRITER]
 
-    @functools.cached_property
+    @_view
     def family_writes(self) -> FamilyWrites:
         """The trace's write events per register family, in trace order,
         so that a checker pass over one family skips the other events.
-        Read by field: an Enum member, as a key, hashes in Python."""
+        Read from ``register_events``, which a run stepped in place keeps
+        free of reads.  Read by field: an Enum member, as a key, hashes
+        in Python."""
         out = FamilyWrites([], [], [], [], [])
-        # keyed by the family's value, a string whose hash is cached
+        # keyed by the family's value, a string whose hash is cached; each
+        # of the run's slots then indexes its family's list
         by_value = dict(zip(FamilyWrites._fields, out))
-        for ev in self.trace:
+        slots = FAMILY[: len(self.initial.cells)]
+        by_slot = [by_value[family._value_] for family in slots]
+        for ev in self.register_events:
             if ev.op == "write":
-                by_value[FAMILY[ev.reg]._value_].append(ev)
+                by_slot[ev.reg].append(ev)
         return out
 
     def export_records(self) -> Iterator[str]:
@@ -219,7 +268,7 @@ class ExecutionHistory:
                 },
                 sort_keys=True,
             )
-        yield from export_trace(self.trace)
+        yield from export_trace(self.register_events, self.read_log)
 
     def digest(self) -> str:
         return records_digest(self.export_records())
@@ -409,11 +458,14 @@ class Simulation:
     canonical successor.  Only a tabled simulation is cloned or keyed,
     so clones share their machines.
 
-    The schedule and the bank's register trace are logged the same way:
-    stepped in place, each is a flat list, which keeps only the trace
-    event of a step alive for the cyclic collector to walk; ``_tabulate``
-    turns both into persistent ``(rest, item)`` cons-lists, which clones
-    share.  A copy of a simulation stepped in place copies the lists.
+    The schedule and the bank's register trace are logged the same way.
+    Stepped in place, each is a flat list, and the bank logs a read as
+    flat entries of a read log apart from its write events
+    (``RegisterBank``), so a step keeps no object alive for the cyclic
+    collector to walk but the event of a write.  ``_tabulate`` turns
+    both logs into persistent ``(rest, item)`` cons-lists, which clones
+    share, and the bank then logs a read as an event on its cons-list.
+    A copy of a simulation stepped in place copies the lists.
     """
 
     def __init__(
@@ -587,7 +639,7 @@ class Simulation:
         ids and the event key are carried from here on, and the bank keys'
         once ``_bank_part`` first derives it."""
         self._sched = chain(self._sched)
-        self.bank._trace = chain(self.bank._trace)
+        self.bank.tabulate()
         self._canon = {}
         self._table = {}
         parts = self._parts = {}
@@ -612,11 +664,13 @@ class Simulation:
         return part
 
     def history(self, status: str) -> ExecutionHistory:
+        register_events, read_log = self.bank.logs()
         return ExecutionHistory(
             cfg=self.cfg,
             u0=self.bank.u0,
             hli_events=self.recorder.events,
-            trace=self.bank.trace,
+            register_events=register_events,
+            read_log=read_log,
             status=status,
             violation=self.violation,
             steps=self.steps,

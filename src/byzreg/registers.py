@@ -13,7 +13,10 @@ in the family's codec (``cell_content``): as the value they decode to
 when they are its canonical encoding, and as ``Raw`` bytes otherwise,
 which a read decodes, to None when they do not decode.  One register
 operation is one indivisible scheduler step, and every operation lands
-in an append-only trace of cell contents, encoded only on export.
+in an append-only trace of cell contents, encoded only on export.  A
+bank stepped in place logs its reads apart from its writes, as flat
+entries (``RegisterBank``); ``merged_trace`` puts the two logs back in
+recording order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple
 
 from . import crypto
 from .core import (
@@ -342,6 +346,34 @@ class TraceEvent:
     value: object  # the cell's content: an exact value or a Raw
 
 
+READ_FIELDS = 4  # entries per read in a read log: step, register, content, writes before it
+
+
+def log_reads(read_log: list) -> Iterator[tuple]:
+    """A read log's reads, each as (step, register, content, writes logged
+    before it)."""
+    entries = iter(read_log)
+    return zip(*[entries] * READ_FIELDS)
+
+
+def merged_trace(events: list[TraceEvent], read_log: list) -> list[TraceEvent]:
+    """The trace a ``TraceEvent`` list and a read log make together, in
+    recording order: each read follows the first events, as many as the
+    writes logged before it (``RegisterBank``).  The events themselves
+    when the read log is empty."""
+    if not read_log:
+        return events
+    out: list[TraceEvent] = []
+    done = 0
+    for step, reg, content, writes in log_reads(read_log):
+        if writes > done:
+            out += events[done:writes]
+            done = writes
+        out.append(TraceEvent(step, "read", reg, READER_END[reg], content))
+    out += events[done:]
+    return out
+
+
 def unwind(log: list | tuple | None) -> list:
     """The items of a log, oldest first, as a fresh list: a copy of a flat
     list, or the items of a persistent cons-list of ``(rest, item)``
@@ -409,9 +441,17 @@ class RegisterBank:
     never written).  The engine owns the bank during a run and sets
     ``current_step`` before each operation; protocol code only goes
     through read/write.  The cell count never changes, so ``size`` keeps
-    it for the bound checks.  The trace is a flat list, and a persistent
-    cons-list once the bank's simulation steps by table, so that clones
-    share its prefix; ``clone`` copies a list.
+    it for the bound checks.
+
+    Stepped in place, the bank keeps two flat lists: a ``TraceEvent``
+    per write, which the checker's passes read, and a read log of
+    ``READ_FIELDS`` entries per read (its step, register, content and
+    the writes logged before it), which only the substrate check and the
+    export walk.  So a read allocates nothing that the cyclic collector
+    tracks: its reader is the register's reader end, and its content is
+    the cell's.  Once its simulation steps by table (``tabulate``), the
+    bank logs every operation as a ``TraceEvent`` on one persistent
+    cons-list, so that clones share its prefix; ``clone`` copies lists.
     """
 
     def __init__(self, cfg: Config, u0: bytes, cells: list):
@@ -421,12 +461,25 @@ class RegisterBank:
         self.size = len(cells)
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
-        self._trace: list | tuple | None = []  # a cons-list once tabled
+        # the write events; every event, on a cons-list, once tabled
+        self._trace: list | tuple | None = []
+        self._reads: list | None = []  # None once tabled
         self.current_step = 0
 
     @property
     def trace(self) -> list[TraceEvent]:
-        return unwind(self._trace)
+        return merged_trace(*self.logs())
+
+    def logs(self) -> tuple[list[TraceEvent], list]:
+        """The trace as fresh lists: the events logged as ``TraceEvent``s
+        (every one, once tabled) and the read log (empty once tabled)."""
+        reads = self._reads
+        return unwind(self._trace), [] if reads is None else reads.copy()
+
+    def tabulate(self) -> None:
+        """Log every later operation on a persistent cons-list of events."""
+        self._trace = chain(self.trace)
+        self._reads = None
 
     def read(self, reg: RegisterId, caller: ProcessId):
         """The cell's value (``read_content``), recording its content."""
@@ -435,12 +488,11 @@ class RegisterBank:
         if caller != READER_END[reg]:
             raise AccessViolation(f"{caller} cannot read {reg}")
         content = self.cells[reg]
-        event = TraceEvent(self.current_step, "read", reg, caller, content)
-        trace = self._trace
-        if type(trace) is list:
-            trace.append(event)
+        reads = self._reads
+        if reads is not None:
+            reads += (self.current_step, reg, content, self._writes)
         else:
-            self._trace = (trace, event)
+            self._trace = (self._trace, TraceEvent(self.current_step, "read", reg, caller, content))
         return read_content(FAMILY[reg], content)
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
@@ -468,6 +520,8 @@ class RegisterBank:
         twin._writes = self._writes
         trace = self._trace
         twin._trace = trace.copy() if type(trace) is list else trace
+        reads = self._reads
+        twin._reads = None if reads is None else reads.copy()
         twin.current_step = self.current_step
         return twin
 
@@ -546,17 +600,34 @@ def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
 
 
 def atomicity_violations(
-    cfg: Config, u0: bytes, ring: crypto.KeyRing, trace: Iterable[TraceEvent]
+    cfg: Config,
+    u0: bytes,
+    ring: crypto.KeyRing,
+    trace: list[TraceEvent],
+    read_log: list = (),
 ) -> list[TraceEvent]:
-    """Reads that did not return the latest preceding write (empty means linearizable).
+    """Reads that did not return the latest preceding write (empty means
+    linearizable), in the trace ``trace`` and ``read_log`` make together
+    (``merged_trace``).
 
     Trivial by construction for this substrate; asserted after runs as a
     plumbing check.  A read records the very content written, so the
-    identity test settles nearly every read without an equality test.
+    identity test settles nearly every read without an equality test,
+    and only a stale read of the read log becomes a ``TraceEvent``.
     """
     cells = list(initial_state(ring, cfg, u0).cells)
     bad = []
-    for ev in trace:
+    done = 0
+    for step, reg, content, writes in log_reads(read_log):
+        # one write or none between two reads, mostly: a loop by index
+        # costs less here than a slice per read
+        while done < writes:
+            ev = trace[done]
+            cells[ev.reg] = ev.value
+            done += 1
+        if content is not cells[reg] and content != cells[reg]:
+            bad.append(TraceEvent(step, "read", reg, READER_END[reg], content))
+    for ev in islice(trace, done, None):
         if ev.op == "write":
             cells[ev.reg] = ev.value
         elif ev.value is not cells[ev.reg] and ev.value != cells[ev.reg]:
@@ -564,24 +635,34 @@ def atomicity_violations(
     return bad
 
 
-def export_trace(trace: Iterable[TraceEvent]):
+def export_trace(trace: list[TraceEvent], read_log: list = ()) -> Iterator[str]:
     """Newline-delimited structured records with digests of the contents'
-    bytes.  Equal contents have equal bytes, so each distinct content is
-    encoded once per call."""
+    bytes, in the order of ``merged_trace``; a read of the read log is
+    formatted from its entries.  Equal contents have equal bytes, so each
+    distinct content is encoded once per call.
+
+    A record is the line ``json.dumps(..., sort_keys=True)`` gives for
+    its dict, filled into one template: every field is an int or an
+    ASCII string that JSON does not escape (register and process names
+    and a hex digest)."""
     digests: dict = {}
-    for ev in trace:
-        content = ev.value
+
+    def record(step, op, reg, caller, content) -> str:
         digest = digests.get(content)
         if digest is None:
-            data = encode_value(FAMILY[ev.reg], content)
+            data = encode_value(FAMILY[reg], content)
             digest = digests[content] = hashlib.sha256(data).hexdigest()[:16]
-        yield json.dumps(
-            {
-                "step": ev.step,
-                "op": ev.op,
-                "register": str(ev.reg),
-                "caller": str(ev.caller),
-                "value_digest": digest,
-            },
-            sort_keys=True,
+        return (
+            f'{{"caller": "{caller}", "op": "{op}", "register": "{reg}", '
+            f'"step": {step}, "value_digest": "{digest}"}}'
         )
+
+    done = 0
+    for step, reg, content, writes in log_reads(read_log):
+        while done < writes:
+            ev = trace[done]
+            yield record(ev.step, ev.op, ev.reg, ev.caller, ev.value)
+            done += 1
+        yield record(step, "read", reg, READER_END[reg], content)
+    for ev in islice(trace, done, None):
+        yield record(ev.step, ev.op, ev.reg, ev.caller, ev.value)

@@ -278,7 +278,7 @@ def synthetic_history(cfg, events, trace, u0=U0, seed=0):
         cfg=cfg,
         u0=u0,
         hli_events=events,
-        trace=trace,
+        register_events=trace,
         status="completed",
         steps=(trace[-1].step + 1) if trace else 0,
         key_seed=seed,
@@ -510,7 +510,8 @@ def count_views(monkeypatch) -> dict[str, int]:
     for name in ("_scan_finals", "sort_stabilizations", "build_full_timestamps"):
         monkeypatch.setattr(checker, name, counted(name, getattr(checker, name)))
     for name in ("ops", "completed_reads", "writes", "family_writes"):
-        prop = functools.cached_property(counted(name, getattr(ExecutionHistory, name).func))
+        view = getattr(ExecutionHistory, name)
+        prop = type(view)(counted(name, view.func))
         prop.__set_name__(ExecutionHistory, name)
         monkeypatch.setattr(ExecutionHistory, name, prop)
     return counts
@@ -530,6 +531,59 @@ def test_each_view_derived_once_per_report(monkeypatch):
         "sort_stabilizations": 1,
         "build_full_timestamps": 1,
     }
+
+
+class TestStaleReads:
+    """The substrate check's violation branch: a read whose recorded
+    content is not the cell's latest write, whether the run logged it in
+    its read log (stepped in place) or as an event of a full trace."""
+
+    @staticmethod
+    def stale_read(history):
+        """The first read that returned a value written in the run, and
+        the initial content of its register, which that write replaced."""
+        initial = history.initial.cells
+        for ev in history.trace:
+            if ev.op == "read" and ev.value != initial[ev.reg]:
+                return ev, initial[ev.reg]
+        raise AssertionError("no read returned a written value")
+
+    @staticmethod
+    def assert_one_stale_read(history, stale):
+        got = registers.atomicity_violations(
+            history.cfg, history.u0, history.keyring(), history.register_events, history.read_log
+        )
+        assert got == [stale]
+        verdict = run_all_checks(history).verdicts["substrate_atomicity"]
+        assert verdict.status == "violation"
+        assert verdict.detail == f"1 stale reads, first at step {stale.step}"
+
+    def test_doctored_read_log_entry_is_reported(self):
+        history = fault_free_history(seed=5)
+        assert history.read_log and run_all_checks(history).verdicts["substrate_atomicity"].passed
+        read, old = self.stale_read(history)
+        fields = registers.READ_FIELDS
+        entries = list(registers.log_reads(history.read_log))
+        index = next(
+            i for i, (step, reg, _, _) in enumerate(entries) if (step, reg) == (read.step, read.reg)
+        )
+        history.read_log[index * fields + 2] = old
+        del history.trace  # derived before the doctoring
+        stale = TraceEvent(read.step, "read", read.reg, read.caller, old)
+        assert stale in history.trace
+        self.assert_one_stale_read(history, stale)
+
+    def test_doctored_full_trace_event_is_reported(self):
+        history = fault_free_history(seed=5)
+        read, old = self.stale_read(history)
+        stale = TraceEvent(read.step, "read", read.reg, read.caller, old)
+        full = ExecutionHistory(
+            history.cfg, history.u0, history.hli_events,
+            [stale if ev is read else ev for ev in history.trace],
+            status=history.status, steps=history.steps, key_seed=history.key_seed,
+        )
+        assert not full.read_log
+        self.assert_one_stale_read(full, stale)
 
 
 # criterion 2's first case: every interleaving of one write and one read at n=1

@@ -367,6 +367,34 @@ def test_run_at_n10_does_no_codec_work(monkeypatch):
     assert calls == {"encode_value": 0, "decode_value": 0}
 
 
+def test_export_template_is_json_dumps_of_each_record():
+    # one run whose init cells, and the reads of them, hold Raw bytes: each
+    # record is the line json.dumps gives for the dict it stands for
+    cfg = Config(4, 1, writer_byzantine=True)
+    strategies = StrategyAssignment(
+        writer=StaleCounter(k=2**64), readers={4: CollaborateStabilize()}
+    )
+    wl = Workload.make(writes=[b"x", b"y"], reads={1: 2, 2: 2}, read_gap=2)
+    history = run(cfg, strategies, wl, SeededRandom(3), 60_000, key_seed=3, settle_steps=500)
+    assert history.read_log
+    assert any(ev.op == "read" and type(ev.value) is Raw for ev in history.trace)
+    expected = [
+        json.dumps(
+            {
+                "step": ev.step,
+                "op": ev.op,
+                "register": str(ev.reg),
+                "caller": str(ev.caller),
+                "value_digest": digest_of(encode_value(FAMILY[ev.reg], ev.value)),
+            },
+            sort_keys=True,
+        )
+        for ev in history.trace
+    ]
+    assert list(export_trace(history.register_events, history.read_log)) == expected
+    assert list(export_trace(history.trace)) == expected
+
+
 @pytest.mark.parametrize(
     "k,digest",
     [

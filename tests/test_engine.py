@@ -280,12 +280,14 @@ class TestScriptedSchedule:
 
 class TestRunLogs:
     """A simulation stepped in place logs its schedule and register trace
-    in flat lists, and a tabled one in persistent cons-lists; either log
-    is a schedule that replays."""
+    in flat lists, its reads apart from its writes, and a tabled one in
+    persistent cons-lists; either log is a schedule that replays."""
 
-    def test_in_place_step_retains_one_object(self):
-        # the trace event; a cons cell per log would be two more, and the
-        # cyclic collector walks every object a run keeps alive
+    def test_in_place_step_retains_only_its_write_event(self):
+        # a write keeps its TraceEvent alive and a read keeps nothing, as
+        # the cyclic collector walks every object a run keeps alive: a
+        # read event per read step would be about 0.6 objects per step
+        # more, and a cons cell per log two more per step
         wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 2}, read_gap=1)
         sim = _root_simulation(CFG40, None, wl, b"init", "keyed", 0)
         rng = random.Random(1)
@@ -294,10 +296,36 @@ class TestRunLogs:
             for _ in range(count):
                 sim.step_process(rng.choice(sim.enabled_pids()))
             gc.collect()
-            return len(gc.get_objects())
+            return len(gc.get_objects()), sim.bank._writes
 
-        before = step(200)
-        assert (step(2000) - before) / 2000 <= 1.25
+        objects, writes = step(200)
+        more_objects, more_writes = step(2000)
+        reads = len(sim.bank._reads) // registers.READ_FIELDS
+        assert reads > 1000 and more_writes - writes > 500
+        assert (more_objects - objects - (more_writes - writes)) / 2000 <= 0.05
+
+    @pytest.mark.parametrize(
+        "strategies",
+        [None, StrategyAssignment(readers={4: Equivocate.make({1: b"z"})})],
+        ids=["fault_free", "equivocate"],
+    )
+    def test_in_place_trace_matches_tabled_replay(self, strategies):
+        # the merged trace of an in-place run is the event chain a tabled
+        # simulation logs for the same schedule, and digests alike
+        cfg = CFG41 if strategies else CFG40
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+        history = run(cfg, strategies, wl, SeededRandom(seed=4), 30000, key_seed=4)
+        assert history.read_log
+        sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", 4)
+        sim._tabulate()
+        for pid in history.sched_log:
+            sim.step_process(pid)
+        tabled = sim.history(history.status)
+        assert not tabled.read_log
+        assert tabled.trace == history.trace
+        assert tabled.trace_length == history.trace_length == len(history.trace)
+        assert tabled.family_writes == history.family_writes
+        assert tabled.digest() == history.digest()
 
     @staticmethod
     def assert_replays(history, wl, strategies=None, settle_steps=0, digest=True):

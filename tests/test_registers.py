@@ -17,6 +17,7 @@ from byzreg.core import (
 from byzreg.crypto import make_keyring, sign_entries
 from byzreg.registers import (
     FAMILY,
+    READ_FIELDS,
     READER_END,
     WRITER_END,
     AccessViolation,
@@ -341,6 +342,41 @@ class TestTrace:
         assert [e.step for e in trace] == [5, 6]
         final_cells = replay_trace(cfg, b"init", ring, trace)
         assert final_cells[init_reg(1)] == v1
+
+    def test_write_and_read_at_one_step_keep_recording_order(self):
+        # nothing here advances current_step, so the logs of a bank stepped
+        # in place merge by the writes logged before each read, not by step
+        cfg, ring, bank = make_bank(2, 0)
+        tabled = bank.clone()
+        tabled.tabulate()
+        r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
+        v1, v2 = TaggedValue(1, b"a"), TaggedValue(2, b"b")
+        ops = [
+            ("read", init_reg(1), r1),
+            ("write", init_reg(1), v1, WRITER),
+            ("read", init_reg(1), r1),
+            ("read", init_reg(2), r2),
+            ("write", init_reg(2), v1, WRITER),
+            ("write", init_reg(1), v2, WRITER),
+            ("read", init_reg(1), r1),
+            ("read", init_reg(2), r2),
+            ("write", init_reg(1), v1, WRITER),
+        ]
+        for b in (bank, tabled):
+            for kind, reg, *args in ops:
+                getattr(b, kind)(reg, *args)
+        trace = bank.trace
+        assert [(ev.op, ev.reg) for ev in trace] == [(kind, reg) for kind, reg, *_ in ops]
+        assert [ev.value for ev in trace if ev.op == "read"] == [
+            TaggedValue(0, b"init"), v1, TaggedValue(0, b"init"), v2, v1
+        ]
+        assert {ev.step for ev in trace} == {0}
+        assert trace == tabled.trace
+        events, reads = bank.logs()
+        assert all(ev.op == "write" for ev in events)
+        assert len(reads) == 5 * READ_FIELDS
+        assert atomicity_violations(cfg, b"init", ring, events, reads) == []
+        assert list(export_trace(events, reads)) == list(export_trace(tabled.trace))
 
     def test_atomicity_violations_empty_for_honest_trace(self):
         cfg, ring, bank = make_bank(2, 0)
