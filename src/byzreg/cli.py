@@ -50,6 +50,14 @@ def _flag(block: dict, key: str, default: bool) -> bool:
     return value
 
 
+def _count(value, name: str, least: int = 0) -> int:
+    """A JSON int of at least ``least``: int() would read true as 1, 2.9
+    as 2 and "50000" as 50000."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{name} must be an int of at least {least}, not {value!r}")
+    return value
+
+
 def _schedule(spec: dict) -> engine.Schedule:
     """A scenario file's schedule block; a seeded schedule's seed is set
     per run."""
@@ -73,15 +81,9 @@ def _seeds(raw) -> list[int]:
     """The seeds a file lists, or counts from a start: JSON ints of at
     least 0, since Random(-s) draws what Random(s) draws."""
     if isinstance(raw, dict):
-        start, count = raw.get("start", 0), raw.get("count", 1)
-        if type(start) is not int or type(count) is not int:
-            raise ConfigError(f"seed start and count must be ints, not {start!r}, {count!r}")
-        raw = range(start, start + count)
-    seeds = list(raw)
-    for seed in seeds:
-        if type(seed) is not int or seed < 0:
-            raise ConfigError(f"a seed must be an int of at least 0, not {seed!r}")
-    return seeds
+        start = _count(raw.get("start", 0), "seed start")
+        raw = range(start, start + _count(raw.get("count", 1), "seed count"))
+    return [_count(seed, "a seed") for seed in raw]
 
 
 def load_scenario(path: str | Path) -> adversary.Scenario:
@@ -112,8 +114,8 @@ def load_scenario(path: str | Path) -> adversary.Scenario:
             name=raw.get("name", scenario.name),
             scheme=raw.get("crypto", scenario.scheme),
             seeds=_seeds(raw.get("seeds", [0])),
-            step_limit=int(raw.get("step_limit", scenario.step_limit)),
-            settle_steps=int(raw.get("settle_steps", scenario.settle_steps)),
+            step_limit=_count(raw.get("step_limit", scenario.step_limit), "step_limit", 1),
+            settle_steps=_count(raw.get("settle_steps", scenario.settle_steps), "settle_steps"),
             expected_status=expected.get("status", scenario.expected_status),
             expected_violations=tuple(expected.get("violations", scenario.expected_violations)),
         )
@@ -126,10 +128,6 @@ def load_scenario(path: str | Path) -> adversary.Scenario:
             raise ConfigError(f"unknown expected violation {min(unknown)!r}")
         if scenario.scheme not in crypto.SCHEMES:
             raise ConfigError(f"unknown signature scheme {scenario.scheme!r}")
-        if scenario.step_limit <= 0:
-            raise ConfigError(f"step_limit must be positive, got {scenario.step_limit}")
-        if scenario.settle_steps < 0:
-            raise ConfigError(f"settle_steps must be at least 0, got {scenario.settle_steps}")
         if not scenario.seeds:
             raise ConfigError("the seed list is empty")
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
@@ -143,8 +141,8 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
     try:
         cfg_raw = raw["config"]
         cfg = Config(
-            n=int(cfg_raw["n"]),
-            t=int(cfg_raw["t"]),
+            n=_count(cfg_raw["n"], "config n", 1),
+            t=_count(cfg_raw["t"], "config t"),
             writer_byzantine=_flag(cfg_raw, "writer_byzantine", False),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -189,18 +187,17 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
         wl_raw = raw.get("workload", {})
         workload = engine.Workload.make(
             writes=[w.encode() for w in wl_raw.get("writes", [])],
-            reads={int(k): int(v) for k, v in wl_raw.get("reads", {}).items()},
-            read_gap=int(wl_raw.get("read_gap", 0)),
+            reads={
+                int(k): _count(v, f"read count of reader {k}")
+                for k, v in wl_raw.get("reads", {}).items()
+            },
+            read_gap=_count(wl_raw.get("read_gap", 0), "read_gap"),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad workload block: {exc}") from exc
-    if workload.read_gap < 0:
-        raise ConfigError(f"read_gap must be at least 0, got {workload.read_gap}")
-    for i, count in workload.reads:
+    for i, _ in workload.reads:
         if not 1 <= i <= cfg.n:
             raise ConfigError(f"reads for reader {i} outside 1..{cfg.n}")
-        if count < 0:
-            raise ConfigError(f"read count of reader {i} must be at least 0, got {count}")
         if i in byz:
             warnings.append(f"reads assigned to Byzantine reader {i} are dropped")
     try:

@@ -5,10 +5,9 @@ schedule source (seeded random, round robin, or a scripted step list).
 Identical inputs produce byte-identical histories.  The enumerator
 explores the interleavings of a micro workload up to a depth bound,
 pruning each state it has seen before (see enumerate_schedules for what
-that bound then covers).  A run logs its schedule, and its bank the
-register trace, in flat lists, the reads apart from the writes; the
-enumerator's tabled simulations log them in persistent cons-lists, so
-that clones share their prefixes.
+that bound then covers).  It steps one tabled simulation and undoes each
+step on the way back.  A simulation logs its schedule, and its bank the
+register trace, in flat lists, so a yielded history copies them.
 """
 
 from __future__ import annotations
@@ -34,11 +33,9 @@ from .registers import (
     TraceEvent,
     WriteOp,
     bank_init,
-    chain,
     export_trace,
     initial_state,
     merged_trace,
-    unwind,
 )
 
 
@@ -81,30 +78,19 @@ class HliOp:
 
 class HistoryRecorder:
     def __init__(self):
-        self._node: tuple | None = None  # persistent cons-list of events
+        self.events: list[HliEvent] = []
         # the events without their steps, as (prev, pid, kind, op, value)
         # cons cells: the enumerator's state key, built as events happen
         self.key_node: tuple | None = None
         self.step = 0
 
-    @property
-    def events(self) -> list[HliEvent]:
-        return unwind(self._node)
-
     def invoke(self, pid: ProcessId, op: str, value=None):
-        self._node = (self._node, HliEvent(pid, "invoke", op, value, self.step))
+        self.events.append(HliEvent(pid, "invoke", op, value, self.step))
         self.key_node = (self.key_node, pid, "invoke", op, value)
 
     def response(self, pid: ProcessId, op: str, value=None):
-        self._node = (self._node, HliEvent(pid, "response", op, value, self.step))
+        self.events.append(HliEvent(pid, "response", op, value, self.step))
         self.key_node = (self.key_node, pid, "response", op, value)
-
-    def clone(self) -> "HistoryRecorder":
-        twin = HistoryRecorder.__new__(HistoryRecorder)
-        twin._node = self._node
-        twin.key_node = self.key_node
-        twin.step = self.step
-        return twin
 
 
 class FamilyWrites(NamedTuple):
@@ -143,10 +129,10 @@ class _view:
 
 @dataclass
 class ExecutionHistory:
-    """Recorded high-level events plus the register trace, in the logs
-    its bank kept (``RegisterBank``).
+    """Recorded high-level events plus the register trace, in copies of
+    the flat logs its simulation and bank kept (``RegisterBank``).
 
-    A tabled run, like a history built by hand, passes every register
+    An enumerated history, like one built by hand, passes every register
     event as a ``TraceEvent`` in ``register_events``.  A run stepped in
     place passes only its writes there, and its reads as the flat
     ``read_log``.  The checker's passes read the writes alone
@@ -455,17 +441,16 @@ class Simulation:
     A run steps each machine in place.  An enumeration steps every
     machine by table instead (``_tabulate``): each machine state is one
     canonical machine, never changed, and a step replaces it with the
-    canonical successor.  Only a tabled simulation is cloned or keyed,
-    so clones share their machines.
+    canonical successor.  Only a tabled simulation is keyed, and only a
+    tabled step can be undone (``undo``): it pushes what it changes onto
+    an undo stack, and every part of the state it replaces is a machine,
+    a view, a tuple or an int that no step changes in place.
 
-    The schedule and the bank's register trace are logged the same way.
-    Stepped in place, each is a flat list, and the bank logs a read as
-    flat entries of a read log apart from its write events
-    (``RegisterBank``), so a step keeps no object alive for the cyclic
-    collector to walk but the event of a write.  ``_tabulate`` turns
-    both logs into persistent ``(rest, item)`` cons-lists, which clones
-    share, and the bank then logs a read as an event on its cons-list.
-    A copy of a simulation stepped in place copies the lists.
+    The schedule and the bank's register trace are flat lists in both
+    modes, so undoing a step truncates them.  Stepped in place, the bank
+    logs a read as flat entries of a read log apart from its write
+    events (``RegisterBank``), so a step keeps no object alive for the
+    cyclic collector to walk but the event of a write.
     """
 
     def __init__(
@@ -484,7 +469,7 @@ class Simulation:
         self.order = sorted(machines)
         # enabled() and done() depend only on a machine's own state, so
         # both views change only for the process that steps; they are
-        # replaced, never mutated, and clones share them
+        # replaced, never mutated, so an undo restores them by assignment
         self._enabled = [pid for pid in self.order if machines[pid].enabled()]
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
         # processes whose machines read the bank beyond their op's result:
@@ -497,8 +482,8 @@ class Simulation:
         # op, the op's class, the content id of what it writes, {outcome
         # key: (canonical successor, recorder calls, violation)}), state key
         # part or cell content -> the small int standing for it, and the
-        # cells' content ids, a tuple that a write changing one replaces, so
-        # clones share it; None to step in place
+        # cells' content ids, a tuple that a write changing one replaces;
+        # None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
@@ -512,13 +497,15 @@ class Simulation:
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
-        self._sched: list | tuple | None = []  # a cons-list once tabled
+        self._sched: list[ProcessId] = []
+        # one tuple per tabled step, of what it changed (see undo)
+        self._undo: list[tuple] = []
         self.scheme = scheme
         self.key_seed = key_seed
 
     @property
     def sched_log(self) -> list[ProcessId]:
-        return unwind(self._sched)
+        return self._sched.copy()
 
     def enabled_pids(self) -> list[ProcessId]:
         """Enabled processes in pid order (shared: do not mutate)."""
@@ -532,16 +519,17 @@ class Simulation:
         write stores the op's value, and ``apply`` gets what the read
         returned (see registers.py).  A tabled step keys its outcome on the
         content id of the cell it read.  The views are brought up to date
-        only after a step that recorded an event (see ProcessMachine)."""
+        only after a step that recorded an event (see ProcessMachine).
+        A tabled step pushes what it changes for ``undo``."""
         steps = self.steps
         bank = self.bank
         recorder = self.recorder
         bank.current_step = recorder.step = steps
         events = recorder.key_node
         machine = self.machines[pid]
+        self._sched.append(pid)
         table = self._table
         if table is None:
-            self._sched.append(pid)
             op = machine.next_op(bank)
             kind = type(op)
             if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
@@ -557,15 +545,23 @@ class Simulation:
                 self.status = "protocol_violation"
                 self.violation = _violation(pid, exc)
         else:
-            self._sched = (self._sched, pid)
             entry = table.get(machine)
             if entry is None:
                 op = machine.next_op(bank)
                 entry = table[machine] = (op, _op_kind(pid, op), None, {})
             op, kind, written, outcomes = entry
-            result = key = None
+            reg = content = seq = result = key = None
             if kind is WriteOp:
                 reg = op.reg
+                content = bank.cells[reg]
+                seq = bank.write_seq[reg]
+            self._undo.append((
+                pid, machine, reg, content, seq, bank._writes, len(bank._trace),
+                self._cell_ids, self._cells_id, self._bank_id, self._events_id,
+                events, len(recorder.events), self._enabled, self._unfinished,
+                self.status, self.violation,
+            ))
+            if kind is WriteOp:
                 bank.write(reg, op.value, pid)
                 if written is None:  # the first take
                     parts = self._parts
@@ -587,6 +583,31 @@ class Simulation:
                 self._enabled = sorted(set(self._enabled) ^ {pid})
             if machine.done() == (pid in self._unfinished):
                 self._unfinished = self._unfinished ^ {pid}
+
+    def undo(self) -> None:
+        """Restore the state before the last tabled step, by assignment:
+        the stepping process's canonical machine, a written cell's content
+        and write sequence number, the bank's write count, the carried
+        part ids, the running event key, the views, the status and the
+        violation, with the logs truncated to their lengths then."""
+        (
+            pid, machine, reg, content, seq, writes, trace_len,
+            self._cell_ids, self._cells_id, self._bank_id, self._events_id,
+            key_node, events_len, self._enabled, self._unfinished,
+            self.status, self.violation,
+        ) = self._undo.pop()
+        self.machines[pid] = machine
+        bank = self.bank
+        if reg is not None:
+            bank.cells[reg] = content
+            bank.write_seq[reg] = seq
+        bank._writes = writes
+        del bank._trace[trace_len:]
+        recorder = self.recorder
+        recorder.key_node = key_node
+        del recorder.events[events_len:]
+        self._sched.pop()
+        self.steps -= 1
 
     def _take(
         self, pid: ProcessId, machine: ProcessMachine, entry: tuple, key, result
@@ -629,16 +650,15 @@ class Simulation:
         return successor
 
     def _tabulate(self) -> None:
-        """Step every process by a transition table from now on, one table
-        shared with every later clone.  A machine's step is a function of
-        its state_key, its bank_key and its read result, so each of its
-        states is one canonical machine, never changed.  Cells are keyed by
-        content ids: a small int per distinct content, from the part
-        table, since a tuple of ints hashes in C and one of values would
-        run each value's ``__hash__`` in Python.  The part ids of the cell
-        ids and the event key are carried from here on, and the bank keys'
-        once ``_bank_part`` first derives it."""
-        self._sched = chain(self._sched)
+        """Step every process by a transition table from now on.  A
+        machine's step is a function of its state_key, its bank_key and
+        its read result, so each of its states is one canonical machine,
+        never changed.  Cells are keyed by content ids: a small int per
+        distinct content, from the part table, since a tuple of ints
+        hashes in C and one of values would run each value's ``__hash__``
+        in Python.  The part ids of the cell ids and the event key are
+        carried from here on, and the bank keys' once ``_bank_part`` first
+        derives it."""
         self.bank.tabulate()
         self._canon = {}
         self._table = {}
@@ -668,7 +688,7 @@ class Simulation:
         return ExecutionHistory(
             cfg=self.cfg,
             u0=self.bank.u0,
-            hli_events=self.recorder.events,
+            hli_events=self.recorder.events.copy(),
             register_events=register_events,
             read_log=read_log,
             status=status,
@@ -678,32 +698,6 @@ class Simulation:
             scheme=self.scheme,
             key_seed=self.key_seed,
         )
-
-    def clone(self) -> "Simulation":
-        twin = Simulation.__new__(Simulation)
-        twin.cfg = self.cfg
-        twin.machines = dict(self.machines)
-        twin.bank = self.bank.clone()
-        twin.recorder = self.recorder.clone()
-        twin.order = self.order
-        twin._enabled = self._enabled
-        twin._unfinished = self._unfinished
-        twin._bank_keyed = self._bank_keyed
-        twin._canon = self._canon
-        twin._table = self._table
-        twin._parts = self._parts
-        twin._cell_ids = self._cell_ids
-        twin._cells_id = self._cells_id
-        twin._events_id = self._events_id
-        twin._bank_id = self._bank_id
-        twin.steps = self.steps
-        twin.status = self.status
-        twin.violation = self.violation
-        sched = self._sched
-        twin._sched = sched.copy() if type(sched) is list else sched
-        twin.scheme = self.scheme
-        twin.key_seed = self.key_seed
-        return twin
 
     def state_key(self):
         """The machine, bank and event state of a tabled simulation,
@@ -823,32 +817,37 @@ def enumerate_schedules(
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
     seen: set = set()
-    root = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
-    root._tabulate()
-    stack = [root]
+    sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
+    sim._tabulate()
+    step, undo = sim.step_process, sim.undo
+    # per state on the current path, the processes it has yet to step, in
+    # pid order; each child's key is tested once it is stepped
+    frames: list[Iterator[ProcessId]] = []
     visited = 0
-    while stack:
-        sim = stack.pop()
+    while True:
+        children = ()
         # one hash of the key: a set that does not grow held it already
         size = len(seen)
         seen.add(sim.state_key())
-        if len(seen) == size:
-            continue
-        visited += 1
-        if visited > node_cap:
-            raise BoundTooLarge(f"explored more than {node_cap} states")
-        if sim.status is not None or sim.workload_complete():
-            if sim.status is None:  # not a protocol violation
-                yield sim.history("completed")
-            continue
-        if sim.steps >= depth_bound:
-            continue
-        enabled = sim.enabled_pids()
-        # clone for all but one choice; the popped sim carries the last
-        for pid in reversed(enabled[1:]):
-            child = sim.clone()
-            child.step_process(pid)
-            stack.append(child)
-        if enabled:
-            sim.step_process(enabled[0])
-            stack.append(sim)
+        if len(seen) > size:
+            visited += 1
+            if visited > node_cap:
+                raise BoundTooLarge(f"explored more than {node_cap} states")
+            if sim.status is not None or not sim._unfinished:
+                if sim.status is None:  # not a protocol violation
+                    yield sim.history("completed")
+            elif sim.steps < depth_bound:
+                children = sim._enabled
+        frames.append(iter(children))
+        # step to the next child on the path, undoing every state whose
+        # children are all explored
+        while frames:
+            pid = next(frames[-1], None)
+            if pid is not None:
+                break
+            frames.pop()
+            if frames:
+                undo()
+        else:
+            return
+        step(pid)

@@ -16,7 +16,8 @@ operation is one indivisible scheduler step, and every operation lands
 in an append-only trace of cell contents, encoded only on export.  A
 bank stepped in place logs its reads apart from its writes, as flat
 entries (``RegisterBank``); ``merged_trace`` puts the two logs back in
-recording order.
+recording order.  Every log is a flat list, which an undone step of the
+enumerator truncates.
 """
 
 from __future__ import annotations
@@ -374,28 +375,6 @@ def merged_trace(events: list[TraceEvent], read_log: list) -> list[TraceEvent]:
     return out
 
 
-def unwind(log: list | tuple | None) -> list:
-    """The items of a log, oldest first, as a fresh list: a copy of a flat
-    list, or the items of a persistent cons-list of ``(rest, item)``
-    pairs."""
-    if type(log) is list:
-        return log.copy()
-    out = []
-    while log is not None:
-        log, item = log
-        out.append(item)
-    out.reverse()
-    return out
-
-
-def chain(items: list) -> tuple | None:
-    """A flat list's items as a persistent cons-list, oldest innermost."""
-    node = None
-    for item in items:
-        node = (node, item)
-    return node
-
-
 _UNSEEN = object()
 
 
@@ -450,8 +429,11 @@ class RegisterBank:
     export walk.  So a read allocates nothing that the cyclic collector
     tracks: its reader is the register's reader end, and its content is
     the cell's.  Once its simulation steps by table (``tabulate``), the
-    bank logs every operation as a ``TraceEvent`` on one persistent
-    cons-list, so that clones share its prefix; ``clone`` copies lists.
+    bank logs every operation as a ``TraceEvent`` in the one list, so an
+    enumerated history's read log is empty and its ``trace`` merges
+    nothing (README gives the measured cost of merging it per history).
+    A tabled simulation restores a written cell, its ``write_seq`` and
+    the write count when it undoes a step, and truncates the list.
     """
 
     def __init__(self, cfg: Config, u0: bytes, cells: list):
@@ -461,8 +443,7 @@ class RegisterBank:
         self.size = len(cells)
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
-        # the write events; every event, on a cons-list, once tabled
-        self._trace: list | tuple | None = []
+        self._trace: list[TraceEvent] = []  # the writes; every event once tabled
         self._reads: list | None = []  # None once tabled
         self.current_step = 0
 
@@ -474,11 +455,12 @@ class RegisterBank:
         """The trace as fresh lists: the events logged as ``TraceEvent``s
         (every one, once tabled) and the read log (empty once tabled)."""
         reads = self._reads
-        return unwind(self._trace), [] if reads is None else reads.copy()
+        return self._trace.copy(), [] if reads is None else reads.copy()
 
     def tabulate(self) -> None:
-        """Log every later operation on a persistent cons-list of events."""
-        self._trace = chain(self.trace)
+        """Merge the logs into one event list, which logs every later
+        operation."""
+        self._trace = self.trace
         self._reads = None
 
     def read(self, reg: RegisterId, caller: ProcessId):
@@ -492,7 +474,7 @@ class RegisterBank:
         if reads is not None:
             reads += (self.current_step, reg, content, self._writes)
         else:
-            self._trace = (self._trace, TraceEvent(self.current_step, "read", reg, caller, content))
+            self._trace.append(TraceEvent(self.current_step, "read", reg, caller, content))
         return read_content(FAMILY[reg], content)
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
@@ -503,27 +485,7 @@ class RegisterBank:
         content = self.cells[reg] = cell_content(reg, value)
         self._writes += 1
         self.write_seq[reg] = self._writes
-        event = TraceEvent(self.current_step, "write", reg, caller, content)
-        trace = self._trace
-        if type(trace) is list:
-            trace.append(event)
-        else:
-            self._trace = (trace, event)
-
-    def clone(self) -> "RegisterBank":
-        twin = RegisterBank.__new__(RegisterBank)
-        twin.cfg = self.cfg
-        twin.u0 = self.u0
-        twin.cells = self.cells.copy()
-        twin.size = self.size
-        twin.write_seq = self.write_seq.copy()
-        twin._writes = self._writes
-        trace = self._trace
-        twin._trace = trace.copy() if type(trace) is list else trace
-        reads = self._reads
-        twin._reads = None if reads is None else reads.copy()
-        twin.current_step = self.current_step
-        return twin
+        self._trace.append(TraceEvent(self.current_step, "write", reg, caller, content))
 
 
 @dataclass(frozen=True, eq=False)

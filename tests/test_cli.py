@@ -197,6 +197,19 @@ class TestCampaigns:
             {"seeds": {"start": -5, "count": 2}},
             {"seeds": [1.5]},
             {"seeds": {"start": "3", "count": 2}},
+            {"step_limit": True},
+            {"step_limit": 2.9},
+            {"step_limit": "50000"},
+            {"step_limit": 0},
+            {"settle_steps": 1.5},
+            {"config": {"n": 4.0, "t": 1}},
+            {"config": {"n": 4, "t": True}},
+            {"config": {"n": "4", "t": 1}},
+            {"workload": {"writes": ["a"], "reads": {"1": 1.0}}},
+            {"workload": {"writes": ["a"], "reads": {"1": "2"}}},
+            {"workload": {"writes": ["a"], "reads": {"1": False}}},
+            {"workload": {"writes": ["a"], "read_gap": 0.5}},
+            {"workload": {"writes": ["a"], "read_gap": True}},
         ],
         ids=[
             "assignment_missing",
@@ -236,6 +249,19 @@ class TestCampaigns:
             "seed_start_negative",
             "seed_float",
             "seed_start_string",
+            "step_limit_bool",
+            "step_limit_float",
+            "step_limit_string",
+            "step_limit_zero",
+            "settle_steps_float",
+            "n_float",
+            "t_bool",
+            "n_string",
+            "reads_float",
+            "reads_string",
+            "reads_bool",
+            "read_gap_float",
+            "read_gap_bool",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

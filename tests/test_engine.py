@@ -279,9 +279,9 @@ class TestScriptedSchedule:
 
 
 class TestRunLogs:
-    """A simulation stepped in place logs its schedule and register trace
-    in flat lists, its reads apart from its writes, and a tabled one in
-    persistent cons-lists; either log is a schedule that replays."""
+    """A simulation logs its schedule and register trace in flat lists;
+    stepped in place, it logs its reads apart from its writes.  Either
+    log is a schedule that replays."""
 
     def test_in_place_step_retains_only_its_write_event(self):
         # a write keeps its TraceEvent alive and a read keeps nothing, as
@@ -475,7 +475,8 @@ class TestEnumeration:
             tables.append([])
             assert list(enumerate_schedules(cfg, wl, depth_bound=40))
         # one table of canonical machines, one transition table and one
-        # table of state key parts per enumeration, shared by all its clones
+        # table of state key parts per enumeration, which its one
+        # simulation holds throughout
         ((canon1, table1, parts1),), ((canon2, table2, parts2),) = tables
         assert canon1 is not canon2 and canon1 and canon2
         assert table1 is not table2 and table1 and table2
@@ -556,13 +557,16 @@ def reference_key(sim):
 
 
 def reference_clone(sim):
-    """A twin of a simulation stepped in place: every machine copied, so
-    the two step apart."""
+    """A twin of a simulation stepped in place: every machine and every
+    list of its bank and recorder copied, so the two step apart."""
     twin = copy.copy(sim)
-    twin._sched = sim._sched.copy()  # a flat list in place: copied, not shared
+    twin._sched = sim._sched.copy()
     twin.machines = {pid: copy.copy(m) for pid, m in sim.machines.items()}
-    twin.bank = sim.bank.clone()
-    twin.recorder = sim.recorder.clone()
+    bank = twin.bank = copy.copy(sim.bank)
+    bank.cells, bank.write_seq = bank.cells.copy(), bank.write_seq.copy()
+    bank._trace, bank._reads = bank._trace.copy(), bank._reads.copy()
+    twin.recorder = copy.copy(sim.recorder)
+    twin.recorder.events = sim.recorder.events.copy()
     return twin
 
 
@@ -608,18 +612,29 @@ def event_sequence(events):
     return tuple((e.process, e.kind, e.op, e.value) for e in events)
 
 
+def replayed(sim, paths):
+    """Step the tabled ``sim`` along each path in turn, yield the path,
+    then undo it: a breadth-first walk over the one simulation."""
+    for path in paths:
+        for pid in path:
+            sim.step_process(pid)
+        yield path
+        for _ in path:
+            sim.undo()
+
+
 def shortest_path_sequences(cfg, wl, depth_bound):
     """The high-level event sequence of every completed state within
     depth_bound steps: a breadth-first walk of the enumerator's tabled
     states, which reaches each state first by one of its shortest paths."""
-    root = _root_simulation(cfg, None, wl, b"init", "keyed", 0)
-    root._tabulate()
-    seen = {root.state_key()}
-    level = [root]
+    sim = _root_simulation(cfg, None, wl, b"init", "keyed", 0)
+    sim._tabulate()
+    seen = {sim.state_key()}
+    level = [()]
     out = set()
     while level:
         deeper = []
-        for sim in level:
+        for path in replayed(sim, level):
             if sim.status is not None or sim.workload_complete():
                 if sim.status is None:
                     out.add(event_sequence(sim.recorder.events))
@@ -627,12 +642,12 @@ def shortest_path_sequences(cfg, wl, depth_bound):
             if sim.steps >= depth_bound:
                 continue
             for pid in sim.enabled_pids():
-                child = sim.clone()
-                child.step_process(pid)
-                key = child.state_key()
+                sim.step_process(pid)
+                key = sim.state_key()
                 if key not in seen:
                     seen.add(key)
-                    deeper.append(child)
+                    deeper.append((*path, pid))
+                sim.undo()
         level = deeper
     return out
 
@@ -643,31 +658,44 @@ class TestIncrementalStateKey:
     does.  At n=4 no history completes within a depth small
     enough to enumerate unpruned, so these compare the states reachable
     within the depth: breadth first with pruning on a tabled simulation's
-    key, and without pruning, over reference clones stepped in place."""
+    key, replaying each path on it and undoing it, and without pruning,
+    over reference clones stepped in place."""
 
     @staticmethod
-    def reachable(sim, depth, prune):
+    def reachable(sim, depth):
         found = {reference_key(sim)}
-        refs = {sim.state_key(): reference_key(sim)} if prune else {}
         frontier = [sim]
         for _ in range(depth):
             later = []
             for parent in frontier:
                 for pid in parent.enabled_pids():
-                    child = parent.clone() if prune else reference_clone(parent)
+                    child = reference_clone(parent)
                     child.step_process(pid)
-                    ref = reference_key(child)
-                    if prune:
-                        key = child.state_key()
-                        if key in refs:
-                            assert refs[key] == ref  # no false merge
-                            continue
-                        refs[key] = ref
-                    found.add(ref)
+                    found.add(reference_key(child))
                     later.append(child)
             frontier = later
-        if prune:
-            assert len(found) == len(refs)  # no false split
+        return found
+
+    @staticmethod
+    def reachable_pruned(sim, depth):
+        refs = {sim.state_key(): reference_key(sim)}
+        frontier = [()]
+        for _ in range(depth):
+            later = []
+            for path in replayed(sim, frontier):
+                for pid in sim.enabled_pids():
+                    sim.step_process(pid)
+                    ref = reference_key(sim)
+                    key = sim.state_key()
+                    if key in refs:
+                        assert refs[key] == ref  # no false merge
+                    else:
+                        refs[key] = ref
+                        later.append((*path, pid))
+                    sim.undo()
+            frontier = later
+        found = set(refs.values())
+        assert len(found) == len(refs)  # no false split
         return found
 
     @pytest.mark.parametrize(
@@ -686,8 +714,8 @@ class TestIncrementalStateKey:
                 sim._tabulate()
             return sim
 
-        pruned = self.reachable(root(tabled=True), 6, prune=True)
-        assert pruned == self.reachable(root(tabled=False), 6, prune=False)
+        pruned = self.reachable_pruned(root(tabled=True), 6)
+        assert pruned == self.reachable(root(tabled=False), 6)
         # the writer reached W_POLL, so bank_key took part
         assert any(ref[1][0] for ref in pruned)
 
@@ -713,13 +741,14 @@ class TestTransitionTable:
 
     @staticmethod
     def lockstep(cfg, strategies, wl, seeds, steps):
-        """Step a tabled simulation (clones of one root, so they share its
-        tables) and one stepped in place through the same random schedule,
-        comparing the stepped machines; returns every state_key reached in
-        place, with its machine's attributes, and each run's final
-        status.  A state key lists attribute values in ``__init__`` order,
-        so every machine reached must list its attribute names in the
-        order its process's freshly built machine does."""
+        """Step a tabled simulation (one for every seed, undone back to its
+        root after each, so the seeds share its tables) and one stepped in
+        place through the same random schedule, comparing the stepped
+        machines; returns every state_key reached in place, with its
+        machine's attributes, and each run's final status.  A state key
+        lists attribute values in ``__init__`` order, so every machine
+        reached must list its attribute names in the order its process's
+        freshly built machine does."""
         ring = make_keyring(cfg, "keyed", 0)
 
         def root():
@@ -727,13 +756,13 @@ class TestTransitionTable:
             return Simulation(cfg, machines, bank_init(cfg, b"init", ring))
 
         names = {pid: list(vars(m)) for pid, m in root().machines.items()}
-        tabled_root = root()
-        tabled_root._tabulate()
+        tabled = root()
+        tabled._tabulate()
         reached: dict = {}
         statuses = []
         for seed in seeds:
             rng = random.Random(seed)
-            plain, tabled = root(), tabled_root.clone()
+            plain = root()
             for _ in range(steps):
                 if plain.status is not None:
                     break
@@ -748,7 +777,9 @@ class TestTransitionTable:
             assert (tabled.status, tabled.violation) == (plain.status, plain.violation)
             assert tabled.history("x").digest() == plain.history("x").digest()
             statuses.append(plain.status)
-        assert len(tabled_root._table) < seeds.stop * steps  # steps were replayed
+            while tabled.steps:
+                tabled.undo()
+        assert len(tabled._table) < seeds.stop * steps  # steps were replayed
         return reached, statuses
 
     @pytest.mark.parametrize("name", sorted(READERS))
@@ -791,17 +822,19 @@ class TestTransitionTable:
         bank = bank_init(cfg, b"init", ring)
         ack = TaggedValue(1, b"a")
         bank.write(ack_reg(1), ack, ProcessId.reader(1))
-        root = Simulation(cfg, {WRITER: WriterMachine(cfg, ring, [b"a"])}, bank)
-        root._tabulate()
-        stale, fresh = root.clone(), root.clone()
-        stale.step_process(WRITER)
-        fresh.step_process(WRITER)
-        fresh.bank.write(ack_reg(1), ack, ProcessId.reader(1))
-        assert stale.machines[WRITER] is fresh.machines[WRITER]
-        stale.step_process(WRITER)
-        fresh.step_process(WRITER)
-        assert not stale.machines[WRITER].acked and not stale.workload_complete()
-        assert fresh.machines[WRITER].acked == {1} and fresh.workload_complete()
+        sim = Simulation(cfg, {WRITER: WriterMachine(cfg, ring, [b"a"])}, bank)
+        sim._tabulate()
+        sim.step_process(WRITER)
+        polling = sim.machines[WRITER]
+        sim.step_process(WRITER)
+        assert not sim.machines[WRITER].acked and not sim.workload_complete()
+        sim.undo()
+        sim.undo()
+        sim.step_process(WRITER)
+        sim.bank.write(ack_reg(1), ack, ProcessId.reader(1))
+        assert sim.machines[WRITER] is polling
+        sim.step_process(WRITER)
+        assert sim.machines[WRITER].acked == {1} and sim.workload_complete()
 
     def test_violation_is_replayed(self):
         # the forged-quorum scenario ends in concurrent_final_sets at a
@@ -809,6 +842,54 @@ class TestTransitionTable:
         s = scenario_forged_quorum()
         _, statuses = self.lockstep(s.cfg, s.strategies, s.workload, range(4), 3000)
         assert "protocol_violation" in statuses
+
+    @staticmethod
+    def undo_snapshot(sim):
+        """What a tabled step may change, the logs and the running event
+        key included, as values."""
+        events, reads = sim.bank.logs()
+        return (
+            sim.steps, sim.state_key(), reference_key(sim), sim.bank.cells.copy(),
+            sim.bank.write_seq.copy(), sim.bank._writes, events, reads, sim.sched_log,
+            sim.recorder.events.copy(), sim.recorder.key_node, sim.enabled_pids(),
+            sim._unfinished, sim.status, sim.violation,
+        )
+
+    UNDO_CASES = {
+        **{f"reader_{name}": (CFG41, StrategyAssignment(readers={4: r})) for name, r in READERS.items()},
+        "writer_split_value": (
+            Config(4, 1, writer_byzantine=True),
+            StrategyAssignment(writer=SplitValue.make({1: b"a", 2: b"a", 3: b"b", 4: b"b"})),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", [*sorted(UNDO_CASES), "forged_quorum"])
+    def test_undo_restores_each_state(self, name):
+        # random walks down from a tabled root, then undone step by step:
+        # each state on the way back equals the one recorded on the way down
+        if name == "forged_quorum":  # a violation raised inside a tabled step
+            s = scenario_forged_quorum()
+            cfg, strategies, wl = s.cfg, s.strategies, s.workload
+        else:
+            cfg, strategies = self.UNDO_CASES[name]
+            wl = Workload.make(writes=[b"a", b"b"], reads={1: 1, 2: 1}, read_gap=1)
+        sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", 0)
+        sim._tabulate()
+        statuses = set()
+        for seed in range(3):
+            rng = random.Random(seed)
+            trail = [self.undo_snapshot(sim)]
+            while sim.status is None and sim.enabled_pids() and sim.steps < 300:
+                sim.step_process(rng.choice(sim.enabled_pids()))
+                trail.append(self.undo_snapshot(sim))
+            statuses.add(sim.status)
+            for depth in reversed(range(len(trail))):
+                assert self.undo_snapshot(sim) == trail[depth], f"seed {seed}, depth {depth}"
+                if depth:
+                    sim.undo()
+        assert not sim._undo
+        if name == "forged_quorum":
+            assert statuses == {"protocol_violation"}
 
     # criterion 2's first two cases, n=4 cases with no write (with a write,
     # no history completes within the cap at n=4), and a writer whose

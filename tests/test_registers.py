@@ -347,7 +347,7 @@ class TestTrace:
         # nothing here advances current_step, so the logs of a bank stepped
         # in place merge by the writes logged before each read, not by step
         cfg, ring, bank = make_bank(2, 0)
-        tabled = bank.clone()
+        tabled = make_bank(2, 0)[2]
         tabled.tabulate()
         r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
         v1, v2 = TaggedValue(1, b"a"), TaggedValue(2, b"b")
