@@ -20,9 +20,8 @@ value, its stabilization event and the final-row layout) is derived
 once per ring, with the ring's registers.initial_state, and every scan
 starts from it.  The public check functions take these views, so a test
 can run any one of them on hand-built inputs.  Each check is a sweep or
-a lookup, near-linear in run length; where a sweep finds a violation,
-the pairwise loop it replaced names it (see the coverage-pattern notes
-below).
+a lookup, near-linear in run length, and names the violation it finds
+(see the coverage-pattern notes below).
 
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
@@ -321,9 +320,9 @@ def classify_writes(
 # keeps componentwise <=, so a set of projections is a chain exactly when
 # its lexicographic sort has componentwise <= neighbours, and a pair that
 # ties on S compares Equal only if it carries one value.  A pair with fewer
-# than n-2t shared witnesses, or none, is never ordered.  The sweeps only
-# decide whether a violation exists; the pairwise loop then names the
-# first one, so a verdict's detail is the one the loop alone would give.
+# than n-2t shared witnesses, or none, is never ordered.  A sweep returns
+# the first violating pair it meets, looking back for the partner only
+# then, so a violation costs one compare to describe.
 
 
 def _coverage_groups(cores, items) -> dict[tuple[int, ...], list[tuple]]:
@@ -345,62 +344,52 @@ def _shared(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p for p in a if p in in_b)
 
 
-def _ordered_across(shared, left, right, cfg: Config) -> bool:
-    """Whether every pair of a left and a right member compares Before,
-    After or Equal; ``left is right`` checks the pairs within one group.
-    Valid for two groups once each has passed on its own, because then
-    the left and the right members are each a chain on their own."""
+def _unordered_across(shared, left, right, cfg: Config):
+    """The items of the first pair of a left and a right member that does
+    not compare Before, After or Equal, or None; ``left is right`` checks
+    the pairs within one group.  Valid for two groups once each has passed
+    on its own: then the left and the right members are each a chain on
+    their own, so the partner named for a violation, the first member of
+    a tie that the next projection crosses or that holds another value,
+    is on the other side."""
     same = left is right
     if len(shared) < cfg.common_quorum or not shared:
-        return same and len(left) < 2
-    rows = [(tuple(stamps[p] for p in shared), 0, value) for stamps, value, _ in left]
+        if not same:
+            return left[0][2], right[0][2]
+        return (left[0][2], left[1][2]) if len(left) > 1 else None
+    rows = [(tuple(st[p] for p in shared), 0, v, it) for st, v, it in left]
     if not same:
-        rows += [(tuple(stamps[p] for p in shared), 1, value) for stamps, value, _ in right]
-    rows.sort(key=itemgetter(0))
+        rows += [(tuple(st[p] for p in shared), 1, v, it) for st, v, it in right]
+    rows.sort(key=itemgetter(0))  # stable: a tie lists its left members first
     tie = None
-    for proj, side, value in rows:
+    for proj, side, value, item in rows:
         if proj != tie:
             if tie is not None and any(x > y for x, y in zip(tie, proj)):
-                return False
+                return next(r[3] for r in rows if r[0] == tie), item
             tie, sides, values = proj, set(), set()
         sides.add(side)
         values.add(value)
         if len(values) > 1 and (same or len(sides) > 1):
-            return False
-    return True
-
-
-def _totally_ordered(stabs: list[StabilizationEvent], cfg: Config) -> bool:
-    """Whether every pair of stabilized cores compares without violation."""
-    groups = _coverage_groups([s.ws for s in stabs], stabs)
-    if not all(_ordered_across(a, g, g, cfg) for a, g in groups.items()):
-        return False
-    return all(
-        _ordered_across(_shared(a, b), groups[a], groups[b], cfg)
-        for a, b in combinations(groups, 2)
-    )
+            return next(r[3] for r in rows if r[0] == proj and r[2] != value), item
+    return None
 
 
 def check_total_order(stabs: list[StabilizationEvent], cfg: Config) -> Verdict:
-    """Every pair of stabilized witness cores must be comparable."""
-    if _totally_ordered(stabs, cfg):
+    """Every pair of stabilized witness cores must be comparable.  A
+    violation names the first pair the pattern-pair sweeps meet, in stabs
+    order."""
+    groups = _coverage_groups([s.ws for s in stabs], range(len(stabs)))
+    pairs = [(a, a) for a in groups] + list(combinations(groups, 2))
+    found = (_unordered_across(_shared(a, b), groups[a], groups[b], cfg) for a, b in pairs)
+    pair = next((p for p in found if p is not None), None)
+    if pair is None:
         return Verdict("pass", f"{len(stabs)} stabilizations totally ordered")
-    for i in range(len(stabs)):
-        for j in range(i + 1, len(stabs)):
-            a, b = stabs[i], stabs[j]
-            try:
-                verdict = mapsto_compare(a.ws, b.ws, cfg)
-            except (CommonQuorumTooSmall, EqualStampsDifferentValue) as exc:
-                return Verdict(
-                    "violation",
-                    f"{a.value} vs {b.value}: {type(exc).__name__}: {exc}",
-                )
-            if verdict is OrderVerdict.CONCURRENT:
-                return Verdict(
-                    "violation",
-                    f"concurrent pair {a.value}{a.pt} vs {b.value}{b.pt}",
-                )
-    return Verdict("pass", f"{len(stabs)} stabilizations totally ordered")
+    a, b = stabs[min(pair)], stabs[max(pair)]
+    try:
+        mapsto_compare(a.ws, b.ws, cfg)
+    except (CommonQuorumTooSmall, EqualStampsDifferentValue) as exc:
+        return Verdict("violation", f"{a.value} vs {b.value}: {type(exc).__name__}: {exc}")
+    return Verdict("violation", f"concurrent pair {a.value}{a.pt} vs {b.value}{b.pt}")
 
 
 def sort_stabilizations(
@@ -527,17 +516,18 @@ def _read_attribution(
     return out
 
 
-def _follows_in_order(shared, earlier, later, cfg: Config) -> bool:
-    """Whether every later member invoked after an earlier member responded
-    returns a core at or above that member's on the shared witnesses,
-    Equal only with one value.  The members are (stamps, value, read).
+def _inversion_across(shared, earlier, later, cfg: Config):
+    """The first (earlier read, later read) where the later member, invoked
+    after the earlier one responded, returns a core not at or above that
+    member's on the shared witnesses, or Equal with another value; None if
+    there is none.  The members are (stamps, value, read).
 
     Reads sorted by invocation meet the earlier reads sorted by response:
     a projection is at or above each of a set exactly when it is at or
     above their componentwise maximum."""
     if len(shared) < cfg.common_quorum or not shared:
-        first_done = min(read.response_step for _, _, read in earlier)
-        return all(read.invoke_step <= first_done for _, _, read in later)
+        first = min((read for _, _, read in earlier), key=attrgetter("response_step"))
+        return next(((first, r) for _, _, r in later if r.invoke_step > first.response_step), None)
     done = sorted(earlier, key=lambda m: m[2].response_step)
     top = None  # componentwise maximum over the reads done so far
     tied: dict[tuple[int, ...], set] = {}  # their values, per projection
@@ -553,30 +543,13 @@ def _follows_in_order(shared, earlier, later, cfg: Config) -> bool:
             continue
         proj = tuple(stamps[p] for p in shared)
         if any(x > y for x, y in zip(top, proj)):
-            return False
+            above = (r for st, _, r in done[:k] if any(st[p] > x for p, x in zip(shared, proj)))
+            return next(above), read
         values = tied.get(proj)
         if values and (len(values) > 1 or value not in values):
-            return False
-    return True
-
-
-def _inversion_free(
-    reads: list[HliOp],
-    attribution: dict[tuple[ProcessId, int], StabilizationEvent],
-    cfg: Config,
-) -> bool:
-    """Whether no attributed read returns a core that does not compare
-    Before or Equal against that of a read which responded before it was
-    invoked, by one sweep per ordered pair of coverage patterns."""
-    attributed = [r for r in reads if (r.process, r.index) in attribution]
-    groups = _coverage_groups(
-        [attribution[(r.process, r.index)].ws for r in attributed], attributed
-    )
-    return all(
-        _follows_in_order(_shared(a, b), groups[a], groups[b], cfg)
-        for a in groups
-        for b in groups
-    )
+            at_proj = (m for m in done[:k] if tuple(m[0][p] for p in shared) == proj)
+            return next(r for _, v, r in at_proj if v != value), read
+    return None
 
 
 def _first_inversion(
@@ -584,41 +557,36 @@ def _first_inversion(
     attribution: dict[tuple[ProcessId, int], StabilizationEvent],
     cfg: Config,
 ) -> Verdict | None:
-    """The first new-old inversion among the attributed reads, in the
-    order of the pairwise loop, or None."""
-    if len(reads) < 2 or _inversion_free(reads, attribution, cfg):
+    """The new-old inversion among the attributed reads that one sweep per
+    ordered pair of coverage patterns meets first, or None: two reads, the
+    first responding before the second was invoked, whose cores do not
+    compare Before or Equal."""
+    if len(reads) < 2:
         return None
-    # operand pairs already compared without a violation; any other
-    # outcome ends the loop, so only these can recur
-    in_order: set = set()
-    for i in range(len(reads)):
-        for j in range(len(reads)):
-            if i == j:
-                continue
-            r1, r2 = reads[i], reads[j]
-            if r1.response_step < r2.invoke_step:
-                s1 = attribution.get((r1.process, r1.index))
-                s2 = attribution.get((r2.process, r2.index))
-                if s1 is None or s2 is None:
-                    continue
-                pair = (s1.ws, s2.ws)
-                if pair in in_order:
-                    continue
-                try:
-                    verdict = mapsto_compare(s1.ws, s2.ws, cfg)
-                except (CommonQuorumTooSmall, EqualStampsDifferentValue) as exc:
-                    return Verdict(
-                        "violation",
-                        f"incomparable returns {r1.response_value} vs {r2.response_value}: {exc}",
-                    )
-                if verdict in (OrderVerdict.AFTER, OrderVerdict.CONCURRENT):
-                    return Verdict(
-                        "violation",
-                        f"new-old inversion: {r1.process} returned {r1.response_value} "
-                        f"before {r2.process} returned {r2.response_value}",
-                    )
-                in_order.add(pair)
-    return None
+    attributed = [r for r in reads if (r.process, r.index) in attribution]
+    groups = _coverage_groups(
+        [attribution[(r.process, r.index)].ws for r in attributed], attributed
+    )
+    found = (
+        _inversion_across(_shared(a, b), groups[a], groups[b], cfg)
+        for a in groups
+        for b in groups
+    )
+    pair = next((p for p in found if p is not None), None)
+    if pair is None:
+        return None
+    r1, r2 = pair
+    s1, s2 = attribution[(r1.process, r1.index)], attribution[(r2.process, r2.index)]
+    try:
+        mapsto_compare(s1.ws, s2.ws, cfg)
+    except (CommonQuorumTooSmall, EqualStampsDifferentValue) as exc:
+        detail = f"incomparable returns {r1.response_value} vs {r2.response_value}: {exc}"
+    else:
+        detail = (
+            f"new-old inversion: {r1.process} returned {r1.response_value} "
+            f"before {r2.process} returned {r2.response_value}"
+        )
+    return Verdict("violation", detail)
 
 
 def check_register_linearizability(
@@ -740,47 +708,31 @@ def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
     return Verdict("pass", f"all reads after step {cutoff} returned {last_value}")
 
 
-def _reads_agree(sequences: list[list[TaggedValue]]) -> bool:
-    """Whether no two reads, at one reader or two, saw two values in
-    opposite orders: each reader returns every value in one unbroken
-    stretch, and any two readers meet the values they share in one order.
-    """
-    orders = []
-    for seq in sequences:
-        order = [v for k, v in enumerate(seq) if k == 0 or v != seq[k - 1]]
-        if len(set(order)) != len(order):
-            return False
-        orders.append(order)
-    for p, q in combinations(orders, 2):
-        in_p, in_q = set(p), set(q)
-        if [v for v in p if v in in_q] != [v for v in q if v in in_p]:
-            return False
-    return True
-
-
 def check_total_ordering_reads(history: ExecutionHistory) -> Verdict:
-    """No two correct readers may see two values in opposite orders."""
-    orders: dict[tuple, tuple[ProcessId, ProcessId]] = {}
+    """No two correct reads, at one reader or two, may see two values in
+    opposite orders: each reader returns every value in one unbroken
+    stretch, so one reader returning a, b, a is flagged against itself, and
+    any two readers meet the values they share in one order."""
     per_reader: dict[ProcessId, list[TaggedValue]] = {}
     for r in history.completed_reads:
         per_reader.setdefault(r.process, []).append(r.response_value)
-    if _reads_agree(list(per_reader.values())):
-        return Verdict("pass", "common order across readers")
+    orders = []
     for pid, seq in sorted(per_reader.items()):
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                a, b = seq[i], seq[j]
-                if a == b:
-                    continue
-                key = (a.k, a.u, b.k, b.u)
-                rev = (b.k, b.u, a.k, a.u)
-                if rev in orders:
-                    other = orders[rev][0]
-                    return Verdict(
-                        "violation",
-                        f"{other} saw {b} before {a}; {pid} saw {a} before {b}",
-                    )
-                orders.setdefault(key, (pid, pid))
+        order = [v for k, v in enumerate(seq) if k == 0 or v != seq[k - 1]]
+        if len(set(order)) != len(order):
+            # the first value met again, and the one met just before it
+            first: dict[TaggedValue, int] = {}
+            k = next(k for k, v in enumerate(order) if first.setdefault(v, k) != k)
+            a, b = order[k], order[k - 1]
+            return Verdict("violation", f"{pid} saw {a} before {b}; {pid} saw {b} before {a}")
+        orders.append((pid, order))
+    for (p, p_order), (q, q_order) in combinations(orders, 2):
+        in_p, in_q = set(p_order), set(q_order)
+        p_shared = [v for v in p_order if v in in_q]
+        q_shared = [v for v in q_order if v in in_p]
+        if p_shared != q_shared:
+            a, b = next((a, b) for a, b in zip(p_shared, q_shared) if a != b)
+            return Verdict("violation", f"{p} saw {a} before {b}; {q} saw {b} before {a}")
     return Verdict("pass", "common order across readers")
 
 

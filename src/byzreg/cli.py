@@ -58,6 +58,14 @@ def _count(value, name: str, least: int = 0) -> int:
     return value
 
 
+def _strings(value, name: str) -> list[str]:
+    """A JSON list of strings: a string would be read as its characters
+    and an object as its keys."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ConfigError(f"{name} must be a list of strings, not {value!r}")
+    return value
+
+
 def _schedule(spec: dict) -> engine.Schedule:
     """A scenario file's schedule block; a seeded schedule's seed is set
     per run."""
@@ -70,9 +78,7 @@ def _schedule(spec: dict) -> engine.Schedule:
         then = spec.get("then", "round_robin")
         if then not in ("round_robin", "stop"):
             raise ConfigError(f"unknown scripted schedule fallback {then!r}")
-        steps = spec["steps"]
-        if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
-            raise ConfigError(f"scripted schedule steps must be a list of names, not {steps!r}")
+        steps = _strings(spec["steps"], "scripted schedule steps")
         return engine.Scripted(steps=tuple(steps), then=then)
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
@@ -117,7 +123,9 @@ def load_scenario(path: str | Path) -> adversary.Scenario:
             step_limit=_count(raw.get("step_limit", scenario.step_limit), "step_limit", 1),
             settle_steps=_count(raw.get("settle_steps", scenario.settle_steps), "settle_steps"),
             expected_status=expected.get("status", scenario.expected_status),
-            expected_violations=tuple(expected.get("violations", scenario.expected_violations)),
+            expected_violations=tuple(_strings(
+                expected.get("violations", [*scenario.expected_violations]), "expected violations"
+            )),
         )
         if raw.get("schedule") is not None:
             scenario.schedule = _schedule(raw["schedule"])
@@ -186,7 +194,7 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
     try:
         wl_raw = raw.get("workload", {})
         workload = engine.Workload.make(
-            writes=[w.encode() for w in wl_raw.get("writes", [])],
+            writes=[w.encode() for w in _strings(wl_raw.get("writes", []), "workload writes")],
             reads={
                 int(k): _count(v, f"read count of reader {k}")
                 for k, v in wl_raw.get("reads", {}).items()

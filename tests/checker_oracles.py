@@ -2,8 +2,10 @@
 
 Each function is the all-pairs loop the checker used before its pass was
 rewritten as a sweep (see the coverage-pattern notes in checker.py).  They
-are quadratic and kept only so that tests can compare verdicts and details
-on random inputs.
+are quadratic and kept only so that tests can compare verdicts on random
+inputs.  Where the checker names a violating pair, the pair it names may
+differ from the first one in these loops' order, so the tests compare the
+status and run the reference on the named pair alone.
 """
 
 from __future__ import annotations

@@ -2,21 +2,31 @@
 
 Random stabilizations mix coverage patterns (including cores below n-2t
 and patterns sharing no witness), stamps that tie on shared witnesses
-with different values, and lists out of step order; each sweep must give
-the pairwise reference's verdict, detail included.  A count guard keeps
-the checker's comparisons near-linear in run length.
+with different values, and lists out of step order.  Each sweep must give
+the pairwise reference's status.  Where the sweeps that name a pair find
+a violation, the pair they name must itself violate, but need not be the
+first pair in the reference's loop order.  Count guards keep the
+checker's comparisons near-linear in run length, on passing runs and on
+violating inputs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import re
+from itertools import combinations, permutations
 
 from hypothesis import example, given, settings, strategies as st
 
 import checker_oracles as oracle
 from byzreg import checker
 from byzreg.adversary import ForgeInformSet, StrategyAssignment
-from byzreg.checker import Kind, NoLinearization, StabilizationEvent, WriteClassification
+from byzreg.checker import (
+    Kind,
+    NoLinearization,
+    StabilizationEvent,
+    Verdict,
+    WriteClassification,
+)
 from byzreg.core import (
     Config,
     PartialTimestamp,
@@ -91,8 +101,14 @@ SMALL_CORE = [stab(VALUES[0], {1: 1, 2: 1, 3: 1}, 3), stab(VALUES[1], {4: 2}, 4)
 def test_total_order_matches_pairwise(case):
     stabs, cfg = case
     expected = oracle.total_order(stabs, cfg)
-    assert checker._totally_ordered(stabs, cfg) == expected.passed
-    assert checker.check_total_order(stabs, cfg) == expected
+    verdict = checker.check_total_order(stabs, cfg)
+    assert verdict.status == expected.status
+    if verdict.passed:
+        assert verdict == expected
+    else:
+        # the named pair, in list order, violates: the reference on that
+        # pair alone gives this detail
+        assert any(verdict == oracle.total_order([a, b], cfg) for a, b in combinations(stabs, 2))
 
 
 def test_cyclic_triple_is_pairwise_ordered():
@@ -125,8 +141,7 @@ def attributed_reads(draw):
             else:
                 read.response_value = draw(st.sampled_from(VALUES))
             reads.append(read)
-    # the pairwise loop names the first pair in list order, which the
-    # sweep must reproduce whatever that order is
+    # shuffled: the sweep's verdict must not depend on the reads' order
     return draw(st.permutations(reads)), attribution, cfg
 
 
@@ -135,8 +150,17 @@ def attributed_reads(draw):
 def test_inversions_match_pairwise(case):
     reads, attribution, cfg = case
     expected = oracle.first_inversion(reads, attribution, cfg)
-    assert checker._inversion_free(reads, attribution, cfg) == (expected is None)
-    assert checker._first_inversion(reads, attribution, cfg) == expected
+    verdict = checker._first_inversion(reads, attribution, cfg)
+    assert (verdict is None) == (expected is None)
+    if verdict is not None:
+        # the named reads violate: r1 responded before r2 was invoked, and
+        # the reference on that pair alone (its compare gives After or
+        # Concurrent, or raises) gives this detail
+        assert any(
+            verdict == oracle.first_inversion([r1, r2], attribution, cfg)
+            for r1, r2 in permutations(reads, 2)
+            if r1.response_step < r2.invoke_step
+        )
 
 
 @st.composite
@@ -223,9 +247,17 @@ def write_then_read(read_invoke: int):
 @example(write_then_read(6))
 @settings(max_examples=400, deadline=None)
 def test_register_linearizability_matches_pairwise(case):
-    assert outcome(checker._register_linearizability, *case) == outcome(
-        oracle.register_linearizability, *case
-    )
+    got = outcome(checker._register_linearizability, *case)
+    expected = outcome(oracle.register_linearizability, *case)
+    if isinstance(expected, Verdict) and expected.detail.startswith(INVERSION_DETAILS):
+        # test_inversions_match_pairwise checks the inverted pair named
+        assert isinstance(got, Verdict) and got.status == "violation"
+        assert got.detail.startswith(INVERSION_DETAILS)
+    else:
+        assert got == expected
+
+
+INVERSION_DETAILS = ("new-old inversion: ", "incomparable returns ")
 
 
 @st.composite
@@ -285,7 +317,24 @@ def test_write_stabilization_matches_pairwise(case):
 @given(st.sampled_from(CONFIGS).flatmap(lambda cfg: histories(cfg, values=VALUES[:3])))
 @settings(max_examples=300, deadline=None)
 def test_total_ordering_reads_matches_pairwise(history):
-    assert checker.check_total_ordering_reads(history) == oracle.total_ordering_reads(history)
+    verdict = checker.check_total_ordering_reads(history)
+    expected = oracle.total_ordering_reads(history)
+    assert verdict.status == expected.status
+    if verdict.passed:
+        assert verdict == expected
+        return
+    seqs: dict[str, list[str]] = {}
+    for r in history.completed_reads:
+        seqs.setdefault(str(r.process), []).append(str(r.response_value))
+    p, a, b, q, b2, a2 = re.fullmatch(
+        r"(\S+) saw (\S+) before (\S+); (\S+) saw (\S+) before (\S+)", verdict.detail
+    ).groups()
+    assert (a, b) == (a2, b2) and a != b
+    assert saw_before(seqs[p], a, b) and saw_before(seqs[q], b, a)
+
+
+def saw_before(seq: list, a, b) -> bool:
+    return a in seq and b in seq[seq.index(a) + 1 :]
 
 
 def long_run(writes: int) -> tuple[ExecutionHistory, frozenset[int]]:
@@ -315,4 +364,41 @@ def test_comparisons_grow_near_linearly_with_run_length(monkeypatch):
         assert all(v.passed for v in report.verdicts.values())
         counts.append(len(calls))
     # the pairwise passes made 5,595 and 22,034 calls (3.9x)
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_comparisons_stay_near_linear_on_violations(monkeypatch):
+    """k chained stabilizations whose last crosses its predecessor, and k
+    reads over the chain whose last returns an older core: each input has
+    one violation, which a pairwise loop reaches after ~k^2/2 comparisons."""
+    calls = []
+    compare = checker.mapsto_compare
+
+    def counted(*args):
+        calls.append(None)
+        return compare(*args)
+
+    monkeypatch.setattr(checker, "mapsto_compare", counted)
+    cfg = Config(4, 1)
+    counts = []
+    for k in (150, 300):
+        chain = [stab(TaggedValue(i + 1, b"v"), {1: i, 2: i, 3: i}, i) for i in range(k)]
+        crossing = chain[:-1] + [stab(TaggedValue(k, b"v"), {1: k, 2: k, 3: k - 3}, k)]
+        initial = stab(V0, {1: 0, 2: 0, 3: 0, 4: 0}, 0)
+        by_owner = {q: [(-1, initial)] for q in cfg.reader_indices()}
+        events = []
+        for i in range(k):
+            q = ProcessId(1 + i % 3)
+            s = chain[k - 3] if i == k - 1 else chain[i]
+            by_owner[q].append((2 * i + 1, s))
+            events.append(HliEvent(q, "invoke", "read", None, 2 * i + 1))
+            events.append(HliEvent(q, "response", "read", s.value, 2 * i + 2))
+        history = ExecutionHistory(cfg, U0, events, [])
+        calls.clear()
+        assert not checker.check_total_order(crossing, cfg).passed
+        verdict = checker._register_linearizability(
+            history, chain, by_owner, WriteClassification({}), cfg
+        )
+        assert verdict.detail.startswith("new-old inversion: "), verdict
+        counts.append(len(calls))
     assert counts[1] <= 2.2 * counts[0], counts

@@ -210,6 +210,9 @@ class TestCampaigns:
             {"workload": {"writes": ["a"], "reads": {"1": False}}},
             {"workload": {"writes": ["a"], "read_gap": 0.5}},
             {"workload": {"writes": ["a"], "read_gap": True}},
+            {"workload": {"writes": "ab"}},
+            {"expected": {"violations": "total_order"}},
+            {"expected": {"violations": {"total_order": 1}}},
         ],
         ids=[
             "assignment_missing",
@@ -262,6 +265,9 @@ class TestCampaigns:
             "reads_bool",
             "read_gap_float",
             "read_gap_bool",
+            "writes_a_string",
+            "expected_violations_a_string",
+            "expected_violations_an_object",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

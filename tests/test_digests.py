@@ -12,7 +12,8 @@ Every pinned digest is independent of ``PYTHONHASHSEED``;
 ``test_digests_independent_of_hash_seed`` checks that for the fixed runs
 in two fresh interpreters.  A change that alters behaviour on purpose
 regenerates the file with ``python tests/test_digests.py --write`` (from
-the repository root) and says which digests moved and why.
+the repository root), which prints each entry that moves, and says which
+digests moved and why.
 """
 
 from __future__ import annotations
@@ -115,6 +116,33 @@ def compute_all() -> dict:
     }
 
 
+def moved_entries(old: dict, new: dict) -> list[str]:
+    """Each leaf whose value differs between two digest trees, as
+    ``path: old -> new``; an entry on one side only shows None on the other."""
+
+    def leaves(tree, path=()):
+        if not isinstance(tree, dict):
+            return {path: tree}
+        return {k: v for key, sub in tree.items() for k, v in leaves(sub, path + (key,)).items()}
+
+    a, b = leaves(old), leaves(new)
+    return [
+        f"{'/'.join(map(str, path))}: {a.get(path)} -> {b.get(path)}"
+        for path in sorted(a.keys() | b.keys())
+        if a.get(path) != b.get(path)
+    ]
+
+
+def test_moved_entries_lists_changed_leaves():
+    old = {"runs": {"x": {"report": "r1", "steps": 5}}, "gone": 1}
+    new = {"runs": {"x": {"report": "r2", "steps": 5}}, "added": {"d": "h"}}
+    assert moved_entries(old, new) == [
+        "added/d: None -> h",
+        "gone: 1 -> None",
+        "runs/x/report: r1 -> r2",
+    ]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -160,5 +188,9 @@ def test_digests_independent_of_hash_seed(golden):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_digests.py --write")
-    GOLDEN.write_text(json.dumps(compute_all(), indent=1, sort_keys=True) + "\n")
+    digests = compute_all()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for line in moved_entries(old, digests):
+        print(line)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
