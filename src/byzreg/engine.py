@@ -1,7 +1,10 @@
 """Deterministic step scheduler, execution runner and schedule enumerator.
 
-A run interleaves one enabled process step at a time according to a
-schedule source (seeded random, round robin, or a scripted step list).
+A run interleaves one enabled process step at a time.  Its schedule
+source (seeded random, round robin, or a scripted step list) hands out
+whole rounds of pids, and one loop takes each pid in turn, skips it if
+it is not enabled then, and steps its machine in place; an in-place
+``step_process`` is a round of one pid through that loop.
 Identical inputs produce byte-identical histories.  The enumerator
 explores the interleavings of a micro workload up to a depth bound,
 pruning each state it has seen before (see enumerate_schedules for what
@@ -13,6 +16,7 @@ register trace, in flat lists, so a yielded history copies them.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import random
@@ -315,87 +319,58 @@ class Scripted:
 Schedule = SeededRandom | RoundRobin | Scripted
 
 
-class _Chooser:
-    def choose(self, enabled: list[ProcessId]) -> ProcessId | None:
-        raise NotImplementedError
+@functools.cache
+def _draw_widths(n: int) -> tuple[tuple[int, int], ...]:
+    """The bound and bit width of each draw random.shuffle makes for n items."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
 
 
-class _RandomChooser(_Chooser):
+class _RandomChooser:
     def __init__(self, spec: SeededRandom):
         self.rng = random.Random(spec.seed)
         self.fair = spec.fair
-        self.round: list[ProcessId] = []
 
-    def choose(self, enabled):
+    def next_round(self, enabled):
         if not self.fair:
-            return enabled[self.rng.randrange(len(enabled))]
-        # shuffled rounds: every process enabled at round start is
-        # scheduled once before the next round begins
-        order = self.round
-        while True:
-            if not order:
-                # random.shuffle's draws, made inline: the same getrandbits
-                # calls and rejection loop as its _randbelow, so every
-                # schedule is the one rng.shuffle(list(enabled)) gives
-                order = self.round = list(enabled)
-                getrandbits = self.rng.getrandbits
-                n = len(order)
-                k = n.bit_length()
-                for i in range(n - 1, 0, -1):
-                    if not (i + 1) >> (k - 1):
-                        k -= 1  # k stays (i + 1).bit_length()
-                    j = getrandbits(k)
-                    while j > i:
-                        j = getrandbits(k)
-                    order[i], order[j] = order[j], order[i]
-            pid = order.pop()
-            if pid in enabled:
-                return pid
+            return [enabled[self.rng.randrange(len(enabled))]]
+        # a shuffled round of the enabled processes, with random.shuffle's
+        # draws made inline: the same getrandbits calls and rejection loop
+        # as its _randbelow
+        order = list(enabled)
+        getrandbits = self.rng.getrandbits
+        for i, k in _draw_widths(len(order)):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        return order
 
 
-class _RoundRobinChooser(_Chooser):
-    """Cycles one cursor over every process in pid order, skipping the
-    disabled ones.  No machine is enabled again once it is disabled, so
-    this picks the next enabled process after the last one chosen."""
+class _ScriptedChooser:
+    """The script as one round, then round robin, which takes every
+    process in pid order each round, or with ``then="stop"`` an empty
+    round.  A round is taken whole before the next is asked for, so
+    every round-robin round is the same."""
 
-    def __init__(self, pids: Sequence[ProcessId]):
-        self.order = sorted(pids)
-        self.cursor = 0
-
-    def choose(self, enabled):
-        for _ in range(len(self.order)):
-            pid = self.order[self.cursor % len(self.order)]
-            self.cursor += 1
-            if pid in enabled:
-                return pid
-        return None
-
-
-class _ScriptedChooser(_Chooser):
     def __init__(self, spec: Scripted, pids: Sequence[ProcessId]):
         # names that match no process of the run are skipped for good
         by_name = {str(pid): pid for pid in pids}
-        self.steps = [by_name[name] for name in spec.steps if name in by_name]
-        self.pos = 0
-        self.fallback = _RoundRobinChooser(pids) if spec.then == "round_robin" else None
+        self.script = [by_name[name] for name in reversed(spec.steps) if name in by_name]
+        self.rotation = sorted(pids, reverse=True) if spec.then == "round_robin" else []
 
-    def choose(self, enabled):
-        while self.pos < len(self.steps):
-            pid = self.steps[self.pos]
-            self.pos += 1
-            if pid in enabled:
-                return pid
-            # scripted process currently disabled: skip the entry
-        if self.fallback is not None:
-            return self.fallback.choose(enabled)
-        return None
+    def next_round(self, enabled):
+        script, self.script = self.script, self.rotation
+        return (script or self.rotation).copy()
 
 
-def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]) -> _Chooser:
+def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]):
+    """The schedule's source of rounds: ``next_round(enabled)`` returns the
+    next round of pids to try, taken from its end; ``run`` skips a pid not
+    enabled when it is taken, and an empty round ends the run."""
     if isinstance(schedule, SeededRandom):
         return _RandomChooser(schedule)
     if isinstance(schedule, RoundRobin):
-        return _RoundRobinChooser(pids)
+        return _ScriptedChooser(Scripted(()), pids)
     if isinstance(schedule, Scripted):
         return _ScriptedChooser(schedule, pids)
     raise TypeError(f"unknown schedule {schedule!r}")
@@ -517,10 +492,16 @@ class Simulation:
     def step_process(self, pid: ProcessId) -> None:
         """Perform one op of ``pid``'s machine and apply its result: a
         write stores the op's value, and ``apply`` gets what the read
-        returned (see registers.py).  A tabled step keys its outcome on the
-        content id of the cell it read.  The views are brought up to date
-        only after a step that recorded an event (see ProcessMachine).
-        A tabled step pushes what it changes for ``undo``."""
+        returned (see registers.py).  Stepped in place, this is a round of
+        one pid (``_step_rounds``), so ``pid`` steps only if it is enabled
+        and no violation stopped the simulation.  A tabled step keys its
+        outcome on the content id of the cell it read, and pushes what it
+        changes for ``undo``.  The views are brought up to date only after
+        a step that recorded an event (see ProcessMachine)."""
+        table = self._table
+        if table is None:
+            self._step_rounds([pid], lambda enabled: [], self.steps + 1, 1)
+            return
         steps = self.steps
         bank = self.bank
         recorder = self.recorder
@@ -528,61 +509,96 @@ class Simulation:
         events = recorder.key_node
         machine = self.machines[pid]
         self._sched.append(pid)
-        table = self._table
-        if table is None:
+        entry = table.get(machine)
+        if entry is None:
             op = machine.next_op(bank)
-            kind = type(op)
-            if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
-                kind = _op_kind(pid, op)
-            result = None
-            if kind is ReadOp:
-                result = bank.read(op.reg, pid)
-            elif kind is WriteOp:
-                bank.write(op.reg, op.value, pid)
-            try:
-                machine.apply(bank, op, result, recorder)
-            except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
-                self.status = "protocol_violation"
-                self.violation = _violation(pid, exc)
-        else:
-            entry = table.get(machine)
-            if entry is None:
-                op = machine.next_op(bank)
-                entry = table[machine] = (op, _op_kind(pid, op), None, {})
-            op, kind, written, outcomes = entry
-            reg = content = seq = result = key = None
-            if kind is WriteOp:
-                reg = op.reg
-                content = bank.cells[reg]
-                seq = bank.write_seq[reg]
-            self._undo.append((
-                pid, machine, reg, content, seq, bank._writes, len(bank._trace),
-                self._cell_ids, self._cells_id, self._bank_id, self._events_id,
-                events, len(recorder.events), self._enabled, self._unfinished,
-                self.status, self.violation,
-            ))
-            if kind is WriteOp:
-                bank.write(reg, op.value, pid)
-                if written is None:  # the first take
-                    parts = self._parts
-                    written = parts.setdefault(bank.cells[reg], len(parts))
-                    entry = table[machine] = (op, kind, written, outcomes)
-                ids = self._cell_ids
-                if ids[reg] != written:
-                    ids = self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
-                    parts = self._parts
-                    self._cells_id = parts.setdefault(ids, len(parts))
-                self._bank_id = None
-            elif kind is ReadOp:
-                result = bank.read(op.reg, pid)
-                key = self._cell_ids[op.reg]
-            machine = self._take(pid, machine, entry, key, result)
+            entry = table[machine] = (op, _op_kind(pid, op), None, {})
+        op, kind, written, outcomes = entry
+        reg = content = seq = result = key = None
+        if kind is WriteOp:
+            reg = op.reg
+            content = bank.cells[reg]
+            seq = bank.write_seq[reg]
+        self._undo.append((
+            pid, machine, reg, content, seq, bank._writes, len(bank._trace),
+            self._cell_ids, self._cells_id, self._bank_id, self._events_id,
+            events, len(recorder.events), self._enabled, self._unfinished,
+            self.status, self.violation,
+        ))
+        if kind is WriteOp:
+            bank.write(reg, op.value, pid)
+            if written is None:  # the first take
+                parts = self._parts
+                written = parts.setdefault(bank.cells[reg], len(parts))
+                entry = table[machine] = (op, kind, written, outcomes)
+            ids = self._cell_ids
+            if ids[reg] != written:
+                ids = self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
+                parts = self._parts
+                self._cells_id = parts.setdefault(ids, len(parts))
+            self._bank_id = None
+        elif kind is ReadOp:
+            result = bank.read(op.reg, pid)
+            key = self._cell_ids[op.reg]
+        machine = self._take(pid, machine, entry, key, result)
         self.steps = steps + 1
         if recorder.key_node is not events:
             if machine.enabled() != (pid in self._enabled):
                 self._enabled = sorted(set(self._enabled) ^ {pid})
             if machine.done() == (pid in self._unfinished):
                 self._unfinished = self._unfinished ^ {pid}
+
+    def _step_rounds(self, order: list, next_round, step_limit: int, settle_steps: int) -> None:
+        """Step machines in place, taking pids from the end of ``order``
+        and then of each round ``next_round(enabled)`` returns, skipping a
+        pid not enabled when taken.  Stops at ``step_limit`` steps, at a
+        violation, at an empty round, when nothing is enabled, or after
+        ``settle_steps`` steps once the workload is complete."""
+        machines = self.machines
+        bank = self.bank
+        read, write = bank.read, bank.write
+        recorder = self.recorder
+        log = self._sched.append
+        steps = self.steps
+        # the views, kept in locals too: a step replaces them, never mutates them
+        enabled, unfinished = self._enabled, self._unfinished
+        while steps < step_limit and self.status is None:
+            if not unfinished:
+                if settle_steps <= 0:
+                    break
+                settle_steps -= 1
+            if not enabled:
+                break
+            while order or (order := next_round(enabled)):
+                pid = order.pop()
+                if pid in enabled:
+                    break
+            else:  # an empty round
+                break
+            bank.current_step = recorder.step = steps
+            events = recorder.key_node
+            machine = machines[pid]
+            log(pid)
+            op = machine.next_op(bank)
+            kind = type(op)
+            if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
+                kind = _op_kind(pid, op)
+            result = None
+            if kind is ReadOp:
+                result = read(op.reg, pid)
+            elif kind is WriteOp:
+                write(op.reg, op.value, pid)
+            try:
+                machine.apply(bank, op, result, recorder)
+            except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
+                self.status = "protocol_violation"
+                self.violation = _violation(pid, exc)
+            self.steps = steps = steps + 1
+            if recorder.key_node is not events:
+                if machine.enabled() != (pid in enabled):
+                    enabled = self._enabled = sorted(set(enabled) ^ {pid})
+                if machine.done() == (pid in unfinished):
+                    unfinished = self._unfinished = unfinished ^ {pid}
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
@@ -759,22 +775,7 @@ def run(
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
     sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
-    choose = make_chooser(schedule, sim.order).choose
-    step = sim.step_process
-    settle_left = settle_steps
-    # the views read directly: a step replaces them, never mutates them
-    while sim.steps < step_limit and sim.status is None:
-        if not sim._unfinished:
-            if settle_left <= 0:
-                break
-            settle_left -= 1
-        enabled = sim._enabled
-        if not enabled:
-            break
-        pid = choose(enabled)
-        if pid is None:
-            break
-        step(pid)
+    sim._step_rounds([], make_chooser(schedule, sim.order).next_round, step_limit, settle_steps)
     if sim.status is not None:
         status = sim.status
     elif sim.workload_complete():

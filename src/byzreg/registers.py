@@ -475,7 +475,8 @@ class RegisterBank:
             reads += (self.current_step, reg, content, self._writes)
         else:
             self._trace.append(TraceEvent(self.current_step, "read", reg, caller, content))
-        return read_content(FAMILY[reg], content)
+        # read_content, inline
+        return decode_value(FAMILY[reg], content.data) if type(content) is Raw else content
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
         if not 0 <= reg < self.size:
@@ -601,23 +602,27 @@ def export_trace(trace: list[TraceEvent], read_log: list = ()) -> Iterator[str]:
     """Newline-delimited structured records with digests of the contents'
     bytes, in the order of ``merged_trace``; a read of the read log is
     formatted from its entries.  Equal contents have equal bytes, so each
-    distinct content is encoded once per call.
+    distinct content is encoded once per call, as is each record's head,
+    the part its op, register and caller fix.
 
     A record is the line ``json.dumps(..., sort_keys=True)`` gives for
     its dict, filled into one template: every field is an int or an
     ASCII string that JSON does not escape (register and process names
     and a hex digest)."""
     digests: dict = {}
+    heads: dict = {}  # (op, register, caller) -> the record up to its step
 
     def record(step, op, reg, caller, content) -> str:
+        head = heads.get((op, reg, caller))
+        if head is None:
+            head = heads[op, reg, caller] = (
+                f'{{"caller": "{caller}", "op": "{op}", "register": "{reg}", "step": '
+            )
         digest = digests.get(content)
         if digest is None:
             data = encode_value(FAMILY[reg], content)
             digest = digests[content] = hashlib.sha256(data).hexdigest()[:16]
-        return (
-            f'{{"caller": "{caller}", "op": "{op}", "register": "{reg}", '
-            f'"step": {step}, "value_digest": "{digest}"}}'
-        )
+        return f'{head}{step}, "value_digest": "{digest}"}}'
 
     done = 0
     for step, reg, content, writes in log_reads(read_log):

@@ -7,6 +7,7 @@ import copy
 import gc
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from byzreg.adversary import (
     scenario_forged_quorum,
     scenario_pseudo_correct,
 )
+from byzreg.cli import load_scenario
 from byzreg.core import WRITER, Config, ProcessId, TaggedValue
 from byzreg.crypto import make_keyring
 from byzreg.engine import (
@@ -42,9 +44,9 @@ from byzreg.engine import (
     Simulation,
     StepLimitExhausted,
     Workload,
-    _RandomChooser,
     _root_simulation,
     enumerate_schedules,
+    make_chooser,
     run,
 )
 from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
@@ -59,6 +61,8 @@ from byzreg.registers import (
 )
 
 from test_registers import replay_trace
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 CFG40 = Config(4, 0)
@@ -191,22 +195,119 @@ class TestFairness:
         assert fairness_violations(history, 2 * (CFG40.n + 1)) == []
 
 
-class ShuffledRounds:
+class ReferenceChooser:
+    """run's schedule sources as they were: one pid per step, chosen from
+    the processes enabled then, counting the entries skipped."""
+
+    skipped = 0
+
+
+class ShuffledRounds(ReferenceChooser):
     """The fair chooser written with random.shuffle: the reference for
-    the chooser's inline draws."""
+    the chooser's inline draws.  ``starts`` holds the calls, counted from
+    0, that began a round."""
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.round: list = []
+        self.calls = 0
+        self.starts: list[int] = []
 
     def choose(self, enabled):
+        self.calls += 1
         while True:
             if not self.round:
+                self.starts.append(self.calls - 1)
                 self.round = list(enabled)
                 self.rng.shuffle(self.round)
             pid = self.round.pop()
             if pid in enabled:
                 return pid
+            self.skipped += 1
+
+
+class UnfairPicks(ReferenceChooser):
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def choose(self, enabled):
+        return enabled[self.rng.randrange(len(enabled))]
+
+
+class Rotation(ReferenceChooser):
+    """Round robin as one cursor over every process in pid order."""
+
+    def __init__(self, pids):
+        self.order = sorted(pids)
+        self.cursor = 0
+
+    def choose(self, enabled):
+        for _ in range(len(self.order)):
+            pid = self.order[self.cursor % len(self.order)]
+            self.cursor += 1
+            if pid in enabled:
+                return pid
+            self.skipped += 1
+        return None
+
+
+class ScriptThen(ReferenceChooser):
+    """A script of process names, then a Rotation or, for any other
+    ``then``, nothing."""
+
+    def __init__(self, spec: Scripted, pids):
+        by_name = {str(pid): pid for pid in pids}
+        self.steps = [by_name[name] for name in spec.steps if name in by_name]
+        self.pos = 0
+        self.fallback = Rotation(pids) if spec.then == "round_robin" else None
+
+    def choose(self, enabled):
+        while self.pos < len(self.steps):
+            pid = self.steps[self.pos]
+            self.pos += 1
+            if pid in enabled:
+                return pid
+            self.skipped += 1
+        return self.fallback.choose(enabled) if self.fallback else None
+
+
+class RoundTaker:
+    """Takes pids from a chooser's rounds as run does: from the end of
+    the round, skipping a pid not enabled when taken."""
+
+    def __init__(self, chooser):
+        self.chooser = chooser
+        self.round: list = []
+
+    def choose(self, enabled):
+        while True:
+            if not self.round:
+                self.round = self.chooser.next_round(enabled)
+                if not self.round:
+                    return None
+            pid = self.round.pop()
+            if pid in enabled:
+                return pid
+
+
+def reference_run(cfg, strategies, wl, chooser, step_limit, *, key_seed=0, settle_steps=0):
+    """run's loop as it was: ``chooser`` picks one enabled pid per step and
+    the in-place simulation steps it.  Returns the simulation and the
+    number of processes enabled before each step."""
+    sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", key_seed)
+    sizes = []
+    while sim.steps < step_limit and sim.status is None:
+        if sim.workload_complete():
+            if settle_steps <= 0:
+                break
+            settle_steps -= 1
+        enabled = sim.enabled_pids()
+        pid = chooser.choose(enabled) if enabled else None
+        if pid is None:
+            break
+        sizes.append(len(enabled))
+        sim.step_process(pid)
+    return sim, sizes
 
 
 class TestFairRounds:
@@ -218,13 +319,62 @@ class TestFairRounds:
         for seed in range(1000):
             for length in range(1, 15):
                 enabled = [ProcessId(i) for i in range(length)]
-                chooser = _RandomChooser(SeededRandom(seed))
+                taker = RoundTaker(make_chooser(SeededRandom(seed), enabled))
                 reference = ShuffledRounds(seed)
                 for step in range(3 * length):
-                    assert chooser.choose(enabled) == reference.choose(enabled), (seed, length)
-                    assert chooser.round == reference.round
+                    assert taker.choose(enabled) == reference.choose(enabled), (seed, length)
+                    assert taker.round == reference.round
                     if step == length + length // 2 and reference.round:
                         enabled = [p for p in enabled if p != reference.round[0]]
+
+
+class TestRoundDrivenRun:
+    """run takes whole rounds from its schedule, and skips a pid that is
+    not enabled when taken; it must step what the reference choosers,
+    one pid per step, step."""
+
+    WL = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+    PIDS = [ProcessId(i) for i in range(CFG40.n + 1)]
+
+    def compare(self, schedule, reference, settle_steps=0):
+        history = run(CFG40, None, self.WL, schedule, 30000, key_seed=3,
+                      settle_steps=settle_steps, raise_on_limit=False)
+        sim, sizes = reference_run(CFG40, None, self.WL, reference, 30000, key_seed=3,
+                                   settle_steps=settle_steps)
+        assert history.sched_log == sim.sched_log
+        assert history.digest() == sim.history(history.status).digest()
+        return history, sizes
+
+    def test_fair_rounds(self):
+        reference = ShuffledRounds(1)
+        history, sizes = self.compare(SeededRandom(1), reference, settle_steps=50)
+        assert history.status == "completed"
+        # the writer went idle at a step that did not end its round
+        idle = next(i for i in range(1, len(sizes)) if sizes[i] < sizes[i - 1])
+        assert idle not in reference.starts
+
+    def test_unfair_picks(self):
+        history, _ = self.compare(SeededRandom(5, fair=False), UnfairPicks(5))
+        assert history.status == "completed"
+
+    def test_round_robin_skips_the_idle_writer(self):
+        reference = Rotation(self.PIDS)
+        history, _ = self.compare(RoundRobin(), reference, settle_steps=50)
+        assert history.status == "completed" and reference.skipped > 0
+
+    @pytest.mark.parametrize("then", ["round_robin", "stop"])
+    def test_script_with_unknown_and_disabled_entries(self, then):
+        # "r9" names no process, and the writer's entries after it went
+        # idle are disabled ones; the settle steps outlast the script
+        script = Scripted(("w", "r9", "r1", "w", "r2", "r3", "r4") * 100, then=then)
+        reference = ScriptThen(script, self.PIDS)
+        history, _ = self.compare(script, reference, settle_steps=200)
+        assert reference.skipped > 0 and reference.pos == len(reference.steps)
+        scripted = len(reference.steps) - reference.skipped
+        if then == "stop":
+            assert history.steps == scripted
+        else:
+            assert history.steps > scripted
 
 
 class TestRegisterSlots:
@@ -326,6 +476,50 @@ class TestRunLogs:
         assert tabled.trace_length == history.trace_length == len(history.trace)
         assert tabled.family_writes == history.family_writes
         assert tabled.digest() == history.digest()
+
+    @pytest.mark.parametrize(
+        "strategies",
+        [None, StrategyAssignment(readers={4: Equivocate.make({1: b"z"})})],
+        ids=["fault_free", "equivocate"],
+    )
+    def test_in_place_steps_replay_run(self, strategies):
+        # run and an in-place step_process take the one step path: its
+        # schedule, stepped a pid at a time, gives run's history
+        cfg = CFG41 if strategies else CFG40
+        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+        history = run(cfg, strategies, wl, SeededRandom(seed=4), 30000, key_seed=4,
+                      settle_steps=40)
+        sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", 4)
+        for pid in history.sched_log:
+            sim.step_process(pid)
+        again = sim.history(history.status)
+        fields = ("status", "steps", "violation", "sched_log", "hli_events", "trace")
+        assert [getattr(again, f) for f in fields] == [getattr(history, f) for f in fields]
+        assert again.digest() == history.digest()
+
+    def test_in_place_steps_replay_a_violation(self):
+        scenario = load_scenario(SCENARIOS / "forged_quorum_n4t2.json")
+        seed = scenario.seeds[0]
+        history = run(
+            scenario.cfg, scenario.strategies, scenario.workload, scenario.schedule,
+            scenario.step_limit, u0=scenario.u0, scheme=scenario.scheme, key_seed=seed,
+            raise_on_limit=False,
+        )
+        assert history.status == "protocol_violation"
+        assert history.violation.startswith("concurrent_final_sets at ")
+        sim = _root_simulation(
+            scenario.cfg, scenario.strategies, scenario.workload, scenario.u0, scenario.scheme,
+            seed,
+        )
+        for pid in history.sched_log:
+            sim.step_process(pid)
+        assert (sim.steps, sim.status, sim.violation) == (
+            history.steps, history.status, history.violation
+        )
+        assert sim.history(sim.status).digest() == history.digest()
+        # the violation stopped the simulation: a further step is not taken
+        sim.step_process(history.sched_log[-1])
+        assert sim.steps == history.steps
 
     @staticmethod
     def assert_replays(history, wl, strategies=None, settle_steps=0, digest=True):
