@@ -8,8 +8,10 @@ it is not enabled then, and steps its machine in place; an in-place
 Identical inputs produce byte-identical histories.  The enumerator
 explores the interleavings of a micro workload up to a depth bound,
 pruning each state it has seen before (see enumerate_schedules for what
-that bound then covers).  It steps one tabled simulation and undoes each
-step on the way back.  A simulation logs its schedule, and its bank the
+that bound then covers).  It walks one tabled simulation depth first in
+one loop that steps, keys each state reached and undoes each step on the
+way back; a tabled ``step_process`` and ``undo`` are walks of one edge
+through that loop.  A simulation logs its schedule, and its bank the
 register trace, in flat lists, so a yielded history copies them.
 """
 
@@ -378,18 +380,19 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]):
 
 class _EventLog:
     """Stands in for the recorder the first time a tabled step is taken,
-    keeping its calls so that every later take replays them."""
+    keeping its events as ``(pid, kind, op, value)`` so that every later
+    take replays them."""
 
-    __slots__ = ("calls",)
+    __slots__ = ("events",)
 
     def __init__(self):
-        self.calls: list[tuple] = []
+        self.events: list[tuple] = []
 
     def invoke(self, pid: ProcessId, op: str, value=None):
-        self.calls.append((HistoryRecorder.invoke, pid, op, value))
+        self.events.append((pid, "invoke", op, value))
 
     def response(self, pid: ProcessId, op: str, value=None):
-        self.calls.append((HistoryRecorder.response, pid, op, value))
+        self.events.append((pid, "response", op, value))
 
 
 def _op_kind(pid: ProcessId, op) -> type:
@@ -419,7 +422,10 @@ class Simulation:
     canonical successor.  Only a tabled simulation is keyed, and only a
     tabled step can be undone (``undo``): it pushes what it changes onto
     an undo stack, and every part of the state it replaces is a machine,
-    a view, a tuple or an int that no step changes in place.
+    a view, a tuple or an int that no step changes in place.  The tabled
+    step, its undo and the state key exist once, in the enumerator's
+    loop (``_walk``); ``step_process``, ``undo`` and ``state_key`` walk
+    one edge, back out of one, or key the state through it.
 
     The schedule and the bank's register trace are flat lists in both
     modes, so undoing a step truncates them.  Stepped in place, the bank
@@ -448,27 +454,34 @@ class Simulation:
         self._enabled = [pid for pid in self.order if machines[pid].enabled()]
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
         # processes whose machines read the bank beyond their op's result:
-        # the ones that override bank_key
+        # the ones that override bank_key, and the registers whose write
+        # order their bank keys read
         self._bank_keyed = tuple(
             pid for pid in self.order
             if type(machines[pid]).bank_key is not ProcessMachine.bank_key
         )
+        self._bank_regs = frozenset(
+            reg for pid in self._bank_keyed for reg in machines[pid].bank_regs()
+        )
         # machine key -> its canonical machine, canonical machine -> (its
         # op, the op's class, the content id of what it writes, {outcome
-        # key: (canonical successor, recorder calls, violation)}), state key
-        # part or cell content -> the small int standing for it, and the
-        # cells' content ids, a tuple that a write changing one replaces;
-        # None to step in place
+        # key: (canonical successor, events, violation, enabled, done)}),
+        # state key part or cell content -> the small int standing for it,
+        # and the cells' content ids, a tuple that a write changing one
+        # replaces; None to step in place
         self._canon: dict | None = None
         self._table: dict | None = None
         self._parts: dict | None = None
         self._cell_ids: tuple[int, ...] | None = None
         # the part ids of the cell ids, the event key and the bank keys,
         # each set where a step changes what it stands for; the bank id is
-        # None until _bank_part derives it again
+        # None until a walk derives it again
         self._cells_id: int | None = None
         self._events_id: int | None = None
         self._bank_id: int | None = None
+        # the keys of the states an enumeration of the tabled simulation
+        # visited
+        self._seen: set | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
@@ -492,61 +505,16 @@ class Simulation:
     def step_process(self, pid: ProcessId) -> None:
         """Perform one op of ``pid``'s machine and apply its result: a
         write stores the op's value, and ``apply`` gets what the read
-        returned (see registers.py).  Stepped in place, this is a round of
-        one pid (``_step_rounds``), so ``pid`` steps only if it is enabled
-        and no violation stopped the simulation.  A tabled step keys its
-        outcome on the content id of the cell it read, and pushes what it
-        changes for ``undo``.  The views are brought up to date only after
-        a step that recorded an event (see ProcessMachine)."""
-        table = self._table
-        if table is None:
+        returned (see registers.py).  ``pid`` steps only if it is enabled
+        and no violation stopped the simulation.  Stepped in place, this
+        is a round of one pid (``_step_rounds``); by table, a walk of one
+        edge (``_walk``), which pushes what the step changes for
+        ``undo``.  The views are brought up to date only after a step
+        that recorded an event (see ProcessMachine)."""
+        if self._table is None:
             self._step_rounds([pid], lambda enabled: [], self.steps + 1, 1)
-            return
-        steps = self.steps
-        bank = self.bank
-        recorder = self.recorder
-        bank.current_step = recorder.step = steps
-        events = recorder.key_node
-        machine = self.machines[pid]
-        self._sched.append(pid)
-        entry = table.get(machine)
-        if entry is None:
-            op = machine.next_op(bank)
-            entry = table[machine] = (op, _op_kind(pid, op), None, {})
-        op, kind, written, outcomes = entry
-        reg = content = seq = result = key = None
-        if kind is WriteOp:
-            reg = op.reg
-            content = bank.cells[reg]
-            seq = bank.write_seq[reg]
-        self._undo.append((
-            pid, machine, reg, content, seq, bank._writes, len(bank._trace),
-            self._cell_ids, self._cells_id, self._bank_id, self._events_id,
-            events, len(recorder.events), self._enabled, self._unfinished,
-            self.status, self.violation,
-        ))
-        if kind is WriteOp:
-            bank.write(reg, op.value, pid)
-            if written is None:  # the first take
-                parts = self._parts
-                written = parts.setdefault(bank.cells[reg], len(parts))
-                entry = table[machine] = (op, kind, written, outcomes)
-            ids = self._cell_ids
-            if ids[reg] != written:
-                ids = self._cell_ids = ids[:reg] + (written,) + ids[reg + 1:]
-                parts = self._parts
-                self._cells_id = parts.setdefault(ids, len(parts))
-            self._bank_id = None
-        elif kind is ReadOp:
-            result = bank.read(op.reg, pid)
-            key = self._cell_ids[op.reg]
-        machine = self._take(pid, machine, entry, key, result)
-        self.steps = steps + 1
-        if recorder.key_node is not events:
-            if machine.enabled() != (pid in self._enabled):
-                self._enabled = sorted(set(self._enabled) ^ {pid})
-            if machine.done() == (pid in self._unfinished):
-                self._unfinished = self._unfinished ^ {pid}
+        elif self.status is None and pid in self._enabled:
+            self._walk([iter((pid,))])
 
     def _step_rounds(self, order: list, next_round, step_limit: int, settle_steps: int) -> None:
         """Step machines in place, taking pids from the end of ``order``
@@ -602,68 +570,152 @@ class Simulation:
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
-        the stepping process's canonical machine, a written cell's content
-        and write sequence number, the bank's write count, the carried
-        part ids, the running event key, the views, the status and the
-        violation, with the logs truncated to their lengths then."""
-        (
-            pid, machine, reg, content, seq, writes, trace_len,
-            self._cell_ids, self._cells_id, self._bank_id, self._events_id,
-            key_node, events_len, self._enabled, self._unfinished,
-            self.status, self.violation,
-        ) = self._undo.pop()
-        self.machines[pid] = machine
-        bank = self.bank
-        if reg is not None:
-            bank.cells[reg] = content
-            bank.write_seq[reg] = seq
-        bank._writes = writes
-        del bank._trace[trace_len:]
-        recorder = self.recorder
-        recorder.key_node = key_node
-        del recorder.events[events_len:]
-        self._sched.pop()
-        self.steps -= 1
+        a walk that backs out of one edge (``_walk``)."""
+        self._walk([iter(()), iter(())])
 
-    def _take(
-        self, pid: ProcessId, machine: ProcessMachine, entry: tuple, key, result
-    ) -> ProcessMachine:
-        """Bind a tabled step's successor and replay its recorder calls and
-        violation; the first take of the step computes them on a copy.  A
-        step's outcome is keyed by the content id of the cell it read
-        (``key``, None for a step that reads nothing), and for a process
-        with a bank_key by the state's bank part too (``_bank_part``).
-        Replayed recorder calls set the event part id; a step of such a
-        process clears the bank part id."""
-        op, _, _, outcomes = entry
-        bank_keyed = pid in self._bank_keyed
-        if bank_keyed:
-            key = (key, self._bank_part())
-        outcome = outcomes.get(key)
-        if outcome is None:
-            successor = copy.copy(machine)
-            log = _EventLog()
-            violation = None
-            try:
-                successor.apply(self.bank, op, result, log)
-            except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
-                violation = _violation(pid, exc)
-            successor = self._canon.setdefault(successor.state_key(), successor)
-            outcome = outcomes[key] = (successor, log.calls, violation)
-        successor, calls, violation = outcome
-        self.machines[pid] = successor
-        if bank_keyed:
-            self._bank_id = None
-        if calls:
-            recorder = self.recorder
-            for call, *args in calls:
-                call(recorder, *args)
-            parts = self._parts
-            self._events_id = parts.setdefault(recorder.key_node, len(parts))
-        if violation is not None:
-            self.status = "protocol_violation"
-            self.violation = violation
-        return successor
+    def _walk(self, frames: list, seen: set | None = None, depth_bound: int = 0,
+              node_cap: int = 0) -> bool:
+        """Walk the tabled simulation depth first, stepping and undoing
+        in one loop.  ``frames`` lists, per state on the path, an iterator
+        over the processes it has yet to step; a spent one is left by
+        undoing the step into its state, and the walk ends when none is
+        left (False).  With a visited set ``seen``, each state reached is
+        keyed (``state_key``) and, if new, visited: the walk stops at a
+        completed one (True) before giving it a frame, so the next walk
+        finds it visited and backs out, and any other gets a frame of its
+        enabled processes while within ``depth_bound`` steps; more than
+        ``node_cap`` states raise BoundTooLarge.  With no set, it takes
+        one step and ends.  The tabled state lives in locals, written
+        back when the walk ends.  A step's table entry gives its successor
+        per content id read (paired, for a process with a bank_key, with
+        the bank part before the step); the undo tuple it pushes is what
+        the step replaces.  The bank part id is cleared by a step of such
+        a process or a write to a register in ``bank_regs``, and derived
+        again at the top of the loop."""
+        machines, bank, recorder = self.machines, self.bank, self.recorder
+        cells, write_seq, trace = bank.cells, bank.write_seq, bank._trace
+        read, write = bank.read, bank.write
+        hli = recorder.events
+        table, canon, parts = self._table, self._canon, self._parts
+        order, bank_keyed, bank_regs = self.order, self._bank_keyed, self._bank_regs
+        getm = machines.__getitem__
+        sched = self._sched
+        push, pop = self._undo.append, self._undo.pop
+        cell_ids, cells_id, bank_id, events_id = (
+            self._cell_ids, self._cells_id, self._bank_id, self._events_id
+        )
+        key_node = recorder.key_node
+        enabled, unfinished = self._enabled, self._unfinished
+        status, violation, steps = self.status, self.violation, self.steps
+        try:
+            while True:
+                if bank_id is None:
+                    keys = tuple([machines[p].bank_key(bank) for p in bank_keyed])
+                    bank_id = parts.setdefault(keys, len(parts))
+                if seen is not None:
+                    # one hash of the key: a set that does not grow held it already
+                    size = len(seen)
+                    seen.add((*map(getm, order), bank_id, cells_id, events_id, status))
+                    children = ()
+                    if len(seen) > size:
+                        if size >= node_cap:
+                            raise BoundTooLarge(f"explored more than {node_cap} states")
+                        if status is not None or not unfinished:
+                            if status is None:  # not a protocol violation
+                                return True
+                        elif steps < depth_bound:
+                            children = enabled
+                    frames.append(iter(children))
+                # the next process to step, undoing the step into every
+                # state whose processes are all stepped
+                while frames:
+                    pid = next(frames[-1], None)
+                    if pid is not None:
+                        break
+                    frames.pop()
+                    if frames:
+                        (pid, machine, reg, content, seq, writes, trace_len, cell_ids,
+                         cells_id, bank_id, events_id, key_node, hli_len, enabled,
+                         unfinished, status, violation) = pop()
+                        machines[pid] = machine
+                        if reg is not None:
+                            cells[reg] = content
+                            write_seq[reg] = seq
+                        bank._writes = writes
+                        del trace[trace_len:]
+                        del hli[hli_len:]
+                        sched.pop()
+                        steps -= 1
+                else:
+                    return False
+                machine = machines[pid]
+                bank.current_step = steps
+                entry = table.get(machine)
+                if entry is None:
+                    op = machine.next_op(bank)
+                    entry = table[machine] = (op, _op_kind(pid, op), None, {})
+                op, kind, written, outcomes = entry
+                reg = content = seq = result = read_id = None
+                if kind is WriteOp:
+                    reg = op.reg
+                    content = cells[reg]
+                    seq = write_seq[reg]
+                push((pid, machine, reg, content, seq, bank._writes, len(trace), cell_ids,
+                      cells_id, bank_id, events_id, key_node, len(hli), enabled,
+                      unfinished, status, violation))
+                sched.append(pid)
+                if kind is WriteOp:
+                    write(reg, op.value, pid)
+                    if written is None:  # the first take
+                        written = parts.setdefault(cells[reg], len(parts))
+                        entry = table[machine] = (op, kind, written, outcomes)
+                    if cell_ids[reg] != written:
+                        cell_ids = cell_ids[:reg] + (written,) + cell_ids[reg + 1:]
+                        cells_id = parts.setdefault(cell_ids, len(parts))
+                elif kind is ReadOp:
+                    result = read(op.reg, pid)
+                    read_id = cell_ids[op.reg]
+                keyed = pid in bank_keyed
+                if keyed:
+                    read_id = (read_id, bank_id)
+                outcome = outcomes.get(read_id)
+                if outcome is None:
+                    successor = copy.copy(machine)
+                    log = _EventLog()
+                    fault = None
+                    try:
+                        successor.apply(bank, op, result, log)
+                    except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
+                        fault = _violation(pid, exc)
+                    successor = canon.setdefault(successor.state_key(), successor)
+                    outcome = outcomes[read_id] = (
+                        successor, log.events, fault, successor.enabled(), successor.done()
+                    )
+                successor, events, fault, now_enabled, now_done = outcome
+                machines[pid] = successor
+                if keyed or reg in bank_regs:
+                    bank_id = None
+                if events:
+                    for event in events:
+                        hli.append(HliEvent(*event, steps))
+                        key_node = (key_node, *event)
+                    events_id = parts.setdefault(key_node, len(parts))
+                    if now_enabled != (pid in enabled):
+                        enabled = sorted(set(enabled) ^ {pid})
+                    if now_done == (pid in unfinished):
+                        unfinished = unfinished ^ {pid}
+                if fault is not None:
+                    status = "protocol_violation"
+                    violation = fault
+                steps += 1
+                if seen is None:
+                    return False
+        finally:
+            (self._cell_ids, self._cells_id, self._bank_id, self._events_id,
+             recorder.key_node, self._enabled, self._unfinished, self.status,
+             self.violation, self.steps) = (cell_ids, cells_id, bank_id, events_id,
+                                            key_node, enabled, unfinished, status,
+                                            violation, steps)
 
     def _tabulate(self) -> None:
         """Step every process by a transition table from now on.  A
@@ -673,7 +725,7 @@ class Simulation:
         distinct content, from the part table, since a tuple of ints
         hashes in C and one of values would run each value's ``__hash__``
         in Python.  The part ids of the cell ids and the event key are
-        carried from here on, and the bank keys' once ``_bank_part`` first
+        carried from here on, and the bank keys' once a walk first
         derives it."""
         self.bank.tabulate()
         self._canon = {}
@@ -682,22 +734,10 @@ class Simulation:
         ids = self._cell_ids = tuple(parts.setdefault(c, len(parts)) for c in self.bank.cells)
         self._cells_id = parts.setdefault(ids, len(parts))
         self._events_id = parts.setdefault(self.recorder.key_node, len(parts))
+        self._seen = set()
         for pid in self.order:
             machine = self.machines[pid]
             self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
-
-    def _bank_part(self) -> int:
-        """The part id of the bank keys, ``bank_key`` of each process that
-        has one in pid order; derived again only after a write or a step
-        of such a process cleared it."""
-        part = self._bank_id
-        if part is None:
-            machines = self.machines
-            bank = self.bank
-            keys = tuple([machines[pid].bank_key(bank) for pid in self._bank_keyed])
-            parts = self._parts
-            part = self._bank_id = parts.setdefault(keys, len(parts))
-        return part
 
     def history(self, status: str) -> ExecutionHistory:
         register_events, read_log = self.bank.logs()
@@ -724,21 +764,16 @@ class Simulation:
         event key each enter as the small int the enumeration's part table
         gives that value, so the tuple is the one object a stored state
         allocates.  The simulation carries those three ids, each set by the
-        step that changes its part, and the bank keys are derived again
-        only after a write or a step of a process that has one
-        (``_bank_part``), so building the key hashes nothing.  Write
-        sequence numbers stay out: rewrites of equal content change no
-        future behavior, and the one order they carry that a machine reads,
-        the correct writer's ack freshness, enters through
-        ``WriterMachine.bank_key``.  The key relates states exactly as a key
-        rebuilt in full does."""
-        return (
-            *map(self.machines.__getitem__, self.order),
-            self._bank_part(),
-            self._cells_id,
-            self._events_id,
-            self.status,
-        )
+        step that changes its part (see ``_walk``), so building the key
+        hashes nothing.  Write sequence numbers stay out: rewrites of
+        equal content change no future behavior, and the one order they
+        carry that a machine reads, the correct writer's ack freshness,
+        enters through ``WriterMachine.bank_key``.  The key relates states
+        exactly as a key rebuilt in full does.  Built by a walk of no edge,
+        which keys the state as a search does."""
+        seen: set = set()
+        self._walk([], seen, 0, 1)
+        return seen.pop()
 
 
 def _root_simulation(cfg, strategies, workload, u0, scheme, key_seed) -> Simulation:
@@ -817,38 +852,8 @@ def enumerate_schedules(
     """
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
-    seen: set = set()
     sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
     sim._tabulate()
-    step, undo = sim.step_process, sim.undo
-    # per state on the current path, the processes it has yet to step, in
-    # pid order; each child's key is tested once it is stepped
-    frames: list[Iterator[ProcessId]] = []
-    visited = 0
-    while True:
-        children = ()
-        # one hash of the key: a set that does not grow held it already
-        size = len(seen)
-        seen.add(sim.state_key())
-        if len(seen) > size:
-            visited += 1
-            if visited > node_cap:
-                raise BoundTooLarge(f"explored more than {node_cap} states")
-            if sim.status is not None or not sim._unfinished:
-                if sim.status is None:  # not a protocol violation
-                    yield sim.history("completed")
-            elif sim.steps < depth_bound:
-                children = sim._enabled
-        frames.append(iter(children))
-        # step to the next child on the path, undoing every state whose
-        # children are all explored
-        while frames:
-            pid = next(frames[-1], None)
-            if pid is not None:
-                break
-            frames.pop()
-            if frames:
-                undo()
-        else:
-            return
-        step(pid)
+    frames: list = []
+    while sim._walk(frames, sim._seen, depth_bound, node_cap):
+        yield sim.history("completed")

@@ -95,8 +95,9 @@ class ProcessMachine:
     is always enabled), so the engine re-evaluates them for the stepped
     process alone, after such a step.  Whatever of its future reads the
     bank beyond its op's result goes in ``bank_key``, which depends only
-    on the machine and the bank's writes, so the enumerator re-derives it
-    after a write or a step of its own process.  ``state_key`` is derived
+    on the machine and the write order of the registers ``bank_regs``
+    names, so the enumerator re-derives it after a write to one of them
+    or a step of its own process.  ``state_key`` is derived
     from the attributes, so equal keys mean equal attributes, and a step
     is a function of the ``state_key``, the ``bank_key`` and the read
     result: the enumerator takes each such step once and shares it.
@@ -147,8 +148,13 @@ class ProcessMachine:
 
     def bank_key(self, bank: RegisterBank):
         """The part of the machine's future behaviour that reads the bank
-        beyond its op's result (re-derived after a write or a step of its
-        own process)."""
+        beyond its op's result (re-derived after a step of its own
+        process or a write to one of its ``bank_regs``)."""
+        return ()
+
+    def bank_regs(self) -> tuple[int, ...]:
+        """The registers whose write order ``bank_key`` reads: a write to
+        any other register leaves every machine's bank key as it was."""
         return ()
 
 
@@ -254,6 +260,9 @@ class WriterMachine(ProcessMachine):
         seq = bank.write_seq
         began = seq[self.init_regs[0]]
         return tuple([seq[reg] > began for reg in self.ack_regs])
+
+    def bank_regs(self):
+        return (self.init_regs[0], *self.ack_regs)
 
 
 # Reader phases, in helper-iteration order

@@ -654,24 +654,26 @@ class TestEnumeration:
         assert any(acks_while_polling(h) for h in pruned)
 
     def test_two_enumerations_share_no_intern_table(self, monkeypatch):
+        sims = tabled_simulations(monkeypatch)
         tables = []
-        state_key = Simulation.state_key
-
-        def recording(sim):
-            if not any(sim._canon is c and sim._table is t for c, t, _ in tables[-1]):
-                tables[-1].append((sim._canon, sim._table, sim._parts))
-            return state_key(sim)
-
-        monkeypatch.setattr(Simulation, "state_key", recording)
         cfg = Config(1, 0)
         wl = Workload.make(writes=[b"a"], reads={1: 1})
         for _ in range(2):
-            tables.append([])
             assert list(enumerate_schedules(cfg, wl, depth_bound=40))
+            (sim,) = sims[len(tables):]
+            tables.append((sim._canon, sim._table, sim._parts))
         # one table of canonical machines, one transition table and one
         # table of state key parts per enumeration, which its one
-        # simulation holds throughout
-        ((canon1, table1, parts1),), ((canon2, table2, parts2),) = tables
+        # simulation holds throughout: every state it keyed holds its own
+        # canonical machines and part ids
+        for sim, (canon, _, parts) in zip(sims, tables):
+            own = {id(m) for m in canon.values()}
+            ids = set(parts.values())
+            assert len(sim._seen) > 100
+            for key in sim._seen:
+                assert all(id(m) in own for m in key[: len(sim.order)])
+                assert set(key[len(sim.order):-1]) <= ids
+        ((canon1, table1, parts1), (canon2, table2, parts2)) = tables
         assert canon1 is not canon2 and canon1 and canon2
         assert table1 is not table2 and table1 and table2
         assert parts1 is not parts2 and parts1 and parts2
@@ -682,24 +684,24 @@ class TestEnumeration:
 
     def test_bank_keys_derived_fewer_times_than_states_keyed(self, monkeypatch):
         # the bank keys' part id is carried from state to state and derived
-        # again only after a write or a step of the writer, whose bank_key
-        # the state key and the writer's step both use
-        counts = {"bank_key": 0, "state_key": 0}
+        # again only after a step of the writer, whose bank_key the state
+        # key and the writer's step both use, or a write to the init or
+        # ack registers whose write order it reads; every state keyed is
+        # in the visited set, so fewer derivations than distinct states
+        # means fewer than states keyed
+        calls = []
+        bank_key = WriterMachine.bank_key
 
-        def counting(cls, name):
-            real = getattr(cls, name)
+        def counting(machine, bank):
+            calls.append(machine)
+            return bank_key(machine, bank)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(cls, name, wrapper)
-
-        counting(WriterMachine, "bank_key")
-        counting(Simulation, "state_key")
+        monkeypatch.setattr(WriterMachine, "bank_key", counting)
+        sims = tabled_simulations(monkeypatch)
         wl = Workload.make(writes=[b"a"], reads={1: 1})
         assert sum(1 for _ in enumerate_schedules(Config(2, 0), wl, depth_bound=60)) == 754
-        assert counts["bank_key"] < counts["state_key"]
+        (sim,) = sims
+        assert len(calls) < len(sim._seen)
 
     def test_bytes_per_stored_state(self, monkeypatch):
         """A stored state allocates only its flat key tuple; every part it
@@ -708,21 +710,14 @@ class TestEnumeration:
         scratch per state costs about 500)."""
         cfg = Config(2, 0)
         wl = Workload.make(writes=[b"a"], reads={1: 1})
-        keys = set()
-        state_key = Simulation.state_key
-
-        def counting(sim):
-            key = state_key(sim)
-            keys.add(key)
-            return key
-
         # the counting pass also warms the module caches the traced pass
         # would otherwise fill
         with monkeypatch.context() as patch:
-            patch.setattr(Simulation, "state_key", counting)
+            sims = tabled_simulations(patch)
             histories = sum(1 for _ in enumerate_schedules(cfg, wl, depth_bound=60))
-        states = len(keys)
-        keys.clear()
+        (sim,) = sims
+        states = len(sim._seen)
+        del sims[:], sim
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
@@ -736,6 +731,21 @@ class TestEnumeration:
                 tracemalloc.stop()
         assert states > 20_000
         assert peak / states <= 300, f"{peak / states:.0f} B per state"
+
+
+def tabled_simulations(monkeypatch) -> list:
+    """The simulations ``Simulation._tabulate`` switches into table mode
+    from now on, listed as it does, so that a test reads an enumeration's
+    simulation and its visited set after the search."""
+    sims = []
+    tabulate = Simulation._tabulate
+
+    def keeping(sim):
+        tabulate(sim)
+        sims.append(sim)
+
+    monkeypatch.setattr(Simulation, "_tabulate", keeping)
+    return sims
 
 
 def reference_key(sim):
@@ -1086,8 +1096,10 @@ class TestTransitionTable:
             assert statuses == {"protocol_violation"}
 
     # criterion 2's first two cases, n=4 cases with no write (with a write,
-    # no history completes within the cap at n=4), and a writer whose
-    # counter does not decode, so that Raw cells get content ids
+    # no history completes within the cap at n=4), a writer whose counter
+    # does not decode, so that Raw cells get content ids, and the
+    # benchmark's enumerate_n2 instance, where reader 1 acks while the
+    # writer polls, so a reader's write changes the writer's bank key
     CASES = {
         "c2_one_read": (
             Config(1, 0), Workload.make(writes=[b"a"], reads={1: 1}), 200, StrategyAssignment(),
@@ -1106,15 +1118,20 @@ class TestTransitionTable:
             Config(2, 0, writer_byzantine=True), Workload.make(writes=[b"a"], reads={1: 1}), 60,
             StrategyAssignment(writer=StaleCounter(k=2**64)),
         ),
+        "enumerate_n2": (
+            Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1}), 60, StrategyAssignment(),
+        ),
     }
 
-    @staticmethod
-    def digests(enumeration, cfg, wl, bound, strategies):
+    CAP = 40_000
+
+    @classmethod
+    def digests(cls, enumeration, cfg, wl, bound, strategies):
         """The digests of the histories an enumeration yields, in order,
-        and whether it stopped at a 40,000-state cap."""
+        and whether it stopped at the state cap."""
         out = []
         try:
-            for h in enumeration(cfg, wl, bound, strategies=strategies, node_cap=40_000):
+            for h in enumeration(cfg, wl, bound, strategies=strategies, node_cap=cls.CAP):
                 out.append(h.digest())
         except BoundTooLarge:
             return out, True
@@ -1127,36 +1144,52 @@ class TestTransitionTable:
         assert tabled == self.digests(reference_enumeration, cfg, wl, bound, strategies)
         assert tabled[0]
 
-    # the benchmark's enumerate_n2 instance: reader 1 acks while the writer
-    # polls, so a reader's write changes the writer's bank key
-    ENUMERATE_N2 = (
-        Config(2, 0), Workload.make(writes=[b"a"], reads={1: 1}), 60, StrategyAssignment(),
-    )
-
     @pytest.mark.parametrize(
         "name", ["c2_one_read", "n2_stale_counter_2_64", "n4t1_fake_witness_stamp", "enumerate_n2"]
     )
     def test_carried_part_ids_match_fresh_ones(self, name, monkeypatch):
-        """At every keyed state, the part ids the simulation carries are
-        those of the cell ids, the event key and the bank keys derived
-        afresh."""
-        cfg, wl, bound, strategies = self.CASES.get(name, self.ENUMERATE_N2)
-        state_key = Simulation.state_key
-        bank_keys = []
+        """At every state that a depth-first walk of one-edge steps and
+        undos reaches, the part ids the simulation carries are those of
+        the cell ids, the event key and the bank keys derived afresh; and
+        the keys that walk builds with ``state_key``, pruning as the
+        enumerator does, are the very keys the enumeration visited."""
+        cfg, wl, bound, strategies = self.CASES[name]
+        sims = tabled_simulations(monkeypatch)
+        histories, capped = self.digests(enumerate_schedules, cfg, wl, bound, strategies)
+        assert histories
+        (sim,) = sims
+        while sim.steps:  # a search stopped at the cap stays where it was
+            sim.undo()
+        parts = sim._parts
+        keys, bank_keys = set(), []
 
-        def checking(sim):
-            key = state_key(sim)
-            parts = sim._parts
+        def visit():
+            key = sim.state_key()
             fresh = tuple(sim.machines[pid].bank_key(sim.bank) for pid in sim._bank_keyed)
             assert sim._cell_ids == tuple(parts.get(c) for c in sim.bank.cells)
             assert key[len(sim.order):-1] == (
                 parts.get(fresh), parts.get(sim._cell_ids), parts.get(sim.recorder.key_node)
             )
             bank_keys.append(fresh)
-            return key
+            if key in keys:
+                return
+            keys.add(key)
+            if len(keys) > self.CAP:
+                raise BoundTooLarge
+            if sim.status is not None or sim.workload_complete() or sim.steps >= bound:
+                return
+            for pid in sim.enabled_pids():
+                sim.step_process(pid)
+                visit()
+                sim.undo()
 
-        monkeypatch.setattr(Simulation, "state_key", checking)
-        assert self.digests(enumerate_schedules, cfg, wl, bound, strategies)[0]
+        try:
+            visit()
+        except BoundTooLarge:
+            assert capped
+        else:
+            assert not capped
+        assert keys == sim._seen
         assert len(bank_keys) > 100
         if name == "enumerate_n2":
             # some keyed state holds a fresh ack while the writer polls
@@ -1166,16 +1199,9 @@ class TestTransitionTable:
         # the stale counter 2**64 is wider than the codec's, so the init
         # writes hold Raw content, which takes a content id like any other
         cfg, wl, bound, strategies = self.CASES["n2_stale_counter_2_64"]
-        tabulate = Simulation._tabulate
-        parts = []
-
-        def keep_parts(sim):
-            tabulate(sim)
-            parts.append(sim._parts)
-
-        monkeypatch.setattr(Simulation, "_tabulate", keep_parts)
+        sims = tabled_simulations(monkeypatch)
         assert len(list(enumerate_schedules(cfg, wl, bound, strategies=strategies))) == 665
-        assert any(type(part) is Raw for part in parts[0])
+        assert any(type(part) is Raw for part in sims[0]._parts)
 
 
 @pytest.mark.parametrize("tabled", [False, True], ids=["in_place", "tabled"])
@@ -1227,6 +1253,54 @@ class TestUndecodableCells:
         assert reader.suspected == {3}
         if family == "inform":
             assert reader.t_inform[3] is None
+
+
+@pytest.mark.parametrize("tabled", [False, True], ids=["in_place", "tabled"])
+class TestStepGuard:
+    """step_process steps only an enabled process of a simulation that no
+    violation stopped, in place and by table alike."""
+
+    @staticmethod
+    def simulation(tabled, cfg, strategies, wl):
+        sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", 0)
+        if tabled:
+            sim._tabulate()
+        return sim
+
+    @staticmethod
+    def snapshot(sim):
+        return (
+            sim.steps, sim.sched_log, sim.bank.logs(), sim.bank.cells.copy(),
+            sim.bank.write_seq.copy(), sim.recorder.events.copy(), sim.recorder.key_node,
+            {pid: dict(vars(m)) for pid, m in sim.machines.items()}, sim.enabled_pids(),
+            sim.status, sim.violation,
+        )
+
+    def test_disabled_process_steps_nothing(self, tabled):
+        # with no write to make, the writer is disabled from the start
+        sim = self.simulation(tabled, Config(2, 0), None, Workload.make(reads={1: 1}))
+        assert WRITER not in sim.enabled_pids()
+        before = self.snapshot(sim)
+        sim.step_process(WRITER)
+        assert self.snapshot(sim) == before
+        reader = ProcessId.reader(1)
+        sim.step_process(reader)
+        assert sim.sched_log == [reader] and sim.steps == 1
+        if tabled:  # the reader's step is the one to undo
+            sim.undo()
+            assert self.snapshot(sim) == before and not sim._undo
+
+    def test_stopped_simulation_steps_nothing(self, tabled):
+        s = scenario_forged_quorum()
+        sim = self.simulation(tabled, s.cfg, s.strategies, s.workload)
+        rng = random.Random(0)
+        while sim.status is None and sim.steps < 300:
+            sim.step_process(rng.choice(sim.enabled_pids()))
+        assert sim.status == "protocol_violation" and sim.enabled_pids()
+        before = self.snapshot(sim)
+        for pid in sim.order:
+            sim.step_process(pid)
+        assert self.snapshot(sim) == before
 
 
 class TestSchedulerContract:
