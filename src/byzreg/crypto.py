@@ -115,14 +115,18 @@ class KeyRing:
     _public: dict[ProcessId, object] = field(repr=False)
     # memos of pure functions of these keys, so they live as long as the
     # ring: registers.initial_state per (cfg, u0), the validation of a
-    # final register's inform set per (inform set, cfg), the result of
-    # protocol.form_inform_set per (member set, cfg), the witness set
-    # sign_entries makes per (signer, entries), and the verdict of
-    # verify_witness_set per witness set
+    # final register's inform set per (inform set, cfg), the witness set
+    # (or None) a reader signs at the end of a witness collect per
+    # (reader, cfg, *view) and the form_inform_set result at the end of an
+    # inform collect per (cfg, *view), a view being the collected dict's
+    # values in reader order, the witness set sign_entries makes per
+    # (signer, entries), and the verdict of verify_witness_set per witness
+    # set, into which initial_state enters the sets it signs
     initial_states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _final_validation_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    witnessed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     formed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     signed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     verified: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -20,6 +20,7 @@ when the iteration wrote none).
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from . import crypto
@@ -158,6 +159,39 @@ class ProcessMachine:
         return ()
 
 
+@functools.cache
+def machine_layout(n: int) -> tuple[tuple, ...]:
+    """The register ids and read ops of every correct machine at n
+    readers, built once per n and shared by every machine: ops are never
+    changed once built, so every read of a register returns one op.
+
+    Position 0 holds the writer's (init registers, ack registers, ack
+    reads), position i reader i's (init read, witness reads, inform
+    reads, final reads, ack register, witness registers, inform
+    registers, final registers); peer j's item of each tuple is at
+    position j - 1.
+    """
+    readers = range(1, n + 1)
+    ack_regs = tuple(ack_reg(i) for i in readers)
+    writer = (tuple(init_reg(i) for i in readers), ack_regs, tuple(map(ReadOp, ack_regs)))
+    return writer, *[
+        (
+            ReadOp(init_reg(r)),
+            tuple(ReadOp(witness_reg(i, r)) for i in readers),
+            tuple(ReadOp(inform_reg(i, r)) for i in readers),
+            tuple(ReadOp(final_reg(i, r)) for i in readers),
+            ack_reg(r),
+            tuple(witness_reg(r, i) for i in readers),
+            tuple(inform_reg(r, i) for i in readers),
+            tuple(final_reg(r, i) for i in readers),
+        )
+        for r in readers
+    ]
+
+
+_UNSEEN = object()  # a memo lookup's miss
+
+
 # Writer phases
 W_IDLE = 0
 W_INIT = 1
@@ -189,11 +223,8 @@ class WriterMachine(ProcessMachine):
         self.wi = 1
         self.poll_from = 1
         # reader i's init and ack registers, and the op that polls its
-        # ack register, at position i - 1: ops are never changed once
-        # built, so every poll of a register returns one op
-        self.init_regs = tuple(init_reg(i) for i in cfg.reader_indices())
-        self.ack_regs = tuple(ack_reg(i) for i in cfg.reader_indices())
-        self.ack_reads = tuple(ReadOp(reg) for reg in self.ack_regs)
+        # ack register, at position i - 1
+        self.init_regs, self.ack_regs, self.ack_reads = machine_layout(cfg.n)[0]
 
     def enabled(self):
         return self.phase != W_IDLE or self.widx < len(self.writes)
@@ -242,7 +273,11 @@ class WriterMachine(ProcessMachine):
         i = WRITER_END[op.reg].index
         self.poll_from = i % self.cfg.n + 1
         seq = bank.write_seq
-        if result == self.pending and seq[self.ack_regs[i - 1]] > seq[self.init_regs[0]]:
+        pending = self.pending
+        if (
+            (result is pending or result == pending)
+            and seq[self.ack_regs[i - 1]] > seq[self.init_regs[0]]
+        ):
             self.acked |= {i}
         self._maybe_finish(recorder)
 
@@ -306,7 +341,7 @@ def latest_quorum_group(
 
 
 def form_inform_set(
-    members: Sequence[WitnessSet], cfg: Config, ring: crypto.KeyRing
+    members: Sequence[WitnessSet], cfg: Config
 ) -> tuple[InformSet, TaggedValue] | None:
     """Assemble an inform set from collected witness sets, if a quorum of
     them shares a quorum of identical entries.
@@ -329,16 +364,8 @@ def form_inform_set(
     grow to at most the same set, with the same key, and loses the tie.
     The result is therefore the one the exhaustive search over
     ``combinations`` gives; the winner is validated by ``ws_of`` itself.
-    The result is memoized on the ring, per (member set, config).
     """
-    key = (frozenset(members), cfg)
-    if key not in ring.formed:
-        ring.formed[key] = _form_inform(*key)
-    return ring.formed[key]
-
-
-def _form_inform(member_set: frozenset[WitnessSet], cfg: Config):
-    members = sorted(member_set, key=lambda m: m.signer)
+    members = sorted(frozenset(members), key=lambda m: m.signer)
     quorum = cfg.quorum
     if len(members) < quorum:
         return None
@@ -431,6 +458,15 @@ class ReaderMachine(ProcessMachine):
 
     Subclasses hook into witness stamping and publication to express
     Byzantine strategies without duplicating the phase structure.
+
+    Most collects read the very objects the last one stored, so a read
+    returning the stored object changes nothing and is neither compared
+    nor verified again: the witness entry in ``t_witness``, the witness
+    set in ``t_inform``, the init value, and the reader's own inform set
+    in a final register.  A collect's end is a pure function of its view
+    (the ``t_witness`` or ``t_inform`` values, in reader order), so the
+    witness set it signs and the inform set it forms are memoized on the
+    ring per view.
     """
 
     def __init__(
@@ -468,17 +504,17 @@ class ReaderMachine(ProcessMachine):
         self.gap_left = 0
         self.read_active = False
         # the op of every read phase and the registers every write phase
-        # writes, peer i's at position i - 1: ops are never changed once
-        # built, so every read of a register returns one op
-        readers = cfg.reader_indices()
-        self.init_read = ReadOp(init_reg(index))
-        self.witness_reads = tuple(ReadOp(witness_reg(i, index)) for i in readers)
-        self.inform_reads = tuple(ReadOp(inform_reg(i, index)) for i in readers)
-        self.final_reads = tuple(ReadOp(final_reg(i, index)) for i in readers)
-        self.ack_reg = ack_reg(index)
-        self.witness_regs = tuple(witness_reg(index, i) for i in readers)
-        self.inform_regs = tuple(inform_reg(index, i) for i in readers)
-        self.final_regs = tuple(final_reg(index, i) for i in readers)
+        # writes, peer i's at position i - 1
+        (
+            self.init_read,
+            self.witness_reads,
+            self.inform_reads,
+            self.final_reads,
+            self.ack_reg,
+            self.witness_regs,
+            self.inform_regs,
+            self.final_regs,
+        ) = machine_layout(cfg.n)[index]
 
     # -- hooks for Byzantine subclasses --------------------------------
 
@@ -564,7 +600,7 @@ class ReaderMachine(ProcessMachine):
         self._begin_iteration(recorder)
         kv = result  # an undecodable init cell (None) counts as unchanged
         foreign = None
-        if kv is not None and kv != self.last_init:
+        if kv is not self.last_init and kv is not None and kv != self.last_init:
             self.s += self._stamp_bump()
             self.last_init = kv
             self.pending_entry = WitnessEntry(kv, self.s, self.index)
@@ -585,23 +621,27 @@ class ReaderMachine(ProcessMachine):
     def _apply_cwit(self, bank, op, result, recorder):
         src = self.idx
         entry = result
-        if entry is None or entry.p != src:
-            self.suspected |= {src}
-        else:
-            stored = self.t_witness[src]
-            if entry.s > stored.s:
+        stored = self.t_witness[src]
+        if entry is not stored:
+            if entry is None or entry.p != src:
+                self.suspected |= {src}
+            elif entry.s > stored.s:
                 self.t_witness = {**self.t_witness, src: entry}
-            elif entry.s < stored.s or (
-                entry.s == stored.s and entry.value != stored.value
-            ):
+            elif entry.s < stored.s or (entry.s == stored.s and entry.value != stored.value):
                 self.suspected |= {src}
         self.idx += 1
         if self.idx > self.cfg.n:
             self._after_collect()
-            group = latest_quorum_group(self.t_witness, self.cfg)
-            if group is not None:
-                _, entries = group
-                self.witness_set = crypto.sign_entries(self.ring, self.index, entries)
+            # the witness set this view signs (None for no quorum group),
+            # memoized per reader and view
+            key = (self.index, self.cfg, *self.t_witness.values())
+            wset = self.ring.witnessed.get(key, _UNSEEN)
+            if wset is _UNSEEN:
+                group = latest_quorum_group(self.t_witness, self.cfg)
+                wset = group and crypto.sign_entries(self.ring, self.index, group[1])
+                self.ring.witnessed[key] = wset
+            if wset is not None:
+                self.witness_set = wset
                 self.phase = R_WINF
             else:
                 self.phase = R_RFIN
@@ -611,14 +651,25 @@ class ReaderMachine(ProcessMachine):
     def _apply_rinf(self, bank, op, result, recorder):
         src = self.idx
         wset = result
-        if wset is None or wset.signer != src or not crypto.verify_witness_set(self.ring, wset):
-            wset = None
-            self.suspected |= {src}
-        self.t_inform = {**self.t_inform, src: wset}
+        # a slot holds None only once its peer is suspected, so a read of
+        # None into a None slot changes nothing either
+        if wset is not self.t_inform[src]:
+            if (
+                wset is None
+                or wset.signer != src
+                or not crypto.verify_witness_set(self.ring, wset)
+            ):
+                wset = None
+                self.suspected |= {src}
+            self.t_inform = {**self.t_inform, src: wset}
         self.idx += 1
         if self.idx > self.cfg.n:
-            members = [w for w in self.t_inform.values() if w is not None]
-            formed = form_inform_set(members, self.cfg, self.ring)
+            # the inform set this view forms, memoized per view
+            key = (self.cfg, *self.t_inform.values())
+            formed = self.ring.formed.get(key, _UNSEEN)
+            if formed is _UNSEEN:
+                members = [w for w in self.t_inform.values() if w is not None]
+                formed = self.ring.formed[key] = form_inform_set(members, self.cfg)
             if formed is not None:
                 self.inform_set, self.form_value = formed
                 self.phase = R_WFIN

@@ -22,11 +22,13 @@ enumerator truncates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from . import crypto
@@ -162,6 +164,23 @@ def inform_reg(i: int, j: int) -> RegisterId:
 def final_reg(i: int, j: int) -> RegisterId:
     _cover(i, j)
     return _FINAL[i][j]
+
+
+@functools.cache
+def _initial_layout(n: int) -> tuple[tuple[RegisterId, ...], Callable[[list], tuple]]:
+    """For n readers: an Init, a Witness, an Inform and a Final register,
+    and the map from the 2n + 2 distinct initial contents (the value,
+    reader 1..n's entries, reader 1..n's witness sets, the inform set)
+    to every slot's initial content, in slot order."""
+    readers = range(1, n + 1)
+    source = [0] * (3 * n * n + 2 * n)  # Init and Ack slots hold the value
+    for i in readers:
+        for j in readers:
+            source[witness_reg(i, j)] = i
+            source[inform_reg(i, j)] = n + i
+            source[final_reg(i, j)] = 2 * n + 1
+    family_regs = (init_reg(1), witness_reg(1, 1), inform_reg(1, 1), final_reg(1, 1))
+    return family_regs, itemgetter(*source)
 
 
 # --- codecs -----------------------------------------------------------------
@@ -527,7 +546,8 @@ class InitialState:
 def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
     """The initial state for (cfg, u0) under the ring's keys.  Signed once
     and memoized on the ring; signatures are deterministic, so the memo
-    changes no bytes."""
+    changes no bytes.  The ring signed the witness sets, so they enter
+    its ``verify_witness_set`` memo as verifying."""
     key = (cfg, u0)
     state = ring.initial_states.get(key)
     if state is None:
@@ -536,15 +556,18 @@ def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
         entries = {i: WitnessEntry(value, 0, i) for i in readers}
         core = frozenset(entries.values())
         witness_sets = {i: crypto.sign_entries(ring, i, core) for i in readers}
+        for wset in witness_sets.values():
+            ring.verified[wset] = True
         inform_set = InformSet(frozenset(witness_sets.values()))
-        cells = [None] * (3 * cfg.n * cfg.n + 2 * cfg.n)
-        for i in readers:
-            cells[init_reg(i)] = cells[ack_reg(i)] = value
-            for j in readers:
-                cells[witness_reg(i, j)] = entries[i]
-                cells[inform_reg(i, j)] = witness_sets[i]
-                cells[final_reg(i, j)] = inform_set
-        cells = tuple(cell_content(reg, v) for reg, v in enumerate(cells))
+        # each distinct initial content once, through a register of its
+        # family (Init and Ack share the tagged-value codec)
+        (init, witness, inform, final), spread = _initial_layout(cfg.n)
+        cells = spread([
+            cell_content(init, value),
+            *[cell_content(witness, entries[i]) for i in readers],
+            *[cell_content(inform, witness_sets[i]) for i in readers],
+            cell_content(final, inform_set),
+        ])
         stabilization = StabilizationEvent(
             value=value,
             ws=core,

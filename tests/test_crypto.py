@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from byzreg import adversary, crypto, engine
+from byzreg import adversary, crypto, engine, registers
 from byzreg.core import Config, ProcessId, TaggedValue, WitnessEntry, WitnessSet, WRITER
 from byzreg.crypto import (
     RING_CACHE_SIZE,
@@ -143,6 +143,24 @@ def test_signing_is_memoized_per_signer_and_entries(ring, monkeypatch):
     other = sign_entries(ring, 3, entries)
     assert other.signer == 3 and len(calls) == 2
     assert verify_witness_set(ring, first) and verify_witness_set(ring, other)
+
+
+@pytest.mark.parametrize("scheme", ["keyed", "ed25519"])
+def test_initial_sets_entered_as_verified_verify(scheme):
+    # initial_state enters the witness sets it signs into the ring's
+    # verify_witness_set memo; each must verify on keys with cold memos
+    keys = make_keyring(CFG, scheme, seed=11)
+
+    def cold():
+        return crypto.KeyRing(keys.scheme_name, keys._scheme, keys._private, keys._public)
+
+    ring = cold()
+    state = registers.initial_state(ring, CFG, b"init")
+    assert set(ring.verified) == set(state.witness_sets.values())
+    fresh = cold()
+    for wset, ok in ring.verified.items():
+        payload = canonical_entries_payload(wset.entries)
+        assert ok and verify(fresh, ProcessId.reader(wset.signer), payload, wset.signature)
 
 
 def test_rerun_on_one_key_seed_verifies_nothing_again(monkeypatch):

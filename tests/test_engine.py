@@ -400,6 +400,18 @@ class TestRegisterSlots:
         assert long[1] > 5 * short[1]
         assert long[0] == short[0]
 
+    def test_fresh_keys_look_up_fewer_slots_than_readers(self, monkeypatch):
+        # a run's register layout is derived once per n, so a run on keys
+        # no run used before resolves fewer slots than it has readers
+        cfg = Config(10, 3)
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        run(cfg, None, wl, SeededRandom(seed=5), 200_000)
+        cover = registers._cover
+        calls = []
+        monkeypatch.setattr(registers, "_cover", lambda *args: calls.append(args) or cover(*args))
+        _root_simulation(cfg, None, wl, b"init", "keyed", 1 << 41)
+        assert len(calls) < cfg.n
+
 
 class TestScriptedSchedule:
     def test_script_prefix_then_round_robin(self):

@@ -24,10 +24,21 @@ from byzreg.core import (
 )
 from byzreg.adversary import Equivocate, FakeWitnessStamp, StrategyAssignment
 from byzreg.checker import Analysis
-from byzreg.crypto import RING_CACHE_SIZE, make_keyring, sign_entries
+from byzreg.crypto import (
+    RING_CACHE_SIZE,
+    KeyRing,
+    make_keyring,
+    sign_entries,
+    verify_witness_set,
+)
 from byzreg.engine import HistoryRecorder, SeededRandom, Simulation, Workload, run
 from byzreg.protocol import (
     R_ACK2,
+    R_CWIT,
+    R_RFIN,
+    R_RINF,
+    R_WFIN,
+    R_WINF,
     ConcurrentFinalSets,
     ReaderMachine,
     WriterMachine,
@@ -293,9 +304,9 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in (1, 2, 3)]
         two = [sign_entries(ring, i, entries) for i in (1, 2)]
-        assert form_inform_set(two, CFG, ring) is None
+        assert form_inform_set(two, CFG) is None
         three = two + [sign_entries(ring, 3, entries)]
-        formed = form_inform_set(three, CFG, ring)
+        formed = form_inform_set(three, CFG)
         assert formed is not None
         iset, value = formed
         assert value == v and len(iset.members) == 3
@@ -305,7 +316,7 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in (1, 2, 3)]
         members = [sign_entries(ring, i, entries) for i in (1, 2, 3, 4)]
-        formed = form_inform_set(members, CFG, ring)
+        formed = form_inform_set(members, CFG)
         assert formed is not None and len(formed[0].members) == 4
 
     def test_fault_free_n13_returns_every_member(self):
@@ -314,7 +325,7 @@ class TestFormation:
         v = TaggedValue(1, b"a")
         entries = [WitnessEntry(v, 1, p) for p in cfg.reader_indices()]
         members = [sign_entries(ring, i, entries) for i in cfg.reader_indices()]
-        formed = form_inform_set(members, cfg, ring)
+        formed = form_inform_set(members, cfg)
         assert formed == formed_by_combinations(members, cfg)
         assert formed[0].members == frozenset(members) and formed[1] == v
 
@@ -328,7 +339,7 @@ class TestFormation:
         members.append(sign_entries(ring, 10, entries))
         with pytest.raises(InvalidInformSet):
             ws_of(InformSet(frozenset(members)), cfg)
-        formed = form_inform_set(members, cfg, ring)
+        formed = form_inform_set(members, cfg)
         assert formed == formed_by_combinations(members, cfg)
         iset, value = formed
         assert value == v and len(iset.members) == 9
@@ -338,11 +349,7 @@ class TestFormation:
     @given(st.data())
     def test_matches_exhaustive_search(self, data):
         cfg, members = data.draw(member_sets())
-        # a memoized result may come from an equal member set whose members
-        # with one signer iterated in another order; compute afresh
-        ring = make_keyring(cfg, "keyed", 0)
-        ring.formed.clear()
-        assert form_inform_set(members, cfg, ring) == formed_by_combinations(members, cfg)
+        assert form_inform_set(members, cfg) == formed_by_combinations(members, cfg)
 
 
 def formed_by_combinations(members, cfg):
@@ -411,6 +418,136 @@ def member_sets(draw):
         signature = draw(st.sampled_from([b"x", b"y"]))
         members.append(WitnessSet(frozenset(entries), signer, signature))
     return cfg, members
+
+
+def cold(ring):
+    """A ring with the same keys and empty memos."""
+    return KeyRing(ring.scheme_name, ring._scheme, ring._private, ring._public)
+
+
+COLLECT_VALUES = [TaggedValue(1, b"a"), TaggedValue(1, b"zz"), TaggedValue(2, b"b")]
+
+
+@st.composite
+def witness_rounds(draw, n):
+    """Witness collects: per round and peer, the stored entry itself, an
+    undecodable cell, an entry of the round's value or another (an
+    equivocation when it shares the counter), or one naming any witness,
+    each with a stale, equal or newer stamp."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        value = draw(st.sampled_from(COLLECT_VALUES))
+        kinds = st.sampled_from(["same", "none", "round", "round", "round", "other", "wrong"])
+        rounds.append((value, [
+            (draw(kinds), draw(st.sampled_from(COLLECT_VALUES)), draw(st.integers(0, 3)),
+             draw(st.integers(1, n)))
+            for _ in range(n)
+        ]))
+        if draw(st.booleans()):
+            rounds.append(rounds[-1])  # the same view again: a memo hit
+    return rounds
+
+
+@st.composite
+def inform_rounds(draw, n):
+    """Inform collects: per round and peer, the stored set itself, an
+    undecodable cell, a set signed by the peer over the round's core less
+    at most one entry, one signed by another reader, one with a bad
+    signature, or one signed on another ring."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        value = draw(st.sampled_from(COLLECT_VALUES))
+        kinds = st.sampled_from(["same", "none", *["valid"] * 6, "foreign", "badsig", "otherring"])
+        drops = st.one_of(st.just(0), st.integers(1, n))  # 0 drops no entry
+        rounds.append((value, [(draw(kinds), draw(drops)) for _ in range(n)]))
+        if draw(st.booleans()):
+            rounds.append(rounds[-1])
+    return rounds
+
+
+class TestCollectEnds:
+    """A collect's end is looked up on the ring per view; it must equal
+    the direct derivation from that view on a ring with cold memos."""
+
+    CONFIGS = [Config(4, 1), Config(7, 2)]
+
+    def reader(self, cfg, index):
+        # one ring for every example, so later examples hit its memos
+        ring = make_keyring(cfg, "keyed", 4242)
+        return ring, ReaderMachine(cfg, ring, U0, index)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"n{c.n}t{c.t}")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_witness_collect_end(self, cfg, data):
+        index = data.draw(st.integers(1, cfg.n))
+        ring, r = self.reader(cfg, index)
+        n, direct = cfg.n, cold(ring)
+        view, suspected = dict(r.t_witness), set()
+        for value, round_ in data.draw(witness_rounds(n)):
+            r.phase, r.idx = R_CWIT, 1
+            for src, (kind, other, s, p) in enumerate(round_, start=1):
+                stored = view[src]
+                entry = {
+                    "same": r.t_witness[src],
+                    "none": None,
+                    "round": WitnessEntry(value, s, src),
+                    "other": WitnessEntry(other, s, src),
+                    "wrong": WitnessEntry(other, s, p),
+                }[kind]
+                r.apply(None, r.next_op(None), entry, None)
+                # the collect rule, with no identity shortcut
+                if entry is None or entry.p != src:
+                    suspected.add(src)
+                elif entry.s > stored.s:
+                    view[src] = entry
+                elif entry.s < stored.s or entry.value != stored.value:
+                    suspected.add(src)
+            assert list(r.t_witness) == list(range(1, n + 1))
+            assert r.t_witness == view and r.suspected == suspected
+            group = latest_quorum_group(view, cfg)
+            if group is None:
+                assert r.phase == R_RFIN
+            else:
+                assert r.phase == R_WINF
+                assert r.witness_set == sign_entries(direct, index, group[1])
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"n{c.n}t{c.t}")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_inform_collect_end(self, cfg, data):
+        index = data.draw(st.integers(1, cfg.n))
+        ring, r = self.reader(cfg, index)
+        n, direct = cfg.n, cold(ring)
+        other_ring = make_keyring(cfg, "keyed", 4243)
+        view, suspected = dict(r.t_inform), set()
+        for value, round_ in data.draw(inform_rounds(n)):
+            r.phase, r.idx = R_RINF, 1
+            core = [WitnessEntry(value, 1, p) for p in range(1, n + 1)]
+            for src, (kind, drop) in enumerate(round_, start=1):
+                entries = [e for e in core if e.p != drop]
+                wset = {
+                    "same": r.t_inform[src],
+                    "none": None,
+                    "valid": sign_entries(ring, src, entries),
+                    "foreign": sign_entries(ring, src % n + 1, entries),
+                    "badsig": WitnessSet(frozenset(entries), src, b"bad"),
+                    "otherring": sign_entries(other_ring, src, entries),
+                }[kind]
+                r.apply(None, r.next_op(None), wset, None)
+                # the collect rule, verified on cold memos
+                if wset is None or wset.signer != src or not verify_witness_set(direct, wset):
+                    wset = None
+                    suspected.add(src)
+                view[src] = wset
+            assert list(r.t_inform) == list(range(1, n + 1))
+            assert r.t_inform == view and r.suspected == suspected
+            formed = form_inform_set([w for w in view.values() if w is not None], cfg)
+            if formed is None:
+                assert r.phase == R_RFIN
+            else:
+                assert r.phase == R_WFIN
+                assert (r.inform_set, r.form_value) == formed
 
 
 class TestFindLatest:
@@ -502,7 +639,8 @@ def fresh_key_run(strategy, key_seed):
 
 class TestMemoLifetime:
     """The protocol keeps no memo of its own: every memo of a signed value
-    lives on its key ring and goes with it."""
+    lives on its key ring and goes with it, the witness sets and inform
+    sets a collect's end derives per view among them."""
 
     FRESH = 1 << 40  # key seeds no other test uses
 
@@ -517,12 +655,17 @@ class TestMemoLifetime:
         ring = make_keyring(CFG, "keyed", seed)
         assert ring.formed and adoptions  # formation and adoption both ran
         refs = [weakref.ref(w) for w in ring.signed.values()]
+        view_refs = [weakref.ref(w) for w in ring.witnessed.values() if w is not None]
+        view_refs += [weakref.ref(f[0]) for f in ring.formed.values() if f is not None]
+        assert view_refs
         del ring
         for k in range(1, RING_CACHE_SIZE + 9):
             fresh_key_run(FakeWitnessStamp(offset=10), seed + k)
         gc.collect()
         alive = sum(r() is not None for r in refs)
         assert alive == 0, f"{alive} of {len(refs)} witness sets outlive their ring"
+        alive = sum(r() is not None for r in view_refs)
+        assert alive == 0, f"{alive} of {len(view_refs)} collect ends outlive their ring"
 
     def test_formation_leaves_no_reference_cycle(self):
         strategies = [FakeWitnessStamp(offset=10), Equivocate.make({1: b"zz", 2: b"qq"})]
