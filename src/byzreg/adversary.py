@@ -58,9 +58,6 @@ class ByzWriterMachine(protocol.ProcessMachine):
         self.widx = 0
         self.pos = 0
 
-    def enabled(self) -> bool:
-        return self.widx < len(self.plan)
-
     def done(self) -> bool:
         return self.widx >= len(self.plan)
 
@@ -84,8 +81,8 @@ class ByzWriterMachine(protocol.ProcessMachine):
 
 class RogueReader(protocol.ProcessMachine):
     """A Byzantine reader that runs its own program in place of the
-    protocol.  It steps forever and has no high-level reads, so it is
-    always enabled and always done."""
+    protocol.  It steps forever, as every reader does, and has no
+    high-level reads, so it is always done."""
 
     def __init__(self, cfg: Config, ring: KeyRing, u0: bytes, index: int, spec):
         self.cfg = cfg
@@ -93,9 +90,6 @@ class RogueReader(protocol.ProcessMachine):
         self.pid = ProcessId.reader(index)
         self.index = index
         self.spec = spec
-
-    def enabled(self):
-        return True
 
     def done(self):
         return True

@@ -16,12 +16,12 @@ stabilizations and each reader's attribution log), the writes are
 classified once, and its report sorts the stabilizations once and turns
 them into one full-timestamp chain; then the checks run.  What depends
 only on the key ring, the config and the initial value (the initial
-value, its stabilization event and the final-row layout) is derived
-once per ring, with the ring's registers.initial_state, and every scan
-starts from it.  The public check functions take these views, so a test
-can run any one of them on hand-built inputs.  Each check is a sweep or
-a lookup, near-linear in run length, and names the violation it finds
-(see the coverage-pattern notes below).
+value and its stabilization event) is derived once per ring, with the
+ring's registers.initial_state, and every scan starts from it; a scan
+makes each final row at its first write.  The public check functions
+take these views, so a test can run any one of them on hand-built
+inputs.  Each check is a sweep or a lookup, near-linear in run length,
+and names the violation it finds (see the coverage-pattern notes below).
 
 All functions are pure over the immutable run artifacts; nothing here is
 checked online during a run.
@@ -40,7 +40,6 @@ from typing import Iterable
 
 from . import crypto, registers
 from .core import (
-    WRITER,
     CommonQuorumTooSmall,
     Config,
     EqualStampsDifferentValue,
@@ -201,17 +200,17 @@ def classify_writes(
     """
     family_writes = history.family_writes
     initial_value = history.initial.value
-    reader_end = registers.READER_END
+    writer_end, reader_end = registers.WRITER_END, registers.READER_END
     # per value, the init registers that received it and the Byzantine
     # readers that witnessed it
     quorum: dict[TaggedValue, set[int]] = {}
     init_events: list[tuple[int, int, TaggedValue]] = []  # (step, reader, value)
-    # per acked value, the (step, reader) of each non-writer ack write
+    # per acked value, the (step, reader) of each ack write
     acks: dict[TaggedValue, list[tuple[int, int]]] = {}
     correct_stamps: dict[TaggedValue, dict[int, int]] = {}
 
-    # a process id is its index as an int, the writer's 0; a value is
-    # decoded only from Raw bytes
+    # a process id is its index as an int; a value is decoded only from
+    # Raw bytes; a reader is the writer end of every ack and witness register
     for ev in family_writes.init:
         v = ev.value
         if type(v) is Raw:
@@ -222,18 +221,14 @@ def classify_writes(
         quorum.setdefault(v, set()).add(reader)
         init_events.append((ev.step, reader, v))
     for ev in family_writes.ack:
-        if ev.caller == WRITER:
-            continue
         v = ev.value
         if type(v) is Raw:
             v = read_content(Family.ACK, v)
         if v is None:
             continue
-        acks.setdefault(v, []).append((ev.step, ev.caller))
+        acks.setdefault(v, []).append((ev.step, writer_end[ev.reg]))
     for ev in family_writes.witness:
-        src = ev.caller
-        if src == WRITER:
-            continue
+        src = writer_end[ev.reg]
         entry = ev.value
         if type(entry) is Raw:
             entry = read_content(Family.WITNESS, entry)

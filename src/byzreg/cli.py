@@ -66,6 +66,18 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
+def _by_reader(block: dict, name: str) -> dict:
+    """A JSON object keyed by reader index, with int keys: int() reads "4"
+    and "04" alike, so a repeated index is an error, not an overwrite."""
+    out = {}
+    for key, value in block.items():
+        i = int(key)
+        if i in out:
+            raise ConfigError(f"{name}: reader index {i} given twice")
+        out[i] = value
+    return out
+
+
 def _schedule(spec: dict) -> engine.Schedule:
     """A scenario file's schedule block; a seeded schedule's seed is set
     per run."""
@@ -158,8 +170,7 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
 
     readers: dict[int, adversary.ReaderStrategy] = {}
     try:
-        for key, block in raw.get("readers", {}).items():
-            i = int(key)
+        for i, block in _by_reader(raw.get("readers", {}), "readers").items():
             if not 1 <= i <= cfg.n:
                 raise ConfigError(f"reader index {i} outside 1..{cfg.n}")
             readers[i] = _strategy(
@@ -196,8 +207,8 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
         workload = engine.Workload.make(
             writes=[w.encode() for w in _strings(wl_raw.get("writes", []), "workload writes")],
             reads={
-                int(k): _count(v, f"read count of reader {k}")
-                for k, v in wl_raw.get("reads", {}).items()
+                i: _count(v, f"read count of reader {i}")
+                for i, v in _by_reader(wl_raw.get("reads", {}), "workload reads").items()
             },
             read_gap=_count(wl_raw.get("read_gap", 0), "read_gap"),
         )

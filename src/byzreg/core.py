@@ -308,12 +308,6 @@ def ws_of(inform_set: InformSet, cfg: Config) -> frozenset[WitnessEntry]:
     return frozenset(common)
 
 
-def partial_timestamp(inform_set: InformSet, cfg: Config) -> PartialTimestamp:
-    """Read the (reader -> stamp) map off the inform set's common core."""
-    entries = ws_of(inform_set, cfg)
-    return PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in entries})
-
-
 def _stamp_map(entries: Iterable[WitnessEntry]) -> dict[int, int]:
     out: dict[int, int] = {}
     for e in entries:

@@ -85,18 +85,18 @@ class HliOp:
 class HistoryRecorder:
     def __init__(self):
         self.events: list[HliEvent] = []
-        # the events without their steps, as (prev, pid, kind, op, value)
-        # cons cells: the enumerator's state key, built as events happen
-        self.key_node: tuple | None = None
+        # the event recorded last, which a step loop tests by identity to
+        # tell whether a step recorded one
+        self.last: HliEvent | None = None
         self.step = 0
 
     def invoke(self, pid: ProcessId, op: str, value=None):
-        self.events.append(HliEvent(pid, "invoke", op, value, self.step))
-        self.key_node = (self.key_node, pid, "invoke", op, value)
+        event = self.last = HliEvent(pid, "invoke", op, value, self.step)
+        self.events.append(event)
 
     def response(self, pid: ProcessId, op: str, value=None):
-        self.events.append(HliEvent(pid, "response", op, value, self.step))
-        self.key_node = (self.key_node, pid, "response", op, value)
+        event = self.last = HliEvent(pid, "response", op, value, self.step)
+        self.events.append(event)
 
 
 class FamilyWrites(NamedTuple):
@@ -378,21 +378,10 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]):
     raise TypeError(f"unknown schedule {schedule!r}")
 
 
-class _EventLog:
-    """Stands in for the recorder the first time a tabled step is taken,
-    keeping its events as ``(pid, kind, op, value)`` so that every later
-    take replays them."""
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events: list[tuple] = []
-
-    def invoke(self, pid: ProcessId, op: str, value=None):
-        self.events.append((pid, "invoke", op, value))
-
-    def response(self, pid: ProcessId, op: str, value=None):
-        self.events.append((pid, "response", op, value))
+def _may_step(order: list, unfinished: frozenset) -> list:
+    """The processes that may step, in pid order: every reader, and the
+    writer while it is unfinished (see ProcessMachine)."""
+    return [pid for pid in order if pid != WRITER or pid in unfinished]
 
 
 def _op_kind(pid: ProcessId, op) -> type:
@@ -448,46 +437,18 @@ class Simulation:
         self.bank = bank
         self.recorder = recorder or HistoryRecorder()
         self.order = sorted(machines)
-        # enabled() and done() depend only on a machine's own state, so
-        # both views change only for the process that steps; they are
-        # replaced, never mutated, so an undo restores them by assignment
-        self._enabled = [pid for pid in self.order if machines[pid].enabled()]
+        # done() depends only on a machine's own state, so both views
+        # change only for the process that steps; they are replaced, never
+        # mutated, so an undo restores them by assignment
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
-        # processes whose machines read the bank beyond their op's result:
-        # the ones that override bank_key, and the registers whose write
-        # order their bank keys read
-        self._bank_keyed = tuple(
-            pid for pid in self.order
-            if type(machines[pid]).bank_key is not ProcessMachine.bank_key
-        )
-        self._bank_regs = frozenset(
-            reg for pid in self._bank_keyed for reg in machines[pid].bank_regs()
-        )
-        # machine key -> its canonical machine, canonical machine -> (its
-        # op, the op's class, the content id of what it writes, {outcome
-        # key: (canonical successor, events, violation, enabled, done)}),
-        # state key part or cell content -> the small int standing for it,
-        # and the cells' content ids, a tuple that a write changing one
-        # replaces; None to step in place
-        self._canon: dict | None = None
+        self._enabled = _may_step(self.order, self._unfinished)
+        # machine key -> its canonical machine, once tabled (_tabulate);
+        # None to step in place
         self._table: dict | None = None
-        self._parts: dict | None = None
-        self._cell_ids: tuple[int, ...] | None = None
-        # the part ids of the cell ids, the event key and the bank keys,
-        # each set where a step changes what it stands for; the bank id is
-        # None until a walk derives it again
-        self._cells_id: int | None = None
-        self._events_id: int | None = None
-        self._bank_id: int | None = None
-        # the keys of the states an enumeration of the tabled simulation
-        # visited
-        self._seen: set | None = None
         self.steps = 0
         self.status: str | None = None
         self.violation: str | None = None
         self._sched: list[ProcessId] = []
-        # one tuple per tabled step, of what it changed (see undo)
-        self._undo: list[tuple] = []
         self.scheme = scheme
         self.key_seed = key_seed
 
@@ -544,7 +505,7 @@ class Simulation:
             else:  # an empty round
                 break
             bank.current_step = recorder.step = steps
-            events = recorder.key_node
+            last = recorder.last
             machine = machines[pid]
             log(pid)
             op = machine.next_op(bank)
@@ -562,11 +523,9 @@ class Simulation:
                 self.status = "protocol_violation"
                 self.violation = _violation(pid, exc)
             self.steps = steps = steps + 1
-            if recorder.key_node is not events:
-                if machine.enabled() != (pid in enabled):
-                    enabled = self._enabled = sorted(set(enabled) ^ {pid})
-                if machine.done() == (pid in unfinished):
-                    unfinished = self._unfinished = unfinished ^ {pid}
+            if recorder.last is not last and machine.done() == (pid in unfinished):
+                unfinished = self._unfinished = unfinished ^ {pid}
+                enabled = self._enabled = _may_step(self.order, unfinished)
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
@@ -592,19 +551,18 @@ class Simulation:
         the step replaces.  The bank part id is cleared by a step of such
         a process or a write to a register in ``bank_regs``, and derived
         again at the top of the loop."""
-        machines, bank, recorder = self.machines, self.bank, self.recorder
+        machines, bank = self.machines, self.bank
         cells, write_seq, trace = bank.cells, bank.write_seq, bank._trace
         read, write = bank.read, bank.write
-        hli = recorder.events
+        hli = self.recorder.events
         table, canon, parts = self._table, self._canon, self._parts
         order, bank_keyed, bank_regs = self.order, self._bank_keyed, self._bank_regs
         getm = machines.__getitem__
         sched = self._sched
         push, pop = self._undo.append, self._undo.pop
-        cell_ids, cells_id, bank_id, events_id = (
-            self._cell_ids, self._cells_id, self._bank_id, self._events_id
+        cell_ids, cells_id, bank_id, events_id, event_key = (
+            self._cell_ids, self._cells_id, self._bank_id, self._events_id, self._event_key
         )
-        key_node = recorder.key_node
         enabled, unfinished = self._enabled, self._unfinished
         status, violation, steps = self.status, self.violation, self.steps
         try:
@@ -635,7 +593,7 @@ class Simulation:
                     frames.pop()
                     if frames:
                         (pid, machine, reg, content, seq, writes, trace_len, cell_ids,
-                         cells_id, bank_id, events_id, key_node, hli_len, enabled,
+                         cells_id, bank_id, events_id, event_key, hli_len, enabled,
                          unfinished, status, violation) = pop()
                         machines[pid] = machine
                         if reg is not None:
@@ -661,7 +619,7 @@ class Simulation:
                     content = cells[reg]
                     seq = write_seq[reg]
                 push((pid, machine, reg, content, seq, bank._writes, len(trace), cell_ids,
-                      cells_id, bank_id, events_id, key_node, len(hli), enabled,
+                      cells_id, bank_id, events_id, event_key, len(hli), enabled,
                       unfinished, status, violation))
                 sched.append(pid)
                 if kind is WriteOp:
@@ -681,29 +639,27 @@ class Simulation:
                 outcome = outcomes.get(read_id)
                 if outcome is None:
                     successor = copy.copy(machine)
-                    log = _EventLog()
+                    log = HistoryRecorder()
                     fault = None
                     try:
                         successor.apply(bank, op, result, log)
                     except (ConcurrentFinalSets, EqualStampsDifferentValue) as exc:
                         fault = _violation(pid, exc)
                     successor = canon.setdefault(successor.state_key(), successor)
-                    outcome = outcomes[read_id] = (
-                        successor, log.events, fault, successor.enabled(), successor.done()
-                    )
-                successor, events, fault, now_enabled, now_done = outcome
+                    events = [(e.process, e.kind, e.op, e.value) for e in log.events]
+                    outcome = outcomes[read_id] = (successor, events, fault, successor.done())
+                successor, events, fault, now_done = outcome
                 machines[pid] = successor
                 if keyed or reg in bank_regs:
                     bank_id = None
                 if events:
                     for event in events:
                         hli.append(HliEvent(*event, steps))
-                        key_node = (key_node, *event)
-                    events_id = parts.setdefault(key_node, len(parts))
-                    if now_enabled != (pid in enabled):
-                        enabled = sorted(set(enabled) ^ {pid})
+                        event_key = (event_key, *event)
+                    events_id = parts.setdefault(event_key, len(parts))
                     if now_done == (pid in unfinished):
                         unfinished = unfinished ^ {pid}
+                        enabled = _may_step(order, unfinished)
                 if fault is not None:
                     status = "protocol_violation"
                     violation = fault
@@ -712,9 +668,9 @@ class Simulation:
                     return False
         finally:
             (self._cell_ids, self._cells_id, self._bank_id, self._events_id,
-             recorder.key_node, self._enabled, self._unfinished, self.status,
+             self._event_key, self._enabled, self._unfinished, self.status,
              self.violation, self.steps) = (cell_ids, cells_id, bank_id, events_id,
-                                            key_node, enabled, unfinished, status,
+                                            event_key, enabled, unfinished, status,
                                             violation, steps)
 
     def _tabulate(self) -> None:
@@ -726,18 +682,44 @@ class Simulation:
         hashes in C and one of values would run each value's ``__hash__``
         in Python.  The part ids of the cell ids and the event key are
         carried from here on, and the bank keys' once a walk first
-        derives it."""
+        derives it.  The event key, ``(prev, pid, kind, op, value)`` cons
+        cells, covers only the events recorded from here on: every state
+        of one search shares those recorded before."""
         self.bank.tabulate()
+        machines = self.machines
+        # processes whose machines read the bank beyond their op's result:
+        # the ones that override bank_key, and the registers whose write
+        # order their bank keys read
+        self._bank_keyed = tuple(
+            pid for pid in self.order
+            if type(machines[pid]).bank_key is not ProcessMachine.bank_key
+        )
+        self._bank_regs = frozenset(
+            reg for pid in self._bank_keyed for reg in machines[pid].bank_regs()
+        )
+        # machine key -> its canonical machine, canonical machine -> (its
+        # op, the op's class, the content id of what it writes, {outcome
+        # key: (canonical successor, events, violation, done)}), state key
+        # part or cell content -> the small int standing for it, and the
+        # cells' content ids, a tuple that a write changing one replaces
         self._canon = {}
         self._table = {}
         parts = self._parts = {}
         ids = self._cell_ids = tuple(parts.setdefault(c, len(parts)) for c in self.bank.cells)
+        # the part ids of the cell ids, the event key and the bank keys,
+        # each set where a step changes what it stands for; the bank id is
+        # None until a walk derives it again
         self._cells_id = parts.setdefault(ids, len(parts))
-        self._events_id = parts.setdefault(self.recorder.key_node, len(parts))
-        self._seen = set()
+        self._event_key = None
+        self._events_id = parts.setdefault(None, len(parts))
+        self._bank_id = None
+        # the keys of the states the search visited, and one tuple per
+        # step, of what it changed (see undo)
+        self._seen: set = set()
+        self._undo: list[tuple] = []
         for pid in self.order:
-            machine = self.machines[pid]
-            self.machines[pid] = self._canon.setdefault(machine.state_key(), machine)
+            machine = machines[pid]
+            machines[pid] = self._canon.setdefault(machine.state_key(), machine)
 
     def history(self, status: str) -> ExecutionHistory:
         register_events, read_log = self.bank.logs()

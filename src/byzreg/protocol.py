@@ -88,20 +88,22 @@ def find_latest(sets: Sequence[InformSet], cfg: Config, ring: crypto.KeyRing) ->
 class ProcessMachine:
     """One process driven by the engine, one atomic step at a time.
 
-    ``enabled``, ``done`` and ``state_key`` depend only on the machine's
-    own state, never on the bank or another machine, so they change only
-    when this machine steps.  ``enabled`` and ``done`` change only on a
-    step that records an invocation or a response (a process is enabled
-    and busy until its last high-level operation responds, and a reader
-    is always enabled), so the engine re-evaluates them for the stepped
-    process alone, after such a step.  Whatever of its future reads the
-    bank beyond its op's result goes in ``bank_key``, which depends only
-    on the machine and the write order of the registers ``bank_regs``
-    names, so the enumerator re-derives it after a write to one of them
-    or a step of its own process.  ``state_key`` is derived
-    from the attributes, so equal keys mean equal attributes, and a step
-    is a function of the ``state_key``, the ``bank_key`` and the read
-    result: the enumerator takes each such step once and shares it.
+    Who may step is fixed by the model: a reader runs its helper loop
+    forever, so it is always enabled, and the writer is enabled exactly
+    while it is not ``done``.  ``done`` and ``state_key`` depend only on
+    the machine's own state, never on the bank or another machine, so
+    they change only when this machine steps.  ``done`` changes only on
+    a step that records an invocation or a response (a process is busy
+    until its last high-level operation responds), so the engine
+    re-evaluates it for the stepped process alone, after such a step.
+    Whatever of its future reads the bank beyond its op's result goes in
+    ``bank_key``, which depends only on the machine and the write order
+    of the registers ``bank_regs`` names, so the enumerator re-derives it
+    after a write to one of them or a step of its own process.
+    ``state_key`` is derived from the attributes, so equal keys mean
+    equal attributes, and a step is a function of the ``state_key``, the
+    ``bank_key`` and the read result: the enumerator takes each such step
+    once and shares it.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -118,10 +120,6 @@ class ProcessMachine:
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         return twin
-
-    def enabled(self) -> bool:
-        """True when this process can take a step."""
-        raise NotImplementedError
 
     def done(self) -> bool:
         """True when this process has no outstanding high-level workload."""
@@ -225,9 +223,6 @@ class WriterMachine(ProcessMachine):
         # reader i's init and ack registers, and the op that polls its
         # ack register, at position i - 1
         self.init_regs, self.ack_regs, self.ack_reads = machine_layout(cfg.n)[0]
-
-    def enabled(self):
-        return self.phase != W_IDLE or self.widx < len(self.writes)
 
     def done(self):
         return self.phase == W_IDLE and self.widx >= len(self.writes)
@@ -533,9 +528,6 @@ class ReaderMachine(ProcessMachine):
         pass
 
     # -------------------------------------------------------------------
-
-    def enabled(self):
-        return True  # the helper thread takes infinitely many steps
 
     def done(self):
         return self.reads_remaining == 0 and not self.read_active

@@ -99,6 +99,7 @@ VALUE_CLASS: list[type] = []  # _Codec.value_class of the slot's family
 WRITER_END: list[ProcessId] = []
 READER_END: list[ProcessId] = []
 NAME: list[str] = []
+OP_END = {"write": WRITER_END, "read": READER_END}  # the one end the bank admits per op
 
 # slot lookup by reader indices; index 0 is unused
 _INIT: list = [None]
@@ -362,8 +363,12 @@ class TraceEvent:
     step: int
     op: str  # "read" | "write"
     reg: RegisterId
-    caller: ProcessId
     value: object  # the cell's content: an exact value or a Raw
+
+    @property
+    def caller(self) -> ProcessId:
+        """The register's end for the op: the bank admits no other caller."""
+        return OP_END[self.op][self.reg]
 
 
 READ_FIELDS = 4  # entries per read in a read log: step, register, content, writes before it
@@ -389,7 +394,7 @@ def merged_trace(events: list[TraceEvent], read_log: list) -> list[TraceEvent]:
         if writes > done:
             out += events[done:writes]
             done = writes
-        out.append(TraceEvent(step, "read", reg, READER_END[reg], content))
+        out.append(TraceEvent(step, "read", reg, content))
     out += events[done:]
     return out
 
@@ -493,7 +498,7 @@ class RegisterBank:
         if reads is not None:
             reads += (self.current_step, reg, content, self._writes)
         else:
-            self._trace.append(TraceEvent(self.current_step, "read", reg, caller, content))
+            self._trace.append(TraceEvent(self.current_step, "read", reg, content))
         # read_content, inline
         return decode_value(FAMILY[reg], content.data) if type(content) is Raw else content
 
@@ -505,7 +510,7 @@ class RegisterBank:
         content = self.cells[reg] = cell_content(reg, value)
         self._writes += 1
         self.write_seq[reg] = self._writes
-        self._trace.append(TraceEvent(self.current_step, "write", reg, caller, content))
+        self._trace.append(TraceEvent(self.current_step, "write", reg, content))
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,7 +617,7 @@ def atomicity_violations(
             cells[ev.reg] = ev.value
             done += 1
         if content is not cells[reg] and content != cells[reg]:
-            bad.append(TraceEvent(step, "read", reg, READER_END[reg], content))
+            bad.append(TraceEvent(step, "read", reg, content))
     for ev in islice(trace, done, None):
         if ev.op == "write":
             cells[ev.reg] = ev.value
@@ -626,20 +631,20 @@ def export_trace(trace: list[TraceEvent], read_log: list = ()) -> Iterator[str]:
     bytes, in the order of ``merged_trace``; a read of the read log is
     formatted from its entries.  Equal contents have equal bytes, so each
     distinct content is encoded once per call, as is each record's head,
-    the part its op, register and caller fix.
+    the part its op and register fix (they fix the caller too).
 
     A record is the line ``json.dumps(..., sort_keys=True)`` gives for
     its dict, filled into one template: every field is an int or an
     ASCII string that JSON does not escape (register and process names
     and a hex digest)."""
     digests: dict = {}
-    heads: dict = {}  # (op, register, caller) -> the record up to its step
+    heads: dict = {}  # (op, register) -> the record up to its step
 
-    def record(step, op, reg, caller, content) -> str:
-        head = heads.get((op, reg, caller))
+    def record(step, op, reg, content) -> str:
+        head = heads.get((op, reg))
         if head is None:
-            head = heads[op, reg, caller] = (
-                f'{{"caller": "{caller}", "op": "{op}", "register": "{reg}", "step": '
+            head = heads[op, reg] = (
+                f'{{"caller": "{OP_END[op][reg]}", "op": "{op}", "register": "{reg}", "step": '
             )
         digest = digests.get(content)
         if digest is None:
@@ -651,8 +656,8 @@ def export_trace(trace: list[TraceEvent], read_log: list = ()) -> Iterator[str]:
     for step, reg, content, writes in log_reads(read_log):
         while done < writes:
             ev = trace[done]
-            yield record(ev.step, ev.op, ev.reg, ev.caller, ev.value)
+            yield record(ev.step, ev.op, ev.reg, ev.value)
             done += 1
-        yield record(step, "read", reg, READER_END[reg], content)
+        yield record(step, "read", reg, content)
     for ev in islice(trace, done, None):
-        yield record(ev.step, ev.op, ev.reg, ev.caller, ev.value)
+        yield record(ev.step, ev.op, ev.reg, ev.value)

@@ -54,10 +54,12 @@ from byzreg.registers import (
     WRITER_END,
     Family,
     LocalOp,
+    RegisterBank,
     bank_init,
     init_reg,
 )
 
+from test_acceptance import READER_STRATEGIES as READERS, WRITER_STRATEGIES as WRITERS
 from test_registers import cell
 
 CFG_BW = Config(4, 1, writer_byzantine=True)
@@ -140,6 +142,55 @@ class TestAccessDiscipline:
                 assert ev.caller == WRITER_END[ev.reg]
             else:
                 assert ev.caller == READER_END[ev.reg]
+
+
+class TestDerivedCaller:
+    """A trace event's caller is derived from its op and register
+    (``TraceEvent.caller``).  It must be the caller the bank admitted,
+    event by event, under every registered strategy (the acceptance
+    suite's tables, which cover the registries) and the forged quorum
+    attack: that keeps the ``ev.caller == WRITER_END[ev.reg]``
+    asserts above from reading true by construction alone."""
+
+    @staticmethod
+    def bank_callers(monkeypatch) -> list:
+        """The caller of every bank op from now on, in order."""
+        callers = []
+        read, write = RegisterBank.read, RegisterBank.write
+
+        def reading(bank, reg, caller):
+            callers.append(caller)
+            return read(bank, reg, caller)
+
+        def writing(bank, reg, value, caller):
+            callers.append(caller)
+            write(bank, reg, value, caller)
+
+        monkeypatch.setattr(RegisterBank, "read", reading)
+        monkeypatch.setattr(RegisterBank, "write", writing)
+        return callers
+
+    def check(self, monkeypatch, cfg, strategies, wl, schedule=RoundRobin(), **kw):
+        callers = self.bank_callers(monkeypatch)
+        history = run(cfg, strategies, wl, schedule, 6000, settle_steps=200,
+                      raise_on_limit=False, **kw)
+        assert {ev.op for ev in history.trace} == {"read", "write"}
+        assert [ev.caller for ev in history.trace] == callers
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_reader_strategy(self, monkeypatch, name):
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        strategies = StrategyAssignment(readers={4: READERS[name]})
+        self.check(monkeypatch, Config(4, 1), strategies, wl)
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_writer_strategy(self, monkeypatch, name):
+        wl = Workload.make(writes=[b"z"], reads={1: 1})
+        self.check(monkeypatch, CFG_BW, StrategyAssignment(writer=WRITERS[name]), wl)
+
+    def test_forged_quorum(self, monkeypatch):
+        s = scenario_forged_quorum()
+        self.check(monkeypatch, s.cfg, s.strategies, s.workload, s.schedule, u0=s.u0)
 
 
 def everyone(k, u):
@@ -232,7 +283,7 @@ class TestWriterPlans:
             def response(self, pid, op, value):
                 calls.append(("response", len(played)))
 
-        while machine.enabled():
+        while not machine.done():
             op = machine.next_op(None)
             machine.apply(None, op, None, Log())
             played.append(op.note if isinstance(op, LocalOp) else READER_END[op.reg].index)

@@ -111,7 +111,7 @@ class TestDetectStabilizations:
         )
         iset = InformSet(frozenset({honest, forged, sign_entries(ring, 3, entries)}))
         trace = [
-            TraceEvent(step, "write", final_reg(2, j), ProcessId.reader(2), iset)
+            TraceEvent(step, "write", final_reg(2, j), iset)
             for step, j in enumerate(cfg.reader_indices(), start=1)
         ]
         stabs = detect_stabilizations(trace, cfg, ring, U0)
@@ -123,7 +123,7 @@ class TestDetectStabilizations:
         cfg = Config(2, 2)
         ring = make_keyring(cfg, "keyed", 0)
         trace = [
-            TraceEvent(step, "write", final_reg(1, j), ProcessId.reader(1), InformSet(frozenset()))
+            TraceEvent(step, "write", final_reg(1, j), InformSet(frozenset()))
             for step, j in enumerate(cfg.reader_indices(), start=1)
         ]
         stabs = detect_stabilizations(trace, cfg, ring, U0)
@@ -289,7 +289,7 @@ def stab_row_trace(ring, cfg, owner, value, stamps, start_step, signers=(1, 2, 3
     entries = [WitnessEntry(value, s, p) for p, s in stamps.items()]
     iset = InformSet(frozenset(sign_entries(ring, i, entries) for i in signers))
     return [
-        TraceEvent(start_step + j - 1, "write", final_reg(owner, j), ProcessId.reader(owner), iset)
+        TraceEvent(start_step + j - 1, "write", final_reg(owner, j), iset)
         for j in cfg.reader_indices()
     ]
 
@@ -343,7 +343,7 @@ class TestViewConsistency:
         cfg = Config(4, 1)
         a, b = TaggedValue(1, b"a"), TaggedValue(2, b"b")
         trace = [
-            TraceEvent(0, "write", init_reg(1), WRITER, b),
+            TraceEvent(0, "write", init_reg(1), b),
         ]
         r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
         events = [
@@ -361,8 +361,8 @@ class TestViewConsistency:
         # check; an undecodable last one does
         cfg = Config(2, 0)
         v = TaggedValue(1, b"v")
-        garbage = TraceEvent(0, "write", init_reg(1), WRITER, Raw(b"\xffgarbage"))
-        valid = TraceEvent(1, "write", init_reg(2), WRITER, v)
+        garbage = TraceEvent(0, "write", init_reg(1), Raw(b"\xffgarbage"))
+        valid = TraceEvent(1, "write", init_reg(2), v)
         r1, r2 = ProcessId.reader(1), ProcessId.reader(2)
         events = [
             HliEvent(r1, "invoke", "read", None, 5),
@@ -372,7 +372,7 @@ class TestViewConsistency:
         ]
         history = synthetic_history(cfg, events, [garbage, valid])
         assert check_view_consistency(history, cfg).status == "violation"
-        garbage_last = TraceEvent(2, "write", init_reg(1), WRITER, Raw(b"\xffgarbage"))
+        garbage_last = TraceEvent(2, "write", init_reg(1), Raw(b"\xffgarbage"))
         history = synthetic_history(cfg, events, [valid, garbage_last])
         verdict = check_view_consistency(history, cfg)
         assert verdict.passed and "undecodable" in verdict.detail
@@ -380,7 +380,7 @@ class TestViewConsistency:
     def test_no_qualifying_read_vacuous(self):
         cfg = Config(4, 1)
         trace = [
-            TraceEvent(0, "write", init_reg(1), WRITER, TaggedValue(1, b"a")),
+            TraceEvent(0, "write", init_reg(1), TaggedValue(1, b"a")),
         ]
         history = synthetic_history(cfg, [], trace)
         verdict = check_view_consistency(history, cfg)
@@ -569,14 +569,14 @@ class TestStaleReads:
         )
         history.read_log[index * fields + 2] = old
         del history.trace  # derived before the doctoring
-        stale = TraceEvent(read.step, "read", read.reg, read.caller, old)
+        stale = TraceEvent(read.step, "read", read.reg, old)
         assert stale in history.trace
         self.assert_one_stale_read(history, stale)
 
     def test_doctored_full_trace_event_is_reported(self):
         history = fault_free_history(seed=5)
         read, old = self.stale_read(history)
-        stale = TraceEvent(read.step, "read", read.reg, read.caller, old)
+        stale = TraceEvent(read.step, "read", read.reg, old)
         full = ExecutionHistory(
             history.cfg, history.u0, history.hli_events,
             [stale if ev is read else ev for ev in history.trace],

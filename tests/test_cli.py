@@ -213,6 +213,8 @@ class TestCampaigns:
             {"workload": {"writes": "ab"}},
             {"expected": {"violations": "total_order"}},
             {"expected": {"violations": {"total_order": 1}}},
+            {"readers": {"4": {"strategy": "silent"}, "04": {"strategy": "correct"}}},
+            {"workload": {"writes": ["a"], "reads": {"1": 1, "01": 2}}},
         ],
         ids=[
             "assignment_missing",
@@ -268,6 +270,8 @@ class TestCampaigns:
             "writes_a_string",
             "expected_violations_a_string",
             "expected_violations_an_object",
+            "readers_index_repeated",
+            "reads_index_repeated",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):

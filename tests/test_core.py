@@ -20,16 +20,18 @@ from byzreg.core import (
     InvalidInformSet,
     LengthMismatch,
     OrderVerdict,
+    PartialTimestamp,
     ProcessId,
     TaggedValue,
     WitnessEntry,
     WitnessSet,
     WRITER,
     mapsto_compare,
-    partial_timestamp,
     vec_compare,
     ws_of,
 )
+from byzreg.crypto import make_keyring
+from byzreg.registers import initial_state
 
 CFG41 = Config(4, 1)
 
@@ -135,24 +137,35 @@ class TestWsOf:
 
 
 class TestPartialTimestamp:
+    """A stabilization's partial timestamp is the (reader -> stamp) map of
+    its inform set's ws_of core, as the checker's final-register scan
+    reads it off the validated core."""
+
+    @staticmethod
+    def stamps(inform_set: InformSet, cfg: Config = CFG41) -> PartialTimestamp:
+        return PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in ws_of(inform_set, cfg)})
+
     def test_reads_off_ws(self):
         es = [entry(b"a", 2, p) for p in (1, 2, 3)]
         s = iset(wset(es, 1), wset(es, 2), wset(es, 3))
-        pt = partial_timestamp(s, CFG41)
+        pt = self.stamps(s)
         assert pt.mapping() == {1: 2, 2: 2, 3: 2}
         assert pt.mapping().get(4) is None
         assert str(pt) == "{1:2, 2:2, 3:2, 4:-}"
 
     def test_initial_inform_set_stamps(self):
-        # the Algorithm-1 initializer shape: every reader with stamp 0
+        # the Algorithm-1 initializer shape: every reader with stamp 0,
+        # which the initial state's stabilization event carries
         es = [WitnessEntry(TaggedValue(0, b"u0"), 0, p) for p in (1, 2, 3, 4)]
         s = iset(*(wset(es, l) for l in (1, 2, 3, 4)))
-        pt = partial_timestamp(s, CFG41)
+        pt = self.stamps(s)
         assert pt.mapping() == {1: 0, 2: 0, 3: 0, 4: 0}
+        init = initial_state(make_keyring(CFG41, "keyed", 0), CFG41, b"u0")
+        assert init.stabilization.pt == pt == self.stamps(init.inform_set)
 
     def test_malformed_propagates(self):
         with pytest.raises(InvalidInformSet):
-            partial_timestamp(iset(wset([entry(b"a", 1, 1)], 1)), CFG41)
+            self.stamps(iset(wset([entry(b"a", 1, 1)], 1)))
 
 
 # --- mapsto_compare ----------------------------------------------------------
