@@ -45,7 +45,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
     drains.  Its state is the write and the step within that write.
     """
 
-    def __init__(self, cfg: Config, ring: KeyRing, strategy: WriterStrategy, writes):
+    def __init__(self, cfg: Config, strategy: WriterStrategy, writes):
         self.pid = WRITER
         # per write: (ops and idle counts, the value its invoke and response carry)
         self.plan = tuple(strategy.plan(cfg, [bytes(w) for w in writes]))
@@ -61,7 +61,7 @@ class ByzWriterMachine(protocol.ProcessMachine):
     def done(self) -> bool:
         return self.widx >= len(self.plan)
 
-    def next_op(self, bank):
+    def next_op(self):
         items = self.plan[self.widx][0]
         item = items[bisect_right(self.ends[self.widx], self.pos)]
         return self.idle_op if type(item) is int else item
@@ -98,7 +98,7 @@ class RogueReader(protocol.ProcessMachine):
 class SilentReader(RogueReader):
     """Takes steps forever but never touches a register."""
 
-    def next_op(self, bank):
+    def next_op(self):
         return LocalOp("silent")
 
     def apply(self, bank, op, result, recorder):
@@ -204,7 +204,7 @@ class ForgeInformSetReader(RogueReader):
             + (LocalOp("forge-pause"),)
         )
 
-    def next_op(self, bank):
+    def next_op(self):
         return self.queue[0]
 
     def apply(self, bank, op, result, recorder):
@@ -225,7 +225,7 @@ class AlternationReader(RogueReader):
         self.wait = self.spec.initial_delay
         self.queue: tuple = ()
 
-    def next_op(self, bank):
+    def next_op(self):
         if self.queue:
             return self.queue[0]
         return LocalOp("alternation-wait")
@@ -265,7 +265,7 @@ class QuorumForgerReader(RogueReader):
         self.fi = 1
         self.partner_member: WitnessSet | None = None
 
-    def next_op(self, bank):
+    def next_op(self):
         if self.phase == self.SEND:
             wset = sign_entries(self.ring, self.index, self.other_entries)
             return WriteOp(inform_reg(self.index, self.spec.partner), wset)
@@ -297,6 +297,27 @@ class QuorumForgerReader(RogueReader):
 
 
 # --- strategy specs ------------------------------------------------------------
+
+def json_int(value, name: str, least: int | None = 0) -> int:
+    """A JSON int of at least ``least`` (any int for None): int() would
+    read true as 1, 2.9 as 2 and "7" as 7."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an int{bound}, not {value!r}")
+    return value
+
+
+def by_reader(block: dict, name: str) -> dict:
+    """A JSON object keyed by reader index, with int keys: int() reads "4"
+    and "04" alike, so a repeated index is an error, not an overwrite."""
+    out = {}
+    for key, value in block.items():
+        i = int(key)
+        if i in out:
+            raise ValueError(f"{name}: reader index {i} given twice")
+        out[i] = value
+    return out
+
 
 class Strategy:
     """A writer or reader behaviour.  ``name`` is its scenario-file name,
@@ -337,7 +358,7 @@ class WriterStrategy(Strategy):
         raise NotImplementedError
 
     def machine(self, cfg, ring, u0, i, workload):
-        return ByzWriterMachine(cfg, ring, self, workload.writes)
+        return ByzWriterMachine(cfg, self, workload.writes)
 
 
 def _broadcast(cfg: Config, kv: TaggedValue) -> tuple:
@@ -374,7 +395,8 @@ class SplitValue(WriterStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls.make({int(k): v.encode() for k, v in block["assignment"].items()})
+        assignment = by_reader(block["assignment"], "assignment")
+        return cls.make({i: v.encode() for i, v in assignment.items()})
 
     def check(self, cfg):
         _check_readers(self.name, [i for i, _ in self.assignment], cfg)
@@ -402,7 +424,8 @@ class PartialQuorum(WriterStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls.make(*[set(map(int, s)) for s in block["targets"]])
+        targets = [{json_int(i, "a target reader", None) for i in s} for s in block["targets"]]
+        return cls.make(*targets)
 
     def check(self, cfg):
         if not self.targets:
@@ -455,7 +478,7 @@ class OverwriteEarly(WriterStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls(int(block.get("delay", cls.delay)))
+        return cls(json_int(block.get("delay", cls.delay), "delay", None))
 
     def check(self, cfg):
         if not 0 <= self.delay <= self.MAX_DELAY:
@@ -476,7 +499,7 @@ class StaleCounter(WriterStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls(int(block.get("k", cls.k)))
+        return cls(json_int(block.get("k", cls.k), "k", None))
 
     def plan(self, cfg, writes):
         for payload in writes:
@@ -524,7 +547,7 @@ class FakeWitnessStamp(ReaderStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls(int(block.get("offset", cls.offset)))
+        return cls(json_int(block.get("offset", cls.offset), "offset", None))
 
 
 @dataclass(frozen=True)
@@ -553,7 +576,8 @@ class Equivocate(ReaderStrategy):
 
     @classmethod
     def parse(cls, block):
-        return cls.make({int(k): v.encode() for k, v in block.get("values", {}).items()})
+        values = by_reader(block.get("values", {}), "values")
+        return cls.make({i: v.encode() for i, v in values.items()})
 
     def check(self, cfg):
         if self.values:

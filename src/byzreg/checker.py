@@ -679,7 +679,7 @@ def _register_linearizability(
     return inversion or Verdict("pass", f"{len(reads)} reads current and inversion-free")
 
 
-def check_view_consistency(history: ExecutionHistory, cfg: Config) -> Verdict:
+def check_view_consistency(history: ExecutionHistory) -> Verdict:
     """After the final init write, once any correct read returns the final
     value every later-issued correct read must return it too."""
     init_writes = history.family_writes.init
@@ -1066,7 +1066,7 @@ class Analysis:
             verdicts["genuine_advance"] = skipped
             verdicts["register_linearizability"] = skipped
 
-        verdicts["view_consistency"] = check_view_consistency(history, cfg)
+        verdicts["view_consistency"] = check_view_consistency(history)
         verdicts["total_ordering_reads"] = check_total_ordering_reads(history)
         verdicts["write_stabilization"] = check_write_stabilization(history, stabs)
         verdicts["stabilized_classification"] = check_stabilized_classification(

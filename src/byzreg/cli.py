@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import adversary, checker, crypto, engine
+from .adversary import by_reader, json_int
 from .core import Config
 
 EXIT_OK = 0
@@ -50,32 +51,12 @@ def _flag(block: dict, key: str, default: bool) -> bool:
     return value
 
 
-def _count(value, name: str, least: int = 0) -> int:
-    """A JSON int of at least ``least``: int() would read true as 1, 2.9
-    as 2 and "50000" as 50000."""
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{name} must be an int of at least {least}, not {value!r}")
-    return value
-
-
 def _strings(value, name: str) -> list[str]:
     """A JSON list of strings: a string would be read as its characters
     and an object as its keys."""
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ConfigError(f"{name} must be a list of strings, not {value!r}")
     return value
-
-
-def _by_reader(block: dict, name: str) -> dict:
-    """A JSON object keyed by reader index, with int keys: int() reads "4"
-    and "04" alike, so a repeated index is an error, not an overwrite."""
-    out = {}
-    for key, value in block.items():
-        i = int(key)
-        if i in out:
-            raise ConfigError(f"{name}: reader index {i} given twice")
-        out[i] = value
-    return out
 
 
 def _schedule(spec: dict) -> engine.Schedule:
@@ -99,9 +80,9 @@ def _seeds(raw) -> list[int]:
     """The seeds a file lists, or counts from a start: JSON ints of at
     least 0, since Random(-s) draws what Random(s) draws."""
     if isinstance(raw, dict):
-        start = _count(raw.get("start", 0), "seed start")
-        raw = range(start, start + _count(raw.get("count", 1), "seed count"))
-    return [_count(seed, "a seed") for seed in raw]
+        start = json_int(raw.get("start", 0), "seed start")
+        raw = range(start, start + json_int(raw.get("count", 1), "seed count"))
+    return [json_int(seed, "a seed") for seed in raw]
 
 
 def load_scenario(path: str | Path) -> adversary.Scenario:
@@ -132,8 +113,8 @@ def load_scenario(path: str | Path) -> adversary.Scenario:
             name=raw.get("name", scenario.name),
             scheme=raw.get("crypto", scenario.scheme),
             seeds=_seeds(raw.get("seeds", [0])),
-            step_limit=_count(raw.get("step_limit", scenario.step_limit), "step_limit", 1),
-            settle_steps=_count(raw.get("settle_steps", scenario.settle_steps), "settle_steps"),
+            step_limit=json_int(raw.get("step_limit", scenario.step_limit), "step_limit", 1),
+            settle_steps=json_int(raw.get("settle_steps", scenario.settle_steps), "settle_steps"),
             expected_status=expected.get("status", scenario.expected_status),
             expected_violations=tuple(_strings(
                 expected.get("violations", [*scenario.expected_violations]), "expected violations"
@@ -161,8 +142,8 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
     try:
         cfg_raw = raw["config"]
         cfg = Config(
-            n=_count(cfg_raw["n"], "config n", 1),
-            t=_count(cfg_raw["t"], "config t"),
+            n=json_int(cfg_raw["n"], "config n", 1),
+            t=json_int(cfg_raw["t"], "config t"),
             writer_byzantine=_flag(cfg_raw, "writer_byzantine", False),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -170,7 +151,7 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
 
     readers: dict[int, adversary.ReaderStrategy] = {}
     try:
-        for i, block in _by_reader(raw.get("readers", {}), "readers").items():
+        for i, block in by_reader(raw.get("readers", {}), "readers").items():
             if not 1 <= i <= cfg.n:
                 raise ConfigError(f"reader index {i} outside 1..{cfg.n}")
             readers[i] = _strategy(
@@ -186,6 +167,8 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad strategy block: {exc}") from exc
     strategies = adversary.StrategyAssignment(writer=writer, readers=readers)
+    if not (cfg.writer_byzantine or isinstance(writer, adversary.CorrectWriter)):
+        raise ConfigError(f"writer strategy {writer.name!r} needs writer_byzantine")
 
     warnings: list[str] = []
     byz = strategies.byzantine_readers()
@@ -207,10 +190,10 @@ def _system(raw: dict, name: str) -> adversary.Scenario:
         workload = engine.Workload.make(
             writes=[w.encode() for w in _strings(wl_raw.get("writes", []), "workload writes")],
             reads={
-                i: _count(v, f"read count of reader {i}")
-                for i, v in _by_reader(wl_raw.get("reads", {}), "workload reads").items()
+                i: json_int(v, f"read count of reader {i}")
+                for i, v in by_reader(wl_raw.get("reads", {}), "workload reads").items()
             },
-            read_gap=_count(wl_raw.get("read_gap", 0), "read_gap"),
+            read_gap=json_int(wl_raw.get("read_gap", 0), "read_gap"),
         )
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad workload block: {exc}") from exc
@@ -259,7 +242,8 @@ class CampaignResult:
         return EXIT_SAFETY
 
 
-def run_scenario(scenario: adversary.Scenario) -> CampaignResult:
+def run_scenario(scenario: adversary.Scenario, fail_fast: bool = False) -> CampaignResult:
+    """Run and check each seed; ``fail_fast`` stops after the first mismatch."""
     results: list[SeedResult] = []
     for seed in scenario.seeds:
         schedule = scenario.schedule
@@ -279,6 +263,8 @@ def run_scenario(scenario: adversary.Scenario) -> CampaignResult:
         )
         report = checker.run_all_checks(history, scenario.byz_readers)
         results.append(SeedResult(seed=seed, status=history.status, report=report))
+        if fail_fast and not results[-1].matches(scenario):
+            break
     return CampaignResult(scenario=scenario, results=results)
 
 
@@ -375,20 +361,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.fail_fast:
-            results = []
-            for seed in scenario.seeds:
-                one = dataclasses.replace(scenario, seeds=[seed])
-                partial = run_scenario(one)
-                results.extend(partial.results)
-                if not partial.matches_expected():
-                    break
-            campaign = CampaignResult(scenario=scenario, results=results)
-        else:
-            campaign = run_scenario(scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        campaign = run_scenario(scenario, args.fail_fast)
     except Exception as exc:  # noqa: BLE001 - checker failures are exit 5
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -378,12 +378,6 @@ def make_chooser(schedule: Schedule, pids: Sequence[ProcessId]):
     raise TypeError(f"unknown schedule {schedule!r}")
 
 
-def _may_step(order: list, unfinished: frozenset) -> list:
-    """The processes that may step, in pid order: every reader, and the
-    writer while it is unfinished (see ProcessMachine)."""
-    return [pid for pid in order if pid != WRITER or pid in unfinished]
-
-
 def _op_kind(pid: ProcessId, op) -> type:
     """The op class ``op`` is an instance of, so that a step dispatches on
     it; TypeError for anything else a machine produced."""
@@ -428,20 +422,21 @@ class Simulation:
         cfg: Config,
         machines: dict[ProcessId, ProcessMachine],
         bank: RegisterBank,
-        recorder: HistoryRecorder | None = None,
         scheme: str = "keyed",
         key_seed: int = 0,
     ):
         self.cfg = cfg
         self.machines = machines
         self.bank = bank
-        self.recorder = recorder or HistoryRecorder()
+        self.recorder = HistoryRecorder()
+        # who may step: every reader, and the writer while it is unfinished
         self.order = sorted(machines)
+        self._readers = [pid for pid in self.order if pid != WRITER]
         # done() depends only on a machine's own state, so both views
         # change only for the process that steps; they are replaced, never
         # mutated, so an undo restores them by assignment
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
-        self._enabled = _may_step(self.order, self._unfinished)
+        self._enabled = self.order if WRITER in self._unfinished else self._readers
         # machine key -> its canonical machine, once tabled (_tabulate);
         # None to step in place
         self._table: dict | None = None
@@ -508,7 +503,7 @@ class Simulation:
             last = recorder.last
             machine = machines[pid]
             log(pid)
-            op = machine.next_op(bank)
+            op = machine.next_op()
             kind = type(op)
             if kind is not ReadOp and kind is not WriteOp and kind is not LocalOp:
                 kind = _op_kind(pid, op)
@@ -525,7 +520,7 @@ class Simulation:
             self.steps = steps = steps + 1
             if recorder.last is not last and machine.done() == (pid in unfinished):
                 unfinished = self._unfinished = unfinished ^ {pid}
-                enabled = self._enabled = _may_step(self.order, unfinished)
+                enabled = self._enabled = self.order if WRITER in unfinished else self._readers
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
@@ -610,7 +605,7 @@ class Simulation:
                 bank.current_step = steps
                 entry = table.get(machine)
                 if entry is None:
-                    op = machine.next_op(bank)
+                    op = machine.next_op()
                     entry = table[machine] = (op, _op_kind(pid, op), None, {})
                 op, kind, written, outcomes = entry
                 reg = content = seq = result = read_id = None
@@ -659,7 +654,7 @@ class Simulation:
                     events_id = parts.setdefault(event_key, len(parts))
                     if now_done == (pid in unfinished):
                         unfinished = unfinished ^ {pid}
-                        enabled = _may_step(order, unfinished)
+                        enabled = order if WRITER in unfinished else self._readers
                 if fault is not None:
                     status = "protocol_violation"
                     violation = fault

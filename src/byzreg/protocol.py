@@ -109,9 +109,9 @@ class ProcessMachine:
     a container in it is replaced when it changes, never changed in
     place.  So ``copy.copy`` clones any machine, and a clone stepped
     apart leaves its origin as it was.  Only ``apply`` changes a machine:
-    ``next_op`` only reads it, so the enumerator asks a shared canonical
-    machine for its op.  Memos of pure functions of the keys live on the
-    key ring, not on a machine.
+    ``next_op`` only reads it and is passed nothing, so an op is a function
+    of the machine alone: the enumerator asks each canonical machine once.
+    Memos of pure functions of the keys live on the key ring, not on a machine.
     """
 
     pid: ProcessId
@@ -125,7 +125,7 @@ class ProcessMachine:
         """True when this process has no outstanding high-level workload."""
         raise NotImplementedError
 
-    def next_op(self, bank: RegisterBank):
+    def next_op(self):
         raise NotImplementedError
 
     def apply(self, bank: RegisterBank, op, result, recorder) -> None:
@@ -212,9 +212,9 @@ class WriterMachine(ProcessMachine):
         self.ring = ring
         self.pid = WRITER
         self.writes = tuple(bytes(w) for w in writes)
+        # the writes begun (the last one's counter), the pending value and
+        # the readers that acked it
         self.widx = 0
-        # the counter, the pending value and the readers that acked it
-        self.c = 0
         self.pending: TaggedValue | None = None
         self.acked: frozenset[int] = frozenset()
         self.phase = W_IDLE
@@ -235,9 +235,9 @@ class WriterMachine(ProcessMachine):
                 return i
         return self.poll_from  # all acked; unreachable while polling
 
-    def next_op(self, bank):
+    def next_op(self):
         if self.phase == W_IDLE:
-            return WriteOp(self.init_regs[0], TaggedValue(self.c + 1, self.writes[self.widx]))
+            return WriteOp(self.init_regs[0], TaggedValue(self.widx + 1, self.writes[self.widx]))
         if self.phase == W_INIT:
             return WriteOp(self.init_regs[self.wi - 1], self.pending)
         return self.ack_reads[self._poll_target() - 1]
@@ -246,7 +246,6 @@ class WriterMachine(ProcessMachine):
         if self.phase == W_IDLE:
             # the first init write of a fresh high-level write happened
             # during this step
-            self.c += 1
             self.pending = op.value
             self.acked = frozenset()
             recorder.invoke(self.pid, "write", self.pending)
@@ -532,7 +531,7 @@ class ReaderMachine(ProcessMachine):
     def done(self):
         return self.reads_remaining == 0 and not self.read_active
 
-    def next_op(self, bank):
+    def next_op(self):
         # the read phases first: they take most of an iteration's steps
         phase = self.phase
         if phase == R_CWIT:

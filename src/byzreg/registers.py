@@ -460,8 +460,7 @@ class RegisterBank:
     the write count when it undoes a step, and truncates the list.
     """
 
-    def __init__(self, cfg: Config, u0: bytes, cells: list):
-        self.cfg = cfg
+    def __init__(self, u0: bytes, cells: list):
         self.u0 = u0
         self.cells = cells
         self.size = len(cells)
@@ -587,7 +586,7 @@ def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
 
 def bank_init(cfg: Config, u0: bytes, ring: crypto.KeyRing) -> RegisterBank:
     """A bank holding every register's initial content."""
-    return RegisterBank(cfg, u0, list(initial_state(ring, cfg, u0).cells))
+    return RegisterBank(u0, list(initial_state(ring, cfg, u0).cells))
 
 
 def atomicity_violations(

@@ -4,6 +4,7 @@ scripted attack scenarios."""
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -21,17 +22,20 @@ from byzreg.adversary import (
     Equivocate,
     FakeWitnessStamp,
     ForgeInformSet,
+    HookedReader,
     MultiValueBurst,
     OutOfOrderWitness,
     OverwriteEarly,
     PartialQuorum,
     QuorumForger,
+    RogueReader,
     SCENARIO_SCRIPTS,
     ScriptedWriter,
     Silent,
     SplitValue,
     StaleCounter,
     StrategyAssignment,
+    build_machines,
     scenario_alternation,
     scenario_forged_quorum,
     scenario_pseudo_correct,
@@ -41,13 +45,13 @@ from byzreg.checker import Analysis, Kind
 from byzreg.core import WRITER, Config, TaggedValue
 from byzreg.crypto import make_keyring
 from byzreg.engine import (
-    HistoryRecorder,
     RoundRobin,
     SeededRandom,
     Simulation,
     Workload,
     run,
 )
+from byzreg.protocol import ProcessMachine
 from byzreg.registers import (
     FAMILY,
     READER_END,
@@ -193,6 +197,56 @@ class TestDerivedCaller:
         self.check(monkeypatch, s.cfg, s.strategies, s.workload, s.schedule, u0=s.u0)
 
 
+def machine_classes() -> set[type]:
+    """Every ProcessMachine subclass that protocol and adversary define."""
+    found, todo = set(), [ProcessMachine]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__ in ("byzreg.protocol", "byzreg.adversary"):
+            found.add(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+class TestMachineContract:
+    """What the enumerator assumes of every machine class: it asks a
+    shared canonical machine for its op once, and keys the bank only for
+    the processes whose class overrides ``bank_key`` and only after a
+    write to a register their ``bank_regs`` name."""
+
+    # classes that only lend code to their subclasses: no strategy builds one
+    BASES = {ProcessMachine, RogueReader, HookedReader}
+
+    @staticmethod
+    def built_machines() -> list:
+        """A machine of every registered strategy (the acceptance suite's
+        tables) and of every scripted scenario."""
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        assignments = [(Config(4, 1), StrategyAssignment(readers={4: s}), wl)
+                       for s in READERS.values()]
+        assignments += [(CFG_BW, StrategyAssignment(writer=s), wl) for s in WRITERS.values()]
+        for factory in SCENARIO_SCRIPTS.values():
+            s = factory()
+            assignments.append((s.cfg, s.strategies, s.workload))
+        machines = []
+        for cfg, strategies, workload in assignments:
+            ring = make_keyring(cfg, "keyed", 0)
+            machines += build_machines(cfg, strategies, workload, ring, b"init").values()
+        return machines
+
+    def test_next_op_reads_only_the_machine(self):
+        for cls in machine_classes():
+            params = list(inspect.signature(cls.next_op).parameters)
+            assert params == ["self"], f"{cls.__name__}.next_op{params}"
+
+    def test_bank_key_exactly_with_bank_regs(self):
+        machines = self.built_machines()
+        assert {type(m) for m in machines} == machine_classes() - self.BASES
+        for m in machines:
+            overrides = type(m).bank_key is not ProcessMachine.bank_key
+            assert overrides == bool(m.bank_regs()), type(m).__name__
+
+
 def everyone(k, u):
     """A broadcast to the four readers of CFG_BW, as plan_literal shows it."""
     return [(i, k, u) for i in (1, 2, 3, 4)]
@@ -273,7 +327,7 @@ class TestWriterPlans:
         # last, an idle one included
         x = TaggedValue(1, b"x")
         spec = ScriptedWriter(scripts=((2, (1, x), 0, 1),))
-        machine = ByzWriterMachine(CFG_BW, None, spec, [b"a", b"b"])
+        machine = ByzWriterMachine(CFG_BW, spec, [b"a", b"b"])
         played, calls = [], []
 
         class Log:
@@ -284,7 +338,7 @@ class TestWriterPlans:
                 calls.append(("response", len(played)))
 
         while not machine.done():
-            op = machine.next_op(None)
+            op = machine.next_op()
             machine.apply(None, op, None, Log())
             played.append(op.note if isinstance(op, LocalOp) else READER_END[op.reg].index)
         idle = "scripted-idle"
@@ -297,7 +351,7 @@ class TestWriterPlans:
         spec = OverwriteEarly(delay=OverwriteEarly.MAX_DELAY)
         tracemalloc.start()
         try:
-            ByzWriterMachine(CFG_BW, None, spec, [b"w%d" % i for i in range(8)])
+            ByzWriterMachine(CFG_BW, spec, [b"w%d" % i for i in range(8)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,12 +409,11 @@ class TestWriterStrategies:
         cfg = CFG_BW
         ring = make_keyring(cfg, "keyed", 0)
         bank = bank_init(cfg, b"init", ring)
-        machine = ByzWriterMachine(cfg, ring, PartialQuorum.make({1, 2, 3}), [b"x"])
-        rec = HistoryRecorder()
-        sim = Simulation(cfg, {WRITER: machine}, bank, rec)
+        machine = ByzWriterMachine(cfg, PartialQuorum.make({1, 2, 3}), [b"x"])
+        sim = Simulation(cfg, {WRITER: machine}, bank)
         while not machine.done():
             sim.step_process(WRITER)
-        kinds = [e.kind for e in rec.events]
+        kinds = [e.kind for e in sim.recorder.events]
         assert kinds == ["invoke", "response"]
         assert cell(bank, init_reg(1)) == TaggedValue(1, b"x")
         assert cell(bank, init_reg(4)) == TaggedValue(0, b"init")

@@ -337,7 +337,7 @@ class TestRegisterLinearizability:
 class TestViewConsistency:
     def test_quiescent_tail_pass(self):
         history = fault_free_history(writes=(b"a",), reads={1: 2, 2: 2})
-        assert check_view_consistency(history, history.cfg).passed
+        assert check_view_consistency(history).passed
 
     def test_divergence_after_final_value_detected(self):
         cfg = Config(4, 1)
@@ -353,7 +353,7 @@ class TestViewConsistency:
             HliEvent(r2, "response", "read", a, 11),
         ]
         history = synthetic_history(cfg, events, trace)
-        verdict = check_view_consistency(history, cfg)
+        verdict = check_view_consistency(history)
         assert verdict.status == "violation"
 
     def test_only_the_last_init_write_decides(self):
@@ -371,10 +371,10 @@ class TestViewConsistency:
             HliEvent(r2, "response", "read", TaggedValue(0, U0), 11),
         ]
         history = synthetic_history(cfg, events, [garbage, valid])
-        assert check_view_consistency(history, cfg).status == "violation"
+        assert check_view_consistency(history).status == "violation"
         garbage_last = TraceEvent(2, "write", init_reg(1), Raw(b"\xffgarbage"))
         history = synthetic_history(cfg, events, [valid, garbage_last])
-        verdict = check_view_consistency(history, cfg)
+        verdict = check_view_consistency(history)
         assert verdict.passed and "undecodable" in verdict.detail
 
     def test_no_qualifying_read_vacuous(self):
@@ -383,7 +383,7 @@ class TestViewConsistency:
             TraceEvent(0, "write", init_reg(1), TaggedValue(1, b"a")),
         ]
         history = synthetic_history(cfg, [], trace)
-        verdict = check_view_consistency(history, cfg)
+        verdict = check_view_consistency(history)
         assert verdict.passed
 
 

@@ -215,6 +215,16 @@ class TestCampaigns:
             {"expected": {"violations": {"total_order": 1}}},
             {"readers": {"4": {"strategy": "silent"}, "04": {"strategy": "correct"}}},
             {"workload": {"writes": ["a"], "reads": {"1": 1, "01": 2}}},
+            {"readers": {"4": {"strategy": "fake_witness_stamp", "offset": True}}},
+            {"readers": {"4": {"strategy": "fake_witness_stamp", "offset": 2.9}}},
+            {"readers": {"4": {"strategy": "fake_witness_stamp", "offset": "7"}}},
+            {"writer": {"strategy": "stale_counter", "k": True}},
+            {"writer": {"strategy": "overwrite_early", "delay": 1.5}},
+            {"readers": {"4": {"strategy": "equivocate", "values": {"1": "a", "01": "b"}}}},
+            {"writer": {"strategy": "split_value", "assignment": {"1": "a", "01": "b"}}},
+            {"writer": {"strategy": "partial_quorum", "targets": [[1, 2, True]]}},
+            {"config": {"n": 4, "t": 1},
+             "writer": {"strategy": "split_value", "assignment": {"1": "a", "2": "b"}}},
         ],
         ids=[
             "assignment_missing",
@@ -272,6 +282,15 @@ class TestCampaigns:
             "expected_violations_an_object",
             "readers_index_repeated",
             "reads_index_repeated",
+            "offset_bool",
+            "offset_float",
+            "offset_string",
+            "k_bool",
+            "delay_float",
+            "equivocate_index_repeated",
+            "assignment_index_repeated",
+            "targets_bool",
+            "byzantine_writer_unflagged",
         ],
     )
     def test_malformed_block_exit_two(self, tmp_path, blocks):
@@ -302,12 +321,16 @@ class TestCampaigns:
         s = load_scenario(write_scenario(tmp_path, obj))
         assert s.strategies.reader_strategy(4).values == ()
 
-    def test_fail_fast_stops_at_first_mismatch(self, tmp_path):
+    def test_fail_fast_stops_at_first_mismatch(self, tmp_path, capsys):
         obj = dict(BASE)
         obj["seeds"] = [0, 1, 2, 3]
         obj["expected"] = {"status": "step_limit"}  # wrong on purpose
         path = write_scenario(tmp_path, obj)
         assert main([str(path), "--fail-fast"]) != EXIT_OK
+        capsys.readouterr()
+        assert main([str(path), "--fail-fast", "--format", "records"]) != EXIT_OK
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["seed"] for r in records if "seed" in r] == [0]
 
 
 class TestAdversaryChosenIntegers:

@@ -1429,7 +1429,7 @@ class TestSchedulerContract:
             pid = rng.choice(sim.enabled_pids())
             machine = sim.machines[pid]
             before = self.snapshot(machine)
-            machine.next_op(sim.bank)
+            machine.next_op()
             assert self.snapshot(machine) == before, f"{pid} at step {sim.steps}"
             sim.step_process(pid)
         assert sim.steps == 3000

@@ -70,8 +70,10 @@ def world():
 
 
 def drive(machine, bank, recorder, steps=1):
-    """Step the machine in place, through the engine's own op dispatch."""
-    sim = Simulation(bank.cfg, {machine.pid: machine}, bank, recorder)
+    """Step the machine in place, through the engine's own op dispatch,
+    recording into ``recorder``."""
+    sim = Simulation(machine.cfg, {machine.pid: machine}, bank)
+    sim.recorder = recorder
     for _ in range(steps):
         sim.step_process(machine.pid)
 
@@ -495,7 +497,7 @@ class TestCollectEnds:
                     "other": WitnessEntry(other, s, src),
                     "wrong": WitnessEntry(other, s, p),
                 }[kind]
-                r.apply(None, r.next_op(None), entry, None)
+                r.apply(None, r.next_op(), entry, None)
                 # the collect rule, with no identity shortcut
                 if entry is None or entry.p != src:
                     suspected.add(src)
@@ -534,7 +536,7 @@ class TestCollectEnds:
                     "badsig": WitnessSet(frozenset(entries), src, b"bad"),
                     "otherring": sign_entries(other_ring, src, entries),
                 }[kind]
-                r.apply(None, r.next_op(None), wset, None)
+                r.apply(None, r.next_op(), wset, None)
                 # the collect rule, verified on cold memos
                 if wset is None or wset.signer != src or not verify_witness_set(direct, wset):
                     wset = None
