@@ -103,7 +103,9 @@ class ProcessMachine:
     ``state_key`` is derived from the attributes, so equal keys mean
     equal attributes, and a step is a function of the ``state_key``, the
     ``bank_key`` and the read result: the enumerator takes each such step
-    once and shares it.
+    once and shares it.  A variable that no later step reads before it
+    sets it again is reset to its initial value in the step that ends its
+    live range, so states with equal futures have equal keys.
 
     A machine's state is its attributes, and each of them holds a value:
     a container in it is replaced when it changes, never changed in
@@ -247,7 +249,6 @@ class WriterMachine(ProcessMachine):
             # the first init write of a fresh high-level write happened
             # during this step
             self.pending = op.value
-            self.acked = frozenset()
             recorder.invoke(self.pid, "write", self.pending)
             self.widx += 1
             self.wi = 2
@@ -259,7 +260,6 @@ class WriterMachine(ProcessMachine):
             self.wi += 1
             if self.wi > self.cfg.n:
                 self.phase = W_POLL
-                self.poll_from = 1
                 self._maybe_finish(recorder)
             return
         # polling: the op read reader i's ack register, whose writer end
@@ -279,6 +279,8 @@ class WriterMachine(ProcessMachine):
         if self.phase == W_POLL and len(self.acked) >= self.cfg.quorum:
             recorder.response(self.pid, "write", self.pending)
             self.pending = None
+            self.acked = frozenset()
+            self.poll_from = 1
             self.phase = W_IDLE
 
     def bank_key(self, bank):
@@ -587,6 +589,11 @@ class ReaderMachine(ProcessMachine):
             self.phase = _AFTER_BROADCAST[self.phase]
             self.idx = 1
 
+    def _apply_wwit(self, bank, op, result, recorder):
+        self._apply_broadcast(bank, op, result, recorder)
+        if self.phase != R_WWIT:
+            self.pending_entry = None
+
     def _apply_init(self, bank, op, result, recorder):
         self._begin_iteration(recorder)
         kv = result  # an undecodable init cell (None) counts as unchanged
@@ -601,8 +608,6 @@ class ReaderMachine(ProcessMachine):
                 self.s += self._stamp_bump()
                 self.last_init = foreign
                 self.pending_entry = WitnessEntry(foreign, self.s, self.index)
-            else:
-                self.pending_entry = None
         if self.pending_entry is not None:
             self.phase = R_WWIT
         else:
@@ -636,7 +641,6 @@ class ReaderMachine(ProcessMachine):
                 self.phase = R_WINF
             else:
                 self.phase = R_RFIN
-                self.z_list = ()
             self.idx = 1
 
     def _apply_rinf(self, bank, op, result, recorder):
@@ -666,13 +670,12 @@ class ReaderMachine(ProcessMachine):
                 self.phase = R_WFIN
             else:
                 self.phase = R_RFIN
-                self.z_list = ()
             self.idx = 1
 
     def _apply_ack1(self, bank, op, result, recorder):
         self.last_ack = self.form_value
+        self.form_value = None
         self.phase = R_RFIN
-        self.z_list = ()
         self.idx = 1
 
     def _apply_rfin(self, bank, op, result, recorder):
@@ -686,6 +689,7 @@ class ReaderMachine(ProcessMachine):
         self.idx += 1
         if self.idx > self.cfg.n:
             latest = find_latest(self.z_list + (self.inform_set,), self.cfg, self.ring)
+            self.z_list = ()
             if latest is not self.inform_set and latest != self.inform_set:
                 self.inform_set = latest
                 self.phase = R_WFIN2
@@ -699,7 +703,7 @@ class ReaderMachine(ProcessMachine):
 
     _APPLY = {
         R_INIT: _apply_init,
-        R_WWIT: _apply_broadcast,
+        R_WWIT: _apply_wwit,
         R_CWIT: _apply_cwit,
         R_WINF: _apply_broadcast,
         R_RINF: _apply_rinf,

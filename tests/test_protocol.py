@@ -4,6 +4,7 @@ find_latest behavior."""
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from itertools import combinations
 
@@ -33,12 +34,15 @@ from byzreg.crypto import (
 )
 from byzreg.engine import HistoryRecorder, SeededRandom, Simulation, Workload, run
 from byzreg.protocol import (
+    R_ACK1,
     R_ACK2,
     R_CWIT,
     R_RFIN,
     R_RINF,
     R_WFIN,
     R_WINF,
+    R_WWIT,
+    W_POLL,
     ConcurrentFinalSets,
     ReaderMachine,
     WriterMachine,
@@ -629,6 +633,56 @@ class TestReadBookkeeping:
         # read, two gap iterations, read
         assert kinds == ["invoke", "response", "invoke", "response"]
         assert r.done()
+
+
+@pytest.mark.parametrize("tabled", [False, True], ids=["in_place", "tabled"])
+class TestDeadVariables:
+    """A variable that no later step reads before it sets it again holds
+    its initial value from the step that ends its live range on, so
+    states with equal futures have equal keys."""
+
+    # each reset variable and the phases it is live in: its live range
+    # ends when its machine leaves them
+    WRITER_VARS = {"acked": {W_POLL}, "poll_from": {W_POLL}}
+    READER_VARS = {
+        "pending_entry": {R_WWIT},
+        "form_value": {R_WFIN, R_ACK1},
+        "z_list": {R_RFIN},
+    }
+
+    def test_dead_variables_hold_initial_values(self, tabled):
+        ring = make_keyring(CFG, "keyed", 0)
+
+        def machines():
+            readers = {
+                ProcessId.reader(i): ReaderMachine(CFG, ring, U0, i, reads=2, read_gap=1)
+                for i in CFG.reader_indices()
+            }
+            return {WRITER: WriterMachine(CFG, ring, [b"a", b"b"]), **readers}
+
+        initial = machines()
+        sim = Simulation(CFG, machines(), bank_init(CFG, U0, ring))
+        if tabled:
+            sim._tabulate()
+        ended = set()
+        rng = random.Random(4)
+        for _ in range(3000):
+            pid = rng.choice(sim.enabled_pids())
+            before = sim.machines[pid].phase
+            sim.step_process(pid)
+            machine = sim.machines[pid]
+            live = self.WRITER_VARS if pid == WRITER else self.READER_VARS
+            for name, phases in live.items():
+                if machine.phase not in phases:
+                    assert getattr(machine, name) == getattr(initial[pid], name), name
+                    if before in phases:
+                        ended.add(name)
+            if pid == WRITER and before == W_POLL and machine.phase != W_POLL:
+                assert sim.recorder.events[-1].kind == "response"
+        # every live range ended at least once: the writer responded, and
+        # readers left R_WWIT, R_ACK1 and R_RFIN
+        assert ended == {*self.WRITER_VARS, *self.READER_VARS}
+        assert sim.workload_complete()
 
 
 def fresh_key_run(strategy, key_seed):
