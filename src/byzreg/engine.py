@@ -527,25 +527,27 @@ class Simulation:
         a walk that backs out of one edge (``_walk``)."""
         self._walk([iter(()), iter(())])
 
-    def _walk(self, frames: list, seen: set | None = None, depth_bound: int = 0,
-              node_cap: int = 0) -> bool:
+    def _walk(self, frames: list, seen: dict | None = None, depth_bound: int = 0,
+              node_cap: int = 0, exact_depth: bool = False) -> bool:
         """Walk the tabled simulation depth first, stepping and undoing
         in one loop.  ``frames`` lists, per state on the path, an iterator
         over the processes it has yet to step; a spent one is left by
         undoing the step into its state, and the walk ends when none is
-        left (False).  With a visited set ``seen``, each state reached is
+        left (False).  With a visited map ``seen``, each state reached is
         keyed (``state_key``) and, if new, visited: the walk stops at a
         completed one (True) before giving it a frame, so the next walk
         finds it visited and backs out, and any other gets a frame of its
         enabled processes while within ``depth_bound`` steps; more than
-        ``node_cap`` states raise BoundTooLarge.  With no set, it takes
-        one step and ends.  The tabled state lives in locals, written
-        back when the walk ends.  A step's table entry gives its successor
-        per content id read (paired, for a process with a bank_key, with
-        the bank part before the step); the undo tuple it pushes is what
-        the step replaces.  The bank part id is cleared by a step of such
-        a process or a write to a register in ``bank_regs``, and derived
-        again at the top of the loop."""
+        ``node_cap`` states raise BoundTooLarge.  ``seen`` maps each key to
+        the steps left at its latest visit; with ``exact_depth``, an
+        unfinished state reached again with more steps left is visited
+        again.  With no map, it takes one step and ends.  The tabled
+        state lives in locals, written back when the walk ends.  A step's
+        table entry gives its successor per content id read (paired, for
+        a process with a bank_key, with the bank part before the step);
+        the undo tuple it pushes is what the step replaces.  The bank part
+        id is cleared by a step of such a process or a write to a register
+        in ``bank_regs``, and derived again at the top of the loop."""
         machines, bank = self.machines, self.bank
         cells, write_seq, trace = bank.cells, bank.write_seq, bank._trace
         read, write = bank.read, bank.write
@@ -566,9 +568,12 @@ class Simulation:
                     keys = tuple([machines[p].bank_key(bank) for p in bank_keyed])
                     bank_id = parts.setdefault(keys, len(parts))
                 if seen is not None:
-                    # one hash of the key: a set that does not grow held it already
+                    # one hash of the key: a map that does not grow held it
+                    # already, with the steps left at its latest visit
                     size = len(seen)
-                    seen.add((*map(getm, order), bank_id, cells_id, events_id, status))
+                    left = depth_bound - steps
+                    key = (*map(getm, order), bank_id, cells_id, events_id, status)
+                    before = seen.setdefault(key, left)
                     children = ()
                     if len(seen) > size:
                         if size >= node_cap:
@@ -576,8 +581,13 @@ class Simulation:
                         if status is not None or not unfinished:
                             if status is None:  # not a protocol violation
                                 return True
-                        elif steps < depth_bound:
+                        elif left > 0:
                             children = enabled
+                    elif exact_depth and before < left and status is None and unfinished:
+                        # reached again with more steps left: its successors
+                        # are within reach of more of the bound
+                        seen[key] = left
+                        children = enabled
                     frames.append(iter(children))
                 # the next process to step, undoing the step into every
                 # state whose processes are all stepped
@@ -710,7 +720,7 @@ class Simulation:
         self._bank_id = None
         # the keys of the states the search visited, and one tuple per
         # step, of what it changed (see undo)
-        self._seen: set = set()
+        self._seen: dict = {}
         self._undo: list[tuple] = []
         for pid in self.order:
             machine = machines[pid]
@@ -748,9 +758,9 @@ class Simulation:
         enters through ``WriterMachine.bank_key``.  The key relates states
         exactly as a key rebuilt in full does.  Built by a walk of no edge,
         which keys the state as a search does."""
-        seen: set = set()
+        seen: dict = {}
         self._walk([], seen, 0, 1)
-        return seen.pop()
+        return next(iter(seen))
 
 
 def _root_simulation(cfg, strategies, workload, u0, scheme, key_seed) -> Simulation:
@@ -813,6 +823,7 @@ def enumerate_schedules(
     scheme: str = "keyed",
     key_seed: int = 0,
     node_cap: int = 400_000,
+    exact_depth: bool = False,
 ) -> Iterator[ExecutionHistory]:
     """Yield the history of every completed state the depth-first search
     reaches within depth_bound steps, once each.
@@ -824,13 +835,17 @@ def enumerate_schedules(
     depth_bound steps past such a state are not yielded.  So depth_bound
     bounds the search; it does not promise every interleaving of that
     length (at n=2 with one write and no read, depth 30 yields none,
-    though 16 completed states lie within 30 steps).  Intended for n <= 4
-    and one or two operations per process.
+    though 16 completed states lie within 30 steps).  With exact_depth, a
+    state is skipped only when it was visited with at least as many steps
+    left, so every completed state within depth_bound steps is yielded,
+    at the cost of visiting states again (about 9 visits per state at
+    n=2, one read, depth 60).  Intended for n <= 4 and one or two
+    operations per process.
     """
     if depth_bound > MAX_ENUM_DEPTH:
         raise BoundTooLarge(f"depth_bound {depth_bound} > {MAX_ENUM_DEPTH}")
     sim = _root_simulation(cfg, strategies, workload, u0, scheme, key_seed)
     sim._tabulate()
     frames: list = []
-    while sim._walk(frames, sim._seen, depth_bound, node_cap):
+    while sim._walk(frames, sim._seen, depth_bound, node_cap, exact_depth):
         yield sim.history("completed")

@@ -613,12 +613,16 @@ class TestEnumeration:
 
     def test_reductions_keep_criterion_2_outcomes(self):
         """The soundness gate of every state-space reduction: on criterion
-        2's four cases the enumeration yields exactly the outcomes and
-        verdict tuples (every verdict and the brute-force oracle's)
-        pinned in ``enumeration_outcomes.json``, which holds those of the
-        enumerator before any reduction.  A reduction may yield fewer
-        histories, never another set of outcomes; the pins are never
-        regenerated."""
+        2's four cases, and under ``exact_depth`` on the benchmark's n=2
+        depth-60 instance and on n=2 with no read at depth 50, the
+        enumeration yields exactly the outcomes and verdict tuples (every
+        verdict and the brute-force oracle's) pinned in
+        ``enumeration_outcomes.json``, which holds those of the enumerator
+        before any reduction.  A reduction may yield fewer histories,
+        never another set of outcomes; the pins are never regenerated.
+        The tight bounds run under ``exact_depth``: without it, which
+        states a depth bound cuts depends on the first path to each, so a
+        reduction that merges states moves the cut."""
         from byzreg.checker import brute_force_linearizable, run_all_checks
 
         pinned = json.loads((Path(__file__).parent / "enumeration_outcomes.json").read_text())
@@ -629,15 +633,17 @@ class TestEnumeration:
                 reads={int(i): k for i, k in case["reads"].items()},
             )
             outcomes, verdicts = set(), set()
-            for h in enumerate_schedules(cfg, wl, depth_bound=case["depth_bound"]):
+            for h in enumerate_schedules(cfg, wl, depth_bound=case["depth_bound"],
+                                         exact_depth=case.get("exact_depth", False)):
                 report = run_all_checks(h)
                 outcomes.add(json.dumps(self.outcome(h, report)))
                 verdicts.add(json.dumps(
                     sorted((name, v.status) for name, v in report.verdicts.items())
                     + [("brute_force_linearizable", brute_force_linearizable(h))]
                 ))
-            assert outcomes == {json.dumps(o) for o in case["outcomes"]}, case["reads"]
-            assert verdicts == {json.dumps(v) for v in case["verdicts"]}, case["reads"]
+            label = (case["reads"], case["depth_bound"])
+            assert outcomes == {json.dumps(o) for o in case["outcomes"]}, label
+            assert verdicts == {json.dumps(v) for v in case["verdicts"]}, label
 
     def test_pruned_matches_unpruned_on_micro_case(self):
         # cross-validation of the pruner: identical high-level outcomes and
@@ -671,6 +677,18 @@ class TestEnumeration:
             event_sequence(h.hli_events) for h in enumerate_schedules(cfg, wl, depth_bound=30)
         }
         assert enumerated == shortest_path_sequences(cfg, wl, depth_bound=30)
+
+    @pytest.mark.parametrize("reads, depth_bound", [({}, 30), ({}, 50), ({1: 1}, 40)])
+    def test_exact_depth_covers_every_sequence_within_it(self, reads, depth_bound):
+        # the depth-30 case is the one the default search misses entirely
+        cfg = Config(2, 0)
+        wl = Workload.make(writes=[b"a"], reads=reads)
+        enumerated = {
+            event_sequence(h.hli_events)
+            for h in enumerate_schedules(cfg, wl, depth_bound=depth_bound, exact_depth=True)
+        }
+        assert enumerated == shortest_path_sequences(cfg, wl, depth_bound=depth_bound)
+        assert enumerated
 
     def test_enumeration_deterministic(self):
         cfg = Config(1, 0)
@@ -1243,7 +1261,7 @@ class TestTransitionTable:
             assert capped
         else:
             assert not capped
-        assert keys == sim._seen
+        assert keys == sim._seen.keys()
         assert len(bank_keys) > 100
         if name == "enumerate_n2":
             # some keyed state holds a fresh ack while the writer polls
