@@ -11,8 +11,10 @@ pruning each state it has seen before (see enumerate_schedules for what
 that bound then covers).  It walks one tabled simulation depth first in
 one loop that steps, keys each state reached and undoes each step on the
 way back; a tabled ``step_process`` and ``undo`` are walks of one edge
-through that loop.  A simulation logs its schedule, and its bank the
-register trace, in flat lists, so a yielded history copies them.
+through that loop.  A simulation logs its schedule in a flat list.  A
+run's bank logs the register trace, and a yielded history copies it; the
+tabled walk logs no register event, and a yielded history rebuilds them
+from the undo stack.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from .registers import (
     TraceEvent,
     WriteOp,
     bank_init,
+    cell_content,
     export_trace,
     initial_state,
     merged_trace,
+    read_content,
 )
 
 
@@ -135,8 +139,9 @@ class _view:
 
 @dataclass
 class ExecutionHistory:
-    """Recorded high-level events plus the register trace, in copies of
-    the flat logs its simulation and bank kept (``RegisterBank``).
+    """Recorded high-level events plus the register trace: copies of the
+    flat logs its simulation and bank kept (``RegisterBank``), or for an
+    enumerated history, the trace its simulation rebuilt.
 
     An enumerated history, like one built by hand, passes every register
     event as a ``TraceEvent`` in ``register_events``.  A run stepped in
@@ -410,11 +415,14 @@ class Simulation:
     loop (``_walk``); ``step_process``, ``undo`` and ``state_key`` walk
     one edge, back out of one, or key the state through it.
 
-    The schedule and the bank's register trace are flat lists in both
-    modes, so undoing a step truncates them.  Stepped in place, the bank
-    logs a read as flat entries of a read log apart from its write
-    events (``RegisterBank``), so a step keeps no object alive for the
-    cyclic collector to walk but the event of a write.
+    The schedule and the high-level events are flat lists in both modes,
+    which undoing a step truncates.  Stepped in place, the bank logs each
+    register op: a write as a ``TraceEvent`` and a read as flat entries
+    of a read log (``RegisterBank``), so a step keeps no object alive for
+    the cyclic collector to walk but the event of a write.  A tabled step
+    goes around the bank's read and write and logs no register event:
+    the undo stack holds the path, so ``history`` rebuilds the trace from
+    it, paying per yielded history rather than per edge.
     """
 
     def __init__(
@@ -524,7 +532,13 @@ class Simulation:
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
-        a walk that backs out of one edge (``_walk``)."""
+        a walk that backs out of one edge (``_walk``).  ValueError for a
+        simulation stepped in place, and for one with no tabled step to
+        undo."""
+        if self._table is None:
+            raise ValueError("only a tabled step can be undone: this simulation steps in place")
+        if not self._undo:
+            raise ValueError("no tabled step to undo")
         self._walk([iter(()), iter(())])
 
     def _walk(self, frames: list, seen: dict | None = None, depth_bound: int = 0,
@@ -542,15 +556,21 @@ class Simulation:
         the steps left at its latest visit; with ``exact_depth``, an
         unfinished state reached again with more steps left is visited
         again.  With no map, it takes one step and ends.  The tabled
-        state lives in locals, written back when the walk ends.  A step's
-        table entry gives its successor per content id read (paired, for
-        a process with a bank_key, with the bank part before the step);
-        the undo tuple it pushes is what the step replaces.  The bank part
-        id is cleared by a step of such a process or a write to a register
-        in ``bank_regs``, and derived again at the top of the loop."""
+        state lives in locals, written back when the walk ends.
+
+        A step's table entry, made at its machine's first take, holds its
+        op, checked against the bank's access rule then, and for a write
+        the cell content and its content id; a step stores that content
+        and a read takes the cell's content id, decoding the cell only to
+        find an outcome not yet tabled.  The entry gives the successor per
+        content id read (paired, for a process with a bank_key, with the
+        bank part before the step); the undo tuple a step pushes is what
+        it replaces, and it logs no register event (see ``history``).  The
+        bank part id is cleared by a step of such a process or a write to
+        a register in ``bank_regs``, and derived again at the top of the
+        loop."""
         machines, bank = self.machines, self.bank
-        cells, write_seq, trace = bank.cells, bank.write_seq, bank._trace
-        read, write = bank.read, bank.write
+        cells, write_seq = bank.cells, bank.write_seq
         hli = self.recorder.events
         table, canon, parts = self._table, self._canon, self._parts
         order, bank_keyed, bank_regs = self.order, self._bank_keyed, self._bank_regs
@@ -597,52 +617,50 @@ class Simulation:
                         break
                     frames.pop()
                     if frames:
-                        (pid, machine, reg, content, seq, writes, trace_len, cell_ids,
-                         cells_id, bank_id, events_id, event_key, hli_len, enabled,
-                         unfinished, status, violation) = pop()
+                        (pid, machine, reg, content, seq, cell_ids, cells_id, bank_id,
+                         events_id, event_key, hli_len, enabled, unfinished, status,
+                         violation) = pop()
                         machines[pid] = machine
                         if reg is not None:
                             cells[reg] = content
                             write_seq[reg] = seq
-                        bank._writes = writes
-                        del trace[trace_len:]
+                            bank._writes -= 1
                         del hli[hli_len:]
                         sched.pop()
                         steps -= 1
                 else:
                     return False
                 machine = machines[pid]
-                bank.current_step = steps
                 entry = table.get(machine)
                 if entry is None:
-                    op = machine.next_op()
-                    entry = table[machine] = (op, _op_kind(pid, op), None, {})
+                    entry = table[machine] = self._entry(pid, machine)
                 op, kind, written, outcomes = entry
-                reg = content = seq = result = read_id = None
+                reg = content = seq = read_id = None
                 if kind is WriteOp:
                     reg = op.reg
                     content = cells[reg]
                     seq = write_seq[reg]
-                push((pid, machine, reg, content, seq, bank._writes, len(trace), cell_ids,
-                      cells_id, bank_id, events_id, event_key, len(hli), enabled,
-                      unfinished, status, violation))
+                push((pid, machine, reg, content, seq, cell_ids, cells_id, bank_id,
+                      events_id, event_key, len(hli), enabled, unfinished, status, violation))
                 sched.append(pid)
                 if kind is WriteOp:
-                    write(reg, op.value, pid)
-                    if written is None:  # the first take
-                        written = parts.setdefault(cells[reg], len(parts))
-                        entry = table[machine] = (op, kind, written, outcomes)
+                    content, written = written
+                    cells[reg] = content
+                    bank._writes += 1
+                    write_seq[reg] = bank._writes
                     if cell_ids[reg] != written:
                         cell_ids = cell_ids[:reg] + (written,) + cell_ids[reg + 1:]
                         cells_id = parts.setdefault(cell_ids, len(parts))
                 elif kind is ReadOp:
-                    result = read(op.reg, pid)
                     read_id = cell_ids[op.reg]
                 keyed = pid in bank_keyed
                 if keyed:
                     read_id = (read_id, bank_id)
                 outcome = outcomes.get(read_id)
                 if outcome is None:
+                    result = None
+                    if kind is ReadOp:
+                        result = read_content(FAMILY[op.reg], cells[op.reg])
                     successor = copy.copy(machine)
                     log = HistoryRecorder()
                     fault = None
@@ -678,6 +696,22 @@ class Simulation:
                                             event_key, enabled, unfinished, status,
                                             violation, steps)
 
+    def _entry(self, pid: ProcessId, machine: ProcessMachine) -> tuple:
+        """The table entry of a canonical machine's step: its op, checked
+        against the bank's access rule, the op's class, for a write the
+        cell content it stores and that content's id, and its outcomes,
+        none yet."""
+        op = machine.next_op()
+        kind = _op_kind(pid, op)
+        written = None
+        if kind is WriteOp:
+            self.bank.check("write", op.reg, pid)
+            content = cell_content(op.reg, op.value)
+            written = (content, self._parts.setdefault(content, len(self._parts)))
+        elif kind is ReadOp:
+            self.bank.check("read", op.reg, pid)
+        return (op, kind, written, {})
+
     def _tabulate(self) -> None:
         """Step every process by a transition table from now on.  A
         machine's step is a function of its state_key, its bank_key and
@@ -689,8 +723,8 @@ class Simulation:
         carried from here on, and the bank keys' once a walk first
         derives it.  The event key, ``(prev, pid, kind, op, value)`` cons
         cells, covers only the events recorded from here on: every state
-        of one search shares those recorded before."""
-        self.bank.tabulate()
+        of one search shares those recorded before.  The bank's trace so
+        far is kept as it is now, to start every history from."""
         machines = self.machines
         # processes whose machines read the bank beyond their op's result:
         # the ones that override bank_key, and the registers whose write
@@ -703,10 +737,11 @@ class Simulation:
             reg for pid in self._bank_keyed for reg in machines[pid].bank_regs()
         )
         # machine key -> its canonical machine, canonical machine -> (its
-        # op, the op's class, the content id of what it writes, {outcome
-        # key: (canonical successor, events, violation, done)}), state key
-        # part or cell content -> the small int standing for it, and the
-        # cells' content ids, a tuple that a write changing one replaces
+        # op, the op's class, for a write the content it stores and its
+        # id, {outcome key: (canonical successor, events, violation,
+        # done)}), state key part or cell content -> the small int
+        # standing for it, and the cells' content ids, a tuple that a
+        # write changing one replaces
         self._canon = {}
         self._table = {}
         parts = self._parts = {}
@@ -718,16 +753,46 @@ class Simulation:
         self._event_key = None
         self._events_id = parts.setdefault(None, len(parts))
         self._bank_id = None
-        # the keys of the states the search visited, and one tuple per
-        # step, of what it changed (see undo)
+        # the keys of the states the search visited, one tuple per step,
+        # of what it changed (see undo), and the register events before
+        # the first
         self._seen: dict = {}
         self._undo: list[tuple] = []
+        self._trace_before = self.bank.trace
         for pid in self.order:
             machine = machines[pid]
             machines[pid] = self._canon.setdefault(machine.state_key(), machine)
 
+    def _tabled_trace(self) -> list[TraceEvent]:
+        """The register events of a tabled simulation: the bank's trace
+        when it was tabled, then one event per register op on the undo
+        stack, rebuilt from its table entry.  A write's event holds the
+        content its entry stores, and a read's what the cell held: the
+        cells are replayed back from their contents now, each write's
+        undo tuple giving what its cell held before it.  An op made on
+        the bank directly once it was tabled is not in it."""
+        table = self._table
+        cells = self.bank.cells.copy()
+        step = self.steps
+        events: list[TraceEvent] = []
+        for _, machine, reg, content, *_ in reversed(self._undo):
+            step -= 1
+            op, kind, written, _ = table[machine]
+            if kind is WriteOp:
+                events.append(TraceEvent(step, "write", reg, written[0]))
+                cells[reg] = content
+            elif kind is ReadOp:
+                events.append(TraceEvent(step, "read", op.reg, cells[op.reg]))
+        events.reverse()
+        return self._trace_before + events
+
     def history(self, status: str) -> ExecutionHistory:
-        register_events, read_log = self.bank.logs()
+        """The run so far, ended with ``status``: copies of the bank's
+        logs, or once tabled, the trace rebuilt from the undo stack."""
+        if self._table is None:
+            register_events, read_log = self.bank.logs()
+        else:
+            register_events, read_log = self._tabled_trace(), []
         return ExecutionHistory(
             cfg=self.cfg,
             u0=self.bank.u0,

@@ -13,11 +13,10 @@ in the family's codec (``cell_content``): as the value they decode to
 when they are its canonical encoding, and as ``Raw`` bytes otherwise,
 which a read decodes, to None when they do not decode.  One register
 operation is one indivisible scheduler step, and every operation lands
-in an append-only trace of cell contents, encoded only on export.  A
-bank stepped in place logs its reads apart from its writes, as flat
-entries (``RegisterBank``); ``merged_trace`` puts the two logs back in
-recording order.  Every log is a flat list, which an undone step of the
-enumerator truncates.
+in an append-only trace of cell contents, encoded only on export.  The
+bank logs its reads apart from its writes, as flat entries
+(``RegisterBank``); ``merged_trace`` puts the two logs back in recording
+order.
 """
 
 from __future__ import annotations
@@ -437,27 +436,24 @@ class RegisterBank:
     """All 3n^2 + 2n registers plus their operation trace.
 
     ``cells`` lists the register contents by slot, each an exact value
-    of the slot's family or a ``Raw`` (``cell_content``); only ``write``
-    assigns to it.  Write sequence numbers are indexed by slot too:
-    every write takes the next number of one bank-wide counter, so
-    ``write_seq`` orders the last writes of any two cells (0 for a cell
-    never written).  The engine owns the bank during a run and sets
-    ``current_step`` before each operation; protocol code only goes
-    through read/write.  The cell count never changes, so ``size`` keeps
-    it for the bound checks.
+    of the slot's family or a ``Raw`` (``cell_content``).  Write sequence
+    numbers are indexed by slot too: every write takes the next number
+    of one bank-wide counter, so ``write_seq`` orders the last writes of
+    any two cells (0 for a cell never written).  The engine owns the
+    bank during a run and sets ``current_step`` before each operation;
+    protocol code only goes through read/write.  The cell count never
+    changes, so ``size`` keeps it for the access rule (``check``).
 
-    Stepped in place, the bank keeps two flat lists: a ``TraceEvent``
-    per write, which the checker's passes read, and a read log of
-    ``READ_FIELDS`` entries per read (its step, register, content and
-    the writes logged before it), which only the substrate check and the
-    export walk.  So a read allocates nothing that the cyclic collector
-    tracks: its reader is the register's reader end, and its content is
-    the cell's.  Once its simulation steps by table (``tabulate``), the
-    bank logs every operation as a ``TraceEvent`` in the one list, so an
-    enumerated history's read log is empty and its ``trace`` merges
-    nothing (README gives the measured cost of merging it per history).
-    A tabled simulation restores a written cell, its ``write_seq`` and
-    the write count when it undoes a step, and truncates the list.
+    The bank keeps two flat lists: a ``TraceEvent`` per write, which the
+    checker's passes read, and a read log of ``READ_FIELDS`` entries per
+    read (its step, register, content and the writes logged before it),
+    which only the substrate check and the export walk.  So a read
+    allocates nothing that the cyclic collector tracks: its reader is
+    the register's reader end, and its content is the cell's.  An
+    enumeration's tabled simulation steps the cells, ``write_seq`` and
+    the write count itself and logs nothing here: it rebuilds a
+    history's register events from its undo stack
+    (``Simulation.history``).
     """
 
     def __init__(self, u0: bytes, cells: list):
@@ -466,8 +462,8 @@ class RegisterBank:
         self.size = len(cells)
         self.write_seq: list[int] = [0] * len(cells)
         self._writes = 0
-        self._trace: list[TraceEvent] = []  # the writes; every event once tabled
-        self._reads: list | None = []  # None once tabled
+        self._trace: list[TraceEvent] = []  # the writes
+        self._reads: list = []  # READ_FIELDS entries per read
         self.current_step = 0
 
     @property
@@ -475,37 +471,35 @@ class RegisterBank:
         return merged_trace(*self.logs())
 
     def logs(self) -> tuple[list[TraceEvent], list]:
-        """The trace as fresh lists: the events logged as ``TraceEvent``s
-        (every one, once tabled) and the read log (empty once tabled)."""
-        reads = self._reads
-        return self._trace.copy(), [] if reads is None else reads.copy()
+        """The trace as fresh lists: the writes' events and the read log."""
+        return self._trace.copy(), self._reads.copy()
 
-    def tabulate(self) -> None:
-        """Merge the logs into one event list, which logs every later
-        operation."""
-        self._trace = self.trace
-        self._reads = None
+    def check(self, op: str, reg: RegisterId, caller: ProcessId) -> None:
+        """The access rule: ``reg`` is one of the bank's registers, and
+        ``caller`` its end for ``op`` (``OP_END``); UnknownRegister or
+        AccessViolation otherwise.  An enumeration applies it to each op
+        it tables.  ``read`` and ``write`` apply it to every operation:
+        they test it inline, since a call per operation cost the
+        ``fault_free_n4`` benchmark about 5 % of its steps per second (2
+        CPUs), and call it to raise."""
+        if not 0 <= reg < self.size:
+            # a slot past the layout has no name
+            raise UnknownRegister(NAME[reg] if 0 <= reg < len(NAME) else str(int(reg)))
+        if caller != OP_END[op][reg]:
+            raise AccessViolation(f"{caller} cannot {op} {reg}")
 
     def read(self, reg: RegisterId, caller: ProcessId):
         """The cell's value (``read_content``), recording its content."""
-        if not 0 <= reg < self.size:
-            raise UnknownRegister(str(reg))
-        if caller != READER_END[reg]:
-            raise AccessViolation(f"{caller} cannot read {reg}")
+        if not 0 <= reg < self.size or caller != READER_END[reg]:
+            self.check("read", reg, caller)
         content = self.cells[reg]
-        reads = self._reads
-        if reads is not None:
-            reads += (self.current_step, reg, content, self._writes)
-        else:
-            self._trace.append(TraceEvent(self.current_step, "read", reg, content))
+        self._reads += (self.current_step, reg, content, self._writes)
         # read_content, inline
         return decode_value(FAMILY[reg], content.data) if type(content) is Raw else content
 
     def write(self, reg: RegisterId, value, caller: ProcessId) -> None:
-        if not 0 <= reg < self.size:
-            raise UnknownRegister(str(reg))
-        if caller != WRITER_END[reg]:
-            raise AccessViolation(f"{caller} cannot write {reg}")
+        if not 0 <= reg < self.size or caller != WRITER_END[reg]:
+            self.check("write", reg, caller)
         content = self.cells[reg] = cell_content(reg, value)
         self._writes += 1
         self.write_seq[reg] = self._writes

@@ -8,6 +8,7 @@ import gc
 import json
 import random
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from byzreg.adversary import (
     SplitValue,
     StaleCounter,
     StrategyAssignment,
+    WriterStrategy,
     build_machines,
     scenario_alternation,
     scenario_forged_quorum,
@@ -52,7 +54,13 @@ from byzreg.engine import (
 )
 from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
 from byzreg.registers import (
+    AccessViolation,
     Raw,
+    ReadOp,
+    RegisterBank,
+    TraceEvent,
+    UnknownRegister,
+    WriteOp,
     ack_reg,
     bank_init,
     final_reg,
@@ -61,6 +69,8 @@ from byzreg.registers import (
     witness_reg,
 )
 
+from test_acceptance import READER_STRATEGIES as ACCEPTANCE_READERS
+from test_acceptance import WRITER_STRATEGIES as ACCEPTANCE_WRITERS
 from test_registers import replay_trace
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -68,6 +78,8 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 CFG40 = Config(4, 0)
 CFG41 = Config(4, 1)
+REPLAY_WORKLOAD = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
+FORGED_QUORUM = scenario_forged_quorum()
 
 
 def returned_values(history):
@@ -467,28 +479,56 @@ class TestRunLogs:
         assert reads > 1000 and more_writes - writes > 500
         assert (more_objects - objects - (more_writes - writes)) / 2000 <= 0.05
 
-    @pytest.mark.parametrize(
-        "strategies",
-        [None, StrategyAssignment(readers={4: Equivocate.make({1: b"z"})})],
-        ids=["fault_free", "equivocate"],
-    )
-    def test_in_place_trace_matches_tabled_replay(self, strategies):
-        # the merged trace of an in-place run is the event chain a tabled
-        # simulation logs for the same schedule, and digests alike
-        cfg = CFG41 if strategies else CFG40
-        wl = Workload.make(writes=[b"a", b"b"], reads={1: 2, 2: 1}, read_gap=1)
-        history = run(cfg, strategies, wl, SeededRandom(seed=4), 30000, key_seed=4)
+    # every reader and writer strategy of the acceptance tables, a writer
+    # counter too wide for the codec, so that Raw cells are read, and a
+    # run that ends in a violation: (cfg, strategies, workload, schedule)
+    REPLAY_CASES = {
+        "fault_free": (CFG40, None, REPLAY_WORKLOAD, SeededRandom(seed=4)),
+        **{
+            name: (CFG41, StrategyAssignment(readers={4: strategy}), REPLAY_WORKLOAD,
+                   SeededRandom(seed=4))
+            for name, strategy in ACCEPTANCE_READERS.items() if name != "correct"
+        },
+        **{
+            name: (Config(4, 1, writer_byzantine=True), StrategyAssignment(writer=strategy),
+                   REPLAY_WORKLOAD, SeededRandom(seed=4))
+            for name, strategy in ACCEPTANCE_WRITERS.items() if name != "correct"
+        },
+        "stale_counter_2_64": (
+            Config(4, 1, writer_byzantine=True), StrategyAssignment(writer=StaleCounter(k=2**64)),
+            REPLAY_WORKLOAD, SeededRandom(seed=4),
+        ),
+        "forged_quorum_n4t2": (
+            FORGED_QUORUM.cfg, FORGED_QUORUM.strategies, FORGED_QUORUM.workload,
+            FORGED_QUORUM.schedule,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+    def test_in_place_trace_matches_tabled_replay(self, name):
+        # the merged trace of an in-place run is the trace a tabled
+        # simulation rebuilds from its undo stack for the same schedule,
+        # and digests alike
+        cfg, strategies, wl, schedule = self.REPLAY_CASES[name]
+        history = run(cfg, strategies, wl, schedule, 30000, key_seed=4, raise_on_limit=False)
         assert history.read_log
         sim = _root_simulation(cfg, strategies, wl, b"init", "keyed", 4)
         sim._tabulate()
         for pid in history.sched_log:
             sim.step_process(pid)
+        assert (sim.steps, sim.violation) == (history.steps, history.violation)
+        assert (sim.status == "protocol_violation") == (history.status == "protocol_violation")
         tabled = sim.history(history.status)
-        assert not tabled.read_log
+        assert not tabled.read_log and sim.bank.logs() == ([], [])
         assert tabled.trace == history.trace
         assert tabled.trace_length == history.trace_length == len(history.trace)
+        assert tabled.hli_events == history.hli_events
         assert tabled.family_writes == history.family_writes
         assert tabled.digest() == history.digest()
+        if name == "stale_counter_2_64":
+            assert any(ev.op == "read" and type(ev.value) is Raw for ev in tabled.trace)
+        if name == "forged_quorum_n4t2":
+            assert history.violation.startswith("concurrent_final_sets at ")
 
     @pytest.mark.parametrize(
         "strategies",
@@ -1046,9 +1086,11 @@ class TestTransitionTable:
                 assert vars(tabled.machines[pid]) == vars(m)
                 assert list(vars(m)) == list(vars(tabled.machines[pid])) == names[pid]
                 assert reached.setdefault(m.state_key(), dict(vars(m))) == vars(m)
-            assert tabled.recorder.events == plain.recorder.events
             assert (tabled.status, tabled.violation) == (plain.status, plain.violation)
-            assert tabled.history("x").digest() == plain.history("x").digest()
+            rebuilt, stepped = tabled.history("x"), plain.history("x")
+            assert rebuilt.trace == stepped.trace
+            assert rebuilt.hli_events == stepped.hli_events
+            assert rebuilt.digest() == stepped.digest()
             statuses.append(plain.status)
             while tabled.steps:
                 tabled.undo()
@@ -1121,14 +1163,14 @@ class TestTransitionTable:
 
     @staticmethod
     def undo_snapshot(sim):
-        """What a tabled step may change, the logs and the running event
-        key included, as values."""
-        events, reads = sim.bank.logs()
+        """What a tabled step may change, the history it rebuilds and the
+        running event key included, as values."""
+        history = sim.history("x")
         return (
             sim.steps, sim.state_key(), reference_key(sim), sim.bank.cells.copy(),
-            sim.bank.write_seq.copy(), sim.bank._writes, events, reads, sim.sched_log,
-            sim.recorder.events.copy(), sim._event_key, sim.enabled_pids(),
-            sim._unfinished, sim.status, sim.violation,
+            sim.bank.write_seq.copy(), sim.bank._writes, history.trace, history.hli_events,
+            sim.sched_log, sim._event_key, sim.enabled_pids(), sim._unfinished, sim.status,
+            sim.violation,
         )
 
     UNDO_CASES = {
@@ -1166,6 +1208,48 @@ class TestTransitionTable:
         assert not sim._undo
         if name == "forged_quorum":
             assert statuses == {"protocol_violation"}
+
+    def test_undo_without_a_tabled_step_raises(self):
+        # stepped in place, a simulation keeps no undo stack; tabled, it
+        # cannot back out past the state it was tabled in
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        in_place = _root_simulation(Config(2, 0), None, wl, b"init", "keyed", 0)
+        in_place.step_process(WRITER)
+        with pytest.raises(ValueError, match="steps in place"):
+            in_place.undo()
+        assert in_place.steps == 1
+        sim = _root_simulation(Config(2, 0), None, wl, b"init", "keyed", 0)
+        sim._tabulate()
+        root = self.undo_snapshot(sim)
+        with pytest.raises(ValueError, match="no tabled step to undo"):
+            sim.undo()
+        sim.step_process(WRITER)
+        sim.undo()
+        with pytest.raises(ValueError, match="no tabled step to undo"):
+            sim.undo()
+        assert self.undo_snapshot(sim) == root
+
+    def test_walk_logs_no_register_event(self, monkeypatch):
+        # the walk steps the cells itself: it calls neither bank op, and
+        # builds a TraceEvent only when a history rebuilds its trace
+        def refused(*args):
+            raise AssertionError("the walk called the bank")
+
+        monkeypatch.setattr(RegisterBank, "read", refused)
+        monkeypatch.setattr(RegisterBank, "write", refused)
+        built = []
+
+        def counted(*fields):
+            built.append(fields)
+            return TraceEvent(*fields)
+
+        monkeypatch.setattr("byzreg.engine.TraceEvent", counted)
+        sims = tabled_simulations(monkeypatch)
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        histories = list(enumerate_schedules(Config(2, 0), wl, depth_bound=60))
+        assert len(histories) == 199
+        assert len(built) == sum(len(h.trace) for h in histories)
+        assert sims[0].bank.logs() == ([], [])
 
     # criterion 2's first two cases, n=4 cases with no write (with a write,
     # no history completes within the cap at n=4), a writer whose counter
@@ -1342,7 +1426,7 @@ class TestStepGuard:
     @staticmethod
     def snapshot(sim):
         return (
-            sim.steps, sim.sched_log, sim.bank.logs(), sim.bank.cells.copy(),
+            sim.steps, sim.sched_log, sim.history("x").trace, sim.bank.cells.copy(),
             sim.bank.write_seq.copy(), sim.recorder.events.copy(), sim.recorder.last,
             {pid: dict(vars(m)) for pid, m in sim.machines.items()}, sim.enabled_pids(),
             sim.status, sim.violation,
@@ -1373,6 +1457,42 @@ class TestStepGuard:
         for pid in sim.order:
             sim.step_process(pid)
         assert self.snapshot(sim) == before
+
+
+@dataclass(frozen=True)
+class Trespass(WriterStrategy):
+    """A writer whose every write is the one op ``op``, whatever register
+    it names."""
+
+    op: object
+
+    def plan(self, cfg, writes):
+        for _ in writes:
+            yield (self.op,), None
+
+
+class TestAccessRule:
+    """The bank's access rule holds for an op whichever way it is taken:
+    stepped in place, every op goes through the bank's read or write; by
+    table, each op is checked when its table entry is made."""
+
+    CASES = {
+        "write_ack": (WriteOp(ack_reg(1), TaggedValue(1, b"a")), AccessViolation),
+        "read_init": (ReadOp(init_reg(1)), AccessViolation),
+        "write_outside_bank": (WriteOp(init_reg(3), TaggedValue(1, b"a")), UnknownRegister),
+        "read_outside_bank": (ReadOp(ack_reg(3)), UnknownRegister),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_trespass_raises(self, name):
+        op, error = self.CASES[name]
+        cfg = Config(2, 0, writer_byzantine=True)  # a bank of readers 1 and 2
+        strategies = StrategyAssignment(writer=Trespass(op))
+        wl = Workload.make(writes=[b"a"], reads={1: 1})
+        with pytest.raises(error):
+            run(cfg, strategies, wl, RoundRobin(), 100)
+        with pytest.raises(error):
+            list(enumerate_schedules(cfg, wl, 10, strategies=strategies))
 
 
 class TestSchedulerContract:
