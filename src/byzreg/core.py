@@ -115,10 +115,12 @@ WRITER = ProcessId(0)
 # Each value type below sets ``exact`` when it is built: whether the
 # value is what the register codec decodes, class and field types
 # included.  The class is exactly the type, every int field an exact int
-# in the decoder's range, payloads and signatures bytes, containers
+# in the codec's range, payloads and signatures bytes, containers
 # frozensets, and every part exact.  So an exact value's canonical bytes
 # decode to an equal value, and equal exact values have equal bytes;
 # TaggedValue(True, b"x") equals TaggedValue(1, b"x") but is not exact.
+# The codec keeps a decoded value only when it is exact, so these flags
+# are the one statement of each field's type and range.
 # ``exact`` is no dataclass field, so equality and hashing ignore it.
 
 
@@ -244,6 +246,14 @@ class StabilizationEvent:
     pt: PartialTimestamp
     step: int
     row_owner: int  # reader index whose row completed first
+
+    @classmethod
+    def of(
+        cls, core: frozenset[WitnessEntry], n: int, step: int, row_owner: int
+    ) -> "StabilizationEvent":
+        """The event of a witness core, which carries one value, at n readers."""
+        pt = PartialTimestamp.from_mapping(n, {e.p: e.s for e in core})
+        return cls(next(iter(core)).value, core, pt, step, row_owner)
 
 
 @dataclass(frozen=True)

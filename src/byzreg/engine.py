@@ -410,7 +410,7 @@ class Simulation:
     canonical successor.  Only a tabled simulation is keyed, and only a
     tabled step can be undone (``undo``): it pushes what it changes onto
     an undo stack, and every part of the state it replaces is a machine,
-    a view, a tuple or an int that no step changes in place.  The tabled
+    a set, a tuple or an int that no step changes in place.  The tabled
     step, its undo and the state key exist once, in the enumerator's
     loop (``_walk``); ``step_process``, ``undo`` and ``state_key`` walk
     one edge, back out of one, or key the state through it.
@@ -440,11 +440,10 @@ class Simulation:
         # who may step: every reader, and the writer while it is unfinished
         self.order = sorted(machines)
         self._readers = [pid for pid in self.order if pid != WRITER]
-        # done() depends only on a machine's own state, so both views
-        # change only for the process that steps; they are replaced, never
-        # mutated, so an undo restores them by assignment
+        # done() depends only on a machine's own state, so the unfinished
+        # set changes only for the process that steps; it is replaced,
+        # never mutated, so an undo restores it by assignment
         self._unfinished = frozenset(pid for pid in self.order if not machines[pid].done())
-        self._enabled = self.order if WRITER in self._unfinished else self._readers
         # machine key -> its canonical machine, once tabled (_tabulate);
         # None to step in place
         self._table: dict | None = None
@@ -461,7 +460,7 @@ class Simulation:
 
     def enabled_pids(self) -> list[ProcessId]:
         """Enabled processes in pid order (shared: do not mutate)."""
-        return self._enabled
+        return self.order if WRITER in self._unfinished else self._readers
 
     def workload_complete(self) -> bool:
         return not self._unfinished
@@ -473,11 +472,11 @@ class Simulation:
         and no violation stopped the simulation.  Stepped in place, this
         is a round of one pid (``_step_rounds``); by table, a walk of one
         edge (``_walk``), which pushes what the step changes for
-        ``undo``.  The views are brought up to date only after a step
-        that recorded an event (see ProcessMachine)."""
+        ``undo``.  The unfinished set is brought up to date only after a
+        step that recorded an event (see ProcessMachine)."""
         if self._table is None:
             self._step_rounds([pid], lambda enabled: [], self.steps + 1, 1)
-        elif self.status is None and pid in self._enabled:
+        elif self.status is None and pid in self.enabled_pids():
             self._walk([iter((pid,))])
 
     def _step_rounds(self, order: list, next_round, step_limit: int, settle_steps: int) -> None:
@@ -492,8 +491,10 @@ class Simulation:
         recorder = self.recorder
         log = self._sched.append
         steps = self.steps
-        # the views, kept in locals too: a step replaces them, never mutates them
-        enabled, unfinished = self._enabled, self._unfinished
+        # the unfinished set and who may step, kept in locals: a step
+        # replaces them, never mutates them
+        unfinished = self._unfinished
+        enabled = self.enabled_pids()
         while steps < step_limit and self.status is None:
             if not unfinished:
                 if settle_steps <= 0:
@@ -528,7 +529,7 @@ class Simulation:
             self.steps = steps = steps + 1
             if recorder.last is not last and machine.done() == (pid in unfinished):
                 unfinished = self._unfinished = unfinished ^ {pid}
-                enabled = self._enabled = self.order if WRITER in unfinished else self._readers
+                enabled = self.enabled_pids()
 
     def undo(self) -> None:
         """Restore the state before the last tabled step, by assignment:
@@ -573,14 +574,15 @@ class Simulation:
         cells, write_seq = bank.cells, bank.write_seq
         hli = self.recorder.events
         table, canon, parts = self._table, self._canon, self._parts
-        order, bank_keyed, bank_regs = self.order, self._bank_keyed, self._bank_regs
+        order, readers = self.order, self._readers
+        bank_keyed, bank_regs = self._bank_keyed, self._bank_regs
         getm = machines.__getitem__
         sched = self._sched
         push, pop = self._undo.append, self._undo.pop
         cell_ids, cells_id, bank_id, events_id, event_key = (
             self._cell_ids, self._cells_id, self._bank_id, self._events_id, self._event_key
         )
-        enabled, unfinished = self._enabled, self._unfinished
+        unfinished = self._unfinished
         status, violation, steps = self.status, self.violation, self.steps
         try:
             while True:
@@ -602,12 +604,12 @@ class Simulation:
                             if status is None:  # not a protocol violation
                                 return True
                         elif left > 0:
-                            children = enabled
+                            children = order if WRITER in unfinished else readers
                     elif exact_depth and before < left and status is None and unfinished:
                         # reached again with more steps left: its successors
                         # are within reach of more of the bound
                         seen[key] = left
-                        children = enabled
+                        children = order if WRITER in unfinished else readers
                     frames.append(iter(children))
                 # the next process to step, undoing the step into every
                 # state whose processes are all stepped
@@ -618,8 +620,7 @@ class Simulation:
                     frames.pop()
                     if frames:
                         (pid, machine, reg, content, seq, cell_ids, cells_id, bank_id,
-                         events_id, event_key, hli_len, enabled, unfinished, status,
-                         violation) = pop()
+                         events_id, event_key, hli_len, unfinished, status, violation) = pop()
                         machines[pid] = machine
                         if reg is not None:
                             cells[reg] = content
@@ -641,7 +642,7 @@ class Simulation:
                     content = cells[reg]
                     seq = write_seq[reg]
                 push((pid, machine, reg, content, seq, cell_ids, cells_id, bank_id,
-                      events_id, event_key, len(hli), enabled, unfinished, status, violation))
+                      events_id, event_key, len(hli), unfinished, status, violation))
                 sched.append(pid)
                 if kind is WriteOp:
                     content, written = written
@@ -682,7 +683,6 @@ class Simulation:
                     events_id = parts.setdefault(event_key, len(parts))
                     if now_done == (pid in unfinished):
                         unfinished = unfinished ^ {pid}
-                        enabled = order if WRITER in unfinished else self._readers
                 if fault is not None:
                     status = "protocol_violation"
                     violation = fault
@@ -691,10 +691,9 @@ class Simulation:
                     return False
         finally:
             (self._cell_ids, self._cells_id, self._bank_id, self._events_id,
-             self._event_key, self._enabled, self._unfinished, self.status,
-             self.violation, self.steps) = (cell_ids, cells_id, bank_id, events_id,
-                                            event_key, enabled, unfinished, status,
-                                            violation, steps)
+             self._event_key, self._unfinished, self.status, self.violation,
+             self.steps) = (cell_ids, cells_id, bank_id, events_id, event_key,
+                            unfinished, status, violation, steps)
 
     def _entry(self, pid: ProcessId, machine: ProcessMachine) -> tuple:
         """The table entry of a canonical machine's step: its op, checked
@@ -724,7 +723,9 @@ class Simulation:
         derives it.  The event key, ``(prev, pid, kind, op, value)`` cons
         cells, covers only the events recorded from here on: every state
         of one search shares those recorded before.  The bank's trace so
-        far is kept as it is now, to start every history from."""
+        far is kept as it is now, to start every history from.  From here
+        on only tabled steps change the bank: the cell ids, the table and
+        the rebuilt trace know no op made on it directly."""
         machines = self.machines
         # processes whose machines read the bank beyond their op's result:
         # the ones that override bank_key, and the registers whose write
@@ -769,8 +770,7 @@ class Simulation:
         stack, rebuilt from its table entry.  A write's event holds the
         content its entry stores, and a read's what the cell held: the
         cells are replayed back from their contents now, each write's
-        undo tuple giving what its cell held before it.  An op made on
-        the bank directly once it was tabled is not in it."""
+        undo tuple giving what its cell held before it."""
         table = self._table
         cells = self.bank.cells.copy()
         step = self.steps

@@ -597,17 +597,12 @@ class ReaderMachine(ProcessMachine):
     def _apply_init(self, bank, op, result, recorder):
         self._begin_iteration(recorder)
         kv = result  # an undecodable init cell (None) counts as unchanged
-        foreign = None
-        if kv is not self.last_init and kv is not None and kv != self.last_init:
+        if kv is None or kv is self.last_init or kv == self.last_init:
+            kv = self._adopt_foreign_value()
+        if kv is not None and kv != self.last_init:
             self.s += self._stamp_bump()
             self.last_init = kv
             self.pending_entry = WitnessEntry(kv, self.s, self.index)
-        else:
-            foreign = self._adopt_foreign_value()
-            if foreign is not None and foreign != self.last_init:
-                self.s += self._stamp_bump()
-                self.last_init = foreign
-                self.pending_entry = WitnessEntry(foreign, self.s, self.index)
         if self.pending_entry is not None:
             self.phase = R_WWIT
         else:

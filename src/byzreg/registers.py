@@ -35,12 +35,9 @@ from .core import (
     Config,
     InformSet,
     InvalidInformSet,
-    PartialTimestamp,
     ProcessId,
     StabilizationEvent,
     TaggedValue,
-    U32,
-    U64,
     WitnessEntry,
     WitnessSet,
     WRITER,
@@ -54,12 +51,6 @@ class AccessViolation(Exception):
 
 class UnknownRegister(Exception):
     """Register id not allocated in this bank."""
-
-
-class _DecodeError(ValueError):
-    """Cell bytes do not decode under the register family's codec.  Like
-    the ValueErrors of JSON and hex parsing, only ``decode_value`` sees it:
-    it returns None for such bytes."""
 
 
 class Family(Enum):
@@ -192,27 +183,38 @@ def _initial_layout(n: int) -> tuple[tuple[RegisterId, ...], Callable[[list], tu
 # entry, ``{"e", "g", "sig"}`` for a witness set (entries sorted by
 # ``_entry_key``) and ``{"m"}`` for an inform set (members sorted by signer,
 # then signature, then their sorted entry keys, so equal sets encode alike
-# under any hash seed).  Integer fields decode only as exact ints in range
-# (``core.U32``, ``core.U64``): a JSON boolean loads as a bool, an int that
-# compares and hashes equal to 0 or 1.
+# under any hash seed).  A decoder checks only the shape: an object with
+# its family's exact keys, and a list for a set field.  It builds the
+# value from the fields as they load, and ``decode_value`` keeps it only
+# when it is exact (``core``), which holds each field to its type and
+# range.  A set field's items must each be exact before they enter the
+# set, which would fold an inexact item into an equal exact one: a JSON
+# boolean, say, loads as a bool, which compares and hashes equal to 0 or 1.
+
+
+def _obj(obj, keys: set[str]) -> dict:
+    if not isinstance(obj, dict) or set(obj) != keys:
+        raise ValueError(f"not an object with keys {sorted(keys)}")
+    return obj
+
+
+def _set(decode, items) -> frozenset:
+    if not isinstance(items, list):
+        raise ValueError("set field not a list")
+    parts = [decode(item) for item in items]
+    if not all(part.exact for part in parts):
+        raise ValueError("a set item is not exact")
+    return frozenset(parts)
 
 
 def _obj_tagged(obj) -> TaggedValue:
-    if not isinstance(obj, dict) or set(obj) != {"k", "u"}:
-        raise _DecodeError("bad tagged value shape")
-    k, u = obj["k"], obj["u"]
-    if type(k) is not int or not 0 <= k < U64 or not isinstance(u, str):
-        raise _DecodeError("bad tagged value fields")
-    return TaggedValue(k, bytes.fromhex(u))
+    obj = _obj(obj, {"k", "u"})
+    return TaggedValue(obj["k"], bytes.fromhex(obj["u"]))
 
 
 def _obj_entry(obj) -> WitnessEntry:
-    if not isinstance(obj, dict) or set(obj) != {"v", "s", "p"}:
-        raise _DecodeError("bad witness entry shape")
-    s, p = obj["s"], obj["p"]
-    if not (type(s) is int and 0 <= s < U64 and type(p) is int and 1 <= p < U32):
-        raise _DecodeError("bad witness entry fields")
-    return WitnessEntry(_obj_tagged(obj["v"]), s, p)
+    obj = _obj(obj, {"v", "s", "p"})
+    return WitnessEntry(_obj_tagged(obj["v"]), obj["s"], obj["p"])
 
 
 def _entry_key(e: WitnessEntry):
@@ -220,26 +222,12 @@ def _entry_key(e: WitnessEntry):
 
 
 def _obj_wset(obj) -> WitnessSet:
-    if not isinstance(obj, dict) or set(obj) != {"e", "g", "sig"}:
-        raise _DecodeError("bad witness set shape")
-    entries_obj, signer, sig = obj["e"], obj["g"], obj["sig"]
-    if not isinstance(entries_obj, list) or not (type(signer) is int and 1 <= signer < U32):
-        raise _DecodeError("bad witness set fields")
-    if not isinstance(sig, str):
-        raise _DecodeError("bad signature field")
-    return WitnessSet(
-        entries=frozenset(_obj_entry(e) for e in entries_obj),
-        signer=signer,
-        signature=bytes.fromhex(sig),
-    )
+    obj = _obj(obj, {"e", "g", "sig"})
+    return WitnessSet(_set(_obj_entry, obj["e"]), obj["g"], bytes.fromhex(obj["sig"]))
 
 
 def _obj_iset(obj) -> InformSet:
-    if not isinstance(obj, dict) or set(obj) != {"m"}:
-        raise _DecodeError("bad inform set shape")
-    if not isinstance(obj["m"], list):
-        raise _DecodeError("bad inform set members")
-    return InformSet(members=frozenset(_obj_wset(m) for m in obj["m"]))
+    return InformSet(_set(_obj_wset, _obj(obj, {"m"})["m"]))
 
 
 def _tagged_dict(v: TaggedValue) -> dict:
@@ -300,13 +288,14 @@ def encode_value(family: Family, value) -> bytes:
 
 
 def decode_value(family: Family, data: bytes):
-    """The value ``data`` encodes under the family's codec, or None when
-    the bytes do not decode.  Nesting too deep for the parser does not
-    decode either."""
+    """The exact value ``data`` encodes under the family's codec, or None
+    when the bytes do not decode to one.  Nesting too deep for the parser
+    does not decode either."""
     try:
-        return _CODECS[family].decode(json.loads(data.decode()))
-    except (ValueError, RecursionError):  # not UTF-8, not JSON, bad hex or a _DecodeError
+        value = _CODECS[family].decode(json.loads(data.decode()))
+    except (TypeError, ValueError, RecursionError):  # not JSON, a bad shape, bad hex, unhashable
         return None
+    return value if value.exact else None
 
 
 def cell_content(reg: RegisterId, value):
@@ -566,13 +555,7 @@ def initial_state(ring: crypto.KeyRing, cfg: Config, u0: bytes) -> InitialState:
             *[cell_content(inform, witness_sets[i]) for i in readers],
             cell_content(final, inform_set),
         ])
-        stabilization = StabilizationEvent(
-            value=value,
-            ws=core,
-            pt=PartialTimestamp.from_mapping(cfg.n, {e.p: e.s for e in core}),
-            step=0,
-            row_owner=0,
-        )
+        stabilization = StabilizationEvent.of(core, cfg.n, 0, 0)
         state = InitialState(value, entries, witness_sets, inform_set, cells, stabilization)
         ring.initial_states[key] = state
     return state

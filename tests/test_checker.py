@@ -21,11 +21,11 @@ from byzreg.checker import (
     InvariantBroken,
     Kind,
     StabilizationEvent,
+    Verdict,
     brute_force_linearizable,
     build_byzantine_linearization,
     build_full_timestamps,
     check_genuine_advance,
-    check_timestamp_isomorphism,
     check_total_order,
     check_total_ordering_reads,
     check_view_consistency,
@@ -35,7 +35,6 @@ from byzreg.checker import (
 )
 from byzreg.core import (
     Config,
-    FullTimestamp,
     InformSet,
     PartialTimestamp,
     ProcessId,
@@ -214,27 +213,31 @@ class TestFullTimestamps:
 
 
 class TestTimestampIsomorphism:
-    def test_increasing_chain_passes(self):
-        chain = [FullTimestamp(v) for v in [(0, 0, 0), (1, 1, 0), (1, 2, 2), (3, 2, 2)]]
-        verdict = check_timestamp_isomorphism(chain)
-        assert verdict.passed
-        assert verdict.detail == "chain of 4 strictly increasing vectors"
+    """The chain is checked as it is built (build_full_timestamps): the
+    report's verdict is that build's outcome."""
 
-    @pytest.mark.parametrize(
-        "third", [(1, 2, 2), (2, 0, 5), (0, 0, 0)], ids=["equal", "concurrent", "decreasing"]
-    )
-    def test_broken_link_names_its_positions(self, third):
-        # positions 0,2 are ordered in the concurrent case; only the
-        # adjacent link 1,2 is broken, and the verdict names it
-        vecs = [(0, 0, 0), (1, 2, 2), third, (9, 9, 9)]
-        chain = [FullTimestamp(v) for v in vecs]
-        verdict = check_timestamp_isomorphism(chain)
-        assert verdict.status == "violation"
-        assert verdict.detail == f"chain positions 1,2 not ordered: {chain[1]} vs {chain[2]}"
+    def test_pass_counts_the_chain(self):
+        report = run_all_checks(fault_free_history(seed=3))
+        assert all(v.passed for v in report.verdicts.values())
+        assert len(report.chain) >= 3
+        verdict = report.verdicts["timestamp_isomorphism"]
+        assert verdict.detail == f"chain of {len(report.chain)} strictly increasing vectors"
 
-    def test_short_chains_pass(self):
-        assert check_timestamp_isomorphism([]).passed
-        assert check_timestamp_isomorphism([FullTimestamp((1, 1))]).passed
+    def test_broken_chain_is_a_violation(self, monkeypatch):
+        exc = InvariantBroken("chain not strictly increasing: (1, 2) -> (2, 1) (<1,a>)")
+
+        def broken(ordered, cfg):
+            raise exc
+
+        monkeypatch.setattr(checker, "build_full_timestamps", broken)
+        report = run_all_checks(fault_free_history(seed=3))
+        verdicts = report.verdicts
+        assert verdicts["total_order"].passed
+        assert verdicts["timestamp_isomorphism"] == Verdict("violation", str(exc))
+        assert verdicts["genuine_advance"] == Verdict("violation", f"no chain: {exc}")
+        assert verdicts["register_linearizability"].passed
+        assert verdicts["byzantine_linearization"].status == "skipped"
+        assert report.chain == []
 
 
 def genuine_advance(stabs, byz_readers, cfg):

@@ -16,8 +16,10 @@ Whole runs do no codec work, and undecodable writes reach the trace as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -422,3 +424,203 @@ def test_undecodable_writes_run_end_to_end(k, digest):
     assert not report.violations()
     assert history.digest() == digest
     assert report.digest() == "947a2442ae4ff9b37740c5b1b1514509bed7ec414c0f1e54c3038880d8bf21ed"
+
+
+# --- decode_value against an explicit oracle ---------------------------------
+#
+# The codec's shape, type and range rules written out field by field, apart
+# from the value classes' ``exact``: each object has exactly its family's
+# keys; counters and stamps are ints (not bools) in [0, 2**64), reader
+# indices and signers ints in [1, 2**32); payloads and signatures are
+# strings of valid hex; entry and member fields are lists whose every item
+# decodes.  Anything else decodes to None.
+
+U32, U64 = 1 << 32, 1 << 64
+
+
+def _int_in(x, lo: int, hi: int) -> int:
+    if type(x) is not int or not lo <= x < hi:
+        raise ValueError(f"{x!r} not an int in [{lo}, {hi})")
+    return x
+
+
+def _hex(x) -> bytes:
+    if type(x) is not str:
+        raise ValueError(f"{x!r} not a string")
+    return bytes.fromhex(x)
+
+
+def _shape(obj, keys: set[str]) -> dict:
+    if type(obj) is not dict or set(obj) != keys:
+        raise ValueError(f"{obj!r} not an object with keys {sorted(keys)}")
+    return obj
+
+
+def _list(x) -> list:
+    if type(x) is not list:
+        raise ValueError(f"{x!r} not a list")
+    return x
+
+
+def oracle_tagged(obj) -> TaggedValue:
+    obj = _shape(obj, {"k", "u"})
+    return TaggedValue(_int_in(obj["k"], 0, U64), _hex(obj["u"]))
+
+
+def oracle_entry(obj) -> WitnessEntry:
+    obj = _shape(obj, {"v", "s", "p"})
+    return WitnessEntry(
+        oracle_tagged(obj["v"]), _int_in(obj["s"], 0, U64), _int_in(obj["p"], 1, U32)
+    )
+
+
+def oracle_wset(obj) -> WitnessSet:
+    obj = _shape(obj, {"e", "g", "sig"})
+    entries = frozenset(oracle_entry(e) for e in _list(obj["e"]))
+    return WitnessSet(entries, _int_in(obj["g"], 1, U32), _hex(obj["sig"]))
+
+
+def oracle_iset(obj) -> InformSet:
+    return InformSet(frozenset(oracle_wset(m) for m in _list(_shape(obj, {"m"})["m"])))
+
+
+ORACLES = {
+    Family.INIT: oracle_tagged,
+    Family.ACK: oracle_tagged,
+    Family.WITNESS: oracle_entry,
+    Family.INFORM: oracle_wset,
+    Family.FINAL: oracle_iset,
+}
+
+
+def oracle(family: Family, obj):
+    try:
+        return ORACLES[family](obj)
+    except ValueError:
+        return None
+
+
+# Objects of each family's shape are drawn as they decode, then up to two
+# of their nodes are swapped for an odd JSON value, or a key is dropped or
+# added.  Set fields draw their items from a pool that holds twins: items
+# with an int 0 or 1 swapped for the bool or float that compares and
+# hashes equal to it, which load as a part equal to an exact one.
+ODD_JSON = st.sampled_from([
+    False, True, 0.0, 1.0, 0.5, float("nan"),
+    -1, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
+    "78", "7A", "7", "787", "zz",  # valid, odd-length and invalid hex
+    None, "", {}, [], [[]], [1, [2]],
+])
+HEX = st.sampled_from(["", "78", "7a"])
+
+
+def json_slots(obj, path=()):
+    """The path to every node below the root of a JSON value."""
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, v in items:
+        yield (*path, key)
+        yield from json_slots(v, (*path, key))
+
+
+def node(obj, path):
+    return functools.reduce(operator.getitem, path, obj)
+
+
+DROP = object()
+
+
+def swapped(obj, path, new):
+    """A copy of ``obj`` with the node at ``path`` replaced by ``new``, or
+    dropped for DROP."""
+    obj = json.loads(json.dumps(obj))
+    *head, key = path
+    if new is DROP:
+        del node(obj, head)[key]
+    else:
+        node(obj, head)[key] = new
+    return obj
+
+
+def twin(draw, obj):
+    slots = [p for p in json_slots(obj) if type(node(obj, p)) is int and node(obj, p) in (0, 1)]
+    if not slots:
+        return obj
+    path = draw(st.sampled_from(slots))
+    return swapped(obj, path, draw(st.sampled_from([bool, float]))(node(obj, path)))
+
+
+@st.composite
+def json_set(draw, items):
+    pool = draw(st.lists(items, min_size=1, max_size=3))
+    pool += [twin(draw, item) for item in pool]
+    return draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+JSON_TAGGED = st.fixed_dictionaries({"k": st.integers(0, 3), "u": HEX})
+JSON_ENTRY = st.fixed_dictionaries(
+    {"v": JSON_TAGGED, "s": st.integers(0, 3), "p": st.integers(1, 3)}
+)
+JSON_WSET = st.fixed_dictionaries({"e": json_set(JSON_ENTRY), "g": st.integers(1, 3), "sig": HEX})
+JSON_ISET = st.fixed_dictionaries({"m": json_set(JSON_WSET)})
+JSON_VALUES = {
+    Family.INIT: JSON_TAGGED,
+    Family.ACK: JSON_TAGGED,
+    Family.WITNESS: JSON_ENTRY,
+    Family.INFORM: JSON_WSET,
+    Family.FINAL: JSON_ISET,
+}
+
+
+@st.composite
+def json_mutated(draw, values):
+    obj = draw(values)
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(json_slots(obj))
+        if not slots or draw(st.integers(0, 9)) == 0:  # the root
+            return obj | {"x": 0} if draw(st.booleans()) else draw(ODD_JSON)
+        path = draw(st.sampled_from(slots))
+        obj = swapped(obj, path, DROP if draw(st.integers(0, 9)) == 0 else draw(ODD_JSON))
+    return obj
+
+
+TAGGED_1 = {"k": 1, "u": "78"}
+ENTRY_1 = {"v": TAGGED_1, "s": 1, "p": 1}
+WSET_1 = {"e": [ENTRY_1], "g": 1, "sig": "73"}
+
+
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_decode_value_agrees_with_the_oracle(data):
+    family = data.draw(st.sampled_from(list(Family)), label="family")
+    obj = data.draw(json_mutated(JSON_VALUES[family]), label="obj")
+    got = decode_value(family, json.dumps(obj).encode())
+    assert typed(got) == typed(oracle(family, obj))
+
+
+@pytest.mark.parametrize(
+    "family,obj",
+    [
+        # an exact part listed before its equal twin: the set keeps one,
+        # but the twin does not decode, so neither does the whole
+        (Family.INFORM, {**WSET_1, "e": [ENTRY_1, {**ENTRY_1, "s": True}]}),
+        (Family.INFORM, {**WSET_1, "e": [ENTRY_1, {**ENTRY_1, "v": {**TAGGED_1, "k": 1.0}}]}),
+        (Family.FINAL, {"m": [WSET_1, {**WSET_1, "g": True}]}),
+        (Family.FINAL, {"m": [WSET_1, {**WSET_1, "e": [{**ENTRY_1, "p": 1.0}]}]}),
+        (Family.FINAL, {"m": [{**WSET_1, "g": True}, WSET_1]}),
+        (Family.INFORM, {**WSET_1, "e": [ENTRY_1, ENTRY_1]}),
+        (Family.INIT, {"k": 2**64 - 1, "u": "7a7A"}),
+        (Family.INIT, {"k": 2**64, "u": "78"}),
+        (Family.WITNESS, {**ENTRY_1, "p": 2**32 - 1}),
+        (Family.WITNESS, {**ENTRY_1, "p": 2**32}),
+        (Family.WITNESS, {**ENTRY_1, "p": 0}),
+        (Family.INIT, {"k": [], "u": "78"}),
+        (Family.INIT, {"k": 1, "u": [[]]}),
+        (Family.INFORM, {**WSET_1, "sig": "7"}),
+    ],
+    ids=["entry_twin_bool", "entry_twin_float", "member_twin_bool", "member_twin_entry",
+         "member_twin_first", "entry_listed_twice", "k_max", "k_2_64", "p_max", "p_2_32", "p_0",
+         "k_list", "u_list", "odd_hex"],
+)
+def test_decode_value_agrees_with_the_oracle_on(family, obj):
+    got = decode_value(family, json.dumps(obj).encode())
+    assert typed(got) == typed(oracle(family, obj))

@@ -52,7 +52,7 @@ from byzreg.engine import (
     make_chooser,
     run,
 )
-from byzreg.protocol import R_INIT, W_POLL, ReaderMachine, WriterMachine
+from byzreg.protocol import R_INIT, W_POLL, ProcessMachine, ReaderMachine, WriterMachine
 from byzreg.registers import (
     AccessViolation,
     Raw,
@@ -1033,6 +1033,32 @@ class TestIncrementalStateKey:
         assert any(ref[1][0] for ref in pruned)
 
 
+class Scribe(ProcessMachine):
+    """A process reduced to one op: at every step it writes ``value`` to
+    ``reg``, whose writer end it is.  It has no workload."""
+
+    def __init__(self, reg, value):
+        self.pid = registers.WRITER_END[reg]
+        self.op = WriteOp(reg, value)
+
+    def done(self):
+        return True
+
+    def next_op(self):
+        return self.op
+
+    def apply(self, bank, op, result, recorder):
+        pass
+
+
+def assert_atomic(history):
+    """Every read of ``history``'s trace returns the latest write before
+    it: the bank was not written behind the steps."""
+    assert not registers.atomicity_violations(
+        history.cfg, history.u0, history.keyring(), history.register_events, history.read_log
+    )
+
+
 class TestTransitionTable:
     """An enumeration steps every machine by a transition table: one
     canonical machine per state_key, each (machine, read result, bank_key)
@@ -1134,10 +1160,11 @@ class TestTransitionTable:
         # keyed by the read result alone would replay the stale outcome
         cfg = Config(1, 0)
         ring = make_keyring(cfg, "keyed", 0)
-        bank = bank_init(cfg, b"init", ring)
         ack = TaggedValue(1, b"a")
-        bank.write(ack_reg(1), ack, ProcessId.reader(1))
-        sim = Simulation(cfg, {WRITER: WriterMachine(cfg, ring, [b"a"])}, bank)
+        reader = ProcessId.reader(1)
+        machines = {WRITER: WriterMachine(cfg, ring, [b"a"]), reader: Scribe(ack_reg(1), ack)}
+        sim = Simulation(cfg, machines, bank_init(cfg, b"init", ring))
+        sim.step_process(reader)  # in place, before the table
         sim._tabulate()
         sim.step_process(WRITER)
         polling = sim.machines[WRITER]
@@ -1146,13 +1173,19 @@ class TestTransitionTable:
         sim.undo()
         sim.undo()
         sim.step_process(WRITER)
-        sim.bank.write(ack_reg(1), ack, ProcessId.reader(1))
+        sim.step_process(reader)
         assert sim.machines[WRITER] is polling
         sim.step_process(WRITER)
         # the fresh ack completed the write, whose response resets acked
         response = sim.recorder.events[-1]
         assert (response.process, response.kind, response.op) == (WRITER, "response", "write")
         assert response.value == ack and sim.workload_complete()
+        history = sim.history("completed")
+        assert [(ev.op, str(ev.reg)) for ev in history.trace] == [
+            ("write", "ack[r1->w]"), ("write", "init[w->r1]"),
+            ("write", "ack[r1->w]"), ("read", "ack[r1->w]"),
+        ]
+        assert_atomic(history)
 
     def test_violation_is_replayed(self):
         # the forged-quorum scenario ends in concurrent_final_sets at a
@@ -1367,45 +1400,57 @@ class TestUndecodableCells:
 
     GARBAGE = Raw(b"\xff not a value")
 
-    @staticmethod
-    def simulation(tabled, build):
+    @classmethod
+    def simulation(cls, tabled, build, garbage_at=None):
+        """A simulation of the machines ``build(ring)`` lists, with GARBAGE
+        written to the register ``garbage_at`` (if any) before it is
+        tabled."""
         ring = make_keyring(CFG41, "keyed", 0)
-        machine = build(ring)
-        sim = Simulation(CFG41, {machine.pid: machine}, bank_init(CFG41, b"init", ring))
+        machines = {m.pid: m for m in build(ring)}
+        sim = Simulation(CFG41, machines, bank_init(CFG41, b"init", ring))
+        if garbage_at is not None:
+            sim.bank.write(garbage_at, cls.GARBAGE, registers.WRITER_END[garbage_at])
         if tabled:
             sim._tabulate()
         return sim
 
     def test_ack_not_counted(self, tabled):
-        sim = self.simulation(tabled, lambda ring: WriterMachine(CFG41, ring, [b"a"]))
+        ack = TaggedValue(1, b"a")
+        sim = self.simulation(tabled, lambda ring: [
+            WriterMachine(CFG41, ring, [b"a"]),
+            Scribe(ack_reg(1), self.GARBAGE),
+            Scribe(ack_reg(2), ack),
+        ])
         for _ in range(CFG41.n):  # the init writes
             sim.step_process(WRITER)
-        ack = TaggedValue(1, b"a")
-        sim.bank.write(ack_reg(1), self.GARBAGE, ProcessId.reader(1))
-        sim.bank.write(ack_reg(2), ack, ProcessId.reader(2))
+        sim.step_process(ProcessId.reader(1))
+        sim.step_process(ProcessId.reader(2))
         sim.step_process(WRITER)  # polls reader 1
         sim.step_process(WRITER)  # polls reader 2
         assert sim.machines[WRITER].acked == {2}
+        assert_atomic(sim.history("x"))
 
-    def reader_iteration(self, tabled, reg, owner):
+    def reader_iteration(self, tabled, reg):
         """Reader 1 after one helper iteration with ``reg`` holding garbage."""
         pid = ProcessId.reader(1)
-        sim = self.simulation(tabled, lambda ring: ReaderMachine(CFG41, ring, b"init", 1))
-        sim.bank.write(reg, self.GARBAGE, owner)
+        sim = self.simulation(
+            tabled, lambda ring: [ReaderMachine(CFG41, ring, b"init", 1)], garbage_at=reg
+        )
         sim.step_process(pid)
         while sim.machines[pid].phase != R_INIT:
             sim.step_process(pid)
+        assert_atomic(sim.history("x"))
         return sim.machines[pid]
 
     def test_init_counts_as_unchanged(self, tabled):
-        reader = self.reader_iteration(tabled, init_reg(1), WRITER)
+        reader = self.reader_iteration(tabled, init_reg(1))
         assert reader.s == 0 and reader.last_init == TaggedValue(0, b"init")
         assert reader.suspected == frozenset()
 
     @pytest.mark.parametrize("family", ["witness", "inform", "final"])
     def test_peer_cell_suspects_its_source(self, tabled, family):
         reg = {"witness": witness_reg, "inform": inform_reg, "final": final_reg}[family]
-        reader = self.reader_iteration(tabled, reg(3, 1), ProcessId.reader(3))
+        reader = self.reader_iteration(tabled, reg(3, 1))
         assert reader.suspected == {3}
         if family == "inform":
             assert reader.t_inform[3] is None
